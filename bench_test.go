@@ -64,11 +64,11 @@ func BenchmarkAblations(b *testing.B)  { runExp(b, "ablate") }
 // Micro-benchmarks of the simulator itself: cost per simulated benchmark
 // run under the main configurations.
 
-func benchRun(b *testing.B, bench string, s Setup) {
+func benchRun(b *testing.B, bench string, sp Spec) {
 	b.Helper()
 	in := Input{Scale: benchScale, Seed: 1}
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(bench, in, s); err != nil {
+		if _, err := Run(bench, in, sp); err != nil {
 			b.Fatal(err)
 		}
 	}

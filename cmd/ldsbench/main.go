@@ -25,7 +25,7 @@ import (
 )
 
 // schemaVersion identifies the artifact layout. Bump on breaking changes.
-const schemaVersion = "ldsbench/1"
+const schemaVersion = "ldsbench/2"
 
 // benchmark is one measurable unit: either a paper artifact (an experiment
 // id) or a micro-benchmark of the simulator.
@@ -50,14 +50,6 @@ type result struct {
 	SimAccessesPerSec float64 `json:"simulated_accesses_per_sec,omitempty"`
 }
 
-// baselineRow records a prior PR's measurement for trajectory comparison.
-type baselineRow struct {
-	Name        string `json:"name"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	BytesPerOp  int64  `json:"bytes_per_op,omitempty"`
-	AllocsPerOp int64  `json:"allocs_per_op"`
-}
-
 // artifact is the full JSON document.
 type artifact struct {
 	SchemaVersion string   `json:"schema_version"`
@@ -68,74 +60,6 @@ type artifact struct {
 	GOOS          string   `json:"goos"`
 	GOARCH        string   `json:"goarch"`
 	Benchmarks    []result `json:"benchmarks"`
-	// BaselinePR2 holds the same benchmarks measured at the PR 2 tree
-	// (identical scale and seed), the oldest trajectory reference point.
-	// Bytes/op was not recorded for the micro-benchmarks then.
-	BaselinePR2 []baselineRow `json:"baseline_pr2"`
-	// BaselinePR3 holds the PR 3 tree's measurements (identical scale and
-	// seed).
-	BaselinePR3 []baselineRow `json:"baseline_pr3"`
-	// BaselinePR4 holds the PR 4 tree's measurements (identical scale and
-	// seed).
-	BaselinePR4 []baselineRow `json:"baseline_pr4"`
-	// BaselinePR5 holds the PR 5 tree's measurements (identical scale and
-	// seed). The mix4_* rows have no PR 5 counterpart: multi-core mixes
-	// first became a benchmarked surface with the epoch-barrier engine.
-	BaselinePR5 []baselineRow `json:"baseline_pr5"`
-	// BaselinePR8 holds the PR 8 tree's measurements (identical scale and
-	// seed), the immediate reference point for this PR's trajectory. The
-	// sim_hybrid_* core-model rows have no PR 8 counterpart: the core seam
-	// is new in PR 10.
-	BaselinePR8 []baselineRow `json:"baseline_pr8"`
-}
-
-// baselinePR2 are the PR 2 measurements at scale 0.15, seed 1.
-var baselinePR2 = []baselineRow{
-	{Name: "fig1", NsPerOp: 6377296818, BytesPerOp: 4235411768, AllocsPerOp: 9368510},
-	{Name: "sim_baseline", NsPerOp: 68499840, AllocsPerOp: 87171},
-	{Name: "sim_cdp", NsPerOp: 94685156, AllocsPerOp: 202660},
-}
-
-// baselinePR3 are the PR 3 measurements at scale 0.15, seed 1 (the short
-// set, from BENCH_PR3.json).
-var baselinePR3 = []baselineRow{
-	{Name: "sim_baseline", NsPerOp: 40852883, BytesPerOp: 5510066, AllocsPerOp: 63},
-	{Name: "sim_cdp", NsPerOp: 77302891, BytesPerOp: 5510306, AllocsPerOp: 66},
-	{Name: "sim_proposal", NsPerOp: 101329219, BytesPerOp: 8991337, AllocsPerOp: 138},
-	{Name: "profile_pass", NsPerOp: 66922797, BytesPerOp: 5488729, AllocsPerOp: 74},
-	{Name: "fig1", NsPerOp: 4037539291, BytesPerOp: 1254730712, AllocsPerOp: 54232},
-}
-
-// baselinePR4 are the PR 4 measurements at scale 0.15, seed 1 (the short
-// set, from BENCH_PR4.json).
-var baselinePR4 = []baselineRow{
-	{Name: "sim_baseline", NsPerOp: 36247959, BytesPerOp: 5510066, AllocsPerOp: 63},
-	{Name: "sim_cdp", NsPerOp: 55147021, BytesPerOp: 5510305, AllocsPerOp: 66},
-	{Name: "sim_proposal", NsPerOp: 80969303, BytesPerOp: 8991681, AllocsPerOp: 141},
-	{Name: "profile_pass", NsPerOp: 57455079, BytesPerOp: 5489137, AllocsPerOp: 77},
-	{Name: "fig1", NsPerOp: 3284261086, BytesPerOp: 1254735928, AllocsPerOp: 54285},
-}
-
-// baselinePR5 are the PR 5 measurements at scale 0.15, seed 1 (the short
-// set, from BENCH_PR5.json).
-var baselinePR5 = []baselineRow{
-	{Name: "sim_baseline", NsPerOp: 39808354, BytesPerOp: 5509969, AllocsPerOp: 64},
-	{Name: "sim_cdp", NsPerOp: 57401230, BytesPerOp: 5510320, AllocsPerOp: 70},
-	{Name: "sim_proposal", NsPerOp: 71906528, BytesPerOp: 8992025, AllocsPerOp: 152},
-	{Name: "profile_pass", NsPerOp: 55651405, BytesPerOp: 5489137, AllocsPerOp: 77},
-	{Name: "fig1", NsPerOp: 2999402562, BytesPerOp: 1254785968, AllocsPerOp: 55733},
-}
-
-// baselinePR8 are the PR 8 measurements at scale 0.15, seed 1 (the short
-// set, from BENCH_PR8.json).
-var baselinePR8 = []baselineRow{
-	{Name: "sim_baseline", NsPerOp: 46747291, BytesPerOp: 5526498, AllocsPerOp: 65},
-	{Name: "sim_cdp", NsPerOp: 77143657, BytesPerOp: 5526850, AllocsPerOp: 71},
-	{Name: "sim_proposal", NsPerOp: 80590923, BytesPerOp: 9025081, AllocsPerOp: 154},
-	{Name: "profile_pass", NsPerOp: 64157795, BytesPerOp: 5505665, AllocsPerOp: 78},
-	{Name: "mix4_serial", NsPerOp: 286213033, BytesPerOp: 23246424, AllocsPerOp: 40856},
-	{Name: "mix4_parallel", NsPerOp: 397681546, BytesPerOp: 24333226, AllocsPerOp: 88363},
-	{Name: "fig1", NsPerOp: 3774410583, BytesPerOp: 1097287936, AllocsPerOp: 49254},
 }
 
 func experimentBench(id string) func(b *testing.B, in lds.Input) {
@@ -153,11 +77,11 @@ func experimentBench(id string) func(b *testing.B, in lds.Input) {
 	}
 }
 
-func simBench(bench string, setup func() lds.Setup) benchmark {
-	run := func(in lds.Input) (lds.Result, error) {
-		return lds.Run(bench, in, setup())
-	}
+// simulation is a short-set benchmark of one simulation; run returns the
+// simulated demand accesses of one iteration.
+func simulation(name string, run func(in lds.Input) (int64, error)) benchmark {
 	return benchmark{
+		name:  name,
 		short: true,
 		run: func(b *testing.B, in lds.Input) {
 			b.ReportAllocs()
@@ -168,13 +92,21 @@ func simBench(bench string, setup func() lds.Setup) benchmark {
 			}
 		},
 		accesses: func(in lds.Input) int64 {
-			res, err := run(in)
+			acc, err := run(in)
 			if err != nil {
 				return 0
 			}
-			return res.Mem.Accesses
+			return acc
 		},
 	}
+}
+
+// simBench measures one single-core run of bench under sp.
+func simBench(name, bench string, sp lds.Spec) benchmark {
+	return simulation(name, func(in lds.Input) (int64, error) {
+		res, err := lds.Run(bench, in, sp)
+		return res.Mem.Accesses, err
+	})
 }
 
 // mixBench measures a 4-core multi-core mix end to end under one execution
@@ -185,87 +117,28 @@ func simBench(bench string, setup func() lds.Setup) benchmark {
 // bounds the goroutine/barrier overhead).
 func mixBench(engine string) benchmark {
 	benches := []string{"mcf", "xalancbmk", "omnetpp", "health"}
-	spec := func() sim.Spec {
-		sp := sim.NewSpec("stream+cdp+thr", "stream", "cdp", "throttle")
-		sp.Engine = engine
-		return sp
-	}
-	run := func(in lds.Input) (sim.MultiResult, error) {
-		return sim.RunSharedSpec(benches, in, spec())
-	}
-	return benchmark{
-		name:  "mix4_" + engine,
-		short: true,
-		run: func(b *testing.B, in lds.Input) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := run(in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
-		accesses: func(in lds.Input) int64 {
-			res, err := run(in)
-			if err != nil {
-				return 0
-			}
-			var acc int64
-			for _, r := range res.PerCore {
-				acc += r.Mem.Accesses
-			}
-			return acc
-		},
-	}
-}
-
-// coreBench measures one single-core run of the stream+cdp+throttle
-// configuration on mst under the named core timing model.
-func coreBench(core string) benchmark {
-	spec := func() sim.Spec {
-		sp := sim.NewSpec("stream+cdp+thr", "stream", "cdp", "throttle")
-		return sp.WithCore(core, nil)
-	}
-	run := func(in lds.Input) (sim.Result, error) {
-		return sim.RunSingleSpec("mst", in, spec())
-	}
-	return benchmark{
-		name:  "sim_hybrid_" + core,
-		short: true,
-		run: func(b *testing.B, in lds.Input) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := run(in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
-		accesses: func(in lds.Input) int64 {
-			res, err := run(in)
-			if err != nil {
-				return 0
-			}
-			return res.Mem.Accesses
-		},
-	}
+	sp := sim.NewSpec("stream+cdp+thr", "stream", "cdp", "throttle")
+	sp.Engine = engine
+	return simulation("mix4_"+engine, func(in lds.Input) (int64, error) {
+		res, err := sim.RunSharedSpec(benches, in, sp)
+		var acc int64
+		for _, r := range res.PerCore {
+			acc += r.Mem.Accesses
+		}
+		return acc, err
+	})
 }
 
 func benchmarks() []benchmark {
 	var out []benchmark
 
-	base := simBench("mst", lds.Baseline)
-	base.name = "sim_baseline"
-	out = append(out, base)
-
-	cdp := simBench("mst", lds.OriginalCDP)
-	cdp.name = "sim_cdp"
-	out = append(out, cdp)
-
-	prop := simBench("mst", func() lds.Setup {
-		train := lds.Input{Scale: lds.BenchScale * lds.TrainInput().Scale, Seed: 1009}
-		return lds.Proposal(lds.ProfileHints("mst", train))
-	})
-	prop.name = "sim_proposal"
-	out = append(out, prop)
+	// The proposal's hints are profiled once, outside the timed loop;
+	// profile_pass measures the profiling pass itself.
+	train := lds.Input{Scale: lds.BenchScale * lds.TrainInput().Scale, Seed: 1009}
+	out = append(out,
+		simBench("sim_baseline", "mst", lds.Baseline()),
+		simBench("sim_cdp", "mst", lds.OriginalCDP()),
+		simBench("sim_proposal", "mst", lds.Proposal(lds.ProfileHints("mst", train))))
 
 	out = append(out, benchmark{
 		name:  "profile_pass",
@@ -286,7 +159,10 @@ func benchmarks() []benchmark {
 	// interval core and the speculative ooo core. The ns/op ratio prices
 	// the out-of-order model (branch prediction + wrong-path traffic);
 	// the interval row must track sim_cdp's trajectory.
-	out = append(out, coreBench("interval"), coreBench("ooo"))
+	hybrid := sim.NewSpec("stream+cdp+thr", "stream", "cdp", "throttle")
+	for _, core := range []string{"interval", "ooo"} {
+		out = append(out, simBench("sim_hybrid_"+core, "mst", hybrid.WithCore(core, nil)))
+	}
 
 	// Paper artifacts. fig1 is in the short set: it is the headline artifact
 	// and the alloc-trajectory acceptance gate.
@@ -320,11 +196,6 @@ func main() {
 		GoVersion:     runtime.Version(),
 		GOOS:          runtime.GOOS,
 		GOARCH:        runtime.GOARCH,
-		BaselinePR2:   baselinePR2,
-		BaselinePR3:   baselinePR3,
-		BaselinePR4:   baselinePR4,
-		BaselinePR5:   baselinePR5,
-		BaselinePR8:   baselinePR8,
 	}
 	for _, bm := range benchmarks() {
 		if *set == "short" && !bm.short {

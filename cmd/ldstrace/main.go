@@ -1,5 +1,6 @@
-// Command ldstrace captures, inspects, verifies, and replays trace files in
-// the LDSTRC format (TRACEFORMAT.md).
+// Command ldstrace captures, inspects, and verifies trace files in the
+// LDSTRC format (TRACEFORMAT.md). Replaying a capture through the simulator
+// is `ldssim -replay <file>`.
 //
 // Usage:
 //
@@ -7,20 +8,12 @@
 //	ldstrace info kv.ldstrc            # header + metadata
 //	ldstrace info -stats kv.ldstrc     # + streamed op composition
 //	ldstrace verify kv.ldstrc          # streaming digest check
-//	ldstrace replay -config cdp+throttle kv.ldstrc
 //
 // capture builds a registered workload (generators or the serverload
 // families; see `ldssim -list`) and writes its trace as a self-describing,
 // digest-protected capture. Captures of the same {benchmark, scale, seed}
-// are byte-identical.
-//
-// replay registers the capture as a content-addressed workload
-// ("trace:<digest12>") and runs it through the simulator, printing the same
-// summary as ldssim; the report is byte-identical to running the captured
-// generator directly. -out persists the summary and a manifest recording
-// the capture digest; -cache routes the run through the content-addressed
-// result store. info and verify stream the file: ops are decoded one at a
-// time and never materialized.
+// are byte-identical. info and verify stream the file: ops are decoded one
+// at a time and never materialized.
 package main
 
 import (
@@ -28,17 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
-	"ldsprefetch/internal/core"
-	"ldsprefetch/internal/cpu"
-	"ldsprefetch/internal/exp"
-	"ldsprefetch/internal/jobs"
-	"ldsprefetch/internal/memsys"
-	"ldsprefetch/internal/prefetch"
-	"ldsprefetch/internal/profiling"
-	"ldsprefetch/internal/sim"
 	"ldsprefetch/internal/trace"
 	"ldsprefetch/internal/tracefile"
 	"ldsprefetch/internal/workload"
@@ -52,7 +35,7 @@ func fatal(v ...interface{}) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: ldstrace <capture|info|verify|replay> [flags] [file]")
+	fmt.Fprintln(os.Stderr, "usage: ldstrace <capture|info|verify> [flags] [file]")
 	fmt.Fprintln(os.Stderr, "run 'ldstrace <subcommand> -h' for subcommand flags")
 	os.Exit(2)
 }
@@ -68,8 +51,6 @@ func main() {
 		infoCmd(os.Args[2:])
 	case "verify":
 		verifyCmd(os.Args[2:])
-	case "replay":
-		replayCmd(os.Args[2:])
 	default:
 		fmt.Fprintf(os.Stderr, "ldstrace: unknown subcommand %q\n", os.Args[1])
 		usage()
@@ -116,7 +97,7 @@ func captureCmd(args []string) {
 	fmt.Printf("digest   %s\n", tracefile.HexDigest(digest))
 }
 
-// open parses the single positional file argument of info/verify/replay.
+// open parses the single positional file argument of info/verify.
 func open(fs *flag.FlagSet, sub string) (*os.File, string) {
 	if fs.NArg() != 1 {
 		fatal(fmt.Sprintf("ldstrace %s: exactly one capture file expected", sub))
@@ -202,93 +183,4 @@ func verifyCmd(args []string) {
 		fatal("ldstrace verify:", err)
 	}
 	fmt.Printf("%s: ok (%d ops, digest %s)\n", path, r.Header().OpCount, tracefile.HexDigest(r.Header().Digest))
-}
-
-func replayCmd(args []string) {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	config := fs.String("config", "cdp+throttle", "prefetching configuration (see 'ldssim -list-configs')")
-	outDir := fs.String("out", "", "directory to persist the run summary (+ manifest)")
-	cacheDir := fs.String("cache", "", "content-addressed result cache directory")
-	fs.Parse(args)
-	f, path := open(fs, "replay")
-	r, err := tracefile.NewReader(f)
-	f.Close()
-	if err != nil {
-		fatal("ldstrace replay:", err)
-	}
-	hdr := r.Header()
-	name, err := workload.FromTraceFile(path)
-	if err != nil {
-		fatal("ldstrace replay:", err)
-	}
-	// The capture's own input parameters label the run; the ops themselves
-	// are fixed by the capture regardless.
-	p := workload.Params{Scale: hdr.Meta.Scale, Seed: hdr.Meta.Seed}
-
-	var h *core.HintTable
-	if sim.NamedNeedsHints(*config) {
-		// Hint-consuming configs profile the capture itself: a replayed
-		// trace has no separate train input.
-		tr, err := workload.BuildShared(name, p)
-		if err != nil {
-			fatal("ldstrace replay:", err)
-		}
-		h = profiling.Collect(tr, memsys.DefaultConfig(), cpu.DefaultConfig()).Hints(0)
-	}
-	spec, err := sim.Named(*config, h)
-	if err != nil {
-		fatal("ldstrace replay:", err)
-	}
-
-	cfg := jobs.Config{}
-	if *cacheDir != "" {
-		store, err := jobs.Open(*cacheDir)
-		if err != nil {
-			fatal("ldstrace replay: opening cache:", err)
-		}
-		cfg.Store = store
-	}
-	sched := jobs.New(cfg)
-	res, err := sched.SingleSpec(name, p, spec)
-	if err != nil {
-		fatal("ldstrace replay:", err)
-	}
-
-	var sb strings.Builder
-	w := io.Writer(os.Stdout)
-	if *outDir != "" {
-		w = io.MultiWriter(os.Stdout, &sb)
-	}
-	fmt.Fprintf(w, "benchmark      %s\n", res.Benchmark)
-	fmt.Fprintf(w, "config         %s\n", spec.Name)
-	fmt.Fprintf(w, "instructions   %d\n", res.Retired)
-	fmt.Fprintf(w, "cycles         %d\n", res.Cycles)
-	fmt.Fprintf(w, "IPC            %.4f\n", res.IPC)
-	fmt.Fprintf(w, "BPKI           %.2f\n", res.BPKI)
-	fmt.Fprintf(w, "L2 demand miss %d\n", res.DemandMisses)
-	for src := prefetch.SrcStream; src < prefetch.NumSources; src++ {
-		if res.Issued[src] == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%-8s issued %d, used %d (accuracy %.3f, coverage %.3f)\n",
-			src, res.Issued[src], res.Used[src], res.Accuracy[src], res.Coverage[src])
-	}
-
-	if *outDir != "" {
-		m := exp.NewManifest("ldstrace/"+*config, p.Scale, p.Seed, 0)
-		m.Benchmarks = []string{name}
-		m.TraceFile = &exp.TraceFileRef{
-			Path:          path,
-			Generator:     hdr.Meta.Generator,
-			Digest:        tracefile.HexDigest(hdr.Digest),
-			FormatVersion: hdr.FormatVersion,
-		}
-		m.AttachJobs(*cacheDir, sched)
-		if err := m.Write(*outDir); err != nil {
-			fatal("ldstrace replay: writing manifest:", err)
-		}
-		if err := os.WriteFile(filepath.Join(*outDir, "run.txt"), []byte(sb.String()), 0o644); err != nil {
-			fatal("ldstrace replay: writing summary:", err)
-		}
-	}
 }

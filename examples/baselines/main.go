@@ -25,26 +25,26 @@ func main() {
 	rows := []struct {
 		name    string
 		storage string
-		setup   ldsprefetch.Setup
+		spec    ldsprefetch.Spec
 	}{
 		{"stream baseline", "-", ldsprefetch.Baseline()},
 		{"+ original CDP", "0 (stateless)", ldsprefetch.OriginalCDP()},
-		{"+ DBP", "~3 KB", ldsprefetch.Setup{Stream: true, DBP: true}},
-		{"+ Markov", "1 MB", ldsprefetch.Setup{Stream: true, Markov: true}},
-		{"GHB G/DC (alone)", "12 KB", ldsprefetch.Setup{GHB: true}},
-		{"+ CDP + HW filter", "8 KB", ldsprefetch.Setup{Stream: true, CDP: true, HWFilter: true}},
-		{"+ ECDP + FDP", "-", ldsprefetch.Setup{Stream: true, CDP: true, Hints: hints, FDP: true}},
+		{"+ DBP", "~3 KB", ldsprefetch.NewSpec("stream+dbp", "stream", "dbp")},
+		{"+ Markov", "1 MB", ldsprefetch.NewSpec("stream+markov", "stream", "markov")},
+		{"GHB G/DC (alone)", "12 KB", ldsprefetch.NewSpec("ghb", "ghb")},
+		{"+ CDP + HW filter", "8 KB", ldsprefetch.NewSpec("stream+cdp+hwf", "stream", "cdp", "hwfilter")},
+		{"+ ECDP + FDP", "-", ldsprefetch.NewSpec("stream+ecdp+fdp", "stream", "cdp", "fdp").WithHints(hints)},
 		{"proposal (ECDP+thr)", fmt.Sprintf("%.2f KB", cost.TotalKB()), ldsprefetch.Proposal(hints)},
 	}
 
-	base, err := ldsprefetch.Run(bench, in, rows[0].setup)
+	base, err := ldsprefetch.Run(bench, in, rows[0].spec)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("benchmark: %s\n\n", bench)
 	fmt.Printf("%-22s %10s %8s %8s %10s\n", "technique", "storage", "IPC", "BPKI", "vs stream")
 	for _, row := range rows {
-		r, err := ldsprefetch.Run(bench, in, row.setup)
+		r, err := ldsprefetch.Run(bench, in, row.spec)
 		if err != nil {
 			panic(err)
 		}

@@ -22,11 +22,11 @@ func main() {
 	train.Scale *= in.Scale
 	hints := ldsprefetch.ProfileHints(bench, train)
 
-	configs := []ldsprefetch.Setup{
-		{Name: "no prefetching"},
+	configs := []ldsprefetch.Spec{
+		ldsprefetch.NewSpec("no prefetching"),
 		ldsprefetch.Baseline(),
 		ldsprefetch.OriginalCDP(),
-		{Name: "stream+ecdp", Stream: true, CDP: true, Hints: hints},
+		ldsprefetch.NewSpec("stream+ecdp", "stream", "cdp").WithHints(hints),
 		ldsprefetch.Proposal(hints),
 	}
 

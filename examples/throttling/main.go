@@ -21,13 +21,18 @@ func main() {
 	train.Scale *= in.Scale
 	hints := ldsprefetch.ProfileHints(bench, train)
 
-	lv := func(l prefetch.AggLevel) *prefetch.AggLevel { return &l }
-	configs := []ldsprefetch.Setup{
-		{Name: "fixed very-conservative", Stream: true, CDP: true, Hints: hints,
-			InitialLevel: lv(prefetch.VeryConservative)},
-		{Name: "fixed aggressive", Stream: true, CDP: true, Hints: hints},
-		{Name: "FDP (individual)", Stream: true, CDP: true, Hints: hints, FDP: true},
-		{Name: "coordinated throttling", Stream: true, CDP: true, Hints: hints, Throttle: true},
+	// Every row is stream + ECDP; only the aggressiveness management differs.
+	ecdp := func(name string, policy ...string) ldsprefetch.Spec {
+		return ldsprefetch.NewSpec(name, append([]string{"stream", "cdp"}, policy...)...).WithHints(hints)
+	}
+	fixedLow := ecdp("fixed very-conservative")
+	lv := prefetch.VeryConservative
+	fixedLow.InitialLevel = &lv
+	configs := []ldsprefetch.Spec{
+		fixedLow,
+		ecdp("fixed aggressive"),
+		ecdp("FDP (individual)", "fdp"),
+		ecdp("coordinated throttling", "throttle"),
 	}
 
 	base, _ := ldsprefetch.Run(bench, in, ldsprefetch.Baseline())

@@ -15,30 +15,26 @@ import (
 	"ldsprefetch/internal/workload"
 )
 
-// traceSetup is a throttled hybrid run small enough for tests but with a
+// traceSpec is a throttled hybrid run small enough for tests but with a
 // short feedback interval so the trace holds many interval records. It
 // avoids profiling hints so the run depends only on the seeded workload.
-func traceSetup() sim.Setup {
-	return sim.Setup{
-		Name:        "stream+cdp+thr",
-		Stream:      true,
-		CDP:         true,
-		Throttle:    true,
-		IntervalLen: 128,
-		Trace:       true,
-	}
+func traceSpec() sim.Spec {
+	sp := sim.NewSpec("stream+cdp+thr", "stream", "cdp", "throttle")
+	sp.IntervalLen = 128
+	sp.Trace = true
+	return sp
 }
 
 func traceParams() workload.Params { return workload.Params{Scale: 0.05, Seed: 1} }
 
 func runTraced(t *testing.T) sim.Result {
 	t.Helper()
-	r, err := sim.RunSingle("mst", traceParams(), traceSetup())
+	r, err := sim.RunSingleSpec("mst", traceParams(), traceSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Trace == nil {
-		t.Fatal("Setup.Trace did not produce a telemetry trace")
+		t.Fatal("Spec.Trace did not produce a telemetry trace")
 	}
 	return r
 }
@@ -202,9 +198,9 @@ func TestTraceDeterministic(t *testing.T) {
 // run of the same configuration.
 func TestTraceNoObserverEffect(t *testing.T) {
 	traced := runTraced(t)
-	s := traceSetup()
+	s := traceSpec()
 	s.Trace = false
-	plain, err := sim.RunSingle("mst", traceParams(), s)
+	plain, err := sim.RunSingleSpec("mst", traceParams(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +266,7 @@ func TestContextTraceDir(t *testing.T) {
 	c := NewContext()
 	c.Params = workload.Params{Scale: 0.05, Seed: 1}
 	c.TraceDir = dir
-	res := c.run("mst", traceSetup().Spec())
+	res := c.run("mst", traceSpec())
 	if res.Trace == nil {
 		t.Fatal("TraceDir must force telemetry on")
 	}

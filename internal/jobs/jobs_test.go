@@ -16,13 +16,21 @@ import (
 
 var testParams = workload.Params{Scale: 0.05, Seed: 7}
 
-func testSetup() sim.Setup { return sim.Setup{Name: "none"} }
+func testSpec() sim.Spec { return sim.NewSpec("none") }
+
+// must unwraps a key derivation over a spec that is known to be valid.
+func must(k Key, err error) Key {
+	if err != nil {
+		panic(err)
+	}
+	return k
+}
 
 // --- keys ---
 
 func TestKeyDeterminism(t *testing.T) {
-	a := SingleKey("mst", testParams, testSetup())
-	b := SingleKey("mst", testParams, testSetup())
+	a := must(SingleSpecKey("mst", testParams, testSpec()))
+	b := must(SingleSpecKey("mst", testParams, testSpec()))
 	if a.Hash != b.Hash {
 		t.Fatalf("identical inputs hashed differently: %s vs %s", a.Hash, b.Hash)
 	}
@@ -38,15 +46,15 @@ func TestKeyHintOrderIndependence(t *testing.T) {
 	h2 := core.NewHintTable()
 	h2.Set(0x20, core.HintVec{Neg: 2})
 	h2.Set(0x10, core.HintVec{Pos: 1})
-	s1, s2 := testSetup(), testSetup()
+	s1, s2 := testSpec(), testSpec()
 	s1.Hints, s2.Hints = h1, h2
-	if SingleKey("mst", testParams, s1).Hash != SingleKey("mst", testParams, s2).Hash {
+	if must(SingleSpecKey("mst", testParams, s1)).Hash != must(SingleSpecKey("mst", testParams, s2)).Hash {
 		t.Fatal("hint insertion order leaked into the key")
 	}
 }
 
 func TestKeyInvalidation(t *testing.T) {
-	base := SingleKey("mst", testParams, testSetup())
+	base := must(SingleSpecKey("mst", testParams, testSpec()))
 	seen := map[string]string{base.Hash: "base"}
 	add := func(name string, k Key) {
 		t.Helper()
@@ -56,28 +64,27 @@ func TestKeyInvalidation(t *testing.T) {
 		seen[k.Hash] = name
 	}
 
-	s := testSetup()
-	s.Stream = true
-	add("setup field", SingleKey("mst", testParams, s))
+	s := testSpec().With(sim.NewComponent("stream", nil))
+	add("spec component", must(SingleSpecKey("mst", testParams, s)))
 
-	s = testSetup()
+	s = testSpec()
 	s.Hints = core.NewHintTable()
 	s.Hints.Set(0x40, core.HintVec{Pos: 3})
-	add("hint table", SingleKey("mst", testParams, s))
+	add("hint table", must(SingleSpecKey("mst", testParams, s)))
 
 	p := testParams
 	p.Scale = 0.06
-	add("scale", SingleKey("mst", p, testSetup()))
+	add("scale", must(SingleSpecKey("mst", p, testSpec())))
 
 	p = testParams
 	p.Seed = 8
-	add("seed", SingleKey("mst", p, testSetup()))
+	add("seed", must(SingleSpecKey("mst", p, testSpec())))
 
-	add("benchmark", SingleKey("health", testParams, testSetup()))
-	add("kind+cores", AloneKey("mst", testParams, testSetup(), 2))
-	add("mix", SharedKey([]string{"mst", "health"}, testParams, testSetup()))
+	add("benchmark", must(SingleSpecKey("health", testParams, testSpec())))
+	add("kind+cores", must(AloneSpecKey("mst", testParams, testSpec(), 2)))
+	add("mix", must(SharedSpecKey([]string{"mst", "health"}, testParams, testSpec())))
 
-	canon, err := testSetup().Spec().Canonical()
+	canon, err := testSpec().Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +101,7 @@ func TestKeyInvalidation(t *testing.T) {
 
 	// A component factory version bump must also change the key: the
 	// canonical spec embeds per-factory versions.
-	withStream, err := testSetup().Spec().With(sim.NewComponent("stream", nil)).Canonical()
+	withStream, err := testSpec().With(sim.NewComponent("stream", nil)).Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +111,10 @@ func TestKeyInvalidation(t *testing.T) {
 }
 
 func TestKeyIgnoresTrace(t *testing.T) {
-	s := testSetup()
+	s := testSpec()
 	s.Trace = true
-	if SingleKey("mst", testParams, s).Hash != SingleKey("mst", testParams, testSetup()).Hash {
-		t.Fatal("Setup.Trace leaked into the key (traced runs bypass the cache; the key must not see the flag)")
+	if must(SingleSpecKey("mst", testParams, s)).Hash != must(SingleSpecKey("mst", testParams, testSpec())).Hash {
+		t.Fatal("Spec.Trace leaked into the key (traced runs bypass the cache; the key must not see the flag)")
 	}
 }
 
@@ -406,7 +413,7 @@ func TestVerifyPassesOnMatch(t *testing.T) {
 func TestSingleCachedRealRun(t *testing.T) {
 	st := newStore(t)
 	s1 := New(Config{Workers: 2, Store: st})
-	r1, err := s1.Single("mst", testParams, testSetup())
+	r1, err := s1.SingleSpec("mst", testParams, testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +421,7 @@ func TestSingleCachedRealRun(t *testing.T) {
 		t.Fatal("empty simulation result")
 	}
 	s2 := New(Config{Workers: 2, Store: st})
-	r2, err := s2.Single("mst", testParams, testSetup())
+	r2, err := s2.SingleSpec("mst", testParams, testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +439,7 @@ func TestMultiSharesAloneRuns(t *testing.T) {
 	mixA := []string{"mst", "health"}
 	mixB := []string{"health", "mst"}
 
-	ra, err := s.Multi(mixA, testParams, testSetup())
+	ra, err := s.MultiSpec(mixA, testParams, testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +448,7 @@ func TestMultiSharesAloneRuns(t *testing.T) {
 	}
 	// The reversed mix is a different shared run but reuses both alone runs.
 	before := s.Metrics().Snapshot()
-	rb, err := s.Multi(mixB, testParams, testSetup())
+	rb, err := s.MultiSpec(mixB, testParams, testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,9 +467,9 @@ func TestMultiSharesAloneRuns(t *testing.T) {
 func TestUncacheableTracedRun(t *testing.T) {
 	st := newStore(t)
 	s := New(Config{Workers: 1, Store: st})
-	setup := testSetup()
-	setup.Trace = true
-	if _, err := s.Single("mst", testParams, setup); err != nil {
+	sp := testSpec()
+	sp.Trace = true
+	if _, err := s.SingleSpec("mst", testParams, sp); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Metrics().Snapshot(); got.Uncached != 1 || got.CacheMisses != 0 || got.Computed != 0 {

@@ -34,7 +34,8 @@ import (
 //
 // Version history:
 //
-//	1 — canonical payload mirrored sim.Setup field by field (canonSetup).
+//	1 — canonical payload mirrored the since-removed Setup flag-bag
+//	    field by field (canonSetup).
 //	2 — canonical payload embeds sim.Spec.Canonical(): the declarative
 //	    component list with per-factory versions. Simulated results are
 //	    unchanged; only the key derivation moved, so version 1 objects are
@@ -118,28 +119,4 @@ func SharedSpecKey(benches []string, p workload.Params, sp sim.Spec) (Key, error
 // cores-wide machine.
 func AloneSpecKey(bench string, p workload.Params, sp sim.Spec, cores int) (Key, error) {
 	return newKey("alone", []string{bench}, cores, p, sp)
-}
-
-// mustKey unwraps a key derivation that cannot fail: a Setup conversion
-// only emits registered component kinds with marshalable options.
-func mustKey(k Key, err error) Key {
-	if err != nil {
-		panic(fmt.Sprintf("jobs: canonical encode: %v", err))
-	}
-	return k
-}
-
-// SingleKey is SingleSpecKey for a legacy sim.Setup.
-func SingleKey(bench string, p workload.Params, s sim.Setup) Key {
-	return mustKey(SingleSpecKey(bench, p, s.Spec()))
-}
-
-// SharedKey is SharedSpecKey for a legacy sim.Setup.
-func SharedKey(benches []string, p workload.Params, s sim.Setup) Key {
-	return mustKey(SharedSpecKey(benches, p, s.Spec()))
-}
-
-// AloneKey is AloneSpecKey for a legacy sim.Setup.
-func AloneKey(bench string, p workload.Params, s sim.Setup, cores int) Key {
-	return mustKey(AloneSpecKey(bench, p, s.Spec(), cores))
 }

@@ -47,19 +47,3 @@ func TestGoldenKeys(t *testing.T) {
 		}
 	}
 }
-
-// TestGoldenKeysSetupPath asserts the legacy Setup wrappers derive the very
-// same keys, so a store populated through Setup-based callers stays warm for
-// spec-based ones.
-func TestGoldenKeysSetupPath(t *testing.T) {
-	p := workload.Params{Scale: 0.05, Seed: 7}
-	setup := sim.Setup{Name: "stream", Stream: true}
-	specKey, err := SingleSpecKey("mst", p, sim.NewSpec("stream", "stream"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := SingleKey("mst", p, setup); got.Hash != specKey.Hash {
-		t.Fatalf("Setup and Spec paths derive different keys: %s vs %s",
-			got.Hash, specKey.Hash)
-	}
-}

@@ -439,11 +439,6 @@ func (s *Scheduler) SingleSpec(bench string, p workload.Params, sp sim.Spec) (si
 	return *(v.(*sim.Result)), nil
 }
 
-// Single is SingleSpec for a legacy sim.Setup.
-func (s *Scheduler) Single(bench string, p workload.Params, setup sim.Setup) (sim.Result, error) {
-	return s.SingleSpec(bench, p, setup.Spec())
-}
-
 // MultiSpec runs the benchmarks as a multi-core mix. The shared run and
 // each alone-run normalization execute as separate jobs, so alone runs are
 // cached and shared across every mix (and every sweep) that needs them.
@@ -556,11 +551,6 @@ func (s *Scheduler) MultiSpec(benches []string, p workload.Params, sp sim.Spec) 
 	}
 	shared.Normalize(alone)
 	return shared, nil
-}
-
-// Multi is MultiSpec for a legacy sim.Setup.
-func (s *Scheduler) Multi(benches []string, p workload.Params, setup sim.Setup) (sim.MultiResult, error) {
-	return s.MultiSpec(benches, p, setup.Spec())
 }
 
 // Do runs fn as one uncacheable job under the worker pool: bounded

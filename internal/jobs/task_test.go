@@ -90,7 +90,7 @@ func TestBackendMissWrapsNotExist(t *testing.T) {
 // --- transportable tasks ---
 
 func TestExecTaskMatchesSingleSpec(t *testing.T) {
-	sp := testSetup().Spec()
+	sp := testSpec()
 	local := New(Config{Workers: 2})
 	want, err := local.SingleSpec("mst", testParams, sp)
 	if err != nil {
@@ -125,7 +125,7 @@ func TestExecTaskRefusesKeyMismatch(t *testing.T) {
 	_, err := s.ExecTask(TaskSpec{
 		Kind: "single", Benches: []string{"mst"},
 		Scale: testParams.Scale, Seed: testParams.Seed,
-		Spec: testSetup().Spec(),
+		Spec: testSpec(),
 		Key:  strings.Repeat("0", 64),
 	})
 	if err == nil || !strings.Contains(err.Error(), "key mismatch") {
@@ -136,10 +136,10 @@ func TestExecTaskRefusesKeyMismatch(t *testing.T) {
 func TestExecTaskRejectsBadShape(t *testing.T) {
 	s := New(Config{Workers: 1})
 	cases := []TaskSpec{
-		{Kind: "nonsense", Benches: []string{"mst"}, Scale: 0.05, Seed: 7, Spec: testSetup().Spec()},
-		{Kind: "single", Benches: []string{"mst", "health"}, Scale: 0.05, Seed: 7, Spec: testSetup().Spec()},
-		{Kind: "alone", Benches: []string{"mst"}, Cores: 0, Scale: 0.05, Seed: 7, Spec: testSetup().Spec()},
-		{Kind: "shared", Benches: nil, Scale: 0.05, Seed: 7, Spec: testSetup().Spec()},
+		{Kind: "nonsense", Benches: []string{"mst"}, Scale: 0.05, Seed: 7, Spec: testSpec()},
+		{Kind: "single", Benches: []string{"mst", "health"}, Scale: 0.05, Seed: 7, Spec: testSpec()},
+		{Kind: "alone", Benches: []string{"mst"}, Cores: 0, Scale: 0.05, Seed: 7, Spec: testSpec()},
+		{Kind: "shared", Benches: nil, Scale: 0.05, Seed: 7, Spec: testSpec()},
 	}
 	for _, tc := range cases {
 		if _, err := s.ExecTask(tc); err == nil {
@@ -165,7 +165,7 @@ func (r *chanRunner) RunTask(t TaskSpec) (json.RawMessage, error) {
 }
 
 func TestRunnerDispatchMatchesLocal(t *testing.T) {
-	sp := testSetup().Spec()
+	sp := testSpec()
 	local := New(Config{Workers: 2})
 	want, err := local.SingleSpec("mst", testParams, sp)
 	if err != nil {
@@ -200,7 +200,7 @@ func (failRunner) RunTask(TaskSpec) (json.RawMessage, error) {
 
 func TestRunnerErrorFailsJobWithoutRetry(t *testing.T) {
 	coord := New(Config{Workers: 1, Retries: 3, Runner: failRunner{}})
-	_, err := coord.SingleSpec("mst", testParams, testSetup().Spec())
+	_, err := coord.SingleSpec("mst", testParams, testSpec())
 	if err == nil || !strings.Contains(err.Error(), "remote boom") {
 		t.Fatalf("remote error not surfaced: %v", err)
 	}

@@ -80,11 +80,8 @@ type Config struct {
 
 	// Cores is the number of cores sharing the DRAM controller; it sizes
 	// the fair-share prefetch token bucket (each core gets 1/Cores of the
-	// bus rate, see Issue). The zero value tells New to infer it from the
-	// controller's request-buffer size (RequestBuffer/32, the historical
-	// heuristic — exact for DefaultConfig-derived controllers, wrong for
-	// custom request-buffer sizes, which is why callers that know the real
-	// count set it). Config() always reports the resolved value.
+	// bus rate, see Issue). Values below 1 mean one core. Config() always
+	// reports the resolved value.
 	Cores int
 
 	// IdealLDS converts L2 misses of LDS-tagged loads into hits (the
@@ -304,13 +301,7 @@ func New(cfg Config, mm *mem.Memory, ctrl *dram.Controller) *MemSys {
 	cfg.PrefetchCongestionLimit = ResolvePrefetchCongestionLimit(
 		cfg.PrefetchCongestionLimit, ctrl.Config().RequestBuffer)
 	if cfg.Cores < 1 {
-		// Legacy inference: DefaultConfig controllers size the request
-		// buffer at 32 per core. Exact for those; callers with custom
-		// request buffers must pass the real count.
-		cfg.Cores = ctrl.Config().RequestBuffer / 32
-		if cfg.Cores < 1 {
-			cfg.Cores = 1
-		}
+		cfg.Cores = 1
 	}
 	ms := &MemSys{
 		cfg:       cfg,
@@ -705,8 +696,7 @@ func (ms *MemSys) Issue(r prefetch.Request) {
 	}
 	// Fair-share token bucket (burst = 32 requests): each core refills at
 	// 1/Cores of the bus rate. Cores is resolved at construction — the
-	// real machine width when the caller supplied it, the legacy
-	// request-buffer inference otherwise.
+	// real machine width when the caller supplied it, one core otherwise.
 	refill := float64(ms.ctrl.Config().BusCycles) * float64(ms.cfg.Cores)
 	if dt := r.When - ms.pfTokenTime; dt > 0 {
 		ms.pfTokens += float64(dt) / refill

@@ -486,12 +486,12 @@ func TestPollutionSurvivesDoubleEviction(t *testing.T) {
 // token bucket inferring the core count from the request-buffer size
 // (RequestBuffer/32): for a custom buffer the inferred width is wrong, and a
 // single core sharing nothing was refilled at a quarter of its bus share.
-// Config.Cores now carries the real width; the zero value keeps the legacy
-// inference so default-config behavior is unchanged.
+// Config.Cores carries the real width, and the zero value means one core
+// whatever the request-buffer size.
 func TestFairShareUsesConfiguredCores(t *testing.T) {
 	run := func(cores int) (issued int64, dropped int64) {
 		dcfg := dram.DefaultConfig(1)
-		dcfg.RequestBuffer = 128 // custom buffer: legacy inference says 4 cores
+		dcfg.RequestBuffer = 128 // custom buffer: RequestBuffer/32 would say 4 cores
 		cfg := DefaultConfig()
 		cfg.Cores = cores
 		ms := New(cfg, mem.New(), dram.NewController(dcfg))
@@ -514,15 +514,19 @@ func TestFairShareUsesConfiguredCores(t *testing.T) {
 		t.Fatalf("1 core at half the bus rate: issued %d, dropped %d; the bucket must not throttle (pre-fix it inferred 4 cores)",
 			issued, dropped)
 	}
-	if _, dropped := run(0); dropped == 0 {
-		t.Fatal("legacy inference (Cores=0, RequestBuffer=128) must still pace as 4 cores")
+	if issued, dropped := run(0); dropped != 0 || issued != 200 {
+		t.Fatalf("Cores=0 with RequestBuffer=128: issued %d, dropped %d; zero must pace as 1 core, not infer 4",
+			issued, dropped)
+	}
+	if _, dropped := run(4); dropped == 0 {
+		t.Fatal("4 configured cores at half the bus rate must pace the bucket")
 	}
 }
 
 // TestConfigCoresResolution pins how New resolves Config.Cores.
 func TestConfigCoresResolution(t *testing.T) {
-	if got := New(DefaultConfig(), mem.New(), dram.NewController(dram.DefaultConfig(4))).Config().Cores; got != 4 {
-		t.Fatalf("inferred cores = %d, want 4 (RequestBuffer 128)", got)
+	if got := New(DefaultConfig(), mem.New(), dram.NewController(dram.DefaultConfig(4))).Config().Cores; got != 1 {
+		t.Fatalf("unset cores = %d, want 1 (no inference from RequestBuffer 128)", got)
 	}
 	unbounded := dram.DefaultConfig(1)
 	unbounded.RequestBuffer = 0

@@ -21,6 +21,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -101,23 +102,20 @@ func New(opts Options) (*Server, error) {
 }
 
 // sweepRequest is the POST /api/v1/sweeps body. Exactly one of Experiment
-// or Benchmarks+{Configs|Specs|Setups} must be set.
+// or Benchmarks+{Configs|Specs} must be set.
 type sweepRequest struct {
 	// Experiment is a registered experiment id ("fig1", ..., "all").
 	Experiment string `json:"experiment,omitempty"`
-	// Benchmarks + Configs/Specs/Setups describe a raw sweep: every
-	// benchmark runs under every configuration. Configs are the named CLI
-	// configurations. Specs are declarative sim.Spec values; they are
-	// validated against the component registry at submit and rejected with
-	// the known-component catalog on error. Setups are legacy flag-bag
-	// sim.Setup values (kept for compatibility; validated through the same
-	// spec conversion). Hardware overrides are not statically validated —
+	// Benchmarks + Configs/Specs describe a raw sweep: every benchmark runs
+	// under every configuration. Configs are the named CLI configurations.
+	// Specs are declarative sim.Spec values; they are validated against the
+	// component registry at submit and rejected with the known-component
+	// catalog on error. Hardware overrides are not statically validated —
 	// a config that panics the simulator is contained and reported as a
 	// failed job.
-	Benchmarks []string    `json:"benchmarks,omitempty"`
-	Configs    []string    `json:"configs,omitempty"`
-	Specs      []sim.Spec  `json:"specs,omitempty"`
-	Setups     []sim.Setup `json:"setups,omitempty"`
+	Benchmarks []string   `json:"benchmarks,omitempty"`
+	Configs    []string   `json:"configs,omitempty"`
+	Specs      []sim.Spec `json:"specs,omitempty"`
 	// Scale/Seed are the workload input parameters (defaults 1.0 / 1).
 	Scale float64 `json:"scale,omitempty"`
 	Seed  int64   `json:"seed,omitempty"`
@@ -160,7 +158,7 @@ func (s *Server) validate(req *sweepRequest) error {
 		return fmt.Errorf("scale must be a positive number, got %v", req.Scale)
 	}
 	if req.Experiment != "" {
-		if len(req.Benchmarks) > 0 || len(req.Configs) > 0 || len(req.Specs) > 0 || len(req.Setups) > 0 {
+		if len(req.Benchmarks) > 0 || len(req.Configs) > 0 || len(req.Specs) > 0 {
 			return fmt.Errorf("submit either an experiment or a raw sweep, not both")
 		}
 		if _, err := exp.Plan(req.Experiment); err != nil {
@@ -176,31 +174,22 @@ func (s *Server) validate(req *sweepRequest) error {
 			return err
 		}
 	}
-	if len(req.Configs) == 0 && len(req.Specs) == 0 && len(req.Setups) == 0 {
-		return fmt.Errorf("raw sweep needs configs, specs, or setups")
+	if len(req.Configs) == 0 && len(req.Specs) == 0 {
+		return fmt.Errorf("raw sweep needs configs or specs")
 	}
 	for _, cfg := range req.Configs {
 		if _, err := sim.Named(cfg, nil); err != nil {
 			return err
 		}
 	}
-	// Specs and legacy Setups are validated against the component registry
-	// here, so an unknown component, a throttle+fdp conflict, hints without
-	// a consumer, or bad options come back as a 400 with an actionable
-	// message (the unknown-component error carries the full catalog) instead
-	// of a failed job.
+	// Specs are validated against the component registry here, so an
+	// unknown component, a throttle+fdp conflict, hints without a consumer,
+	// or bad options come back as a 400 with an actionable message (the
+	// unknown-component error carries the full catalog) instead of a failed
+	// job.
 	for i, sp := range req.Specs {
 		if sp.Name == "" {
 			sp.Name = "spec" + strconv.Itoa(i)
-		}
-		if err := sp.Validate(); err != nil {
-			return err
-		}
-	}
-	for i, st := range req.Setups {
-		sp := st.Spec()
-		if sp.Name == "" {
-			sp.Name = "setup" + strconv.Itoa(i)
 		}
 		if err := sp.Validate(); err != nil {
 			return err
@@ -305,8 +294,9 @@ func (s *Server) runSweep(sw *sweep) {
 	sw.mu.Unlock()
 }
 
-// runRaw executes a raw benchmarks × setups sweep: one job per cell, rows
-// in deterministic bench-major order, failures contained per cell.
+// runRaw executes a raw benchmarks × configurations sweep: one job per
+// cell, rows in deterministic bench-major order, failures contained per
+// cell.
 func (s *Server) runRaw(sw *sweep, params, train workload.Params) ([]exp.Report, []error) {
 	var errs []error
 	var errMu sync.Mutex
@@ -347,65 +337,31 @@ func (s *Server) runRaw(sw *sweep, params, train workload.Params) ([]exp.Report,
 
 	type cell struct {
 		bench, config string
+		spec          sim.Spec
 		res           sim.Result
 		err           error
 	}
-	// Every configuration form — named config, declarative spec, legacy
-	// setup — narrows to one shape here: a labelled sim.Spec constructor.
-	// The scheduler and the cache key layer only ever see specs.
-	var specs []struct {
-		label string
-		mk    func(bench string) sim.Spec
-	}
-	for _, cfg := range sw.req.Configs {
-		cfg := cfg
-		specs = append(specs, struct {
-			label string
-			mk    func(bench string) sim.Spec
-		}{cfg, func(bench string) sim.Spec {
-			sp, _ := sim.Named(cfg, hints[bench]) // validated at submit
-			return sp
-		}})
-	}
-	for i := range sw.req.Specs {
-		sp := sw.req.Specs[i]
-		if sp.Name == "" {
-			sp.Name = "spec" + strconv.Itoa(i)
-		}
-		specs = append(specs, struct {
-			label string
-			mk    func(bench string) sim.Spec
-		}{sp.Name, func(string) sim.Spec { return sp }})
-	}
-	for i := range sw.req.Setups {
-		sp := sw.req.Setups[i].Spec()
-		if sp.Name == "" {
-			sp.Name = "setup" + strconv.Itoa(i)
-		}
-		specs = append(specs, struct {
-			label string
-			mk    func(bench string) sim.Spec
-		}{sp.Name, func(string) sim.Spec { return sp }})
-	}
-
-	cells := make([]cell, 0, len(sw.req.Benchmarks)*len(specs))
+	// Both configuration forms — named config and declarative spec — narrow
+	// to a labelled sim.Spec per cell; the scheduler and the cache key layer
+	// only ever see specs.
+	cells := make([]cell, 0, len(sw.req.Benchmarks)*(len(sw.req.Configs)+len(sw.req.Specs)))
 	for _, b := range sw.req.Benchmarks {
-		for _, st := range specs {
-			cells = append(cells, cell{bench: b, config: st.label})
+		for _, cfg := range sw.req.Configs {
+			sp, _ := sim.Named(cfg, hints[b]) // validated at submit
+			cells = append(cells, cell{bench: b, config: cfg, spec: sp})
+		}
+		for i, sp := range sw.req.Specs {
+			if sp.Name == "" {
+				sp.Name = "spec" + strconv.Itoa(i)
+			}
+			cells = append(cells, cell{bench: b, config: sp.Name, spec: sp})
 		}
 	}
 	for i := range cells {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var mk func(string) sim.Spec
-			for _, st := range specs {
-				if st.label == cells[i].config {
-					mk = st.mk
-					break
-				}
-			}
-			cells[i].res, cells[i].err = sw.sched.SingleSpec(cells[i].bench, params, mk(cells[i].bench))
+			cells[i].res, cells[i].err = sw.sched.SingleSpec(cells[i].bench, params, cells[i].spec)
 			if cells[i].err != nil {
 				note(fmt.Errorf("job %s/%s: %w", cells[i].bench, cells[i].config, cells[i].err))
 			}
@@ -534,6 +490,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		if strings.Contains(err.Error(), `unknown field "setups"`) {
+			httpError(w, http.StatusBadRequest,
+				`decoding request: the "setups" field was removed; describe each configuration as a sim.Spec in "specs" (or name it in "configs")`)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}

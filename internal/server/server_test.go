@@ -169,7 +169,7 @@ func TestExperimentSweepE2E(t *testing.T) {
 	}
 }
 
-// TestRawSweepContainsPanic: a Setup that panics the simulator is reported
+// TestRawSweepContainsPanic: a Spec that panics the simulator is reported
 // as a failed cell while the rest of the sweep completes and the process
 // survives.
 func TestRawSweepContainsPanic(t *testing.T) {
@@ -179,9 +179,9 @@ func TestRawSweepContainsPanic(t *testing.T) {
 	bad.L1Size = -bad.L1Size // negative cache size panics deep in assembly
 	st := postSweep(t, ts, sweepRequest{
 		Benchmarks: []string{"mst"},
-		Setups: []sim.Setup{
+		Specs: []sim.Spec{
 			{Name: "boom", MemCfg: &bad},
-			{Name: "ok", Stream: true},
+			sim.NewSpec("ok", "stream"),
 		},
 		Scale: 0.05,
 		Seed:  5,
@@ -294,8 +294,8 @@ func TestRawSweepSpecs(t *testing.T) {
 
 // TestSubmitSpecValidation asserts invalid specs are rejected at submit with
 // 400 and an actionable message — unknown kinds list the component catalog,
-// composition conflicts name the fighting components — for both the specs
-// field and legacy setups (validated through the same conversion).
+// composition conflicts name the fighting components — and that the removed
+// setups field is refused with a pointer to specs.
 func TestSubmitSpecValidation(t *testing.T) {
 	ts := newTestServer(t, Options{})
 	cases := []struct {
@@ -325,9 +325,9 @@ func TestSubmitSpecValidation(t *testing.T) {
 		{"bad core options",
 			`{"benchmarks":["mst"],"specs":[{"name":"x","components":[{"kind":"stream"}],"core":{"kind":"ooo","options":{"predictor":"psychic"}}}]}`,
 			"predictor"},
-		{"legacy setup throttle+fdp",
+		{"setups is rejected",
 			`{"benchmarks":["mst"],"setups":[{"Name":"x","Stream":true,"Throttle":true,"FDP":true}]}`,
-			"claim prefetcher aggressiveness control"},
+			`"specs"`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/api/v1/sweeps", "application/json", strings.NewReader(tc.body))

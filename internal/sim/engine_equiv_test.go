@@ -107,8 +107,9 @@ func TestEngineExcludedFromCanonical(t *testing.T) {
 
 // TestAssemblePlumbsCores pins the fair-share core-count plumbing: a shared
 // run's memory systems must know the real machine width even when the DRAM
-// request buffer is custom-sized (memsys would otherwise infer the width
-// from it — the bug fixed alongside the engine work).
+// request buffer is custom-sized (memsys once inferred the width from it —
+// the bug fixed alongside the engine work — and now takes an unset width
+// as one core).
 func TestAssemblePlumbsCores(t *testing.T) {
 	sp := NewSpec("stream", "stream")
 	sp.DRAMCfg = &dram.Config{Banks: 8, CtrlCycles: 50, BankCycles: 110,
@@ -119,6 +120,6 @@ func TestAssemblePlumbsCores(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := sys.ms.Config().Cores; got != 2 {
-		t.Fatalf("assembled Cores = %d, want 2 (not the request-buffer inference 3)", got)
+		t.Fatalf("assembled Cores = %d, want 2 (the machine width, not 1 or RequestBuffer/32 = 3)", got)
 	}
 }

@@ -15,9 +15,9 @@
 // shared DRAM controller and additionally runs each benchmark alone to
 // normalize the weighted and harmonic speedups in MultiResult.
 //
-// Setup is the legacy flag-bag form of a configuration, kept as a thin
-// constructor over Spec (see Setup.Spec); the Setup-based runners delegate
-// to their Spec counterparts.
+// Named configurations ("stream", "ecdp+throttle", ...) resolve to Specs
+// through Named; NewSpec builds any other composition from registered
+// component kinds.
 //
 // Setting Spec.Trace additionally attaches an interval-level telemetry
 // recorder; the Result then carries a telemetry.Trace with the per-interval
@@ -29,8 +29,6 @@ package sim
 import (
 	"fmt"
 
-	"ldsprefetch/internal/baselines/fdp"
-	"ldsprefetch/internal/core"
 	"ldsprefetch/internal/cpu"
 	"ldsprefetch/internal/dram"
 	"ldsprefetch/internal/memsys"
@@ -40,73 +38,6 @@ import (
 	"ldsprefetch/internal/telemetry"
 	"ldsprefetch/internal/workload"
 )
-
-// Setup selects the prefetching configuration of a run in the legacy
-// flag-bag form. The zero value is a system with no prefetching; Baseline()
-// is the paper's baseline (aggressive stream prefetcher alone). Setup.Spec
-// converts to the declarative form everything downstream consumes.
-type Setup struct {
-	// Name labels the configuration in reports.
-	Name string
-
-	// Stream attaches the baseline stream prefetcher.
-	Stream bool
-	// CDP attaches the content-directed prefetcher; with Hints set it
-	// becomes ECDP.
-	CDP bool
-	// Hints is the compiler-provided hint table (ECDP).
-	Hints *core.HintTable
-	// Markov attaches the Markov correlation prefetcher baseline.
-	Markov bool
-	// GHB attaches the G/DC global-history-buffer baseline.
-	GHB bool
-	// DBP attaches the dependence-based prefetcher baseline.
-	DBP bool
-
-	// Throttle enables the paper's coordinated prefetcher throttling.
-	Throttle bool
-	// FDP enables per-prefetcher feedback-directed throttling (baseline).
-	FDP bool
-	// PAB enables Gendler-style best-prefetcher-only selection (baseline).
-	PAB bool
-	// HWFilter gates CDP requests through a Zhuang-Lee pollution filter.
-	HWFilter bool
-	// HWFilterBits sizes the filter (0 = the paper's 8 KB = 65536 bits).
-	HWFilterBits int
-
-	// IdealLDS converts LDS-load misses to hits (Figure 1 oracle).
-	IdealLDS bool
-	// NoPollution gives prefetches an unbounded side buffer (§2.3 oracle).
-	NoPollution bool
-
-	// ProfilePGs collects pointer-group usefulness during the run.
-	ProfilePGs bool
-
-	// Trace enables interval-level telemetry: the run's Result carries a
-	// telemetry.Trace with the per-interval time series and the
-	// throttle-decision event log. Off by default; purely observational.
-	Trace bool
-
-	// Thresholds overrides the coordinated-throttling thresholds.
-	Thresholds *core.Thresholds
-	// FDPThresholds overrides the FDP thresholds.
-	FDPThresholds *fdp.Thresholds
-	// IntervalLen overrides the feedback interval (L2 evictions).
-	IntervalLen int
-	// MemCfg / CPUCfg / DRAMCfg override the paper-default hardware
-	// configuration (DRAMCfg applies to the shared controller; its
-	// RequestBuffer is still scaled by core count when zero).
-	MemCfg  *memsys.Config
-	CPUCfg  *cpu.Config
-	DRAMCfg *dram.Config
-	// InitialLevel overrides the starting aggressiveness (default
-	// Aggressive, the paper's baseline configuration).
-	InitialLevel *prefetch.AggLevel
-}
-
-// Baseline returns the paper's baseline system: the aggressive stream
-// prefetcher alone.
-func Baseline() Setup { return Setup{Name: "stream", Stream: true} }
 
 // Result is the outcome of one single-core run.
 type Result struct {
@@ -138,13 +69,13 @@ type Result struct {
 
 	Mem memsys.Stats
 
-	// PG usefulness (when Setup.ProfilePGs): Figure 10 histogram and the
+	// PG usefulness (when Spec.ProfilePGs): Figure 10 histogram and the
 	// Figure 4 beneficial/harmful split.
 	PGHist       [4]int
 	PGBeneficial int
 	PGHarmful    int
 
-	// Trace is the interval-level telemetry (when Setup.Trace); nil
+	// Trace is the interval-level telemetry (when Spec.Trace); nil
 	// otherwise.
 	Trace *telemetry.Trace
 }
@@ -183,9 +114,9 @@ func assemble(bench string, p workload.Params, sp Spec, ctrl *dram.Controller, c
 		mcfg = *sp.MemCfg
 	}
 	if mcfg.Cores < 1 {
-		// The real machine width, for the fair-share prefetch pacing —
-		// memsys must not have to infer it from the request-buffer size
-		// (wrong for custom DRAM configs). An explicit MemCfg.Cores wins.
+		// The real machine width, for the fair-share prefetch pacing
+		// (memsys takes an unset width as one core). An explicit
+		// MemCfg.Cores wins.
 		mcfg.Cores = cores
 	}
 	if mcfg.BlockSize <= 0 || mcfg.BlockSize&(mcfg.BlockSize-1) != 0 {
@@ -424,11 +355,6 @@ func RunSingleSpec(bench string, p workload.Params, sp Spec) (Result, error) {
 	return sys.result(sp.Name, ctrl.Transfers), nil
 }
 
-// RunSingle is RunSingleSpec for a legacy Setup.
-func RunSingle(bench string, p workload.Params, s Setup) (Result, error) {
-	return RunSingleSpec(bench, p, s.Spec())
-}
-
 // MultiResult is the outcome of a multi-core run.
 type MultiResult struct {
 	Benchmarks []string
@@ -513,11 +439,6 @@ func RunSharedSpec(benches []string, p workload.Params, sp Spec) (MultiResult, e
 	return res, nil
 }
 
-// RunShared is RunSharedSpec for a legacy Setup.
-func RunShared(benches []string, p workload.Params, s Setup) (MultiResult, error) {
-	return RunSharedSpec(benches, p, s.Spec())
-}
-
 // RunAloneSpec runs bench by itself on a memory system sized for a
 // cores-core machine — the normalization runs RunMultiSpec uses to compute
 // weighted and harmonic speedups. Its result depends only on (bench, p, sp,
@@ -534,11 +455,6 @@ func RunAloneSpec(bench string, p workload.Params, sp Spec, cores int) (Result, 
 	}
 	sys.ms.FlushAccounting()
 	return sys.result(sp.Name, ctrl.Transfers), nil
-}
-
-// RunAlone is RunAloneSpec for a legacy Setup.
-func RunAlone(bench string, p workload.Params, s Setup, cores int) (Result, error) {
-	return RunAloneSpec(bench, p, s.Spec(), cores)
 }
 
 // Normalize fills the speedup metrics from each benchmark's alone-run IPC
@@ -579,9 +495,4 @@ func RunMultiSpec(benches []string, p workload.Params, sp Spec) (MultiResult, er
 	}
 	res.Normalize(alone)
 	return res, nil
-}
-
-// RunMulti is RunMultiSpec for a legacy Setup.
-func RunMulti(benches []string, p workload.Params, s Setup) (MultiResult, error) {
-	return RunMultiSpec(benches, p, s.Spec())
 }

@@ -14,14 +14,18 @@ import (
 // used by shrunkMem.
 func testParams() workload.Params { return workload.Params{Scale: 0.12, Seed: 5} }
 
+// baseline is the paper's baseline system: the aggressive stream prefetcher
+// alone.
+func baseline() Spec { return NewSpec("stream", "stream") }
+
 func TestRunSingleUnknownBenchmark(t *testing.T) {
-	if _, err := RunSingle("nosuch", testParams(), Baseline()); err == nil {
+	if _, err := RunSingleSpec("nosuch", testParams(), baseline()); err == nil {
 		t.Fatal("expected error for unknown benchmark")
 	}
 }
 
 func TestBaselineMetricsSane(t *testing.T) {
-	r, err := RunSingle("mst", testParams(), Baseline())
+	r, err := RunSingleSpec("mst", testParams(), baseline())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +44,8 @@ func TestBaselineMetricsSane(t *testing.T) {
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	a, _ := RunSingle("perlbench", testParams(), Baseline())
-	b, _ := RunSingle("perlbench", testParams(), Baseline())
+	a, _ := RunSingleSpec("perlbench", testParams(), baseline())
+	b, _ := RunSingleSpec("perlbench", testParams(), baseline())
 	if a.Cycles != b.Cycles || a.BusTransfers != b.BusTransfers {
 		t.Fatalf("non-deterministic: %d/%d vs %d/%d cycles/transfers",
 			a.Cycles, a.BusTransfers, b.Cycles, b.BusTransfers)
@@ -49,7 +53,7 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 func TestCDPIssuesOnPointerBenchmark(t *testing.T) {
-	r, err := RunSingle("health", testParams(), Setup{Stream: true, CDP: true})
+	r, err := RunSingleSpec("health", testParams(), NewSpec("", "stream", "cdp"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +66,7 @@ func TestCDPIssuesOnPointerBenchmark(t *testing.T) {
 }
 
 func TestCDPQuietOnStreamingBenchmark(t *testing.T) {
-	r, err := RunSingle("libquantum", testParams(), Setup{Stream: true, CDP: true})
+	r, err := RunSingleSpec("libquantum", testParams(), NewSpec("", "stream", "cdp"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +77,8 @@ func TestCDPQuietOnStreamingBenchmark(t *testing.T) {
 }
 
 func TestIdealLDSNeverSlower(t *testing.T) {
-	base, _ := RunSingle("health", testParams(), Baseline())
-	ideal, _ := RunSingle("health", testParams(), Setup{Stream: true, IdealLDS: true})
+	base, _ := RunSingleSpec("health", testParams(), baseline())
+	ideal, _ := RunSingleSpec("health", testParams(), Spec{Components: baseline().Components, IdealLDS: true})
 	if ideal.IPC < base.IPC*0.99 {
 		t.Fatalf("ideal LDS %.4f slower than baseline %.4f", ideal.IPC, base.IPC)
 	}
@@ -88,8 +92,8 @@ func TestECDPUsesHints(t *testing.T) {
 		t.Fatal("profile produced no hints")
 	}
 	p := workload.Params{Scale: 0.12, Seed: 6}
-	cdp, _ := RunSingle("mst", p, Setup{Stream: true, CDP: true})
-	ecdp, _ := RunSingle("mst", p, Setup{Stream: true, CDP: true, Hints: hints})
+	cdp, _ := RunSingleSpec("mst", p, NewSpec("", "stream", "cdp"))
+	ecdp, _ := RunSingleSpec("mst", p, NewSpec("", "stream", "cdp").WithHints(hints))
 	if ecdp.Issued[prefetch.SrcCDP] >= cdp.Issued[prefetch.SrcCDP] {
 		t.Fatalf("ECDP issued %d >= CDP %d: hints not filtering",
 			ecdp.Issued[prefetch.SrcCDP], cdp.Issued[prefetch.SrcCDP])
@@ -97,7 +101,7 @@ func TestECDPUsesHints(t *testing.T) {
 }
 
 func TestProfilePGsCollects(t *testing.T) {
-	r, _ := RunSingle("mst", testParams(), Setup{Stream: true, CDP: true, ProfilePGs: true})
+	r, _ := RunSingleSpec("mst", testParams(), Spec{Components: NewSpec("", "stream", "cdp").Components, ProfilePGs: true})
 	total := r.PGBeneficial + r.PGHarmful
 	if total == 0 {
 		t.Fatal("no pointer groups observed")
@@ -112,16 +116,18 @@ func TestProfilePGsCollects(t *testing.T) {
 }
 
 func TestBaselinePrefetchersAttach(t *testing.T) {
-	for _, s := range []Setup{
-		{Name: "markov", Stream: true, Markov: true},
-		{Name: "ghb", GHB: true},
-		{Name: "dbp", Stream: true, DBP: true},
-		{Name: "fdp", Stream: true, CDP: true, FDP: true},
-		{Name: "pab", Stream: true, CDP: true, PAB: true},
-		{Name: "filter", Stream: true, CDP: true, HWFilter: true},
-		{Name: "nopol", Stream: true, CDP: true, NoPollution: true},
+	nopol := NewSpec("nopol", "stream", "cdp")
+	nopol.NoPollution = true
+	for _, s := range []Spec{
+		NewSpec("markov", "stream", "markov"),
+		NewSpec("ghb", "ghb"),
+		NewSpec("dbp", "stream", "dbp"),
+		NewSpec("fdp", "stream", "cdp", "fdp"),
+		NewSpec("pab", "stream", "cdp", "pab"),
+		NewSpec("filter", "stream", "cdp", "hwfilter"),
+		nopol,
 	} {
-		if _, err := RunSingle("mst", testParams(), s); err != nil {
+		if _, err := RunSingleSpec("mst", testParams(), s); err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
 	}
@@ -129,8 +135,8 @@ func TestBaselinePrefetchersAttach(t *testing.T) {
 
 func TestInitialLevelRespected(t *testing.T) {
 	lv := prefetch.VeryConservative
-	cons, _ := RunSingle("health", testParams(), Setup{Stream: true, CDP: true, InitialLevel: &lv})
-	aggr, _ := RunSingle("health", testParams(), Setup{Stream: true, CDP: true})
+	cons, _ := RunSingleSpec("health", testParams(), Spec{Components: NewSpec("", "stream", "cdp").Components, InitialLevel: &lv})
+	aggr, _ := RunSingleSpec("health", testParams(), NewSpec("", "stream", "cdp"))
 	// Depth 1 must issue fewer CDP prefetches than depth 4.
 	if cons.Issued[prefetch.SrcCDP] >= aggr.Issued[prefetch.SrcCDP] {
 		t.Fatalf("very-conservative issued %d >= aggressive %d",
@@ -139,7 +145,7 @@ func TestInitialLevelRespected(t *testing.T) {
 }
 
 func TestRunMulti(t *testing.T) {
-	r, err := RunMulti([]string{"mst", "libquantum"}, testParams(), Baseline())
+	r, err := RunMultiSpec([]string{"mst", "libquantum"}, testParams(), baseline())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +170,7 @@ func TestRunMulti(t *testing.T) {
 }
 
 func TestRunMultiUnknownBenchmark(t *testing.T) {
-	if _, err := RunMulti([]string{"mst", "nosuch"}, testParams(), Baseline()); err == nil {
+	if _, err := RunMultiSpec([]string{"mst", "nosuch"}, testParams(), baseline()); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -172,7 +178,7 @@ func TestRunMultiUnknownBenchmark(t *testing.T) {
 func TestContentionSlowsSharedCores(t *testing.T) {
 	// Two memory-hungry benchmarks sharing a controller must each run
 	// slower than alone.
-	r, err := RunMulti([]string{"health", "health"}, testParams(), Baseline())
+	r, err := RunMultiSpec([]string{"health", "health"}, testParams(), baseline())
 	if err != nil {
 		t.Fatal(err)
 	}

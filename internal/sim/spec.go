@@ -375,66 +375,3 @@ func (sp Spec) Canonical() ([]byte, error) {
 	}
 	return b, nil
 }
-
-// Spec converts the legacy flag-bag into the equivalent declarative Spec.
-// Components are emitted in the fixed order the pre-registry assembler
-// used — stream, cdp, markov, ghb, dbp, throttle, fdp, pab, hwfilter — so
-// converted setups reproduce historical results bit-for-bit. Conversion is
-// purely structural and never fails; Validate on the result reports invalid
-// combinations (such as Throttle and FDP together).
-func (s Setup) Spec() Spec {
-	sp := Spec{
-		Name:         s.Name,
-		Hints:        s.Hints,
-		IdealLDS:     s.IdealLDS,
-		NoPollution:  s.NoPollution,
-		ProfilePGs:   s.ProfilePGs,
-		Trace:        s.Trace,
-		IntervalLen:  s.IntervalLen,
-		MemCfg:       s.MemCfg,
-		CPUCfg:       s.CPUCfg,
-		DRAMCfg:      s.DRAMCfg,
-		InitialLevel: s.InitialLevel,
-	}
-	add := func(c Component) { sp.Components = append(sp.Components, c) }
-	if s.Stream {
-		add(Component{Kind: "stream"})
-	}
-	if s.CDP {
-		add(Component{Kind: "cdp"})
-	}
-	if s.Markov {
-		add(Component{Kind: "markov"})
-	}
-	if s.GHB {
-		add(Component{Kind: "ghb"})
-	}
-	if s.DBP {
-		add(Component{Kind: "dbp"})
-	}
-	if s.Throttle {
-		if s.Thresholds != nil {
-			add(NewComponent("throttle", registry.ThrottleOptions{Thresholds: s.Thresholds}))
-		} else {
-			add(Component{Kind: "throttle"})
-		}
-	}
-	if s.FDP {
-		if s.FDPThresholds != nil {
-			add(NewComponent("fdp", registry.FDPOptions{Thresholds: s.FDPThresholds}))
-		} else {
-			add(Component{Kind: "fdp"})
-		}
-	}
-	if s.PAB {
-		add(Component{Kind: "pab"})
-	}
-	if s.HWFilter {
-		if s.HWFilterBits != 0 {
-			add(NewComponent("hwfilter", registry.HWFilterOptions{Bits: s.HWFilterBits}))
-		} else {
-			add(Component{Kind: "hwfilter"})
-		}
-	}
-	return sp
-}

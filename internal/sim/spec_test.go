@@ -18,25 +18,20 @@ import (
 
 // TestValidateRejectsThrottlePlusFDP is the regression test for the
 // coordinated-throttle/FDP conflict: both claim the prefetchers'
-// aggressiveness levels, so enabling both must be a typed config error from
-// the Spec and from the legacy Setup path alike (the old assembler silently
-// let FDP fight the throttler).
+// aggressiveness levels, so enabling both must be a typed config error (the
+// old assembler silently let FDP fight the throttler).
 func TestValidateRejectsThrottlePlusFDP(t *testing.T) {
-	err := NewSpec("both", "stream", "cdp", "throttle", "fdp").Validate()
+	sp := NewSpec("both", "stream", "cdp", "throttle", "fdp")
+	err := sp.Validate()
 	if !errors.Is(err, ErrComponentConflict) {
-		t.Fatalf("spec path: err = %v, want ErrComponentConflict", err)
+		t.Fatalf("err = %v, want ErrComponentConflict", err)
 	}
 	if !strings.Contains(err.Error(), "throttle") || !strings.Contains(err.Error(), "fdp") {
 		t.Fatalf("conflict error does not name both claimants: %v", err)
 	}
-
-	setup := Setup{Name: "both", Stream: true, CDP: true, Throttle: true, FDP: true}
-	if err := setup.Spec().Validate(); !errors.Is(err, ErrComponentConflict) {
-		t.Fatalf("setup path: err = %v, want ErrComponentConflict", err)
-	}
 	// The scheduler-facing constructors must refuse to run it.
-	if _, err := RunSingle("mst", workload.Params{Scale: 0.05, Seed: 1}, setup); err == nil {
-		t.Fatal("RunSingle simulated a Throttle+FDP setup")
+	if _, err := RunSingleSpec("mst", workload.Params{Scale: 0.05, Seed: 1}, sp); err == nil {
+		t.Fatal("RunSingleSpec simulated a throttle+fdp spec")
 	}
 }
 
@@ -69,14 +64,10 @@ func TestValidateRejectsHintsWithoutConsumer(t *testing.T) {
 
 	err := NewSpec("x", "stream").WithHints(h).Validate()
 	if !errors.Is(err, ErrBadComposition) {
-		t.Fatalf("spec path: err = %v, want ErrBadComposition", err)
+		t.Fatalf("err = %v, want ErrBadComposition", err)
 	}
 	if !strings.Contains(err.Error(), "cdp") {
 		t.Fatalf("error is not actionable (should suggest cdp): %v", err)
-	}
-	setup := Setup{Name: "x", Stream: true, Hints: h}
-	if err := setup.Spec().Validate(); !errors.Is(err, ErrBadComposition) {
-		t.Fatalf("setup path: err = %v, want ErrBadComposition", err)
 	}
 	// With a consumer present the same table is fine.
 	if err := NewSpec("ok", "stream", "cdp").WithHints(h).Validate(); err != nil {
@@ -88,14 +79,10 @@ func TestValidateRejectsNegativeHWFilterBits(t *testing.T) {
 	err := NewSpec("x", "stream", "cdp").
 		With(NewComponent("hwfilter", registry.HWFilterOptions{Bits: -8})).Validate()
 	if !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("spec path: err = %v, want ErrBadOptions", err)
+		t.Fatalf("err = %v, want ErrBadOptions", err)
 	}
 	if !strings.Contains(err.Error(), "bits must be >= 0") {
 		t.Fatalf("error not actionable: %v", err)
-	}
-	setup := Setup{Name: "x", Stream: true, CDP: true, HWFilter: true, HWFilterBits: -8}
-	if err := setup.Spec().Validate(); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("setup path: err = %v, want ErrBadOptions", err)
 	}
 }
 
@@ -149,8 +136,8 @@ func TestCanonicalFailsExactlyWhenValidateRejectsStructure(t *testing.T) {
 	if _, err := bad.Canonical(); !errors.Is(err, ErrUnknownComponent) {
 		t.Fatalf("Canonical on unknown kind: %v", err)
 	}
-	if _, err := (Setup{Name: "ok", Stream: true}).Spec().Canonical(); err != nil {
-		t.Fatalf("Canonical on a valid converted setup: %v", err)
+	if _, err := NewSpec("ok", "stream").Canonical(); err != nil {
+		t.Fatalf("Canonical on a valid spec: %v", err)
 	}
 }
 
@@ -325,33 +312,6 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		}
 		if string(c1) != string(c2) {
 			t.Fatalf("spec %d: canonical encoding changed across JSON:\n%s\nvs\n%s", i, c1, c2)
-		}
-	}
-}
-
-// TestSetupSpecEquivalence pins the compatibility contract: a legacy Setup
-// and its Spec conversion produce identical canonical encodings, so cache
-// keys computed through either path agree.
-func TestSetupSpecEquivalence(t *testing.T) {
-	h := core.NewHintTable()
-	h.Set(0x40, core.HintVec{Pos: 3})
-	setups := []Setup{
-		{Name: "none"},
-		{Name: "stream", Stream: true},
-		{Name: "full", Stream: true, CDP: true, Hints: h, Throttle: true},
-		{Name: "hw", Stream: true, CDP: true, HWFilter: true, HWFilterBits: 4096},
-	}
-	for _, s := range setups {
-		c1, err := s.Spec().Canonical()
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name, err)
-		}
-		c2, err := s.Spec().Canonical()
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name, err)
-		}
-		if string(c1) != string(c2) {
-			t.Fatalf("%s: conversion is not deterministic", s.Name)
 		}
 	}
 }

@@ -207,7 +207,7 @@ func verifyBytes(b []byte) error {
 // same per-prefetcher counters, everything.
 func TestReplayBitExact(t *testing.T) {
 	p := workload.Params{Scale: 0.02, Seed: 7}
-	setup := sim.Setup{Name: "cdp+throttle", Stream: true, CDP: true, Throttle: true}
+	sp := sim.NewSpec("cdp+throttle", "stream", "cdp", "throttle")
 	for _, bench := range serverload.Families() {
 		bench := bench
 		t.Run(bench, func(t *testing.T) {
@@ -220,11 +220,11 @@ func TestReplayBitExact(t *testing.T) {
 			if !strings.HasPrefix(replayBench, "trace:") {
 				t.Fatalf("replay bench %q not content-addressed", replayBench)
 			}
-			direct, err := sim.RunSingle(bench, p, setup)
+			direct, err := sim.RunSingleSpec(bench, p, sp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			replayed, err := sim.RunSingle(replayBench, p, setup)
+			replayed, err := sim.RunSingleSpec(replayBench, p, sp)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,7 +8,10 @@
 // and figure of its evaluation.
 //
 // This file is the public façade: it re-exports the types a library user
-// needs for the common flows. The full machinery lives in internal/ —
+// needs for the common flows. Every run is described by a Spec: the paper's
+// configurations come from Baseline, OriginalCDP and Proposal, and any other
+// composition of registered prefetchers and policies from NewSpec. The full
+// machinery lives in internal/ —
 // internal/core holds the paper's contribution, internal/exp the experiment
 // definitions; see DESIGN.md for the complete map.
 //
@@ -48,24 +51,15 @@ func RefInput() Input { return workload.Ref() }
 // TrainInput returns the profiling input (smaller scale, different seed).
 func TrainInput() Input { return workload.Train() }
 
-// Setup selects the system's prefetching configuration via the legacy
-// boolean flags; see sim.Setup for all knobs. New code should prefer Spec.
-type Setup = sim.Setup
-
 // Spec is the declarative, serializable run configuration: an ordered list
 // of registered component kinds (prefetchers and control policies) with
-// typed options. See sim.Spec and internal/sim/registry.
+// typed options, plus spec-level inputs (hint table, oracles, hardware
+// overrides). See sim.Spec and internal/sim/registry.
 type Spec = sim.Spec
 
 // NewSpec builds a Spec from component kinds with default options, e.g.
 // NewSpec("hybrid", "stream", "cdp", "throttle").
 func NewSpec(name string, kinds ...string) Spec { return sim.NewSpec(name, kinds...) }
-
-// RunSpec simulates one benchmark on a single-core system under a
-// declarative Spec.
-func RunSpec(bench string, in Input, sp Spec) (Result, error) {
-	return sim.RunSingleSpec(bench, in, sp)
-}
 
 // Result carries a single-core run's metrics (IPC, BPKI, per-prefetcher
 // accuracy and coverage, memory-system statistics).
@@ -80,19 +74,23 @@ type MultiResult = sim.MultiResult
 type HintTable = core.HintTable
 
 // Baseline returns the paper's baseline: an aggressive stream prefetcher.
-func Baseline() Setup { return sim.Baseline() }
+func Baseline() Spec { return named("stream", nil) }
 
 // OriginalCDP returns the stream + original content-directed prefetcher
 // configuration that motivates the paper (Figure 2).
-func OriginalCDP() Setup {
-	return Setup{Name: "stream+cdp", Stream: true, CDP: true}
-}
+func OriginalCDP() Spec { return named("cdp", nil) }
 
 // Proposal returns the paper's full proposal: stream + ECDP with the given
 // hints, under coordinated prefetcher throttling.
-func Proposal(hints *HintTable) Setup {
-	return Setup{Name: "stream+ecdp+thr", Stream: true, CDP: true,
-		Hints: hints, Throttle: true}
+func Proposal(hints *HintTable) Spec { return named("ecdp+throttle", hints) }
+
+// named resolves one of the built-in named configurations (sim.Named).
+func named(config string, hints *HintTable) Spec {
+	sp, err := sim.Named(config, hints)
+	if err != nil {
+		panic(err) // unreachable: the façade only names registered configs
+	}
+	return sp
 }
 
 // Benchmarks lists the paper's benchmark proxies in paper order.
@@ -107,13 +105,13 @@ func ServerBenchmarks() []string { return workload.ServerNames() }
 func PointerIntensiveBenchmarks() []string { return workload.PointerIntensiveNames() }
 
 // Run simulates one benchmark on a single-core system.
-func Run(bench string, in Input, s Setup) (Result, error) {
-	return sim.RunSingle(bench, in, s)
+func Run(bench string, in Input, sp Spec) (Result, error) {
+	return sim.RunSingleSpec(bench, in, sp)
 }
 
 // RunMulti simulates one benchmark per core on a shared memory system.
-func RunMulti(benches []string, in Input, s Setup) (MultiResult, error) {
-	return sim.RunMulti(benches, in, s)
+func RunMulti(benches []string, in Input, sp Spec) (MultiResult, error) {
+	return sim.RunMultiSpec(benches, in, sp)
 }
 
 // ProfileHints runs the paper's compiler profiling pass for bench on the

@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"ldsprefetch/internal/core"
+	"ldsprefetch/internal/jobs"
 	"ldsprefetch/internal/prefetch"
+	"ldsprefetch/internal/workload"
 )
 
 // Integration tests asserting the paper's qualitative shapes end-to-end
@@ -38,7 +41,7 @@ func TestShapeECDPRepairsCDP(t *testing.T) {
 	// its useless traffic.
 	hints := ProfileHints("mst", trainInput())
 	cdp, _ := Run("mst", testInput(), OriginalCDP())
-	ecdp, _ := Run("mst", testInput(), Setup{Stream: true, CDP: true, Hints: hints})
+	ecdp, _ := Run("mst", testInput(), NewSpec("ecdp", "stream", "cdp").WithHints(hints))
 	if ecdp.IPC <= cdp.IPC {
 		t.Fatalf("ECDP %.4f <= CDP %.4f on mst", ecdp.IPC, cdp.IPC)
 	}
@@ -78,7 +81,7 @@ func TestShapeStreamingUnaffected(t *testing.T) {
 
 func TestShapeStreamPrefetcherWorks(t *testing.T) {
 	// Paper Figure 1: the stream prefetcher strongly helps streaming code.
-	nopf, _ := Run("libquantum", testInput(), Setup{Name: "none"})
+	nopf, _ := Run("libquantum", testInput(), NewSpec("none"))
 	base, _ := Run("libquantum", testInput(), Baseline())
 	if base.IPC < nopf.IPC*1.5 {
 		t.Fatalf("stream gives only %.2fx on libquantum", base.IPC/nopf.IPC)
@@ -93,9 +96,11 @@ func TestShapeIdealLDSHeadroom(t *testing.T) {
 	// Pointer-intensive benchmarks must have large ideal-LDS headroom
 	// (the motivation of the whole paper).
 	base, _ := Run("health", testInput(), Baseline())
-	ideal, _ := Run("health", testInput(), Setup{Stream: true, IdealLDS: true})
-	if ideal.IPC < base.IPC*1.5 {
-		t.Fatalf("ideal LDS headroom on health only %.2fx", ideal.IPC/base.IPC)
+	ideal := Baseline()
+	ideal.IdealLDS = true
+	idealRes, _ := Run("health", testInput(), ideal)
+	if idealRes.IPC < base.IPC*1.5 {
+		t.Fatalf("ideal LDS headroom on health only %.2fx", idealRes.IPC/base.IPC)
 	}
 }
 
@@ -147,5 +152,33 @@ func TestExperimentFacade(t *testing.T) {
 	}
 	if _, err := Experiment("nosuch", testInput()); err == nil {
 		t.Fatal("expected error for unknown experiment")
+	}
+}
+
+// TestFacadeConfigKeys pins the cache keys of the façade's named
+// configurations to the hashes they had when they were built from the
+// boolean flag-bag configuration form, so a result store populated through
+// the façade before the move to Spec stays warm.
+func TestFacadeConfigKeys(t *testing.T) {
+	p := workload.Params{Scale: 0.05, Seed: 7}
+	h := core.NewHintTable()
+	h.Set(0x40, core.HintVec{Pos: 3, Neg: 1})
+	for _, g := range []struct {
+		name string
+		sp   Spec
+		want string
+	}{
+		{"Baseline", Baseline(), "c63514845729850065a10630c11c9e41c775d38471698e3bb3b148adc742a564"},
+		{"OriginalCDP", OriginalCDP(), "bcec3f74abb85c9c4611dda084b0be0fb4f3affd5ecff5f8b81e748cdd4d7755"},
+		{"Proposal", Proposal(h), "bb4453e0c1e3217eaed93bae379f1815b742001d99e0c12e045004116eaed086"},
+		{"Proposal(nil)", Proposal(nil), "9649ab85e4826cc6079e2f063b219d11eb0b9895ab89cd9b0acc22b925446caf"},
+	} {
+		k, err := jobs.SingleSpecKey("mst", p, g.sp)
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		if k.Hash != g.want {
+			t.Errorf("%s: key drifted\n got %s\nwant %s", g.name, k.Hash, g.want)
+		}
 	}
 }
