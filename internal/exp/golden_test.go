@@ -4,14 +4,17 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"ldsprefetch/internal/sim"
 )
 
-// The golden determinism guard: rendered reports for fig1 and one dual-core
-// mix are pinned byte-for-byte in testdata/. Any hot-path optimization must
+// The golden determinism guard: rendered reports for every registered
+// experiment, fig1, and one dual-core mix are pinned byte-for-byte in
+// testdata/, as is the set of cache keys the full run submits. Any hot-path optimization must
 // keep these identical — if a change is intentionally behavior-altering,
 // regenerate with
 //
@@ -35,6 +38,46 @@ func goldenContext() *Context {
 	return goldenC
 }
 
+// goldenAll runs every registered experiment once on its own context and
+// keeps the rendered reports and the sorted distinct cache keys the run
+// submitted. A private context keeps the key set independent of which other
+// golden tests ran first.
+var (
+	goldenAllOnce sync.Once
+	goldenAllText string
+	goldenAllKeys string
+)
+
+func goldenAll(t *testing.T) (text, keys string) {
+	t.Helper()
+	goldenAllOnce.Do(func() {
+		c := testCtx()
+		reps, err := Run(c, "all")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for _, r := range reps {
+			sb.WriteString(r.String())
+			sb.WriteByte('\n')
+		}
+		seen := map[string]bool{}
+		var ks []string
+		for _, rec := range c.Jobs().Records() {
+			if rec.Key != "" && !seen[rec.Key] {
+				seen[rec.Key] = true
+				ks = append(ks, rec.Key)
+			}
+		}
+		sort.Strings(ks)
+		goldenAllText, goldenAllKeys = sb.String(), strings.Join(ks, "\n")+"\n"
+	})
+	if goldenAllText == "" {
+		t.Fatal("full golden run produced no output")
+	}
+	return goldenAllText, goldenAllKeys
+}
+
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
@@ -55,6 +98,25 @@ func checkGolden(t *testing.T, name, got string) {
 		t.Errorf("%s drifted from golden; if intentional, re-run with -update and explain the diff.\n--- got ---\n%s--- want ---\n%s",
 			name, got, want)
 	}
+}
+
+// TestGoldenAll pins every report "experiments -exp all" renders.
+func TestGoldenAll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden simulation runs are slow")
+	}
+	text, _ := goldenAll(t)
+	checkGolden(t, "golden_all.txt", text)
+}
+
+// TestGoldenAllKeys pins the cache keys the full run submits, so a renamed
+// spec or reordered component list cannot silently cold a result store.
+func TestGoldenAllKeys(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden simulation runs are slow")
+	}
+	_, keys := goldenAll(t)
+	checkGolden(t, "golden_all_keys.txt", keys)
 }
 
 func TestGoldenFig1(t *testing.T) {
