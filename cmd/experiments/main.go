@@ -34,18 +34,14 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 
 	"ldsprefetch/internal/exp"
-	"ldsprefetch/internal/sim"
-	"ldsprefetch/internal/sim/registry"
 	"ldsprefetch/internal/workload"
 )
 
@@ -81,7 +77,7 @@ func main() {
 		return
 	}
 	if *listConfigs {
-		printConfigs()
+		exp.PrintCatalog(os.Stdout)
 		return
 	}
 	if *id == "" && *specArg == "" {
@@ -112,7 +108,7 @@ func main() {
 	label := *id
 	var reports []exp.Report
 	if *specArg != "" {
-		sp, err := loadSpec(*specArg)
+		sp, err := exp.LoadSpec(*specArg)
 		if err != nil {
 			fatal(fmt.Sprintf("experiments: %v", err))
 		}
@@ -166,50 +162,5 @@ func main() {
 			fmt.Fprintln(os.Stderr, " -", e)
 		}
 		os.Exit(1)
-	}
-}
-
-// loadSpec parses the -spec argument: inline JSON when it looks like a JSON
-// document, a file path otherwise.
-func loadSpec(arg string) (sim.Spec, error) {
-	data := arg
-	if !strings.HasPrefix(strings.TrimSpace(arg), "{") {
-		b, err := os.ReadFile(arg)
-		if err != nil {
-			return sim.Spec{}, fmt.Errorf("reading -spec file: %w", err)
-		}
-		data = string(b)
-	}
-	var sp sim.Spec
-	dec := json.NewDecoder(strings.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sp); err != nil {
-		return sim.Spec{}, fmt.Errorf("parsing -spec: %w", err)
-	}
-	return sp, nil
-}
-
-// printConfigs lists the named configurations and the registered component
-// catalog, mirroring `ldssim -list-configs`.
-func printConfigs() {
-	fmt.Println("named configurations (-config in ldssim; building blocks of the figures):")
-	for _, n := range sim.NamedConfigs() {
-		suffix := ""
-		if sim.NamedNeedsHints(n) {
-			suffix = " (profiles hints)"
-		}
-		fmt.Printf("  %s%s\n", n, suffix)
-	}
-	fmt.Println("\nprefetcher components (-spec kinds):")
-	for _, kind := range registry.Prefetchers() {
-		in, _ := registry.Lookup(kind)
-		fmt.Printf("  %-10s v%-2d throttleable=%-5v switchable=%-5v consumes_hints=%v\n",
-			in.Kind, in.Version, in.Throttleable, in.Switchable, in.ConsumesHints)
-	}
-	fmt.Println("\npolicy components (-spec kinds):")
-	for _, kind := range registry.Policies() {
-		in, _ := registry.Lookup(kind)
-		fmt.Printf("  %-10s v%-2d claims_throttle=%-5v min_switchable=%d\n",
-			in.Kind, in.Version, in.ClaimsThrottle, in.MinSwitchable)
 	}
 }

@@ -59,18 +59,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 
 	"ldsprefetch/internal/core"
-	"ldsprefetch/internal/cpu"
 	"ldsprefetch/internal/exp"
-	"ldsprefetch/internal/jobs"
-	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/prefetch"
-	"ldsprefetch/internal/profiling"
 	"ldsprefetch/internal/sim"
-	"ldsprefetch/internal/sim/registry"
 	"ldsprefetch/internal/tracefile"
 	"ldsprefetch/internal/workload"
 )
@@ -78,15 +72,6 @@ import (
 func fatal(v ...interface{}) {
 	fmt.Fprintln(os.Stderr, v...)
 	os.Exit(2)
-}
-
-func hints(bench string, p workload.Params) *core.HintTable {
-	tr, err := workload.BuildShared(bench, p)
-	if err != nil {
-		fatal(err)
-	}
-	prof := profiling.Collect(tr, memsys.DefaultConfig(), cpu.DefaultConfig())
-	return prof.Hints(0)
 }
 
 func main() {
@@ -107,20 +92,28 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		printWorkloads(os.Stdout)
+		exp.PrintWorkloads(os.Stdout)
 		return
 	}
 	if *listConfigs {
-		printConfigs()
+		exp.PrintCatalog(os.Stdout)
 		return
 	}
 	if *scale <= 0 || math.IsNaN(*scale) || math.IsInf(*scale, 0) {
 		fatal(fmt.Sprintf("ldssim: -scale must be a positive number, got %v (run 'ldssim -h' for usage)", *scale))
 	}
 
-	p := workload.Params{Scale: *scale, Seed: *seed}
-	train := workload.Train()
-	train.Scale *= *scale
+	// The harness context supplies the profile cache, the job scheduler and
+	// its result store, and trace persistence.
+	ctx := exp.NewContext()
+	ctx.Params = workload.Params{Scale: *scale, Seed: *seed}
+	ctx.TrainParams.Scale *= *scale
+	ctx.TraceDir = *traceDir
+	ctx.CacheDir = *cacheDir
+	ctx.Jobs() // opens the result store; a failure is recorded as a job error
+	if errs := ctx.JobErrs(); len(errs) > 0 {
+		fatal("ldssim:", errs[0])
+	}
 	benches := strings.Split(*bench, ",")
 
 	// A replayed capture substitutes for -bench: the capture registers as a
@@ -142,9 +135,12 @@ func main() {
 
 	var setup sim.Spec
 	if *specArg != "" {
-		sp, err := loadSpec(*specArg)
+		sp, err := exp.LoadSpec(*specArg)
 		if err != nil {
 			fatal(fmt.Sprintf("ldssim: %v", err))
+		}
+		if sp.Name == "" {
+			sp.Name = "spec"
 		}
 		if err := sp.Validate(); err != nil {
 			fatal(fmt.Sprintf("ldssim: %v", err))
@@ -152,18 +148,10 @@ func main() {
 		setup = sp
 	} else {
 		// Hint tables are only profiled when the configuration consumes them;
-		// a mix merges the per-benchmark tables (PCs are disjoint per
-		// generator).
+		// a mix merges the per-benchmark tables.
 		var h *core.HintTable
 		if sim.NamedNeedsHints(*config) {
-			h = core.NewHintTable()
-			for _, b := range benches {
-				bh := hints(b, train)
-				for _, pc := range bh.PCs() {
-					v, _ := bh.Lookup(pc)
-					h.Set(pc, v)
-				}
-			}
+			h = ctx.Hints(benches)
 		}
 		var err error
 		setup, err = sim.Named(*config, h)
@@ -171,7 +159,6 @@ func main() {
 			fatal(fmt.Sprintf("ldssim: %v (run 'ldssim -h' for usage)", err))
 		}
 	}
-	setup.Trace = *traceDir != ""
 	setup.Engine = *engine
 	if *coreOpts != "" && *coreKind == "" {
 		fatal("ldssim: -core-opts requires -core (run 'ldssim -h' for usage)")
@@ -191,19 +178,6 @@ func main() {
 		configLabel = "spec:" + setup.Name
 	}
 
-	var sched *jobs.Scheduler
-	{
-		cfg := jobs.Config{}
-		if *cacheDir != "" {
-			store, err := jobs.Open(*cacheDir)
-			if err != nil {
-				fatal("ldssim: opening cache:", err)
-			}
-			cfg.Store = store
-		}
-		sched = jobs.New(cfg)
-	}
-
 	// The summary goes to stdout and, with -out, to <out>/run.txt too.
 	var sb strings.Builder
 	w := io.Writer(os.Stdout)
@@ -212,7 +186,7 @@ func main() {
 	}
 
 	if len(benches) > 1 {
-		mr, err := sched.MultiSpec(benches, p, setup)
+		mr, err := ctx.RunMix(benches, setup)
 		if err != nil {
 			fatal(err)
 		}
@@ -225,23 +199,12 @@ func main() {
 			fmt.Fprintf(w, "core %d (%s): IPC %.4f shared, %.4f alone\n",
 				i, pc.Benchmark, pc.IPC, mr.AloneIPC[i])
 		}
-		if *traceDir != "" {
-			for i, pc := range mr.PerCore {
-				if pc.Trace == nil {
-					continue
-				}
-				base := fmt.Sprintf("core%d-%s", i, exp.TraceBase(pc.Trace))
-				if err := exp.WriteTraceAs(*traceDir, base, pc.Trace); err != nil {
-					fatal("ldssim: writing traces:", err)
-				}
-			}
-		}
-		cacheSummary(*cacheDir, sched)
+		finish(ctx, *cacheDir)
 		persist(*traceDir, *outDir, configLabel, benches, *scale, *seed, traceRef, sb.String())
 		return
 	}
 
-	r, err := sched.SingleSpec(benches[0], p, setup)
+	r, err := ctx.RunOne(benches[0], setup)
 	if err != nil {
 		fatal(err)
 	}
@@ -266,12 +229,7 @@ func main() {
 		fmt.Fprintf(w, "%-8s issued %d, used %d (accuracy %.3f, coverage %.3f)\n",
 			src, r.Issued[src], r.Used[src], r.Accuracy[src], r.Coverage[src])
 	}
-	if *traceDir != "" && r.Trace != nil {
-		if err := exp.WriteTrace(*traceDir, r.Trace); err != nil {
-			fatal("ldssim: writing traces:", err)
-		}
-	}
-	cacheSummary(*cacheDir, sched)
+	finish(ctx, *cacheDir)
 	persist(*traceDir, *outDir, configLabel, benches, *scale, *seed, traceRef, sb.String())
 }
 
@@ -294,115 +252,16 @@ func loadReplay(path string) (string, tracefile.Header, error) {
 	return name, r.Header(), nil
 }
 
-// printWorkloads lists the registered workload catalog: the paper's
-// benchmarks plus any server-class families and loaded trace captures.
-func printWorkloads(w io.Writer) {
-	for _, n := range workload.Names() {
-		g, _ := workload.Get(n)
-		kind := "streaming"
-		switch {
-		case g.PointerIntensive:
-			kind = "pointer-intensive"
-		case g.Server:
-			kind = "server"
-		}
-		fmt.Fprintf(w, "%-12s %-18s %s\n", n, kind, g.Description)
+// finish fails the run on any recorded job error (a failed profile or trace
+// write) and reports cache provenance on stderr when a cache is in use.
+func finish(ctx *exp.Context, cacheDir string) {
+	if errs := ctx.JobErrs(); len(errs) > 0 {
+		fatal("ldssim:", errs[0])
 	}
-}
-
-// loadSpec parses the -spec argument: inline JSON when it looks like a JSON
-// document, a file path otherwise.
-func loadSpec(arg string) (sim.Spec, error) {
-	data := []byte(arg)
-	if !strings.HasPrefix(strings.TrimSpace(arg), "{") {
-		b, err := os.ReadFile(arg)
-		if err != nil {
-			return sim.Spec{}, fmt.Errorf("reading -spec file: %w", err)
-		}
-		data = b
-	}
-	var sp sim.Spec
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sp); err != nil {
-		return sim.Spec{}, fmt.Errorf("parsing -spec: %w", err)
-	}
-	if sp.Name == "" {
-		sp.Name = "spec"
-	}
-	return sp, nil
-}
-
-// printConfigs lists the named configurations and the component catalog the
-// registry knows about, so -spec authors can discover kinds without reading
-// source.
-func printConfigs() {
-	fmt.Println("named configurations (-config):")
-	for _, n := range sim.NamedConfigs() {
-		suffix := ""
-		if sim.NamedNeedsHints(n) {
-			suffix = " (profiles hints)"
-		}
-		fmt.Printf("  %s%s\n", n, suffix)
-	}
-	fmt.Println("\nprefetcher components (-spec kinds):")
-	for _, kind := range registry.Prefetchers() {
-		in, _ := registry.Lookup(kind)
-		fmt.Printf("  %-10s v%-2d throttleable=%-5v switchable=%-5v consumes_hints=%v\n",
-			in.Kind, in.Version, in.Throttleable, in.Switchable, in.ConsumesHints)
-	}
-	fmt.Println("\npolicy components (-spec kinds):")
-	for _, kind := range registry.Policies() {
-		in, _ := registry.Lookup(kind)
-		fmt.Printf("  %-10s v%-2d claims_throttle=%-5v min_switchable=%d\n",
-			in.Kind, in.Version, in.ClaimsThrottle, in.MinSwitchable)
-	}
-	fmt.Println("\ncore models (-core, or \"core\" in -spec):")
-	for _, kind := range registry.Cores() {
-		cm, _ := registry.LookupCore(kind)
-		def := ""
-		if kind == registry.DefaultCoreKind {
-			def = " (default)"
-		}
-		opts := strings.Join(optionFields(cm.NewOptions()), ", ")
-		if opts == "" {
-			opts = "none"
-		}
-		fmt.Printf("  %-10s v%-2d options: %s%s\n", kind, cm.Version, opts, def)
-	}
-	fmt.Println("\nworkloads (-bench):")
-	printWorkloads(os.Stdout)
-}
-
-// optionFields lists the JSON option names a registry options struct
-// accepts, so -list-configs documents each core model's typed knobs.
-func optionFields(opts any) []string {
-	t := reflect.TypeOf(opts)
-	for t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
-	if t.Kind() != reflect.Struct {
-		return nil
-	}
-	var names []string
-	for i := 0; i < t.NumField(); i++ {
-		tag, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
-		if tag == "" {
-			tag = t.Field(i).Name
-		}
-		if tag != "-" {
-			names = append(names, tag)
-		}
-	}
-	return names
-}
-
-// cacheSummary reports cache provenance on stderr when a cache is in use.
-func cacheSummary(cacheDir string, sched *jobs.Scheduler) {
 	if cacheDir == "" {
 		return
 	}
-	snap := sched.Metrics().Snapshot()
+	snap := ctx.Jobs().Metrics().Snapshot()
 	fmt.Fprintf(os.Stderr, "cache: hits=%d misses=%d computed=%d uncached=%d\n",
 		snap.CacheHits, snap.CacheMisses, snap.Computed, snap.Uncached)
 }

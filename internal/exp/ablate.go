@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
 	"ldsprefetch/internal/core"
 	"ldsprefetch/internal/prefetch"
@@ -20,35 +19,29 @@ var ablationBenches = []string{"mst", "perimeter", "gcc", "health", "perlbench"}
 func AblateDepth(c *Context) Report {
 	levels := []prefetch.AggLevel{prefetch.VeryConservative, prefetch.Conservative,
 		prefetch.Moderate, prefetch.Aggressive}
-	grids := c.Grids(ablationBenches)
-	res := make([][]sim.Result, len(ablationBenches))
-	var wg sync.WaitGroup
-	for i, b := range ablationBenches {
-		res[i] = make([]sim.Result, len(levels))
-		for j, lv := range levels {
-			wg.Add(1)
-			go func(i, j int, b string, lv prefetch.AggLevel, hints *core.HintTable) {
-				defer wg.Done()
-				l := lv
-				sp := sim.NewSpec(fmt.Sprintf("ecdp-depth%d", prefetch.CDPDepth(l)),
-					"stream", "cdp").WithHints(hints)
-				sp.InitialLevel = &l
-				res[i][j] = c.run(b, sp)
-			}(i, j, b, lv, grids[i].Hints)
+	g := c.Grids(ablationBenches)
+	res := c.sweep(ablationBenches, func(i int) []sim.Spec {
+		var specs []sim.Spec
+		for _, lv := range levels {
+			sp := sim.NewSpec(fmt.Sprintf("ecdp-depth%d", prefetch.CDPDepth(lv)),
+				"stream", "cdp").WithHints(g[i].Hints)
+			sp.InitialLevel = &lv
+			specs = append(specs, sp)
 		}
-	}
-	wg.Wait()
+		return specs
+	})
 	r := Report{
-		ID:     "ablate-depth",
-		Title:  "ECDP recursion depth sweep (fixed aggressiveness, no throttling)",
-		Header: []string{"bench", "depth1", "depth2", "depth3", "depth4", "bw:d1", "bw:d4"},
+		ID:    "ablate-depth",
+		Title: "ECDP recursion depth sweep (fixed aggressiveness, no throttling)",
 	}
-	for i, g := range grids {
-		r.Rows = append(r.Rows, []string{g.Bench,
-			f3(res[i][0].IPC / g.Base.IPC), f3(res[i][1].IPC / g.Base.IPC),
-			f3(res[i][2].IPC / g.Base.IPC), f3(res[i][3].IPC / g.Base.IPC),
-			f2(safeDiv(res[i][0].BPKI, g.Base.BPKI)), f2(safeDiv(res[i][3].BPKI, g.Base.BPKI))})
-	}
+	r.Header, r.Rows = table("bench", ablationBenches, []column{
+		{"depth1", f3, nil, ipcVsBase(g, res, 0)},
+		{"depth2", f3, nil, ipcVsBase(g, res, 1)},
+		{"depth3", f3, nil, ipcVsBase(g, res, 2)},
+		{"depth4", f3, nil, ipcVsBase(g, res, 3)},
+		{"bw:d1", f2, nil, bwVsBase(g, res, 0)},
+		{"bw:d4", f2, nil, bwVsBase(g, res, 3)},
+	})
 	return r
 }
 
@@ -63,103 +56,76 @@ func AblateThresholds(c *Context) Report {
 		{"tight(0.35/0.55/0.8)", core.Thresholds{TCoverage: 0.35, ALow: 0.55, AHigh: 0.8}},
 		{"loose(0.1/0.25/0.6)", core.Thresholds{TCoverage: 0.1, ALow: 0.25, AHigh: 0.6}},
 	}
-	grids := c.Grids(ablationBenches)
-	res := make([][]sim.Result, len(ablationBenches))
-	var wg sync.WaitGroup
-	for i, b := range ablationBenches {
-		res[i] = make([]sim.Result, len(variants))
-		for j, v := range variants {
-			wg.Add(1)
-			go func(i, j int, b string, th core.Thresholds, hints *core.HintTable) {
-				defer wg.Done()
-				sp := sim.NewSpec("ecdp+thr", "stream", "cdp").
-					With(sim.NewComponent("throttle", registry.ThrottleOptions{Thresholds: &th})).
-					WithHints(hints)
-				res[i][j] = c.run(b, sp)
-			}(i, j, b, v.th, grids[i].Hints)
+	g := c.Grids(ablationBenches)
+	res := c.sweep(ablationBenches, func(i int) []sim.Spec {
+		var specs []sim.Spec
+		for _, v := range variants {
+			specs = append(specs, sim.NewSpec("ecdp+thr", "stream", "cdp").
+				With(sim.NewComponent("throttle", registry.ThrottleOptions{Thresholds: &v.th})).
+				WithHints(g[i].Hints))
 		}
-	}
-	wg.Wait()
+		return specs
+	})
 	r := Report{
-		ID:     "ablate-thresholds",
-		Title:  "Coordinated-throttling threshold sensitivity",
-		Header: []string{"bench", variants[0].name, variants[1].name, variants[2].name},
+		ID:    "ablate-thresholds",
+		Title: "Coordinated-throttling threshold sensitivity",
+		Notes: []string{"paper §4.2: thresholds were determined empirically but not fine-tuned"},
 	}
-	for i, g := range grids {
-		r.Rows = append(r.Rows, []string{g.Bench,
-			f3(res[i][0].IPC / g.Base.IPC), f3(res[i][1].IPC / g.Base.IPC),
-			f3(res[i][2].IPC / g.Base.IPC)})
+	var cols []column
+	for j, v := range variants {
+		cols = append(cols, column{v.name, f3, nil, ipcVsBase(g, res, j)})
 	}
-	r.Notes = append(r.Notes,
-		"paper §4.2: thresholds were determined empirically but not fine-tuned")
+	r.Header, r.Rows = table("bench", ablationBenches, cols)
 	return r
 }
 
 // AblateInterval sweeps the feedback interval length (paper: 8192 L2
 // evictions).
 func AblateInterval(c *Context) Report {
-	intervals := []int{2048, 8192, 32768}
-	grids := c.Grids(ablationBenches)
-	res := make([][]sim.Result, len(ablationBenches))
-	var wg sync.WaitGroup
-	for i, b := range ablationBenches {
-		res[i] = make([]sim.Result, len(intervals))
-		for j, iv := range intervals {
-			wg.Add(1)
-			go func(i, j, iv int, b string, hints *core.HintTable) {
-				defer wg.Done()
-				sp := sim.NewSpec("ecdp+thr", "stream", "cdp", "throttle").WithHints(hints)
-				sp.IntervalLen = iv
-				res[i][j] = c.run(b, sp)
-			}(i, j, iv, b, grids[i].Hints)
+	g := c.Grids(ablationBenches)
+	res := c.sweep(ablationBenches, func(i int) []sim.Spec {
+		var specs []sim.Spec
+		for _, iv := range []int{2048, 8192, 32768} {
+			sp := sim.NewSpec("ecdp+thr", "stream", "cdp", "throttle").WithHints(g[i].Hints)
+			sp.IntervalLen = iv
+			specs = append(specs, sp)
 		}
-	}
-	wg.Wait()
+		return specs
+	})
 	r := Report{
-		ID:     "ablate-interval",
-		Title:  "Feedback interval length sweep (L2 evictions per interval)",
-		Header: []string{"bench", "2048", "8192(paper)", "32768"},
+		ID:    "ablate-interval",
+		Title: "Feedback interval length sweep (L2 evictions per interval)",
 	}
-	for i, g := range grids {
-		r.Rows = append(r.Rows, []string{g.Bench,
-			f3(res[i][0].IPC / g.Base.IPC), f3(res[i][1].IPC / g.Base.IPC),
-			f3(res[i][2].IPC / g.Base.IPC)})
-	}
+	r.Header, r.Rows = table("bench", ablationBenches, []column{
+		{"2048", f3, nil, ipcVsBase(g, res, 0)},
+		{"8192(paper)", f3, nil, ipcVsBase(g, res, 1)},
+		{"32768", f3, nil, ipcVsBase(g, res, 2)},
+	})
 	return r
 }
 
 // AblateHintThreshold sweeps the beneficial-PG classification boundary
 // (paper: 50% usefulness).
 func AblateHintThreshold(c *Context) Report {
-	cuts := []float64{0.25, 0.5, 0.75}
-	grids := c.Grids(ablationBenches)
-	res := make([][]sim.Result, len(ablationBenches))
-	var wg sync.WaitGroup
-	for i, b := range ablationBenches {
-		res[i] = make([]sim.Result, len(cuts))
-		for j, cut := range cuts {
-			wg.Add(1)
-			go func(i, j int, b string, cut float64, g *Grid) {
-				defer wg.Done()
-				hints := g.Prof.Hints(cut)
-				res[i][j] = c.run(b,
-					sim.NewSpec("ecdp+thr", "stream", "cdp", "throttle").WithHints(hints))
-			}(i, j, b, cut, grids[i])
+	g := c.Grids(ablationBenches)
+	res := c.sweep(ablationBenches, func(i int) []sim.Spec {
+		var specs []sim.Spec
+		for _, cut := range []float64{0.25, 0.5, 0.75} {
+			specs = append(specs,
+				sim.NewSpec("ecdp+thr", "stream", "cdp", "throttle").WithHints(g[i].Prof.Hints(cut)))
 		}
-	}
-	wg.Wait()
+		return specs
+	})
 	r := Report{
-		ID:     "ablate-hint-threshold",
-		Title:  "Beneficial-PG usefulness threshold sweep",
-		Header: []string{"bench", "0.25", "0.50(paper)", "0.75"},
+		ID:    "ablate-hint-threshold",
+		Title: "Beneficial-PG usefulness threshold sweep",
+		Notes: []string{"paper footnote 4: PGs below 50% usefulness usually cause performance loss"},
 	}
-	for i, g := range grids {
-		r.Rows = append(r.Rows, []string{g.Bench,
-			f3(res[i][0].IPC / g.Base.IPC), f3(res[i][1].IPC / g.Base.IPC),
-			f3(res[i][2].IPC / g.Base.IPC)})
-	}
-	r.Notes = append(r.Notes,
-		"paper footnote 4: PGs below 50% usefulness usually cause performance loss")
+	r.Header, r.Rows = table("bench", ablationBenches, []column{
+		{"0.25", f3, nil, ipcVsBase(g, res, 0)},
+		{"0.50(paper)", f3, nil, ipcVsBase(g, res, 1)},
+		{"0.75", f3, nil, ipcVsBase(g, res, 2)},
+	})
 	return r
 }
 
@@ -169,37 +135,24 @@ func AblateHintThreshold(c *Context) Report {
 // the maximum rival coverage. We run stream + ECDP + GHB as a
 // three-prefetcher hybrid, with and without coordinated throttling.
 func AblateTriple(c *Context) Report {
-	grids := c.Grids(ablationBenches)
-	type pair struct{ plain, thr sim.Result }
-	res := make([]pair, len(ablationBenches))
-	var wg sync.WaitGroup
-	for i, b := range ablationBenches {
-		wg.Add(1)
-		go func(i int, b string, hints *core.HintTable) {
-			defer wg.Done()
-			res[i].plain = c.run(b,
-				sim.NewSpec("stream+ecdp+ghb", "stream", "cdp", "ghb").WithHints(hints))
-			res[i].thr = c.run(b,
-				sim.NewSpec("stream+ecdp+ghb+thr", "stream", "cdp", "ghb", "throttle").WithHints(hints))
-		}(i, b, grids[i].Hints)
-	}
-	wg.Wait()
+	g := c.Grids(ablationBenches)
+	res := c.sweep(ablationBenches, func(i int) []sim.Spec {
+		return []sim.Spec{
+			sim.NewSpec("stream+ecdp+ghb", "stream", "cdp", "ghb").WithHints(g[i].Hints),
+			sim.NewSpec("stream+ecdp+ghb+thr", "stream", "cdp", "ghb", "throttle").WithHints(g[i].Hints),
+		}
+	})
 	r := Report{
-		ID:     "ablate-triple",
-		Title:  "Three-prefetcher hybrid (stream+ECDP+GHB): coordinated throttling generalizes",
-		Header: []string{"bench", "triple", "triple+thr", "bw:triple", "bw:triple+thr"},
+		ID:    "ablate-triple",
+		Title: "Three-prefetcher hybrid (stream+ECDP+GHB): coordinated throttling generalizes",
+		Notes: []string{"paper §4.2: \"the use of throttling for more than two prefetchers is part of ongoing work\""},
 	}
-	var vp, vt []float64
-	for i, g := range grids {
-		row := []float64{res[i].plain.IPC / g.Base.IPC, res[i].thr.IPC / g.Base.IPC,
-			safeDiv(res[i].plain.BPKI, g.Base.BPKI), safeDiv(res[i].thr.BPKI, g.Base.BPKI)}
-		vp = append(vp, row[0])
-		vt = append(vt, row[1])
-		r.Rows = append(r.Rows, []string{g.Bench, f3(row[0]), f3(row[1]), f2(row[2]), f2(row[3])})
-	}
-	r.Rows = append(r.Rows, []string{"gmean", f3(gmean(vp)), f3(gmean(vt)), "", ""})
-	r.Notes = append(r.Notes,
-		"paper §4.2: \"the use of throttling for more than two prefetchers is part of ongoing work\"")
+	r.Header, r.Rows = table("bench", ablationBenches, []column{
+		{"triple", f3, f3, ipcVsBase(g, res, 0)},
+		{"triple+thr", f3, f3, ipcVsBase(g, res, 1)},
+		{"bw:triple", f2, nil, bwVsBase(g, res, 0)},
+		{"bw:triple+thr", f2, nil, bwVsBase(g, res, 1)},
+	}, gmeanRow)
 	return r
 }
 

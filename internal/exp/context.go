@@ -44,7 +44,7 @@ type Context struct {
 	Parallel int
 	// TraceDir, when non-empty, enables interval telemetry on every
 	// simulation and persists each run's JSONL trace files there (see
-	// OBSERVABILITY.md). Write failures are collected; check TraceErr.
+	// OBSERVABILITY.md). Write failures are recorded as job errors (JobErrs).
 	TraceDir string
 	// CacheDir, when non-empty, enables the content-addressed result store
 	// (see ORCHESTRATION.md).
@@ -67,11 +67,10 @@ type Context struct {
 	// from Parallel/CacheDir/VerifyCache on first use.
 	Sched *jobs.Scheduler
 
-	mu       sync.Mutex
-	grids    map[string]*Grid
-	once     sync.Once
-	jobErrs  []error
-	traceErr error
+	mu      sync.Mutex
+	benches map[string]*benchState
+	once    sync.Once
+	jobErrs []error
 }
 
 // NewContext returns a context using the paper's ref/train inputs.
@@ -106,8 +105,8 @@ func (c *Context) Jobs() *jobs.Scheduler {
 
 // RunOne executes one simulation as a job, persisting its telemetry when
 // TraceDir is set. Failures (invalid spec, unknown benchmark, contained
-// worker panic) are returned; trace-write failures are recorded (TraceErr,
-// JobErrs) without failing the run.
+// worker panic) are returned; trace-write failures are recorded (JobErrs)
+// without failing the run.
 func (c *Context) RunOne(bench string, sp sim.Spec) (sim.Result, error) {
 	if c.TraceDir != "" {
 		sp.Trace = true
@@ -122,7 +121,7 @@ func (c *Context) RunOne(bench string, sp sim.Spec) (sim.Result, error) {
 	}
 	if c.TraceDir != "" && r.Trace != nil {
 		if werr := WriteTrace(c.TraceDir, r.Trace); werr != nil {
-			c.noteTraceErr(fmt.Errorf("writing trace %s/%s: %w", bench, sp.Name, werr))
+			c.noteJobErr(fmt.Errorf("writing trace %s/%s: %w", bench, sp.Name, werr))
 		}
 	}
 	return r, nil
@@ -162,7 +161,7 @@ func (c *Context) RunMix(benches []string, sp sim.Spec) (sim.MultiResult, error)
 				continue
 			}
 			if werr := WriteTraceAs(c.TraceDir, coreTraceBase(benches, i, pc.Trace), pc.Trace); werr != nil {
-				c.noteTraceErr(fmt.Errorf("writing trace %s/%s: %w", mixLabel(benches), sp.Name, werr))
+				c.noteJobErr(fmt.Errorf("writing trace %s/%s: %w", mixLabel(benches), sp.Name, werr))
 			}
 		}
 	}
@@ -185,27 +184,6 @@ func (c *Context) noteJobErr(err error) {
 	c.mu.Unlock()
 }
 
-// noteTraceErr records a trace-persistence failure both as the legacy
-// first-error (TraceErr) and as a job error.
-func (c *Context) noteTraceErr(err error) {
-	if err == nil {
-		return
-	}
-	c.mu.Lock()
-	if c.traceErr == nil {
-		c.traceErr = err
-	}
-	c.jobErrs = append(c.jobErrs, err)
-	c.mu.Unlock()
-}
-
-// TraceErr returns the first error hit while persisting traces, if any.
-func (c *Context) TraceErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.traceErr
-}
-
 // JobErrs returns every job failure recorded so far, in completion order.
 func (c *Context) JobErrs() []error {
 	c.mu.Lock()
@@ -215,71 +193,75 @@ func (c *Context) JobErrs() []error {
 	return out
 }
 
-// profile computes (and caches via Grid) the train-input PG profile.
-// Failures degrade to an empty profile (no hints) with the error recorded.
-func (c *Context) profile(bench string) *profiling.Profile {
-	prof, err := c.Jobs().Profile(bench, c.TrainParams)
-	if err != nil {
-		c.noteJobErr(fmt.Errorf("profiling %s: %w", bench, err))
-		return &profiling.Profile{}
+// benchState memoizes one benchmark's train-input profile and its grid.
+// Each is computed once per context, however many goroutines ask for it.
+type benchState struct {
+	profOnce, gridOnce sync.Once
+	prof               *profiling.Profile
+	hints              *core.HintTable
+	grid               *Grid
+}
+
+// state returns bench's memo, creating it on first use.
+func (c *Context) state(bench string) *benchState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.benches == nil {
+		c.benches = make(map[string]*benchState)
 	}
-	return prof
+	s, ok := c.benches[bench]
+	if !ok {
+		s = &benchState{}
+		c.benches[bench] = s
+	}
+	return s
+}
+
+// profile returns bench's train-input PG profile and its hint table,
+// collecting them on first use. Failures degrade to an empty profile (no
+// hints) with the error recorded.
+func (c *Context) profile(bench string) (*profiling.Profile, *core.HintTable) {
+	s := c.state(bench)
+	s.profOnce.Do(func() {
+		prof, err := c.Jobs().Profile(bench, c.TrainParams)
+		if err != nil {
+			c.noteJobErr(fmt.Errorf("profiling %s: %w", bench, err))
+			prof = &profiling.Profile{}
+		}
+		s.prof, s.hints = prof, prof.Hints(0)
+	})
+	return s.prof, s.hints
 }
 
 // Grid returns the cached shared results for bench, computing them on first
 // use. The seven configurations run concurrently.
 func (c *Context) Grid(bench string) *Grid {
-	c.mu.Lock()
-	if c.grids == nil {
-		c.grids = make(map[string]*Grid)
-	}
-	if g, ok := c.grids[bench]; ok {
-		c.mu.Unlock()
-		return g
-	}
-	c.mu.Unlock()
-
-	g := &Grid{Bench: bench}
-	g.Prof = c.profile(bench)
-	g.Hints = g.Prof.Hints(0)
-
-	var wg sync.WaitGroup
-	launch := func(dst *sim.Result, sp sim.Spec) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			*dst = c.run(bench, sp)
-		}()
-	}
-	launch(&g.NoPF, sim.NewSpec("nopf"))
-	launch(&g.Base, sim.NewSpec("stream", "stream"))
-	launch(&g.CDP, sim.Spec{Name: "stream+cdp", ProfilePGs: true,
-		Components: []sim.Component{{Kind: "stream"}, {Kind: "cdp"}}})
-	launch(&g.CDPT, sim.NewSpec("stream+cdp+thr", "stream", "cdp", "throttle"))
-	launch(&g.ECDP, sim.Spec{Name: "stream+ecdp", Hints: g.Hints, ProfilePGs: true,
-		Components: []sim.Component{{Kind: "stream"}, {Kind: "cdp"}}})
-	launch(&g.ECDPT, sim.NewSpec("stream+ecdp+thr", "stream", "cdp", "throttle").WithHints(g.Hints))
-	launch(&g.Ideal, sim.Spec{Name: "ideal-lds", IdealLDS: true,
-		Components: []sim.Component{{Kind: "stream"}}})
-	wg.Wait()
-
-	c.mu.Lock()
-	c.grids[bench] = g
-	c.mu.Unlock()
-	return g
+	s := c.state(bench)
+	s.gridOnce.Do(func() {
+		g := &Grid{Bench: bench}
+		g.Prof, g.Hints = c.profile(bench)
+		runs := []struct {
+			dst *sim.Result
+			sp  sim.Spec
+		}{
+			{&g.NoPF, sim.NewSpec("nopf")},
+			{&g.Base, sim.NewSpec("stream", "stream")},
+			{&g.CDP, sim.Spec{Name: "stream+cdp", ProfilePGs: true,
+				Components: []sim.Component{{Kind: "stream"}, {Kind: "cdp"}}}},
+			{&g.CDPT, sim.NewSpec("stream+cdp+thr", "stream", "cdp", "throttle")},
+			{&g.ECDP, sim.Spec{Name: "stream+ecdp", Hints: g.Hints, ProfilePGs: true,
+				Components: []sim.Component{{Kind: "stream"}, {Kind: "cdp"}}}},
+			{&g.ECDPT, sim.NewSpec("stream+ecdp+thr", "stream", "cdp", "throttle").WithHints(g.Hints)},
+			{&g.Ideal, sim.Spec{Name: "ideal-lds", IdealLDS: true,
+				Components: []sim.Component{{Kind: "stream"}}}},
+		}
+		fanOut(len(runs), func(i int) { *runs[i].dst = c.run(bench, runs[i].sp) })
+		s.grid = g
+	})
+	return s.grid
 }
 
 // Grids returns grids for all listed benchmarks, computed concurrently.
 func (c *Context) Grids(benches []string) []*Grid {
-	out := make([]*Grid, len(benches))
-	var wg sync.WaitGroup
-	for i, b := range benches {
-		wg.Add(1)
-		go func(i int, b string) {
-			defer wg.Done()
-			out[i] = c.Grid(b)
-		}(i, b)
-	}
-	wg.Wait()
-	return out
+	return perBench(benches, func(_ int, b string) *Grid { return c.Grid(b) })
 }

@@ -1,10 +1,6 @@
 package exp
 
-import (
-	"sync"
-
-	"ldsprefetch/internal/sim"
-)
+import "ldsprefetch/internal/sim"
 
 // CustomSpec runs a user-provided spec over the pointer-intensive suite next
 // to the stream baseline and reports relative performance and bandwidth —
@@ -15,33 +11,18 @@ func CustomSpec(c *Context, sp sim.Spec) Report {
 		sp.Name = "spec"
 	}
 	benches := pointerBenches()
-	type pair struct{ base, res sim.Result }
-	outs := make([]pair, len(benches))
-	var wg sync.WaitGroup
-	for i, b := range benches {
-		wg.Add(1)
-		go func(i int, b string) {
-			defer wg.Done()
-			outs[i].base = c.run(b, sim.NewSpec("stream", "stream"))
-			outs[i].res = c.run(b, sp)
-		}(i, b)
-	}
-	wg.Wait()
+	res := c.sweep(benches, func(int) []sim.Spec {
+		return []sim.Spec{sim.NewSpec("stream", "stream"), sp}
+	})
 	r := Report{
-		ID:     "spec",
-		Title:  "Custom spec " + sp.Name + " vs the stream baseline",
-		Header: []string{"bench", "IPC", "IPC-rel", "BPKI", "BPKI-rel"},
+		ID:    "spec",
+		Title: "Custom spec " + sp.Name + " vs the stream baseline",
 	}
-	var rel, bw []float64
-	for i, b := range benches {
-		o := outs[i]
-		ipcRel := safeDiv(o.res.IPC, o.base.IPC)
-		bwRel := safeDiv(o.res.BPKI, o.base.BPKI)
-		rel = append(rel, ipcRel)
-		bw = append(bw, bwRel)
-		r.Rows = append(r.Rows, []string{b, f3(o.res.IPC), f3(ipcRel),
-			f1(o.res.BPKI), f2(bwRel)})
-	}
-	r.Rows = append(r.Rows, []string{"gmean", "", f3(gmean(rel)), "", f2(gmean(bw))})
+	r.Header, r.Rows = table("bench", benches, []column{
+		{"IPC", f3, nil, func(i int) float64 { return res[i][1].IPC }},
+		{"IPC-rel", f3, f3, func(i int) float64 { return safeDiv(res[i][1].IPC, res[i][0].IPC) }},
+		{"BPKI", f1, nil, func(i int) float64 { return res[i][1].BPKI }},
+		{"BPKI-rel", f2, f2, func(i int) float64 { return safeDiv(res[i][1].BPKI, res[i][0].BPKI) }},
+	}, gmeanRow)
 	return r
 }

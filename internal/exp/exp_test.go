@@ -2,6 +2,7 @@ package exp
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"ldsprefetch/internal/workload"
@@ -127,9 +128,54 @@ func TestWorkloadMixesExist(t *testing.T) {
 	}
 }
 
+// TestGridConcurrentCallersShareOneGrid holds Grid to computing each
+// benchmark's profile and grid once, however many goroutines ask for it at
+// the same time (mixes that share a benchmark do exactly this).
+func TestGridConcurrentCallersShareOneGrid(t *testing.T) {
+	c := NewContext()
+	c.Params = workload.Params{Scale: 0.02, Seed: 5}
+	c.TrainParams = workload.Params{Scale: 0.02, Seed: 1009}
+	benches := []string{"mst", "health"}
+	const callers = 8
+	got := make([][]*Grid, len(benches))
+	var wg sync.WaitGroup
+	for i, b := range benches {
+		got[i] = make([]*Grid, callers)
+		for k := 0; k < callers; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i][k] = c.Grid(b)
+			}()
+		}
+	}
+	wg.Wait()
+	for i, b := range benches {
+		for k, g := range got[i] {
+			if g != got[i][0] {
+				t.Fatalf("%s: caller %d got a different grid", b, k)
+			}
+		}
+	}
+	profiles := map[string]int{}
+	for _, rec := range c.Jobs().Records() {
+		if rec.Kind == "profile" {
+			profiles[strings.Join(rec.Benchmarks, "+")]++
+		}
+	}
+	for _, b := range benches {
+		if profiles[b] != 1 {
+			t.Errorf("%s profiled %d times, want exactly once", b, profiles[b])
+		}
+	}
+	if len(profiles) != len(benches) {
+		t.Errorf("profile records %v, want one per benchmark", profiles)
+	}
+}
+
 func TestHintsForMergesDisjointPCs(t *testing.T) {
 	c := testCtx()
-	merged := c.hintsFor([]string{"mst", "health"})
+	merged := c.Hints([]string{"mst", "health"})
 	a := c.Grid("mst").Hints
 	b := c.Grid("health").Hints
 	if merged.Len() != a.Len()+b.Len() {

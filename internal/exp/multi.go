@@ -2,7 +2,6 @@ package exp
 
 import (
 	"strings"
-	"sync"
 
 	"ldsprefetch/internal/core"
 	"ldsprefetch/internal/cpu"
@@ -50,17 +49,13 @@ var FourCoreWorkloads = [][]string{
 	{"perlbench", "libquantum", "gemsfdtd", "h264ref"},
 }
 
-// multiOutcome holds the per-mix configurations compared in Figures 14/15.
-type multiOutcome struct {
-	base, ours, dbp, markov, ghb sim.MultiResult
-}
-
-func (c *Context) hintsFor(benches []string) *core.HintTable {
-	// Merge each benchmark's hint table; PCs are disjoint by construction
-	// (every workload uses its own PC range).
+// Hints merges the train-input hint tables of benches into one table for a
+// multi-core mix; PCs are disjoint by construction (every workload uses its
+// own PC range). Each benchmark is profiled once per context.
+func (c *Context) Hints(benches []string) *core.HintTable {
 	merged := core.NewHintTable()
 	for _, b := range benches {
-		h := c.Grid(b).Hints
+		_, h := c.profile(b)
 		for _, pc := range h.PCs() {
 			v, _ := h.Lookup(pc)
 			merged.Set(pc, v)
@@ -69,76 +64,46 @@ func (c *Context) hintsFor(benches []string) *core.HintTable {
 	return merged
 }
 
-func (c *Context) runMix(benches []string) multiOutcome {
-	hints := c.hintsFor(benches)
-	var out multiOutcome
-	var wg sync.WaitGroup
-	launch := func(dst *sim.MultiResult, sp sim.Spec) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			*dst = c.runMulti(benches, sp)
-		}()
+// mixSpecs are the configurations Figures 14/15 compare on every mix; the
+// first is the stream baseline the others are normalised to.
+func mixSpecs(hints *core.HintTable) []sim.Spec {
+	return []sim.Spec{
+		sim.NewSpec("stream", "stream"),
+		sim.NewSpec("ecdp+thr", "stream", "cdp", "throttle").WithHints(hints),
+		sim.NewSpec("stream+dbp", "stream", "dbp"),
+		sim.NewSpec("stream+markov", "stream", "markov"),
+		sim.NewSpec("ghb", "ghb"),
 	}
-	launch(&out.base, sim.NewSpec("stream", "stream"))
-	launch(&out.ours, sim.NewSpec("ecdp+thr", "stream", "cdp", "throttle").WithHints(hints))
-	launch(&out.dbp, sim.NewSpec("stream+dbp", "stream", "dbp"))
-	launch(&out.markov, sim.NewSpec("stream+markov", "stream", "markov"))
-	launch(&out.ghb, sim.NewSpec("ghb", "ghb"))
-	wg.Wait()
-	return out
 }
 
 func multiReport(c *Context, id, title string, mixes [][]string, paperNotes []string) Report {
-	outcomes := make([]multiOutcome, len(mixes))
-	var wg sync.WaitGroup
+	res := collect(len(mixes), func(i int) []sim.MultiResult {
+		specs := mixSpecs(c.Hints(mixes[i]))
+		return collect(len(specs), func(j int) sim.MultiResult { return c.runMulti(mixes[i], specs[j]) })
+	})
+	const base, ours, dbp, markov, ghb = 0, 1, 2, 3, 4
+	ws := func(j int) func(int) float64 {
+		return func(i int) float64 { return res[i][j].WeightedSpeedup / res[i][base].WeightedSpeedup }
+	}
+	bus := func(j int) func(int) float64 {
+		return func(i int) float64 { return safeDiv(res[i][j].BusPKI, res[i][base].BusPKI) }
+	}
+	labels := make([]string, len(mixes))
 	for i, mix := range mixes {
-		wg.Add(1)
-		go func(i int, mix []string) {
-			defer wg.Done()
-			outcomes[i] = c.runMix(mix)
-		}(i, mix)
+		labels[i] = mixLabel(mix)
 	}
-	wg.Wait()
-
-	r := Report{
-		ID: id, Title: title,
-		Header: []string{"workload", "ws:ours", "ws:dbp", "ws:markov", "ws:ghb",
-			"hmean:ours", "bus:ours", "bus:dbp", "bus:markov", "bus:ghb"},
-	}
-	var wsOurs, wsDbp, wsMk, wsGhb, hmOurs, busOurs, busDbp, busMk, busGhb []float64
-	for i, mix := range mixes {
-		o := outcomes[i]
-		row := []float64{
-			o.ours.WeightedSpeedup / o.base.WeightedSpeedup,
-			o.dbp.WeightedSpeedup / o.base.WeightedSpeedup,
-			o.markov.WeightedSpeedup / o.base.WeightedSpeedup,
-			o.ghb.WeightedSpeedup / o.base.WeightedSpeedup,
-			o.ours.HmeanSpeedup / o.base.HmeanSpeedup,
-			safeDiv(o.ours.BusPKI, o.base.BusPKI),
-			safeDiv(o.dbp.BusPKI, o.base.BusPKI),
-			safeDiv(o.markov.BusPKI, o.base.BusPKI),
-			safeDiv(o.ghb.BusPKI, o.base.BusPKI),
-		}
-		wsOurs = append(wsOurs, row[0])
-		wsDbp = append(wsDbp, row[1])
-		wsMk = append(wsMk, row[2])
-		wsGhb = append(wsGhb, row[3])
-		hmOurs = append(hmOurs, row[4])
-		busOurs = append(busOurs, row[5])
-		busDbp = append(busDbp, row[6])
-		busMk = append(busMk, row[7])
-		busGhb = append(busGhb, row[8])
-		cells := []string{strings.Join(mix, "+")}
-		for _, v := range row {
-			cells = append(cells, f3(v))
-		}
-		r.Rows = append(r.Rows, cells)
-	}
-	r.Rows = append(r.Rows, []string{"gmean",
-		f3(gmean(wsOurs)), f3(gmean(wsDbp)), f3(gmean(wsMk)), f3(gmean(wsGhb)),
-		f3(gmean(hmOurs)), f2(gmean(busOurs)), f2(gmean(busDbp)), f2(gmean(busMk)), f2(gmean(busGhb))})
-	r.Notes = paperNotes
+	r := Report{ID: id, Title: title, Notes: paperNotes}
+	r.Header, r.Rows = table("workload", labels, []column{
+		{"ws:ours", f3, f3, ws(ours)},
+		{"ws:dbp", f3, f3, ws(dbp)},
+		{"ws:markov", f3, f3, ws(markov)},
+		{"ws:ghb", f3, f3, ws(ghb)},
+		{"hmean:ours", f3, f3, func(i int) float64 { return res[i][ours].HmeanSpeedup / res[i][base].HmeanSpeedup }},
+		{"bus:ours", f3, f2, bus(ours)},
+		{"bus:dbp", f3, f2, bus(dbp)},
+		{"bus:markov", f3, f2, bus(markov)},
+		{"bus:ghb", f3, f2, bus(ghb)},
+	}, gmeanRow)
 	return r
 }
 

@@ -17,31 +17,22 @@ import (
 // families in the workload catalog.
 func ServerFamilies(c *Context) Report {
 	benches := serverload.Families()
-	grids := c.Grids(benches)
+	g := c.Grids(benches)
 	r := Report{
 		ID:    "serverfam",
 		Title: "Server-class workload families (beyond the paper)",
-		Header: []string{"bench", "stream-speedup", "cdp-rel", "cdp+thr-rel",
-			"ecdp-rel", "ecdp+thr-rel", "ideal-rel", "BPKI-rel"},
+		Notes: []string{
+			"beyond the paper: server families are not part of any reproduced figure",
+			"profiling uses the train input of each family (same generators, smaller Zipfian stream)"},
 	}
-	var rel, bw []float64
-	for _, g := range grids {
-		ipcRel := g.ECDPT.IPC / g.Base.IPC
-		bwRel := safeDiv(g.ECDPT.BPKI, g.Base.BPKI)
-		rel = append(rel, ipcRel)
-		bw = append(bw, bwRel)
-		r.Rows = append(r.Rows, []string{g.Bench,
-			f3(g.Base.IPC / g.NoPF.IPC),
-			f3(g.CDP.IPC / g.Base.IPC),
-			f3(g.CDPT.IPC / g.Base.IPC),
-			f3(g.ECDP.IPC / g.Base.IPC),
-			f3(ipcRel),
-			f3(g.Ideal.IPC / g.Base.IPC),
-			f2(bwRel)})
-	}
-	r.Rows = append(r.Rows, []string{"gmean", "", "", "", "", f3(gmean(rel)), "", f2(gmean(bw))})
-	r.Notes = append(r.Notes,
-		"beyond the paper: server families are not part of any reproduced figure",
-		"profiling uses the train input of each family (same generators, smaller Zipfian stream)")
+	r.Header, r.Rows = table("bench", benches, []column{
+		{"stream-speedup", f3, nil, func(i int) float64 { return g[i].Base.IPC / g[i].NoPF.IPC }},
+		{"cdp-rel", f3, nil, func(i int) float64 { return g[i].CDP.IPC / g[i].Base.IPC }},
+		{"cdp+thr-rel", f3, nil, func(i int) float64 { return g[i].CDPT.IPC / g[i].Base.IPC }},
+		{"ecdp-rel", f3, nil, func(i int) float64 { return g[i].ECDP.IPC / g[i].Base.IPC }},
+		{"ecdp+thr-rel", f3, f3, func(i int) float64 { return g[i].ECDPT.IPC / g[i].Base.IPC }},
+		{"ideal-rel", f3, nil, func(i int) float64 { return g[i].Ideal.IPC / g[i].Base.IPC }},
+		{"BPKI-rel", f2, f2, func(i int) float64 { return safeDiv(g[i].ECDPT.BPKI, g[i].Base.BPKI) }},
+	}, gmeanRow)
 	return r
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
 	"ldsprefetch/internal/core"
 	"ldsprefetch/internal/prefetch"
@@ -19,34 +18,17 @@ func pointerBenches() []string { return workload.PointerIntensiveNames() }
 // ideally hit (bottom), both over the relevant baselines.
 func Fig1(c *Context) Report {
 	benches := pointerBenches()
-	grids := c.Grids(benches)
+	g := c.Grids(benches)
 	r := Report{
 		ID:    "fig1",
 		Title: "Stream prefetcher speedup/coverage and ideal-LDS potential",
-		Header: []string{"bench", "stream-speedup", "stream-coverage",
-			"ideal-LDS-over-stream"},
+		Notes: []string{"paper: ideal LDS prefetching improves average performance by 53.7% (37.7% w/o health)"},
 	}
-	var sp, ideal []float64
-	for _, g := range grids {
-		s := g.Base.IPC / g.NoPF.IPC
-		id := g.Ideal.IPC / g.Base.IPC
-		sp = append(sp, s)
-		ideal = append(ideal, id)
-		r.Rows = append(r.Rows, []string{g.Bench, f3(s),
-			f3(g.Base.Coverage[prefetch.SrcStream]), f3(id)})
-	}
-	r.Rows = append(r.Rows, []string{"gmean", f3(gmean(sp)), "", f3(gmean(ideal))})
-	// Without health (the paper reports both).
-	var spNH, idealNH []float64
-	for i, g := range grids {
-		if g.Bench != "health" {
-			spNH = append(spNH, sp[i])
-			idealNH = append(idealNH, ideal[i])
-		}
-	}
-	r.Rows = append(r.Rows, []string{"gmean-no-health", f3(gmean(spNH)), "", f3(gmean(idealNH))})
-	r.Notes = append(r.Notes,
-		"paper: ideal LDS prefetching improves average performance by 53.7% (37.7% w/o health)")
+	r.Header, r.Rows = table("bench", benches, []column{
+		{"stream-speedup", f3, f3, func(i int) float64 { return g[i].Base.IPC / g[i].NoPF.IPC }},
+		{"stream-coverage", f3, nil, func(i int) float64 { return g[i].Base.Coverage[prefetch.SrcStream] }},
+		{"ideal-LDS-over-stream", f3, f3, func(i int) float64 { return g[i].Ideal.IPC / g[i].Base.IPC }},
+	}, gmeanRow, gmeanNoHealthRow)
 	return r
 }
 
@@ -55,26 +37,21 @@ func Fig1(c *Context) Report {
 // CDP's prefetch accuracy.
 func Fig2Table1(c *Context) Report {
 	benches := pointerBenches()
-	grids := c.Grids(benches)
+	g := c.Grids(benches)
 	r := Report{
 		ID:    "fig2",
 		Title: "Original CDP on top of the stream baseline (Fig. 2 + Table 1)",
-		Header: []string{"bench", "IPC-rel", "BPKI-base", "BPKI-cdp",
-			"BPKI-rel", "CDP-accuracy"},
+		Notes: []string{
+			"paper: CDP degrades average performance by 14% and increases bandwidth by 83.3%",
+			"paper Table 1 accuracies range 0.9%-83.3% (mcf 1.4%, xalancbmk 0.9%, perimeter 83.3%)"},
 	}
-	var rel, bw []float64
-	for _, g := range grids {
-		ipcRel := g.CDP.IPC / g.Base.IPC
-		bwRel := safeDiv(g.CDP.BPKI, g.Base.BPKI)
-		rel = append(rel, ipcRel)
-		bw = append(bw, bwRel)
-		r.Rows = append(r.Rows, []string{g.Bench, f3(ipcRel), f1(g.Base.BPKI),
-			f1(g.CDP.BPKI), f2(bwRel), f3(g.CDP.Accuracy[prefetch.SrcCDP])})
-	}
-	r.Rows = append(r.Rows, []string{"gmean", f3(gmean(rel)), "", "", f2(gmean(bw)), ""})
-	r.Notes = append(r.Notes,
-		"paper: CDP degrades average performance by 14% and increases bandwidth by 83.3%",
-		"paper Table 1 accuracies range 0.9%-83.3% (mcf 1.4%, xalancbmk 0.9%, perimeter 83.3%)")
+	r.Header, r.Rows = table("bench", benches, []column{
+		{"IPC-rel", f3, f3, func(i int) float64 { return g[i].CDP.IPC / g[i].Base.IPC }},
+		{"BPKI-base", f1, nil, func(i int) float64 { return g[i].Base.BPKI }},
+		{"BPKI-cdp", f1, nil, func(i int) float64 { return g[i].CDP.BPKI }},
+		{"BPKI-rel", f2, f2, func(i int) float64 { return safeDiv(g[i].CDP.BPKI, g[i].Base.BPKI) }},
+		{"CDP-accuracy", f3, nil, func(i int) float64 { return g[i].CDP.Accuracy[prefetch.SrcCDP] }},
+	}, gmeanRow)
 	return r
 }
 
@@ -107,49 +84,27 @@ func Fig4(c *Context) Report {
 // to the stream baseline.
 func Fig7Table6(c *Context) Report {
 	benches := pointerBenches()
-	grids := c.Grids(benches)
+	g := c.Grids(benches)
 	r := Report{
 		ID:    "fig7",
 		Title: "Performance and bandwidth of the proposal (Fig. 7 + Table 6)",
-		Header: []string{"bench", "cdp", "cdp+thr", "ecdp", "ecdp+thr",
-			"bw:cdp", "bw:cdp+thr", "bw:ecdp", "bw:ecdp+thr", "IPCΔ%", "BPKIΔ"},
+		Notes: []string{
+			"paper: ECDP+throttling +22.5% IPC (16% w/o health), -25% bandwidth (-27.1% w/o health)",
+			"paper: original CDP -14% IPC; ECDP alone +8.6%; CDP+throttling +9.4%"},
 	}
-	type agg struct{ cdp, cdpt, ecdp, ecdpt, bcdp, bcdpt, becdp, becdpt []float64 }
-	var a, aNH agg
-	for _, g := range grids {
-		vals := []float64{
-			g.CDP.IPC / g.Base.IPC, g.CDPT.IPC / g.Base.IPC,
-			g.ECDP.IPC / g.Base.IPC, g.ECDPT.IPC / g.Base.IPC,
-			safeDiv(g.CDP.BPKI, g.Base.BPKI), safeDiv(g.CDPT.BPKI, g.Base.BPKI),
-			safeDiv(g.ECDP.BPKI, g.Base.BPKI), safeDiv(g.ECDPT.BPKI, g.Base.BPKI),
-		}
-		for i, dst := range []*[]float64{&a.cdp, &a.cdpt, &a.ecdp, &a.ecdpt,
-			&a.bcdp, &a.bcdpt, &a.becdp, &a.becdpt} {
-			*dst = append(*dst, vals[i])
-		}
-		if g.Bench != "health" {
-			for i, dst := range []*[]float64{&aNH.cdp, &aNH.cdpt, &aNH.ecdp, &aNH.ecdpt,
-				&aNH.bcdp, &aNH.bcdpt, &aNH.becdp, &aNH.becdpt} {
-				*dst = append(*dst, vals[i])
-			}
-		}
-		r.Rows = append(r.Rows, []string{g.Bench,
-			f3(vals[0]), f3(vals[1]), f3(vals[2]), f3(vals[3]),
-			f2(vals[4]), f2(vals[5]), f2(vals[6]), f2(vals[7]),
-			fmt.Sprintf("%+.1f", (vals[3]-1)*100),
-			fmt.Sprintf("%+.1f", g.ECDPT.BPKI-g.Base.BPKI)})
-	}
-	r.Rows = append(r.Rows, []string{"gmean",
-		f3(gmean(a.cdp)), f3(gmean(a.cdpt)), f3(gmean(a.ecdp)), f3(gmean(a.ecdpt)),
-		f2(gmean(a.bcdp)), f2(gmean(a.bcdpt)), f2(gmean(a.becdp)), f2(gmean(a.becdpt)),
-		pct(gmean(a.ecdpt)), ""})
-	r.Rows = append(r.Rows, []string{"gmean-no-health",
-		f3(gmean(aNH.cdp)), f3(gmean(aNH.cdpt)), f3(gmean(aNH.ecdp)), f3(gmean(aNH.ecdpt)),
-		f2(gmean(aNH.bcdp)), f2(gmean(aNH.bcdpt)), f2(gmean(aNH.becdp)), f2(gmean(aNH.becdpt)),
-		pct(gmean(aNH.ecdpt)), ""})
-	r.Notes = append(r.Notes,
-		"paper: ECDP+throttling +22.5% IPC (16% w/o health), -25% bandwidth (-27.1% w/o health)",
-		"paper: original CDP -14% IPC; ECDP alone +8.6%; CDP+throttling +9.4%")
+	r.Header, r.Rows = table("bench", benches, []column{
+		{"cdp", f3, f3, func(i int) float64 { return g[i].CDP.IPC / g[i].Base.IPC }},
+		{"cdp+thr", f3, f3, func(i int) float64 { return g[i].CDPT.IPC / g[i].Base.IPC }},
+		{"ecdp", f3, f3, func(i int) float64 { return g[i].ECDP.IPC / g[i].Base.IPC }},
+		{"ecdp+thr", f3, f3, func(i int) float64 { return g[i].ECDPT.IPC / g[i].Base.IPC }},
+		{"bw:cdp", f2, f2, func(i int) float64 { return safeDiv(g[i].CDP.BPKI, g[i].Base.BPKI) }},
+		{"bw:cdp+thr", f2, f2, func(i int) float64 { return safeDiv(g[i].CDPT.BPKI, g[i].Base.BPKI) }},
+		{"bw:ecdp", f2, f2, func(i int) float64 { return safeDiv(g[i].ECDP.BPKI, g[i].Base.BPKI) }},
+		{"bw:ecdp+thr", f2, f2, func(i int) float64 { return safeDiv(g[i].ECDPT.BPKI, g[i].Base.BPKI) }},
+		{"IPCΔ%", delta, pct, func(i int) float64 { return g[i].ECDPT.IPC / g[i].Base.IPC }},
+		{"BPKIΔ", func(x float64) string { return fmt.Sprintf("%+.1f", x) }, nil,
+			func(i int) float64 { return g[i].ECDPT.BPKI - g[i].Base.BPKI }},
+	}, gmeanRow, gmeanNoHealthRow)
 	return r
 }
 
@@ -170,29 +125,15 @@ func Fig9(c *Context) Report {
 func accCovReport(c *Context, id, title string,
 	metric func(sim.Result, prefetch.Source) float64, note string) Report {
 	benches := pointerBenches()
-	grids := c.Grids(benches)
-	r := Report{
-		ID: id, Title: title,
-		Header: []string{"bench",
-			"cdp:orig", "cdp:ecdp+thr", "stream:base", "stream:cdp", "stream:ecdp+thr"},
-	}
-	var c1, c2, s1, s2, s3 []float64
-	for _, g := range grids {
-		v := []float64{
-			metric(g.CDP, prefetch.SrcCDP), metric(g.ECDPT, prefetch.SrcCDP),
-			metric(g.Base, prefetch.SrcStream), metric(g.CDP, prefetch.SrcStream),
-			metric(g.ECDPT, prefetch.SrcStream),
-		}
-		c1 = append(c1, v[0])
-		c2 = append(c2, v[1])
-		s1 = append(s1, v[2])
-		s2 = append(s2, v[3])
-		s3 = append(s3, v[4])
-		r.Rows = append(r.Rows, []string{g.Bench, f3(v[0]), f3(v[1]), f3(v[2]), f3(v[3]), f3(v[4])})
-	}
-	r.Rows = append(r.Rows, []string{"amean", f3(amean(c1)), f3(amean(c2)),
-		f3(amean(s1)), f3(amean(s2)), f3(amean(s3))})
-	r.Notes = append(r.Notes, note)
+	g := c.Grids(benches)
+	r := Report{ID: id, Title: title, Notes: []string{note}}
+	r.Header, r.Rows = table("bench", benches, []column{
+		{"cdp:orig", f3, f3, func(i int) float64 { return metric(g[i].CDP, prefetch.SrcCDP) }},
+		{"cdp:ecdp+thr", f3, f3, func(i int) float64 { return metric(g[i].ECDPT, prefetch.SrcCDP) }},
+		{"stream:base", f3, f3, func(i int) float64 { return metric(g[i].Base, prefetch.SrcStream) }},
+		{"stream:cdp", f3, f3, func(i int) float64 { return metric(g[i].CDP, prefetch.SrcStream) }},
+		{"stream:ecdp+thr", f3, f3, func(i int) float64 { return metric(g[i].ECDPT, prefetch.SrcStream) }},
+	}, ameanRow)
 	return r
 }
 
@@ -254,61 +195,36 @@ func Table7(c *Context) Report {
 // GHB+ECDP data point discussed in Section 6.3.
 func Fig11(c *Context) Report {
 	benches := pointerBenches()
-	grids := c.Grids(benches)
-	type extra struct{ dbp, markov, ghb, ghbEcdp, ghbEcdpT sim.Result }
-	extras := make([]extra, len(benches))
-	var wg sync.WaitGroup
-	for i, b := range benches {
-		wg.Add(1)
-		go func(i int, b string, hints *core.HintTable) {
-			defer wg.Done()
-			extras[i].dbp = c.run(b, sim.NewSpec("stream+dbp", "stream", "dbp"))
-			extras[i].markov = c.run(b, sim.NewSpec("stream+markov", "stream", "markov"))
-			extras[i].ghb = c.run(b, sim.NewSpec("ghb", "ghb"))
-			extras[i].ghbEcdp = c.run(b, sim.NewSpec("ghb+ecdp", "cdp", "ghb").WithHints(hints))
-			extras[i].ghbEcdpT = c.run(b, sim.NewSpec("ghb+ecdp+thr", "cdp", "ghb", "throttle").WithHints(hints))
-		}(i, b, grids[i].Hints)
-	}
-	wg.Wait()
-
+	g := c.Grids(benches)
+	res := c.sweep(benches, func(i int) []sim.Spec {
+		return []sim.Spec{
+			sim.NewSpec("stream+dbp", "stream", "dbp"),
+			sim.NewSpec("stream+markov", "stream", "markov"),
+			sim.NewSpec("ghb", "ghb"),
+			sim.NewSpec("ghb+ecdp", "cdp", "ghb").WithHints(g[i].Hints),
+			sim.NewSpec("ghb+ecdp+thr", "cdp", "ghb", "throttle").WithHints(g[i].Hints),
+		}
+	})
+	const dbp, markov, ghb, ghbEcdp, ghbEcdpT = 0, 1, 2, 3, 4
 	r := Report{
 		ID:    "fig11",
 		Title: "Comparison to DBP / Markov / GHB prefetching (IPC and BPKI vs stream baseline)",
-		Header: []string{"bench", "dbp", "markov", "ghb", "ours",
-			"bw:dbp", "bw:markov", "bw:ghb", "bw:ours", "ghb+ecdp", "ghb+ecdp+thr"},
+		Notes: []string{
+			"paper: ours beats DBP/Markov/GHB by 19%/7.2%/8.9%; storage 2.11KB vs 3KB/1MB/12KB",
+			"paper §6.3: ECDP on top of GHB +4.6%, +throttling a further +2%"},
 	}
-	var vd, vm, vg, vo, bd, bm, bg, bo, ge, get []float64
-	for i, g := range grids {
-		e := extras[i]
-		row := []float64{
-			e.dbp.IPC / g.Base.IPC, e.markov.IPC / g.Base.IPC,
-			e.ghb.IPC / g.Base.IPC, g.ECDPT.IPC / g.Base.IPC,
-			safeDiv(e.dbp.BPKI, g.Base.BPKI), safeDiv(e.markov.BPKI, g.Base.BPKI),
-			safeDiv(e.ghb.BPKI, g.Base.BPKI), safeDiv(g.ECDPT.BPKI, g.Base.BPKI),
-			e.ghbEcdp.IPC / e.ghb.IPC, e.ghbEcdpT.IPC / e.ghb.IPC,
-		}
-		vd = append(vd, row[0])
-		vm = append(vm, row[1])
-		vg = append(vg, row[2])
-		vo = append(vo, row[3])
-		bd = append(bd, row[4])
-		bm = append(bm, row[5])
-		bg = append(bg, row[6])
-		bo = append(bo, row[7])
-		ge = append(ge, row[8])
-		get = append(get, row[9])
-		cells := []string{g.Bench}
-		for _, v := range row {
-			cells = append(cells, f3(v))
-		}
-		r.Rows = append(r.Rows, cells)
-	}
-	r.Rows = append(r.Rows, []string{"gmean", f3(gmean(vd)), f3(gmean(vm)),
-		f3(gmean(vg)), f3(gmean(vo)), f2(gmean(bd)), f2(gmean(bm)), f2(gmean(bg)),
-		f2(gmean(bo)), f3(gmean(ge)), f3(gmean(get))})
-	r.Notes = append(r.Notes,
-		"paper: ours beats DBP/Markov/GHB by 19%/7.2%/8.9%; storage 2.11KB vs 3KB/1MB/12KB",
-		"paper §6.3: ECDP on top of GHB +4.6%, +throttling a further +2%")
+	r.Header, r.Rows = table("bench", benches, []column{
+		{"dbp", f3, f3, ipcVsBase(g, res, dbp)},
+		{"markov", f3, f3, ipcVsBase(g, res, markov)},
+		{"ghb", f3, f3, ipcVsBase(g, res, ghb)},
+		{"ours", f3, f3, func(i int) float64 { return g[i].ECDPT.IPC / g[i].Base.IPC }},
+		{"bw:dbp", f3, f2, bwVsBase(g, res, dbp)},
+		{"bw:markov", f3, f2, bwVsBase(g, res, markov)},
+		{"bw:ghb", f3, f2, bwVsBase(g, res, ghb)},
+		{"bw:ours", f3, f2, func(i int) float64 { return safeDiv(g[i].ECDPT.BPKI, g[i].Base.BPKI) }},
+		{"ghb+ecdp", f3, f3, func(i int) float64 { return res[i][ghbEcdp].IPC / res[i][ghb].IPC }},
+		{"ghb+ecdp+thr", f3, f3, func(i int) float64 { return res[i][ghbEcdpT].IPC / res[i][ghb].IPC }},
+	}, gmeanRow)
 	return r
 }
 
@@ -316,51 +232,29 @@ func Fig11(c *Context) Report {
 // filtering, alone and with coordinated throttling.
 func Fig12(c *Context) Report {
 	benches := pointerBenches()
-	grids := c.Grids(benches)
-	type extra struct{ filt, filtT sim.Result }
-	extras := make([]extra, len(benches))
-	var wg sync.WaitGroup
-	for i, b := range benches {
-		wg.Add(1)
-		go func(i int, b string) {
-			defer wg.Done()
-			extras[i].filt = c.run(b, sim.NewSpec("cdp+hwfilter", "stream", "cdp", "hwfilter"))
-			extras[i].filtT = c.run(b, sim.NewSpec("cdp+hwfilter+thr", "stream", "cdp", "throttle", "hwfilter"))
-		}(i, b)
-	}
-	wg.Wait()
+	g := c.Grids(benches)
+	res := c.sweep(benches, func(int) []sim.Spec {
+		return []sim.Spec{
+			sim.NewSpec("cdp+hwfilter", "stream", "cdp", "hwfilter"),
+			sim.NewSpec("cdp+hwfilter+thr", "stream", "cdp", "throttle", "hwfilter"),
+		}
+	})
 	r := Report{
 		ID:    "fig12",
 		Title: "Hardware prefetch filtering vs ECDP (IPC and BPKI vs stream baseline)",
-		Header: []string{"bench", "cdp", "cdp+filter", "filter+thr", "ecdp+thr",
-			"bw:filter", "bw:filter+thr", "bw:ecdp+thr"},
+		Notes: []string{
+			"paper: the 8KB hardware filter alone gains 4.4% (too aggressive, kills useful prefetches);",
+			"paper: ECDP+throttling beats filter-alone by 17% with 25.8% bandwidth savings"},
 	}
-	var vf, vft, vo, bf, bft, bo []float64
-	for i, g := range grids {
-		e := extras[i]
-		row := []float64{
-			g.CDP.IPC / g.Base.IPC,
-			e.filt.IPC / g.Base.IPC, e.filtT.IPC / g.Base.IPC, g.ECDPT.IPC / g.Base.IPC,
-			safeDiv(e.filt.BPKI, g.Base.BPKI), safeDiv(e.filtT.BPKI, g.Base.BPKI),
-			safeDiv(g.ECDPT.BPKI, g.Base.BPKI),
-		}
-		vf = append(vf, row[1])
-		vft = append(vft, row[2])
-		vo = append(vo, row[3])
-		bf = append(bf, row[4])
-		bft = append(bft, row[5])
-		bo = append(bo, row[6])
-		cells := []string{g.Bench}
-		for _, v := range row {
-			cells = append(cells, f3(v))
-		}
-		r.Rows = append(r.Rows, cells)
-	}
-	r.Rows = append(r.Rows, []string{"gmean", "", f3(gmean(vf)), f3(gmean(vft)),
-		f3(gmean(vo)), f2(gmean(bf)), f2(gmean(bft)), f2(gmean(bo))})
-	r.Notes = append(r.Notes,
-		"paper: the 8KB hardware filter alone gains 4.4% (too aggressive, kills useful prefetches);",
-		"paper: ECDP+throttling beats filter-alone by 17% with 25.8% bandwidth savings")
+	r.Header, r.Rows = table("bench", benches, []column{
+		{"cdp", f3, nil, func(i int) float64 { return g[i].CDP.IPC / g[i].Base.IPC }},
+		{"cdp+filter", f3, f3, ipcVsBase(g, res, 0)},
+		{"filter+thr", f3, f3, ipcVsBase(g, res, 1)},
+		{"ecdp+thr", f3, f3, func(i int) float64 { return g[i].ECDPT.IPC / g[i].Base.IPC }},
+		{"bw:filter", f3, f2, bwVsBase(g, res, 0)},
+		{"bw:filter+thr", f3, f2, bwVsBase(g, res, 1)},
+		{"bw:ecdp+thr", f3, f2, func(i int) float64 { return safeDiv(g[i].ECDPT.BPKI, g[i].Base.BPKI) }},
+	}, gmeanRow)
 	return r
 }
 
@@ -368,37 +262,21 @@ func Fig12(c *Context) Report {
 // prefetching, both managing the stream + ECDP hybrid.
 func Fig13(c *Context) Report {
 	benches := pointerBenches()
-	grids := c.Grids(benches)
-	fdpRes := make([]sim.Result, len(benches))
-	var wg sync.WaitGroup
-	for i, b := range benches {
-		wg.Add(1)
-		go func(i int, b string, hints *core.HintTable) {
-			defer wg.Done()
-			fdpRes[i] = c.run(b, sim.NewSpec("ecdp+fdp", "stream", "cdp", "fdp").WithHints(hints))
-		}(i, b, grids[i].Hints)
-	}
-	wg.Wait()
+	g := c.Grids(benches)
+	fdp := perBench(benches, func(i int, b string) sim.Result {
+		return c.run(b, sim.NewSpec("ecdp+fdp", "stream", "cdp", "fdp").WithHints(g[i].Hints))
+	})
 	r := Report{
-		ID:     "fig13",
-		Title:  "Coordinated throttling vs feedback-directed prefetching (on stream+ECDP)",
-		Header: []string{"bench", "fdp", "coordinated", "bw:fdp", "bw:coordinated"},
+		ID:    "fig13",
+		Title: "Coordinated throttling vs feedback-directed prefetching (on stream+ECDP)",
+		Notes: []string{"paper: coordinated throttling outperforms FDP by 5% (FDP throttles each prefetcher in isolation)"},
 	}
-	var vf, vc, bf, bc []float64
-	for i, g := range grids {
-		row := []float64{
-			fdpRes[i].IPC / g.Base.IPC, g.ECDPT.IPC / g.Base.IPC,
-			safeDiv(fdpRes[i].BPKI, g.Base.BPKI), safeDiv(g.ECDPT.BPKI, g.Base.BPKI),
-		}
-		vf = append(vf, row[0])
-		vc = append(vc, row[1])
-		bf = append(bf, row[2])
-		bc = append(bc, row[3])
-		r.Rows = append(r.Rows, []string{g.Bench, f3(row[0]), f3(row[1]), f2(row[2]), f2(row[3])})
-	}
-	r.Rows = append(r.Rows, []string{"gmean", f3(gmean(vf)), f3(gmean(vc)), f2(gmean(bf)), f2(gmean(bc))})
-	r.Notes = append(r.Notes,
-		"paper: coordinated throttling outperforms FDP by 5% (FDP throttles each prefetcher in isolation)")
+	r.Header, r.Rows = table("bench", benches, []column{
+		{"fdp", f3, f3, func(i int) float64 { return fdp[i].IPC / g[i].Base.IPC }},
+		{"coordinated", f3, f3, func(i int) float64 { return g[i].ECDPT.IPC / g[i].Base.IPC }},
+		{"bw:fdp", f2, f2, func(i int) float64 { return safeDiv(fdp[i].BPKI, g[i].Base.BPKI) }},
+		{"bw:coordinated", f2, f2, func(i int) float64 { return safeDiv(g[i].ECDPT.BPKI, g[i].Base.BPKI) }},
+	}, gmeanRow)
 	return r
 }
 
@@ -406,44 +284,33 @@ func Fig13(c *Context) Report {
 // hints from the train input vs hints from the reference input itself.
 func Sec616(c *Context) Report {
 	benches := pointerBenches()
-	grids := c.Grids(benches)
-	selfRes := make([]sim.Result, len(benches))
-	var wg sync.WaitGroup
-	for i, b := range benches {
-		wg.Add(1)
-		go func(i int, b string) {
-			defer wg.Done()
-			// Profile with the reference input, then measure.
-			prof := &profiling.Profile{}
-			v, err := c.Jobs().Do("profile-self/"+b, func() (any, error) {
-				return profileTrace(b, c.Params), nil
-			})
-			if err != nil {
-				c.noteJobErr(fmt.Errorf("self-input profiling %s: %w", b, err))
-			} else {
-				prof = v.(*profiling.Profile)
-			}
-			hints := prof.Hints(0)
-			selfRes[i] = c.run(b,
-				sim.NewSpec("ecdp+thr(self)", "stream", "cdp", "throttle").WithHints(hints))
-		}(i, b)
-	}
-	wg.Wait()
+	g := c.Grids(benches)
+	self := perBench(benches, func(_ int, b string) sim.Result {
+		// Profile with the reference input, then measure.
+		prof := &profiling.Profile{}
+		v, err := c.Jobs().Do("profile-self/"+b, func() (any, error) {
+			return profileTrace(b, c.Params), nil
+		})
+		if err != nil {
+			c.noteJobErr(fmt.Errorf("self-input profiling %s: %w", b, err))
+		} else {
+			prof = v.(*profiling.Profile)
+		}
+		return c.run(b, sim.NewSpec("ecdp+thr(self)", "stream", "cdp", "throttle").WithHints(prof.Hints(0)))
+	})
 	r := Report{
-		ID:     "sec6.1.6",
-		Title:  "Profiling input sensitivity: train-input hints vs same-input hints",
-		Header: []string{"bench", "train-hints", "self-hints", "delta%"},
+		ID:    "sec6.1.6",
+		Title: "Profiling input sensitivity: train-input hints vs same-input hints",
+		Notes: []string{"paper: same-input profiling helped >1% on only one benchmark (mst, +4%)"},
 	}
-	var deltas []float64
-	for i, g := range grids {
-		d := selfRes[i].IPC/g.ECDPT.IPC - 1
-		deltas = append(deltas, d+1)
-		r.Rows = append(r.Rows, []string{g.Bench, f3(g.ECDPT.IPC / g.Base.IPC),
-			f3(selfRes[i].IPC / g.Base.IPC), fmt.Sprintf("%+.1f", d*100)})
-	}
-	r.Rows = append(r.Rows, []string{"gmean", "", "", pct(gmean(deltas))})
-	r.Notes = append(r.Notes,
-		"paper: same-input profiling helped >1% on only one benchmark (mst, +4%)")
+	r.Header, r.Rows = table("bench", benches, []column{
+		{"train-hints", f3, nil, func(i int) float64 { return g[i].ECDPT.IPC / g[i].Base.IPC }},
+		{"self-hints", f3, nil, func(i int) float64 { return self[i].IPC / g[i].Base.IPC }},
+		{"delta%", delta, pct, func(i int) float64 {
+			d := self[i].IPC/g[i].ECDPT.IPC - 1
+			return d + 1 // summarised as the gmean of d+1, not of the raw ratio
+		}},
+	}, gmeanRow)
 	return r
 }
 
@@ -451,24 +318,17 @@ func Sec616(c *Context) Report {
 // (non-pointer-intensive) benchmarks.
 func Sec67(c *Context) Report {
 	benches := workload.NonPointerIntensiveNames()
-	grids := c.Grids(benches)
+	g := c.Grids(benches)
 	r := Report{
-		ID:     "sec6.7",
-		Title:  "Non-pointer-intensive benchmarks: the proposal is harmless",
-		Header: []string{"bench", "stream-speedup", "ecdp+thr-rel", "BPKI-rel"},
+		ID:    "sec6.7",
+		Title: "Non-pointer-intensive benchmarks: the proposal is harmless",
+		Notes: []string{"paper: +0.3% performance, -0.1% bandwidth on the remaining benchmarks"},
 	}
-	var rel, bw []float64
-	for _, g := range grids {
-		ipcRel := g.ECDPT.IPC / g.Base.IPC
-		bwRel := safeDiv(g.ECDPT.BPKI, g.Base.BPKI)
-		rel = append(rel, ipcRel)
-		bw = append(bw, bwRel)
-		r.Rows = append(r.Rows, []string{g.Bench, f3(g.Base.IPC / g.NoPF.IPC),
-			f3(ipcRel), f2(bwRel)})
-	}
-	r.Rows = append(r.Rows, []string{"gmean", "", f3(gmean(rel)), f2(gmean(bw))})
-	r.Notes = append(r.Notes,
-		"paper: +0.3% performance, -0.1% bandwidth on the remaining benchmarks")
+	r.Header, r.Rows = table("bench", benches, []column{
+		{"stream-speedup", f3, nil, func(i int) float64 { return g[i].Base.IPC / g[i].NoPF.IPC }},
+		{"ecdp+thr-rel", f3, f3, func(i int) float64 { return g[i].ECDPT.IPC / g[i].Base.IPC }},
+		{"BPKI-rel", f2, f2, func(i int) float64 { return safeDiv(g[i].ECDPT.BPKI, g[i].Base.BPKI) }},
+	}, gmeanRow)
 	return r
 }
 
@@ -476,29 +336,20 @@ func Sec67(c *Context) Report {
 // ideally eliminated, on the benchmarks CDP hurts most.
 func Sec23(c *Context) Report {
 	benches := []string{"bisort", "mst", "mcf", "xalancbmk"}
-	grids := c.Grids(benches)
-	noPol := make([]sim.Result, len(benches))
-	var wg sync.WaitGroup
-	for i, b := range benches {
-		wg.Add(1)
-		go func(i int, b string) {
-			defer wg.Done()
-			noPol[i] = c.run(b, sim.Spec{Name: "cdp-nopollution", NoPollution: true,
-				Components: []sim.Component{{Kind: "stream"}, {Kind: "cdp"}}})
-		}(i, b)
-	}
-	wg.Wait()
+	g := c.Grids(benches)
+	noPol := perBench(benches, func(_ int, b string) sim.Result {
+		return c.run(b, sim.Spec{Name: "cdp-nopollution", NoPollution: true,
+			Components: []sim.Component{{Kind: "stream"}, {Kind: "cdp"}}})
+	})
 	r := Report{
-		ID:     "sec2.3",
-		Title:  "Original CDP with ideal pollution elimination",
-		Header: []string{"bench", "cdp", "cdp-no-pollution"},
+		ID:    "sec2.3",
+		Title: "Original CDP with ideal pollution elimination",
+		Notes: []string{"paper: with pollution ideally removed, CDP would improve bisort by 29.4% and mst by 30.4%"},
 	}
-	for i, g := range grids {
-		r.Rows = append(r.Rows, []string{g.Bench,
-			f3(g.CDP.IPC / g.Base.IPC), f3(noPol[i].IPC / g.Base.IPC)})
-	}
-	r.Notes = append(r.Notes,
-		"paper: with pollution ideally removed, CDP would improve bisort by 29.4% and mst by 30.4%")
+	r.Header, r.Rows = table("bench", benches, []column{
+		{"cdp", f3, nil, func(i int) float64 { return g[i].CDP.IPC / g[i].Base.IPC }},
+		{"cdp-no-pollution", f3, nil, func(i int) float64 { return noPol[i].IPC / g[i].Base.IPC }},
+	})
 	return r
 }
 
@@ -506,68 +357,52 @@ func Sec23(c *Context) Report {
 // trigger-load filtering) vs ECDP's per-pointer-group hints.
 func Sec72(c *Context) Report {
 	benches := pointerBenches()
-	grids := c.Grids(benches)
-	coarse := make([]sim.Result, len(benches))
-	var wg sync.WaitGroup
-	for i, b := range benches {
-		wg.Add(1)
-		go func(i int, b string, g *Grid) {
-			defer wg.Done()
-			hints := g.Prof.CoarseHints(0)
-			coarse[i] = c.run(b, sim.NewSpec("grp-coarse", "stream", "cdp").WithHints(hints))
-		}(i, b, grids[i])
-	}
-	wg.Wait()
+	g := c.Grids(benches)
+	coarse := perBench(benches, func(i int, b string) sim.Result {
+		return c.run(b, sim.NewSpec("grp-coarse", "stream", "cdp").WithHints(g[i].Prof.CoarseHints(0)))
+	})
 	r := Report{
-		ID:     "sec7.2",
-		Title:  "Coarse per-load control (GRP-style) vs fine-grained ECDP",
-		Header: []string{"bench", "coarse", "ecdp", "ecdp+thr"},
+		ID:    "sec7.2",
+		Title: "Coarse per-load control (GRP-style) vs fine-grained ECDP",
+		Notes: []string{"paper: coarse-grained (all-or-nothing per load) control gains only 0.4%-1%"},
 	}
-	var vc, ve []float64
-	for i, g := range grids {
-		row := []float64{coarse[i].IPC / g.Base.IPC, g.ECDP.IPC / g.Base.IPC,
-			g.ECDPT.IPC / g.Base.IPC}
-		vc = append(vc, row[0])
-		ve = append(ve, row[1])
-		r.Rows = append(r.Rows, []string{g.Bench, f3(row[0]), f3(row[1]), f3(row[2])})
-	}
-	r.Rows = append(r.Rows, []string{"gmean", f3(gmean(vc)), f3(gmean(ve)), ""})
-	r.Notes = append(r.Notes,
-		"paper: coarse-grained (all-or-nothing per load) control gains only 0.4%-1%")
+	r.Header, r.Rows = table("bench", benches, []column{
+		{"coarse", f3, f3, func(i int) float64 { return coarse[i].IPC / g[i].Base.IPC }},
+		{"ecdp", f3, f3, func(i int) float64 { return g[i].ECDP.IPC / g[i].Base.IPC }},
+		{"ecdp+thr", f3, nil, func(i int) float64 { return g[i].ECDPT.IPC / g[i].Base.IPC }},
+	}, gmeanRow)
 	return r
 }
 
 // Sec74 reproduces Section 7.4: PAB-style best-prefetcher-only selection.
 func Sec74(c *Context) Report {
 	benches := pointerBenches()
-	grids := c.Grids(benches)
-	pabRes := make([]sim.Result, len(benches))
-	var wg sync.WaitGroup
-	for i, b := range benches {
-		wg.Add(1)
-		go func(i int, b string, hints *core.HintTable) {
-			defer wg.Done()
-			pabRes[i] = c.run(b, sim.NewSpec("pab", "stream", "cdp", "pab").WithHints(hints))
-		}(i, b, grids[i].Hints)
-	}
-	wg.Wait()
+	g := c.Grids(benches)
+	pab := perBench(benches, func(i int, b string) sim.Result {
+		return c.run(b, sim.NewSpec("pab", "stream", "cdp", "pab").WithHints(g[i].Hints))
+	})
 	r := Report{
-		ID:     "sec7.4",
-		Title:  "PAB-style accuracy-only prefetcher selection vs coordinated throttling",
-		Header: []string{"bench", "pab", "coordinated", "bw:pab", "bw:coordinated"},
+		ID:    "sec7.4",
+		Title: "PAB-style accuracy-only prefetcher selection vs coordinated throttling",
+		Notes: []string{"paper: enabling only the most accurate prefetcher loses 11% performance on average"},
 	}
-	var vp, vcrd []float64
-	for i, g := range grids {
-		row := []float64{pabRes[i].IPC / g.Base.IPC, g.ECDPT.IPC / g.Base.IPC,
-			safeDiv(pabRes[i].BPKI, g.Base.BPKI), safeDiv(g.ECDPT.BPKI, g.Base.BPKI)}
-		vp = append(vp, row[0])
-		vcrd = append(vcrd, row[1])
-		r.Rows = append(r.Rows, []string{g.Bench, f3(row[0]), f3(row[1]), f2(row[2]), f2(row[3])})
-	}
-	r.Rows = append(r.Rows, []string{"gmean", f3(gmean(vp)), f3(gmean(vcrd)), "", ""})
-	r.Notes = append(r.Notes,
-		"paper: enabling only the most accurate prefetcher loses 11% performance on average")
+	r.Header, r.Rows = table("bench", benches, []column{
+		{"pab", f3, f3, func(i int) float64 { return pab[i].IPC / g[i].Base.IPC }},
+		{"coordinated", f3, f3, func(i int) float64 { return g[i].ECDPT.IPC / g[i].Base.IPC }},
+		{"bw:pab", f2, nil, func(i int) float64 { return safeDiv(pab[i].BPKI, g[i].Base.BPKI) }},
+		{"bw:coordinated", f2, nil, func(i int) float64 { return safeDiv(g[i].ECDPT.BPKI, g[i].Base.BPKI) }},
+	}, gmeanRow)
 	return r
+}
+
+// ipcVsBase and bwVsBase are the column values for variant j of a sweep:
+// its IPC and its BPKI relative to each benchmark's stream baseline.
+func ipcVsBase(g []*Grid, res [][]sim.Result, j int) func(int) float64 {
+	return func(i int) float64 { return res[i][j].IPC / g[i].Base.IPC }
+}
+
+func bwVsBase(g []*Grid, res [][]sim.Result, j int) func(int) float64 {
+	return func(i int) float64 { return safeDiv(res[i][j].BPKI, g[i].Base.BPKI) }
 }
 
 func safeDiv(a, b float64) float64 {

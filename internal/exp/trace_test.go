@@ -270,8 +270,8 @@ func TestContextTraceDir(t *testing.T) {
 	if res.Trace == nil {
 		t.Fatal("TraceDir must force telemetry on")
 	}
-	if err := c.TraceErr(); err != nil {
-		t.Fatal(err)
+	if errs := c.JobErrs(); len(errs) > 0 {
+		t.Fatal(errs)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -156,6 +157,19 @@ var (
 	// with no consumer, pab with fewer than two switchable prefetchers).
 	ErrBadComposition = errors.New("invalid composition")
 )
+
+// ParseSpec decodes one Spec JSON document strictly: a field Spec does not
+// define is an error instead of being silently dropped. It is the decoder
+// behind the CLIs' -spec flag; callers still Validate the result.
+func ParseSpec(data []byte) (Spec, error) {
+	var sp Spec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sp); err != nil {
+		return Spec{}, err
+	}
+	return sp, nil
+}
 
 // SpecError is a typed spec-validation failure: which spec, which component
 // (empty for spec-level problems), what went wrong. It unwraps to one of

@@ -7,10 +7,10 @@ import (
 )
 
 // FuzzSpecJSON feeds arbitrary bytes through the path every untrusted Spec
-// takes (the sweep service's "specs" field, ldssim -spec): decode, then
-// Validate. A spec that validates must canonicalize, and its canonical
-// encoding — the bytes cache keys embed — must survive a JSON round-trip
-// unchanged. Nothing on the path may panic.
+// takes on the command line: ParseSpec (the strict decoder behind the -spec
+// flags), then Validate. A spec that validates must canonicalize, and its
+// canonical encoding — the bytes cache keys embed — must survive a JSON
+// round-trip unchanged. Nothing on the path may panic.
 //
 // The seed corpus in testdata/fuzz/FuzzSpecJSON holds every named
 // configuration plus the invalid bodies the server's validation test
@@ -19,8 +19,8 @@ import (
 //	go test -run '^$' -fuzz FuzzSpecJSON -fuzztime 30s ./internal/sim
 func FuzzSpecJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var sp Spec
-		if err := json.Unmarshal(data, &sp); err != nil {
+		sp, err := ParseSpec(data)
+		if err != nil {
 			return
 		}
 		if err := sp.Validate(); err != nil {
@@ -34,8 +34,8 @@ func FuzzSpecJSON(f *testing.F) {
 		if err != nil {
 			t.Fatalf("valid spec does not marshal: %v\ninput: %s", err, data)
 		}
-		var back Spec
-		if err := json.Unmarshal(enc, &back); err != nil {
+		back, err := ParseSpec(enc)
+		if err != nil {
 			t.Fatalf("spec encoding does not decode: %v\nencoding: %s", err, enc)
 		}
 		if err := back.Validate(); err != nil {
