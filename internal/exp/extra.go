@@ -5,12 +5,10 @@ import (
 	"sort"
 
 	"ldsprefetch/internal/core"
-	"ldsprefetch/internal/cpu"
 	"ldsprefetch/internal/dram"
 	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/profiling"
 	"ldsprefetch/internal/sim"
-	"ldsprefetch/internal/workload"
 )
 
 // Sec3Impl compares the paper's two profiling implementations (Section 3,
@@ -23,19 +21,10 @@ func Sec3Impl(c *Context) Report {
 	g := c.Grids(benches)
 	informing := make([]*core.HintTable, len(benches))
 	res := perBench(benches, func(i int, b string) sim.Result {
-		prof := &profiling.Profile{}
-		v, err := c.Jobs().Do("profile-informing/"+b, func() (any, error) {
-			tr, err := workload.BuildShared(b, c.TrainParams)
-			if err != nil {
-				return nil, err
-			}
-			return profiling.CollectInforming(tr,
-				memsys.DefaultConfig(), cpu.DefaultConfig()), nil
-		})
+		prof, err := c.Jobs().ProfileInforming(b, c.TrainParams)
 		if err != nil {
 			c.noteJobErr(fmt.Errorf("informing-loads profiling %s: %w", b, err))
-		} else {
-			prof = v.(*profiling.Profile)
+			prof = &profiling.Profile{}
 		}
 		informing[i] = prof.Hints(0)
 		return c.run(b, sim.NewSpec("ecdp+thr(informing)",

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"ldsprefetch/internal/jobs"
 	"ldsprefetch/internal/sim"
 )
 
@@ -40,15 +41,32 @@ func goldenContext() *Context {
 
 // goldenAll runs every registered experiment once on its own context and
 // keeps the rendered reports and the sorted distinct cache keys the run
-// submitted. A private context keeps the key set independent of which other
-// golden tests ran first.
+// submitted: those of the result kinds (single, shared, alone) and those of
+// the profiles apart. A private context keeps the key sets independent of
+// which other golden tests ran first.
 var (
-	goldenAllOnce sync.Once
-	goldenAllText string
-	goldenAllKeys string
+	goldenAllOnce        sync.Once
+	goldenAllText        string
+	goldenAllKeys        string
+	goldenAllProfileKeys string
 )
 
-func goldenAll(t *testing.T) (text, keys string) {
+// sortedKeys returns the distinct cache keys of the records keep selects, one
+// per line in ascending order.
+func sortedKeys(recs []jobs.Record, keep func(jobs.Record) bool) string {
+	seen := map[string]bool{}
+	var ks []string
+	for _, rec := range recs {
+		if rec.Key != "" && keep(rec) && !seen[rec.Key] {
+			seen[rec.Key] = true
+			ks = append(ks, rec.Key)
+		}
+	}
+	sort.Strings(ks)
+	return strings.Join(ks, "\n") + "\n"
+}
+
+func goldenAll(t *testing.T) (text, keys, profileKeys string) {
 	t.Helper()
 	goldenAllOnce.Do(func() {
 		c := testCtx()
@@ -61,21 +79,16 @@ func goldenAll(t *testing.T) (text, keys string) {
 			sb.WriteString(r.String())
 			sb.WriteByte('\n')
 		}
-		seen := map[string]bool{}
-		var ks []string
-		for _, rec := range c.Jobs().Records() {
-			if rec.Key != "" && !seen[rec.Key] {
-				seen[rec.Key] = true
-				ks = append(ks, rec.Key)
-			}
-		}
-		sort.Strings(ks)
-		goldenAllText, goldenAllKeys = sb.String(), strings.Join(ks, "\n")+"\n"
+		recs := c.Jobs().Records()
+		isProfile := func(rec jobs.Record) bool { return rec.Kind == "profile" }
+		goldenAllText = sb.String()
+		goldenAllKeys = sortedKeys(recs, func(rec jobs.Record) bool { return !isProfile(rec) })
+		goldenAllProfileKeys = sortedKeys(recs, isProfile)
 	})
 	if goldenAllText == "" {
 		t.Fatal("full golden run produced no output")
 	}
-	return goldenAllText, goldenAllKeys
+	return goldenAllText, goldenAllKeys, goldenAllProfileKeys
 }
 
 func checkGolden(t *testing.T, name, got string) {
@@ -105,18 +118,30 @@ func TestGoldenAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden simulation runs are slow")
 	}
-	text, _ := goldenAll(t)
+	text, _, _ := goldenAll(t)
 	checkGolden(t, "golden_all.txt", text)
 }
 
-// TestGoldenAllKeys pins the cache keys the full run submits, so a renamed
-// spec or reordered component list cannot silently cold a result store.
+// TestGoldenAllKeys pins the result cache keys (kinds single, shared and
+// alone) the full run submits, so a renamed spec or reordered component list
+// cannot silently cold a result store.
 func TestGoldenAllKeys(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden simulation runs are slow")
 	}
-	_, keys := goldenAll(t)
+	_, keys, _ := goldenAll(t)
 	checkGolden(t, "golden_all_keys.txt", keys)
+}
+
+// TestGoldenProfileKeys pins the profile cache keys the full run submits:
+// the train-input profiles, sec6.1.6's self-input profiles and sec3impl's
+// informing-loads profiles.
+func TestGoldenProfileKeys(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden simulation runs are slow")
+	}
+	_, _, keys := goldenAll(t)
+	checkGolden(t, "golden_profile_keys.txt", keys)
 }
 
 func TestGoldenFig1(t *testing.T) {

@@ -4,22 +4,8 @@ import (
 	"strings"
 
 	"ldsprefetch/internal/core"
-	"ldsprefetch/internal/cpu"
-	"ldsprefetch/internal/memsys"
-	"ldsprefetch/internal/profiling"
 	"ldsprefetch/internal/sim"
-	"ldsprefetch/internal/workload"
 )
-
-// profileTrace runs the profiling pass over a private clone of the shared
-// functional build of bench at p.
-func profileTrace(bench string, p workload.Params) *profiling.Profile {
-	tr, err := workload.BuildShared(bench, p)
-	if err != nil {
-		panic(err) // callers pass registry benchmark names
-	}
-	return profiling.Collect(tr, memsys.DefaultConfig(), cpu.DefaultConfig())
-}
 
 // TwoCoreWorkloads are the 12 dual-core multiprogrammed combinations
 // (paper Section 6.6: randomly selected mixes of pointer-intensive and

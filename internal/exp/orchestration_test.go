@@ -14,29 +14,34 @@ func cachedCtx(dir string) *Context {
 	return c
 }
 
-// renderAll runs one experiment on a fresh context and returns the
-// concatenated rendered reports plus the scheduler counters.
-func renderAll(t *testing.T, dir, id string) (string, jobs.Snapshot) {
+// renderAll runs the experiments on one fresh context and returns the
+// concatenated rendered reports plus the context.
+func renderAll(t *testing.T, dir string, ids ...string) (string, *Context) {
 	t.Helper()
 	c := cachedCtx(dir)
-	reps, err := Run(c, id)
-	if err != nil {
-		t.Fatal(err)
+	var sb strings.Builder
+	for _, id := range ids {
+		reps, err := Run(c, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range reps {
+			out, err := r.Render("text")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sb.WriteString(out)
+			sb.WriteByte('\n')
+		}
 	}
 	if errs := c.JobErrs(); len(errs) > 0 {
 		t.Fatalf("job failures: %v", errs)
 	}
-	var sb strings.Builder
-	for _, r := range reps {
-		out, err := r.Render("text")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb.WriteString(out)
-		sb.WriteByte('\n')
-	}
-	return sb.String(), c.Jobs().Metrics().Snapshot()
+	return sb.String(), c
 }
+
+// snapshot returns c's scheduler counters.
+func snapshot(c *Context) jobs.Snapshot { return c.Jobs().Metrics().Snapshot() }
 
 // TestExperimentCachedRerun is the cache-correctness acceptance test: an
 // identical re-run against the same store renders byte-identical reports
@@ -44,7 +49,8 @@ func renderAll(t *testing.T, dir, id string) (string, jobs.Snapshot) {
 func TestExperimentCachedRerun(t *testing.T) {
 	dir := t.TempDir()
 
-	first, s1 := renderAll(t, dir, "fig1")
+	first, c1 := renderAll(t, dir, "fig1")
+	s1 := snapshot(c1)
 	if s1.Computed == 0 {
 		t.Fatalf("first pass computed nothing: %+v", s1)
 	}
@@ -52,7 +58,8 @@ func TestExperimentCachedRerun(t *testing.T) {
 		t.Fatalf("first pass against an empty store reported %d hits", s1.CacheHits)
 	}
 
-	second, s2 := renderAll(t, dir, "fig1")
+	second, c2 := renderAll(t, dir, "fig1")
+	s2 := snapshot(c2)
 	if first != second {
 		t.Fatalf("cached re-run is not byte-identical:\n--- first ---\n%s\n--- second ---\n%s", first, second)
 	}
@@ -64,23 +71,75 @@ func TestExperimentCachedRerun(t *testing.T) {
 	}
 }
 
-// TestExperimentCacheInvalidation: changing the workload parameters must not
-// reuse stale cells.
+// TestExperimentCacheInvalidation: changing the measurement input must not
+// reuse stale cells. The train-input profiles do not depend on it, so they
+// are the only hits.
 func TestExperimentCacheInvalidation(t *testing.T) {
 	dir := t.TempDir()
-	_, s1 := renderAll(t, dir, "fig1")
+	_, c1 := renderAll(t, dir, "fig1")
+	s1 := snapshot(c1)
 
 	c := cachedCtx(dir)
-	c.Params.Seed++ // different measurement input → every key changes
+	c.Params.Seed++ // different measurement input → every result key changes
 	if _, err := Run(c, "fig1"); err != nil {
 		t.Fatal(err)
 	}
-	s2 := c.Jobs().Metrics().Snapshot()
-	if s2.CacheHits != 0 {
-		t.Fatalf("changed seed still hit the cache %d times", s2.CacheHits)
+	var profiles int64
+	for _, rec := range c.Jobs().Records() {
+		want := "computed"
+		if rec.Kind == "profile" {
+			want = "hit"
+			profiles++
+		}
+		if rec.Provenance != want {
+			t.Errorf("changed seed: %s job %v/%s is %q, want %q",
+				rec.Kind, rec.Benchmarks, rec.Setup, rec.Provenance, want)
+		}
 	}
-	if s2.Computed != s1.Computed {
-		t.Fatalf("changed seed computed %d cells, want %d", s2.Computed, s1.Computed)
+	if profiles == 0 {
+		t.Fatal("fig1 ran no profile jobs")
+	}
+	s2 := snapshot(c)
+	if s2.CacheHits != profiles {
+		t.Fatalf("changed seed hit the cache %d times, want only the %d profiles", s2.CacheHits, profiles)
+	}
+	if s2.Computed != s1.Computed-profiles {
+		t.Fatalf("changed seed computed %d cells, want %d", s2.Computed, s1.Computed-profiles)
+	}
+}
+
+// TestProfileCachedRerun: all three profiling passes — train input (fig1),
+// self input (sec616) and informing loads (sec3impl) — are served from the
+// store on a re-run, which renders byte-identical reports without executing
+// anything.
+func TestProfileCachedRerun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three experiments twice")
+	}
+	dir := t.TempDir()
+	ids := []string{"fig1", "sec616", "sec3impl"}
+	first, c1 := renderAll(t, dir, ids...)
+	setups := map[string]bool{}
+	for _, rec := range c1.Jobs().Records() {
+		if rec.Kind == "profile" && rec.Provenance == "computed" {
+			setups[rec.Setup] = true
+		}
+	}
+	if !setups["profile"] || !setups["profile-informing"] {
+		t.Fatalf("cold run computed profiles %v, want both profilers", setups)
+	}
+
+	second, c2 := renderAll(t, dir, ids...)
+	if first != second {
+		t.Fatalf("cached re-run is not byte-identical:\n--- first ---\n%s\n--- second ---\n%s", first, second)
+	}
+	for _, rec := range c2.Jobs().Records() {
+		if rec.Provenance == "computed" || rec.Provenance == "uncached" {
+			t.Errorf("warm run executed %s job %v/%s (%s)", rec.Kind, rec.Benchmarks, rec.Setup, rec.Provenance)
+		}
+	}
+	if s := snapshot(c2); s.Computed != 0 || s.Uncached != 0 || s.CacheMisses != 0 {
+		t.Fatalf("warm run counters %+v, want no misses or executions", s)
 	}
 }
 
@@ -93,21 +152,22 @@ func TestGridResume(t *testing.T) {
 	// "Interrupted" sweep: one grid of seven configurations completed.
 	c1 := cachedCtx(dir)
 	c1.Grid("mst")
-	s1 := c1.Jobs().Metrics().Snapshot()
-	if s1.Computed != 7 {
-		t.Fatalf("partial sweep computed %d cells, want 7", s1.Computed)
+	// Seven cells plus the train-input profile.
+	s1 := snapshot(c1)
+	if s1.Computed != 8 {
+		t.Fatalf("partial sweep computed %d jobs, want 8", s1.Computed)
 	}
 
 	// Resume with a wider sweep: only the new benchmark's cells execute.
 	c2 := cachedCtx(dir)
 	c2.Grid("mst")
 	c2.Grid("health")
-	s2 := c2.Jobs().Metrics().Snapshot()
-	if s2.CacheHits != 7 {
-		t.Fatalf("resume re-used %d cells, want 7", s2.CacheHits)
+	s2 := snapshot(c2)
+	if s2.CacheHits != 8 {
+		t.Fatalf("resume re-used %d jobs, want 8", s2.CacheHits)
 	}
-	if s2.Computed != 7 {
-		t.Fatalf("resume executed %d cells, want exactly the 7 remaining", s2.Computed)
+	if s2.Computed != 8 {
+		t.Fatalf("resume executed %d jobs, want exactly the 8 remaining", s2.Computed)
 	}
 	if errs := c2.JobErrs(); len(errs) > 0 {
 		t.Fatalf("job failures: %v", errs)
@@ -125,8 +185,9 @@ func TestManifestAttachJobs(t *testing.T) {
 	if m.Cache == nil || m.Cache.Dir != dir {
 		t.Fatalf("manifest cache summary missing: %+v", m.Cache)
 	}
-	if m.Cache.Computed != 7 {
-		t.Fatalf("manifest computed=%d, want 7", m.Cache.Computed)
+	// Seven cells plus the train-input profile.
+	if m.Cache.Computed != 8 {
+		t.Fatalf("manifest computed=%d, want 8", m.Cache.Computed)
 	}
 	if len(m.Jobs) == 0 {
 		t.Fatal("manifest carries no per-job provenance records")
@@ -140,7 +201,7 @@ func TestManifestAttachJobs(t *testing.T) {
 			}
 		}
 	}
-	if computed != 7 {
-		t.Fatalf("manifest records %d computed jobs, want 7", computed)
+	if computed != 8 {
+		t.Fatalf("manifest records %d computed jobs, want 8", computed)
 	}
 }

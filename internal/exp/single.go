@@ -287,14 +287,10 @@ func Sec616(c *Context) Report {
 	g := c.Grids(benches)
 	self := perBench(benches, func(_ int, b string) sim.Result {
 		// Profile with the reference input, then measure.
-		prof := &profiling.Profile{}
-		v, err := c.Jobs().Do("profile-self/"+b, func() (any, error) {
-			return profileTrace(b, c.Params), nil
-		})
+		prof, err := c.Jobs().Profile(b, c.Params)
 		if err != nil {
 			c.noteJobErr(fmt.Errorf("self-input profiling %s: %w", b, err))
-		} else {
-			prof = v.(*profiling.Profile)
+			prof = &profiling.Profile{}
 		}
 		return c.run(b, sim.NewSpec("ecdp+thr(self)", "stream", "cdp", "throttle").WithHints(prof.Hints(0)))
 	})

@@ -83,6 +83,10 @@ func TestKeyInvalidation(t *testing.T) {
 	add("benchmark", must(SingleSpecKey("health", testParams, testSpec())))
 	add("kind+cores", must(AloneSpecKey("mst", testParams, testSpec(), 2)))
 	add("mix", must(SharedSpecKey([]string{"mst", "health"}, testParams, testSpec())))
+	add("profile", must(profileKey("mst", testParams, simProfiler)))
+	add("profiler", must(profileKey("mst", testParams, informingProfiler)))
+	add("profile input", must(profileKey("mst", p, simProfiler)))
+	add("profile spec as a result", must(SingleSpecKey("mst", testParams, simProfiler.spec)))
 
 	canon, err := testSpec().Canonical()
 	if err != nil {

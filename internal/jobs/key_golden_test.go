@@ -35,6 +35,8 @@ func TestGoldenKeys(t *testing.T) {
 			"ad68a338601fd6d367e67c3d12491992b1b80deb8da7fce5f4475f85430cbdda"},
 		{"alone/ecdp+thr/2", func() (Key, error) { return AloneSpecKey("mst", p, ecdpt, 2) },
 			"ff536a062d5a076554cfabce23666d542f29b3b1fb6ebb52486bacea45cfee25"},
+		{"profile", func() (Key, error) { return profileKey("mst", p, simProfiler) },
+			"8ff6c02023470817c2ce7b8498b120bd9792663ebc654af38c829bb2daa09b8b"},
 	}
 	for _, g := range golden {
 		k, err := g.key()

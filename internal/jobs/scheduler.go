@@ -13,6 +13,7 @@ import (
 	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/profiling"
 	"ldsprefetch/internal/sim"
+	"ldsprefetch/internal/trace"
 	"ldsprefetch/internal/workload"
 )
 
@@ -48,8 +49,8 @@ type Config struct {
 	// Runner, when non-nil, executes cacheable jobs remotely instead of on
 	// the local pool: single/shared/alone jobs are handed to Runner.RunTask
 	// (the distributed coordinator dispatches them to pull-based workers
-	// this way; DISTRIBUTED.md) and only uncacheable work — profiles,
-	// traced runs, ad-hoc jobs — runs locally. Remote jobs bypass Slots,
+	// this way; DISTRIBUTED.md) and everything else — profiles, traced
+	// runs, ad-hoc jobs — runs locally. Remote jobs bypass Slots,
 	// Timeout, and Retries: the remote end owns its concurrency and
 	// failure containment, and the dispatch layer owns recovery from
 	// worker loss (lease expiry and re-dispatch). With Verify set, hit
@@ -142,7 +143,7 @@ type jobDesc struct {
 	benches   []string
 	setupName string
 	key       Key       // zero Hash means uncacheable
-	cacheable bool      // false: skip cache and dedup (traced runs, profiles)
+	cacheable bool      // false: skip cache and dedup (traced and ad-hoc runs)
 	task      *TaskSpec // transportable form, set when a Runner may execute it
 }
 
@@ -390,8 +391,9 @@ func (s *Scheduler) verifyHit(d jobDesc, cached any, run func() (any, error), ne
 	return nil
 }
 
-// rejectSpec records a spec that failed validation as a failed job, so
-// invalid cells surface in sweep records and metrics like any other failure.
+// rejectSpec records a job whose input failed validation (an invalid spec,
+// an unknown benchmark) as a failed job, so invalid cells surface in sweep
+// records and metrics like any other failure.
 func (s *Scheduler) rejectSpec(kind string, benches []string, name string, err error) error {
 	s.sinks(func(m *Metrics) { m.Submitted.Add(1); m.Failed.Add(1) })
 	s.record(Record{Kind: kind, Benchmarks: benches, Setup: name,
@@ -560,23 +562,63 @@ func (s *Scheduler) Do(label string, fn func() (any, error)) (any, error) {
 	return s.do(jobDesc{kind: "adhoc", setupName: label}, fn, nil)
 }
 
-// Profile collects the train-input pointer-group profile for bench as an
-// uncached job (profiles are cheap relative to sweeps and not serialized).
+// profiler is one of the paper's two profiling implementations (Section
+// 3, "Profiling Implementation"): the fixed spec that names it in cache keys
+// and the pass that collects it.
+type profiler struct {
+	spec    sim.Spec
+	collect func(*trace.Trace, memsys.Config, cpu.Config) *profiling.Profile
+}
+
+// profileSpec names a profiler in its cache key. The components are the
+// stream + unfiltered CDP pair every profiling pass simulates, so a stream
+// or cdp factory Version bump invalidates stored profiles too.
+func profileSpec(name string) sim.Spec {
+	return sim.Spec{Name: name, ProfilePGs: true,
+		Components: []sim.Component{{Kind: "stream"}, {Kind: "cdp"}}}
+}
+
+var (
+	simProfiler       = profiler{profileSpec("profile"), profiling.Collect}
+	informingProfiler = profiler{profileSpec("profile-informing"), profiling.CollectInforming}
+)
+
+// profileKey is the cache key of bench's profile at p under pr.
+func profileKey(bench string, p workload.Params, pr profiler) (Key, error) {
+	return newKey("profile", []string{bench}, 1, p, pr.spec)
+}
+
+// Profile collects bench's pointer-group profile over input p by cache-
+// hierarchy simulation, the paper's profiling pass. The profile is a cached
+// job: a warm store serves it without simulating.
 func (s *Scheduler) Profile(bench string, p workload.Params) (*profiling.Profile, error) {
+	return s.profile(bench, p, simProfiler)
+}
+
+// ProfileInforming is Profile through the informing-loads implementation.
+func (s *Scheduler) ProfileInforming(bench string, p workload.Params) (*profiling.Profile, error) {
+	return s.profile(bench, p, informingProfiler)
+}
+
+func (s *Scheduler) profile(bench string, p workload.Params, pr profiler) (*profiling.Profile, error) {
+	benches := []string{bench}
 	if _, err := workload.Get(bench); err != nil {
-		s.sinks(func(m *Metrics) { m.Submitted.Add(1); m.Failed.Add(1) })
-		s.record(Record{Kind: "profile", Benchmarks: []string{bench},
-			Provenance: "failed", Error: err.Error()}, 0)
-		return nil, err
+		return nil, s.rejectSpec("profile", benches, pr.spec.Name, err)
 	}
-	v, err := s.do(jobDesc{kind: "profile", benches: []string{bench}},
+	key, err := profileKey(bench, p, pr)
+	if err != nil {
+		return nil, s.rejectSpec("profile", benches, pr.spec.Name, err)
+	}
+	v, err := s.do(jobDesc{kind: "profile", benches: benches, setupName: pr.spec.Name,
+		key: key, cacheable: true},
 		func() (any, error) {
 			tr, err := workload.BuildShared(bench, p)
 			if err != nil {
 				return nil, err
 			}
-			return profiling.Collect(tr, memsys.DefaultConfig(), cpu.DefaultConfig()), nil
-		}, nil)
+			return pr.collect(tr, memsys.DefaultConfig(), cpu.DefaultConfig()), nil
+		},
+		func() any { return new(profiling.Profile) })
 	if err != nil {
 		return nil, err
 	}

@@ -11,8 +11,9 @@ import (
 // TaskSpec is the transportable description of one cacheable simulation
 // job: everything a remote worker needs to recompute the result, in the
 // same JSON vocabulary the sweep API already speaks. Only the three
-// cacheable job kinds are transportable — profiles, traced runs, and
-// ad-hoc jobs stay on the node that created them.
+// result kinds are transportable: profiles, traced runs and ad-hoc jobs
+// stay on the node that created them (profiles are cached in that node's
+// store, when it has one).
 type TaskSpec struct {
 	// Kind is the job kind: "single", "shared", or "alone".
 	Kind string `json:"kind"`

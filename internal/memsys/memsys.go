@@ -153,8 +153,14 @@ type FillEvent struct {
 	Now int64
 	// BlockAddr is the block-aligned address.
 	BlockAddr uint32
-	// Data is the block's contents at scan time (valid during the callback
-	// only; do not retain).
+	// Data is the block's contents at scan time. It aliases the memory
+	// system's single scan buffer, which every content scan overwrites, and
+	// a scan can run inside this callback: an Issue of a CDP prefetch runs
+	// that block's fill, and its recursive scan, before it returns. Data is
+	// therefore valid only until the callback's first Issue; do not retain
+	// it. CDP's OnFill reads Data past its Issues (a known defect,
+	// EXPERIMENTS.md), so the rest of a demand block's words, and the
+	// observers attached after CDP, read another block's bytes.
 	Data []byte
 	// Cause identifies who requested the block.
 	Cause prefetch.Source

@@ -613,8 +613,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("ldsjobs_jobs_timeouts_total", snap.Timeouts, "attempts abandoned at the deadline")
 	counter("ldsjobs_cache_hits_total", snap.CacheHits, "results served from the store")
 	counter("ldsjobs_cache_misses_total", snap.CacheMisses, "cacheable jobs that had to compute")
-	counter("ldsjobs_cache_computed_total", snap.Computed, "cacheable simulations executed")
-	counter("ldsjobs_cache_uncached_total", snap.Uncached, "uncacheable executions")
+	counter("ldsjobs_cache_computed_total", snap.Computed, "cacheable simulations and profiling passes executed")
+	counter("ldsjobs_cache_uncached_total", snap.Uncached, "uncacheable executions (traced and ad-hoc runs)")
 	counter("ldsjobs_cache_verify_runs_total", snap.VerifyRuns, "determinism checks on cache hits")
 	counter("ldsjobs_cache_verify_mismatches_total", snap.VerifyBad, "determinism check failures")
 
