@@ -3,10 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -431,5 +434,53 @@ func TestLookupAndListEndpoints(t *testing.T) {
 	sweeps := fetchText(t, ts, "/metrics", http.StatusOK)
 	if !strings.Contains(sweeps, fmt.Sprintf("ldsserve_sweeps{state=%q} 1", "done")) {
 		t.Fatalf("sweep state gauge missing:\n%s", sweeps)
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite golden report files")
+
+// TestGoldenRawSweep pins the raw sweep report byte for byte: named configs
+// with and without profiled hints, plus an unnamed and a named spec, over
+// two benchmarks. Regenerate with
+//
+//	go test ./internal/server -run TestGoldenRawSweep -update
+//
+// and justify the diff.
+func TestGoldenRawSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden simulation runs are slow")
+	}
+	ts := newTestServer(t, Options{})
+	st := postSweep(t, ts, sweepRequest{
+		Benchmarks: []string{"mst", "health"},
+		Configs:    []string{"none", "cdp", "ecdp+throttle"},
+		Specs: []sim.Spec{
+			sim.NewSpec("", "stream", "cdp", "throttle"),
+			sim.NewSpec("stream-only", "stream"),
+		},
+		Scale: 0.05,
+		Seed:  5,
+	})
+	st = waitDone(t, ts, st.ID)
+	if len(st.FailedJobs) > 0 {
+		t.Fatalf("failed jobs: %v", st.FailedJobs)
+	}
+	got := fetchText(t, ts, "/api/v1/sweeps/"+st.ID+"/report?format=text", http.StatusOK)
+	path := filepath.Join("testdata", "golden_raw.txt")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden %s (run with -update to generate): %v", path, err)
+	}
+	if got != string(want) {
+		t.Errorf("raw sweep report drifted from golden:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
