@@ -135,6 +135,12 @@ func fakeDesc(name string) jobDesc {
 		key: fakeKey(name), cacheable: true}
 }
 
+// runUncached runs fn as one uncacheable job on s's generic path: bounded
+// concurrency, panic containment, timeout and retry apply as to any job.
+func runUncached(s *Scheduler, label string, fn func() (any, error)) (any, error) {
+	return s.do(jobDesc{kind: "test", setupName: label}, fn, nil)
+}
+
 func runFake(s *Scheduler, name string, n int, ran *atomic.Int64) (*fakeResult, error) {
 	v, err := s.do(fakeDesc(name),
 		func() (any, error) {
@@ -256,7 +262,7 @@ func TestSchemaBumpInvalidates(t *testing.T) {
 
 func TestPanicContainment(t *testing.T) {
 	s := New(Config{Workers: 1})
-	_, err := s.Do("boom", func() (any, error) { panic("kaboom") })
+	_, err := runUncached(s, "boom", func() (any, error) { panic("kaboom") })
 	if err == nil || !strings.Contains(err.Error(), "job panicked: kaboom") {
 		t.Fatalf("panic not contained as error: %v", err)
 	}
@@ -267,7 +273,7 @@ func TestPanicContainment(t *testing.T) {
 		t.Fatalf("panics=%d failed=%d, want 1/1", got.Panics, got.Failed)
 	}
 	// The pool must still work after the panic.
-	if _, err := s.Do("ok", func() (any, error) { return 1, nil }); err != nil {
+	if _, err := runUncached(s, "ok", func() (any, error) { return 1, nil }); err != nil {
 		t.Fatalf("scheduler dead after contained panic: %v", err)
 	}
 }
@@ -275,7 +281,7 @@ func TestPanicContainment(t *testing.T) {
 func TestRetry(t *testing.T) {
 	s := New(Config{Workers: 1, Retries: 2})
 	var calls atomic.Int64
-	v, err := s.Do("flaky", func() (any, error) {
+	v, err := runUncached(s, "flaky", func() (any, error) {
 		if calls.Add(1) < 3 {
 			return nil, errors.New("transient")
 		}
@@ -295,7 +301,7 @@ func TestRetry(t *testing.T) {
 func TestRetryExhaustion(t *testing.T) {
 	s := New(Config{Workers: 1, Retries: 1})
 	var calls atomic.Int64
-	_, err := s.Do("hopeless", func() (any, error) {
+	_, err := runUncached(s, "hopeless", func() (any, error) {
 		calls.Add(1)
 		return nil, errors.New("permanent")
 	})
@@ -309,7 +315,7 @@ func TestTimeout(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	var calls atomic.Int64
-	_, err := s.Do("stuck", func() (any, error) {
+	_, err := runUncached(s, "stuck", func() (any, error) {
 		calls.Add(1)
 		<-release
 		return nil, nil
@@ -507,7 +513,7 @@ func TestSharedSlotsBoundConcurrency(t *testing.T) {
 		}
 		go func(sch *Scheduler, i int) {
 			defer wg.Done()
-			if _, err := sch.Do(fmt.Sprintf("j%d", i), job); err != nil {
+			if _, err := runUncached(sch, fmt.Sprintf("j%d", i), job); err != nil {
 				t.Error(err)
 			}
 		}(sch, i)

@@ -7,12 +7,16 @@
 // suitable for a /metrics endpoint. internal/exp, both CLIs, and the job
 // service route every simulation through a Scheduler.
 //
-// Jobs are also transportable: a Scheduler configured with a Runner hands
-// every cacheable job to it as a TaskSpec instead of simulating in-process
-// (the coordinator side of a distributed sweep), and ExecTask executes a
-// received TaskSpec under the full local pipeline (the worker side). The
-// result store's Backend interface is the storage seam: a local directory
-// today, an object store tomorrow. See DISTRIBUTED.md.
+// Every result job (a single-core run, a mix's shared run, one alone run) is
+// described once, as a TaskSpec, and runs on one path whether it was
+// submitted locally (SingleSpec, MultiSpec) or received from another node
+// (ExecTask). That makes jobs transportable: a Scheduler configured with a
+// Runner hands every cacheable TaskSpec to it instead of simulating
+// in-process (the coordinator side of a distributed sweep), and the worker
+// side runs what it receives exactly as it would its own. Profiles are
+// cached jobs too but stay on the node that asks for them. The result
+// store's Backend interface is the storage seam: a local directory today,
+// an object store tomorrow. See DISTRIBUTED.md.
 package jobs
 
 import (

@@ -25,7 +25,7 @@ type Metrics struct {
 	CacheHits   atomic.Int64 // results served from the store
 	CacheMisses atomic.Int64 // cacheable jobs that had to compute
 	Computed    atomic.Int64 // cacheable simulations and profiles actually executed
-	Uncached    atomic.Int64 // uncacheable executions (traced and ad-hoc runs)
+	Uncached    atomic.Int64 // uncacheable executions (traced runs)
 	Coalesced   atomic.Int64 // duplicate in-flight jobs served by a leader
 	Dispatched  atomic.Int64 // jobs handed to a remote Runner (coordinator mode)
 	Retries     atomic.Int64 // re-attempts after a failure

@@ -49,13 +49,12 @@ type Config struct {
 	// Runner, when non-nil, executes cacheable jobs remotely instead of on
 	// the local pool: single/shared/alone jobs are handed to Runner.RunTask
 	// (the distributed coordinator dispatches them to pull-based workers
-	// this way; DISTRIBUTED.md) and everything else — profiles, traced
-	// runs, ad-hoc jobs — runs locally. Remote jobs bypass Slots,
-	// Timeout, and Retries: the remote end owns its concurrency and
-	// failure containment, and the dispatch layer owns recovery from
-	// worker loss (lease expiry and re-dispatch). With Verify set, hit
-	// verification recomputes remotely too, making cross-node cache hits
-	// a distributed determinism check.
+	// this way; DISTRIBUTED.md) and everything else — profiles and traced
+	// runs — runs locally. Remote jobs bypass Slots, Timeout, and Retries:
+	// the remote end owns its concurrency and failure containment, and the
+	// dispatch layer owns recovery from worker loss (lease expiry and
+	// re-dispatch). With Verify set, hit verification recomputes remotely
+	// too, making cross-node cache hits a distributed determinism check.
 	Runner Runner
 }
 
@@ -143,7 +142,7 @@ type jobDesc struct {
 	benches   []string
 	setupName string
 	key       Key       // zero Hash means uncacheable
-	cacheable bool      // false: skip cache and dedup (traced and ad-hoc runs)
+	cacheable bool      // false: skip cache and dedup (traced runs)
 	task      *TaskSpec // transportable form, set when a Runner may execute it
 }
 
@@ -406,37 +405,10 @@ func (s *Scheduler) rejectSpec(kind string, benches []string, name string, err e
 // failed job) without consuming a worker slot. Traced runs (sp.Trace)
 // bypass the cache: telemetry is not stored.
 func (s *Scheduler) SingleSpec(bench string, p workload.Params, sp sim.Spec) (sim.Result, error) {
-	fail := sim.Result{Benchmark: bench, Setup: sp.Name}
-	if err := sp.Validate(); err != nil {
-		return fail, s.rejectSpec("single", []string{bench}, sp.Name, err)
-	}
-	d := jobDesc{
-		kind:      "single",
-		benches:   []string{bench},
-		setupName: sp.Name,
-		cacheable: !sp.Trace,
-	}
-	if d.cacheable {
-		var err error
-		if d.key, err = SingleSpecKey(bench, p, sp); err != nil {
-			return fail, s.rejectSpec("single", []string{bench}, sp.Name, err)
-		}
-		if s.cfg.Runner != nil {
-			d.task = &TaskSpec{Kind: "single", Benches: []string{bench},
-				Scale: p.Scale, Seed: p.Seed, Cores: 1, Spec: sp, Key: d.key.Hash}
-		}
-	}
-	v, err := s.do(d,
-		func() (any, error) {
-			r, err := sim.RunSingleSpec(bench, p, sp)
-			if err != nil {
-				return nil, err
-			}
-			return &r, nil
-		},
-		func() any { return new(sim.Result) })
+	v, err := s.runTask(TaskSpec{Kind: "single", Benches: []string{bench},
+		Scale: p.Scale, Seed: p.Seed, Cores: 1, Spec: sp})
 	if err != nil {
-		return fail, err
+		return sim.Result{Benchmark: bench, Setup: sp.Name}, err
 	}
 	return *(v.(*sim.Result)), nil
 }
@@ -444,7 +416,8 @@ func (s *Scheduler) SingleSpec(bench string, p workload.Params, sp sim.Spec) (si
 // MultiSpec runs the benchmarks as a multi-core mix. The shared run and
 // each alone-run normalization execute as separate jobs, so alone runs are
 // cached and shared across every mix (and every sweep) that needs them.
-// Like SingleSpec, an invalid spec fails with a typed error up front.
+// Like SingleSpec, an invalid spec fails with a typed error up front, as
+// one failed job.
 func (s *Scheduler) MultiSpec(benches []string, p workload.Params, sp sim.Spec) (sim.MultiResult, error) {
 	n := len(benches)
 	if n == 0 {
@@ -454,92 +427,36 @@ func (s *Scheduler) MultiSpec(benches []string, p workload.Params, sp sim.Spec) 
 	if err := sp.Validate(); err != nil {
 		return fail, s.rejectSpec("shared", benches, sp.Name, err)
 	}
-
-	sharedDesc := jobDesc{
-		kind:      "shared",
-		benches:   benches,
-		setupName: sp.Name,
-		cacheable: !sp.Trace,
-	}
-	if sharedDesc.cacheable {
-		var err error
-		if sharedDesc.key, err = SharedSpecKey(benches, p, sp); err != nil {
-			return fail, s.rejectSpec("shared", benches, sp.Name, err)
-		}
-		if s.cfg.Runner != nil {
-			sharedDesc.task = &TaskSpec{Kind: "shared", Benches: benches,
-				Scale: p.Scale, Seed: p.Seed, Cores: n, Spec: sp, Key: sharedDesc.key.Hash}
-		}
-	}
 	// Alone runs never need telemetry: their only consumer is speedup
 	// normalization, and tracing is observation-only, so stripping it keeps
 	// them cacheable even inside traced sweeps.
 	aloneSpec := sp
 	aloneSpec.Trace = false
-	aloneKeys := make([]Key, n)
-	for i, b := range benches {
-		var err error
-		if aloneKeys[i], err = AloneSpecKey(b, p, aloneSpec, n); err != nil {
-			return fail, s.rejectSpec("alone", []string{b}, sp.Name, err)
-		}
-	}
 
 	var (
 		wg        sync.WaitGroup
-		shared    sim.MultiResult
+		shared    any
 		sharedErr error
 		alone     = make([]float64, n)
 		aloneErrs = make([]error, n)
 	)
-	wg.Add(1)
+	wg.Add(n + 1)
 	go func() {
 		defer wg.Done()
-		v, err := s.do(sharedDesc,
-			func() (any, error) {
-				mr, err := sim.RunSharedSpec(benches, p, sp)
-				if err != nil {
-					return nil, err
-				}
-				return &mr, nil
-			},
-			func() any { return new(sim.MultiResult) })
-		if err != nil {
-			sharedErr = err
-			return
-		}
-		shared = *(v.(*sim.MultiResult))
+		shared, sharedErr = s.runTask(TaskSpec{Kind: "shared", Benches: benches,
+			Scale: p.Scale, Seed: p.Seed, Cores: n, Spec: sp})
 	}()
-	for i := range benches {
-		wg.Add(1)
-		go func(i int) {
+	for i, b := range benches {
+		go func() {
 			defer wg.Done()
-			b := benches[i]
-			aloneDesc := jobDesc{
-				kind:      "alone",
-				benches:   []string{b},
-				setupName: aloneSpec.Name,
-				key:       aloneKeys[i],
-				cacheable: true,
-			}
-			if s.cfg.Runner != nil {
-				aloneDesc.task = &TaskSpec{Kind: "alone", Benches: []string{b},
-					Scale: p.Scale, Seed: p.Seed, Cores: n, Spec: aloneSpec, Key: aloneKeys[i].Hash}
-			}
-			v, err := s.do(aloneDesc,
-				func() (any, error) {
-					r, err := sim.RunAloneSpec(b, p, aloneSpec, n)
-					if err != nil {
-						return nil, err
-					}
-					return &r, nil
-				},
-				func() any { return new(sim.Result) })
+			v, err := s.runTask(TaskSpec{Kind: "alone", Benches: []string{b},
+				Scale: p.Scale, Seed: p.Seed, Cores: n, Spec: aloneSpec})
 			if err != nil {
 				aloneErrs[i] = err
 				return
 			}
 			alone[i] = v.(*sim.Result).IPC
-		}(i)
+		}()
 	}
 	wg.Wait()
 
@@ -551,15 +468,9 @@ func (s *Scheduler) MultiSpec(benches []string, p workload.Params, sp sim.Spec) 
 			return fail, fmt.Errorf("alone run %s: %w", benches[i], err)
 		}
 	}
-	shared.Normalize(alone)
-	return shared, nil
-}
-
-// Do runs fn as one uncacheable job under the worker pool: bounded
-// concurrency, panic containment, timeout, and retry all apply. label names
-// the job in records and the journal.
-func (s *Scheduler) Do(label string, fn func() (any, error)) (any, error) {
-	return s.do(jobDesc{kind: "adhoc", setupName: label}, fn, nil)
+	mr := *(shared.(*sim.MultiResult))
+	mr.Normalize(alone)
+	return mr, nil
 }
 
 // profiler is one of the paper's two profiling implementations (Section

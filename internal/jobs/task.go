@@ -8,12 +8,13 @@ import (
 	"ldsprefetch/internal/workload"
 )
 
-// TaskSpec is the transportable description of one cacheable simulation
-// job: everything a remote worker needs to recompute the result, in the
-// same JSON vocabulary the sweep API already speaks. Only the three
-// result kinds are transportable: profiles, traced runs and ad-hoc jobs
-// stay on the node that created them (profiles are cached in that node's
-// store, when it has one).
+// TaskSpec is the one description of a simulation result job: everything
+// any node needs to recompute the result, in the same JSON vocabulary the
+// sweep API already speaks. SingleSpec, MultiSpec and ExecTask all run
+// their jobs as TaskSpecs, so a job dispatched to a remote worker is the
+// same value the coordinator would have run itself. Profiles and traced
+// runs stay on the node that created them (profiles are cached in that
+// node's store, when it has one).
 type TaskSpec struct {
 	// Kind is the job kind: "single", "shared", or "alone".
 	Kind string `json:"kind"`
@@ -56,13 +57,8 @@ func (t TaskSpec) plan() (Key, func() (any, error), func() any, error) {
 			return Key{}, nil, nil, fmt.Errorf("jobs: single task needs exactly one benchmark, got %v", t.Benches)
 		}
 		key, err := SingleSpecKey(t.Benches[0], p, t.Spec)
-		return key, func() (any, error) {
-			r, err := sim.RunSingleSpec(t.Benches[0], p, t.Spec)
-			if err != nil {
-				return nil, err
-			}
-			return &r, nil
-		}, func() any { return new(sim.Result) }, err
+		run, newOut := typed(func() (sim.Result, error) { return sim.RunSingleSpec(t.Benches[0], p, t.Spec) })
+		return key, run, newOut, err
 	case "alone":
 		if len(t.Benches) != 1 {
 			return Key{}, nil, nil, fmt.Errorf("jobs: alone task needs exactly one benchmark, got %v", t.Benches)
@@ -71,39 +67,58 @@ func (t TaskSpec) plan() (Key, func() (any, error), func() any, error) {
 			return Key{}, nil, nil, fmt.Errorf("jobs: alone task needs cores >= 1, got %d", t.Cores)
 		}
 		key, err := AloneSpecKey(t.Benches[0], p, t.Spec, t.Cores)
-		return key, func() (any, error) {
-			r, err := sim.RunAloneSpec(t.Benches[0], p, t.Spec, t.Cores)
-			if err != nil {
-				return nil, err
-			}
-			return &r, nil
-		}, func() any { return new(sim.Result) }, err
+		run, newOut := typed(func() (sim.Result, error) { return sim.RunAloneSpec(t.Benches[0], p, t.Spec, t.Cores) })
+		return key, run, newOut, err
 	case "shared":
 		if len(t.Benches) == 0 {
 			return Key{}, nil, nil, fmt.Errorf("jobs: shared task needs benchmarks")
 		}
 		key, err := SharedSpecKey(t.Benches, p, t.Spec)
-		return key, func() (any, error) {
-			mr, err := sim.RunSharedSpec(t.Benches, p, t.Spec)
-			if err != nil {
-				return nil, err
-			}
-			return &mr, nil
-		}, func() any { return new(sim.MultiResult) }, err
+		run, newOut := typed(func() (sim.MultiResult, error) { return sim.RunSharedSpec(t.Benches, p, t.Spec) })
+		return key, run, newOut, err
 	default:
 		return Key{}, nil, nil, fmt.Errorf("jobs: unknown task kind %q (want single, shared, or alone)", t.Kind)
 	}
 }
 
+// typed adapts a simulation returning T to the job path: the closure do runs,
+// yielding a *T, and the constructor of the *T a cached result decodes into.
+func typed[T any](run func() (T, error)) (func() (any, error), func() any) {
+	return func() (any, error) {
+		r, err := run()
+		if err != nil {
+			return nil, err
+		}
+		return &r, nil
+	}, func() any { return new(T) }
+}
+
 // ExecTask executes one transportable task under this scheduler — cache
 // lookup, in-flight dedup, panic containment, timeout, retry, and verify
-// mode all apply exactly as for locally submitted jobs — and returns the
-// result's canonical JSON encoding. It is the worker half of the
-// distributed protocol: a worker's scheduler executes what a coordinator's
-// Runner dispatched. A task whose embedded Key does not match the locally
-// derived key is refused without running: the two nodes are running
-// different simulator versions and would silently disagree otherwise.
+// mode all apply exactly as for locally submitted jobs, because both take
+// the same path (runTask) — and returns the result's canonical JSON
+// encoding. It is the worker half of the distributed protocol: a worker's
+// scheduler executes what a coordinator's Runner dispatched.
 func (s *Scheduler) ExecTask(t TaskSpec) (json.RawMessage, error) {
+	v, err := s.runTask(t)
+	if err != nil {
+		return nil, err
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, fmt.Errorf("jobs: encoding task result: %w", err)
+	}
+	return b, nil
+}
+
+// runTask is the one path of every result job, local or received. It
+// validates t's spec and shape and derives the key, closure and result type
+// from plan; a task whose embedded Key does not match the locally derived
+// key is refused without running, since the two nodes are running
+// different simulator versions and would silently disagree otherwise. A
+// traced task runs locally and uncached; any other task is cacheable and,
+// when a Runner is configured, handed to it with the key embedded.
+func (s *Scheduler) runTask(t TaskSpec) (any, error) {
 	if err := t.Spec.Validate(); err != nil {
 		return nil, s.rejectSpec(t.Kind, t.Benches, t.Spec.Name, err)
 	}
@@ -116,19 +131,13 @@ func (s *Scheduler) ExecTask(t TaskSpec) (json.RawMessage, error) {
 			fmt.Errorf("jobs: task key mismatch: dispatcher derived %s, this node derives %s (schema %d) — coordinator and worker are running different simulator versions",
 				t.Key, key.Hash, SchemaVersion))
 	}
-	v, err := s.do(jobDesc{
-		kind:      t.Kind,
-		benches:   t.Benches,
-		setupName: t.Spec.Name,
-		key:       key,
-		cacheable: true,
-	}, run, newOut)
-	if err != nil {
-		return nil, err
+	d := jobDesc{kind: t.Kind, benches: t.Benches, setupName: t.Spec.Name}
+	if !t.Spec.Trace {
+		d.key, d.cacheable = key, true
+		if s.cfg.Runner != nil {
+			t.Key = key.Hash
+			d.task = &t
+		}
 	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: encoding task result: %w", err)
-	}
-	return b, nil
+	return s.do(d, run, newOut)
 }

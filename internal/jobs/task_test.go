@@ -164,10 +164,18 @@ func (r *chanRunner) RunTask(t TaskSpec) (json.RawMessage, error) {
 	return r.backing.ExecTask(t)
 }
 
+// TestRunnerDispatchMatchesLocal runs one single-core cell and one mix on a
+// scheduler with a Runner: every untraced result job is dispatched as a
+// TaskSpec carrying its key, and the results deep-equal a local run's.
 func TestRunnerDispatchMatchesLocal(t *testing.T) {
 	sp := testSpec()
+	mix := []string{"mst", "health"}
 	local := New(Config{Workers: 2})
 	want, err := local.SingleSpec("mst", testParams, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMix, err := local.MultiSpec(mix, testParams, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,14 +189,60 @@ func TestRunnerDispatchMatchesLocal(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("dispatched result differs from local:\n got %+v\nwant %+v", got, want)
 	}
-	if len(r.tasks) != 1 {
-		t.Fatalf("runner saw %d tasks, want 1", len(r.tasks))
+	gotMix, err := coord.MultiSpec(mix, testParams, sp)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.tasks[0].Key == "" {
-		t.Fatal("dispatched task carries no key hash (version-skew guard missing)")
+	if !reflect.DeepEqual(gotMix, wantMix) {
+		t.Fatalf("dispatched mix differs from local:\n got %+v\nwant %+v", gotMix, wantMix)
 	}
-	if got := coord.Metrics().Snapshot().Dispatched; got != 1 {
-		t.Fatalf("Dispatched counter = %d, want 1", got)
+	// One single cell, then the mix's shared run and one alone run per core.
+	if want := 1 + len(mix) + 1; len(r.tasks) != want {
+		t.Fatalf("runner saw %d tasks, want %d", len(r.tasks), want)
+	}
+	for _, task := range r.tasks {
+		if task.Key == "" {
+			t.Fatalf("dispatched %s task carries no key hash (version-skew guard missing)", task.Kind)
+		}
+	}
+	if got, want := coord.Metrics().Snapshot().Dispatched, int64(len(r.tasks)); got != want {
+		t.Fatalf("Dispatched counter = %d, want %d", got, want)
+	}
+
+	// A traced run is uncacheable, so it runs locally and never reaches the
+	// Runner.
+	traced := sp
+	traced.Trace = true
+	before := len(r.tasks)
+	res, err := coord.SingleSpec("mst", testParams, traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trace == nil {
+		t.Fatal("traced run returned no telemetry")
+	}
+	if len(r.tasks) != before {
+		t.Fatalf("traced run dispatched %d tasks, want 0", len(r.tasks)-before)
+	}
+	if got := coord.Metrics().Snapshot().Uncached; got != 1 {
+		t.Fatalf("traced run: uncached=%d, want 1 (a local run)", got)
+	}
+}
+
+// TestInvalidMixSpecFailsOnce: an invalid spec fails a mix up front as one
+// failed job, not once per shared and alone run.
+func TestInvalidMixSpecFailsOnce(t *testing.T) {
+	s := New(Config{Workers: 1})
+	_, err := s.MultiSpec([]string{"mst", "health"}, testParams, sim.NewSpec("bad", "warp-drive"))
+	if err == nil {
+		t.Fatal("invalid mix spec accepted")
+	}
+	if got := s.Metrics().Snapshot(); got.Submitted != 1 || got.Failed != 1 {
+		t.Fatalf("submitted=%d failed=%d, want 1/1", got.Submitted, got.Failed)
+	}
+	recs := s.Records()
+	if len(recs) != 1 || recs[0].Provenance != "failed" || recs[0].Kind != "shared" {
+		t.Fatalf("records = %+v, want one failed shared job", recs)
 	}
 }
 

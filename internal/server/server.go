@@ -25,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"ldsprefetch/internal/core"
 	"ldsprefetch/internal/exp"
 	"ldsprefetch/internal/jobs"
 	"ldsprefetch/internal/sim"
@@ -269,128 +268,25 @@ func (s *Server) submit(req sweepRequest) *sweep {
 
 func (s *Server) runSweep(sw *sweep) {
 	sw.setState("running")
-	params := workload.Params{Scale: sw.req.Scale, Seed: sw.req.Seed}
-	train := workload.Params{Scale: sw.req.Scale * workload.Train().Scale, Seed: workload.Train().Seed}
+	ctx := exp.NewContext()
+	ctx.Params = workload.Params{Scale: sw.req.Scale, Seed: sw.req.Seed}
+	ctx.TrainParams = workload.Params{Scale: sw.req.Scale * workload.Train().Scale, Seed: workload.Train().Seed}
+	ctx.Sched = sw.sched
 
 	var reports []exp.Report
-	var jobErrs []error
 	if sw.kind == "experiment" {
-		ctx := exp.NewContext()
-		ctx.Params = params
-		ctx.TrainParams = train
-		ctx.Sched = sw.sched
 		reports, _ = exp.Run(ctx, sw.req.Experiment) // id validated at submit
-		jobErrs = ctx.JobErrs()
 	} else {
-		reports, jobErrs = s.runRaw(sw, params, train)
+		reports = []exp.Report{exp.RawSweep(ctx, sw.req.Benchmarks, sw.req.Configs, sw.req.Specs)}
 	}
 
 	sw.mu.Lock()
 	sw.reports = reports
-	for _, err := range jobErrs {
+	for _, err := range ctx.JobErrs() {
 		sw.failedJobs = append(sw.failedJobs, err.Error())
 	}
 	sw.state = "done"
 	sw.mu.Unlock()
-}
-
-// runRaw executes a raw benchmarks × configurations sweep: one job per
-// cell, rows in deterministic bench-major order, failures contained per
-// cell.
-func (s *Server) runRaw(sw *sweep, params, train workload.Params) ([]exp.Report, []error) {
-	var errs []error
-	var errMu sync.Mutex
-	note := func(err error) {
-		errMu.Lock()
-		errs = append(errs, err)
-		errMu.Unlock()
-	}
-
-	// Profile hints once per benchmark, only when some named config needs
-	// them.
-	needHints := false
-	for _, cfg := range sw.req.Configs {
-		if sim.NamedNeedsHints(cfg) {
-			needHints = true
-		}
-	}
-	hints := make(map[string]*core.HintTable)
-	var hintMu sync.Mutex
-	var wg sync.WaitGroup
-	if needHints {
-		for _, b := range sw.req.Benchmarks {
-			wg.Add(1)
-			go func(b string) {
-				defer wg.Done()
-				prof, err := sw.sched.Profile(b, train)
-				if err != nil {
-					note(fmt.Errorf("profiling %s: %w", b, err))
-					return
-				}
-				hintMu.Lock()
-				hints[b] = prof.Hints(0)
-				hintMu.Unlock()
-			}(b)
-		}
-		wg.Wait()
-	}
-
-	type cell struct {
-		bench, config string
-		spec          sim.Spec
-		res           sim.Result
-		err           error
-	}
-	// Both configuration forms — named config and declarative spec — narrow
-	// to a labelled sim.Spec per cell; the scheduler and the cache key layer
-	// only ever see specs.
-	cells := make([]cell, 0, len(sw.req.Benchmarks)*(len(sw.req.Configs)+len(sw.req.Specs)))
-	for _, b := range sw.req.Benchmarks {
-		for _, cfg := range sw.req.Configs {
-			sp, _ := sim.Named(cfg, hints[b]) // validated at submit
-			cells = append(cells, cell{bench: b, config: cfg, spec: sp})
-		}
-		for i, sp := range sw.req.Specs {
-			if sp.Name == "" {
-				sp.Name = "spec" + strconv.Itoa(i)
-			}
-			cells = append(cells, cell{bench: b, config: sp.Name, spec: sp})
-		}
-	}
-	for i := range cells {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cells[i].res, cells[i].err = sw.sched.SingleSpec(cells[i].bench, params, cells[i].spec)
-			if cells[i].err != nil {
-				note(fmt.Errorf("job %s/%s: %w", cells[i].bench, cells[i].config, cells[i].err))
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	r := exp.Report{
-		ID:     "raw",
-		Title:  "Raw sweep: benchmarks x configurations",
-		Header: []string{"bench", "config", "IPC", "BPKI", "L2-demand-misses", "status"},
-	}
-	for _, cl := range cells {
-		status := "ok"
-		if cl.err != nil {
-			status = "FAILED"
-		}
-		r.Rows = append(r.Rows, []string{
-			cl.bench, cl.config,
-			fmt.Sprintf("%.4f", cl.res.IPC),
-			fmt.Sprintf("%.2f", cl.res.BPKI),
-			strconv.FormatInt(cl.res.DemandMisses, 10),
-			status,
-		})
-	}
-	for _, err := range errs {
-		r.Notes = append(r.Notes, "FAILED JOB: "+err.Error())
-	}
-	return []exp.Report{r}, errs
 }
 
 // sweepStatus is the GET /api/v1/sweeps/{id} body.
@@ -614,7 +510,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("ldsjobs_cache_hits_total", snap.CacheHits, "results served from the store")
 	counter("ldsjobs_cache_misses_total", snap.CacheMisses, "cacheable jobs that had to compute")
 	counter("ldsjobs_cache_computed_total", snap.Computed, "cacheable simulations and profiling passes executed")
-	counter("ldsjobs_cache_uncached_total", snap.Uncached, "uncacheable executions (traced and ad-hoc runs)")
+	counter("ldsjobs_cache_uncached_total", snap.Uncached, "uncacheable executions (traced runs)")
 	counter("ldsjobs_cache_verify_runs_total", snap.VerifyRuns, "determinism checks on cache hits")
 	counter("ldsjobs_cache_verify_mismatches_total", snap.VerifyBad, "determinism check failures")
 

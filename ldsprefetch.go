@@ -35,16 +35,6 @@ import (
 // Input selects a workload input set (size scale and seed).
 type Input = workload.Params
 
-// BenchScale is the workload input scale the repository's benchmark harness
-// runs at (bench_test.go and cmd/ldsbench). It is deliberately reduced from
-// the reference input's 1.0 so the full artifact set completes in minutes,
-// while staying large enough that working sets exceed the 1 MB L2 and the
-// measured code paths (MSHR waits, prefetch drops, feedback throttling) are
-// all exercised. Benchmark trajectories are only comparable at the same
-// scale; BENCH_PR3.json records this value in its metadata so drift is
-// detectable.
-const BenchScale = 0.15
-
 // RefInput returns the reference (measurement) input.
 func RefInput() Input { return workload.Ref() }
 
