@@ -35,8 +35,8 @@
 // and a manifest.
 //
 // -engine selects the multi-core execution engine: serial (the default)
-// steps cores sequentially; parallel runs each epoch's cores on separate
-// goroutines. Reports are byte-identical either way (the engine's
+// steps cores sequentially; parallel steps each epoch's cores on up to
+// min(GOMAXPROCS, cores) goroutines. Reports are byte-identical either way (the engine's
 // determinism guarantee — see DESIGN.md), so the knob is purely about
 // wall-clock time and is ignored for single-benchmark runs.
 //
@@ -82,7 +82,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	listConfigs := flag.Bool("list-configs", false, "list named configurations and registered components, then exit")
-	engine := flag.String("engine", "", "multi-core execution engine: serial (default) or parallel; reports are byte-identical")
+	engine := flag.String("engine", "", "multi-core execution engine: serial (default) or parallel (up to min(GOMAXPROCS, cores) goroutines); reports are byte-identical")
 	coreKind := flag.String("core", "", "core timing model: interval (default) or ooo; see -list-configs")
 	coreOpts := flag.String("core-opts", "", "core model options as JSON (e.g. '{\"predictor\":\"tage\"}'); requires -core")
 	replay := flag.String("replay", "", "trace capture file to replay as the benchmark (overrides -bench)")

@@ -9,6 +9,7 @@
 package dbp
 
 import (
+	"ldsprefetch/internal/mem"
 	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/prefetch"
 )
@@ -36,6 +37,8 @@ type Prefetcher struct {
 	clockKeys []uint32
 	clockPos  int
 
+	// mm is the core's memory image, read for each load's value.
+	mm     *mem.Memory
 	issuer prefetch.Issuer
 	level  prefetch.AggLevel
 	// Enabled gates prefetch issue.
@@ -44,8 +47,10 @@ type Prefetcher struct {
 
 // New builds a DBP with the paper's sizing: a ppwSize-entry potential
 // producer window (128) and a tableCap-entry correlation table (256),
-// ≈3 KB total.
-func New(ppwSize, tableCap int, iss prefetch.Issuer) *Prefetcher {
+// ≈3 KB total. mm is the core's memory image: OnAccess reads each load's
+// value from it, which sees exactly what the load returns because no store
+// runs between the load's access and its OnAccess.
+func New(ppwSize, tableCap int, mm *mem.Memory, iss prefetch.Issuer) *Prefetcher {
 	if ppwSize <= 0 {
 		ppwSize = 128
 	}
@@ -56,6 +61,7 @@ func New(ppwSize, tableCap int, iss prefetch.Issuer) *Prefetcher {
 		ppw:      make([]ppwEntry, ppwSize),
 		table:    make(map[uint32]corr, tableCap),
 		tableCap: tableCap,
+		mm:       mm,
 		issuer:   iss,
 		level:    prefetch.Aggressive,
 		Enabled:  true,
@@ -114,6 +120,7 @@ func (p *Prefetcher) OnAccess(ev memsys.AccessEvent) {
 	if !ev.IsLoad {
 		return
 	}
+	value := p.mm.Read32(ev.Addr)
 	// Learn: does this load's address match a recently loaded value?
 	// Self-correlation (producer PC == consumer PC) is the linked-list
 	// walk pattern and is explicitly allowed; a load cannot match its own
@@ -130,8 +137,8 @@ func (p *Prefetcher) OnAccess(ev memsys.AccessEvent) {
 	}
 	// Record this load as a potential producer (pointer-looking values
 	// only; small integers cannot be addresses).
-	if ev.Value != 0 {
-		p.ppw[p.ppwHead] = ppwEntry{value: ev.Value, pc: ev.PC}
+	if value != 0 {
+		p.ppw[p.ppwHead] = ppwEntry{value: value, pc: ev.PC}
 		p.ppwHead = (p.ppwHead + 1) % len(p.ppw)
 		if p.ppwLen < len(p.ppw) {
 			p.ppwLen++
@@ -141,7 +148,7 @@ func (p *Prefetcher) OnAccess(ev memsys.AccessEvent) {
 	// points to — no earlier than the value physically arrives (the
 	// load's completion), which is what limits how far ahead DBP can run
 	// (the paper's criticism of dependence-based prefetching).
-	if !p.Enabled || ev.Value == 0 {
+	if !p.Enabled || value == 0 {
 		return
 	}
 	if c, ok := p.table[ev.PC]; ok {
@@ -151,7 +158,7 @@ func (p *Prefetcher) OnAccess(ev memsys.AccessEvent) {
 		}
 		p.issuer.Issue(prefetch.Request{
 			When: when,
-			Addr: ev.Value + c.offset,
+			Addr: value + c.offset,
 			Src:  prefetch.SrcDBP,
 		})
 	}

@@ -3,6 +3,7 @@ package dbp
 import (
 	"testing"
 
+	"ldsprefetch/internal/mem"
 	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/prefetch"
 )
@@ -11,19 +12,23 @@ type sink struct{ reqs []prefetch.Request }
 
 func (s *sink) Issue(r prefetch.Request) { s.reqs = append(s.reqs, r) }
 
-func load(pc, addr, value uint32) memsys.AccessEvent {
-	return memsys.AccessEvent{PC: pc, Addr: addr, Value: value, IsLoad: true}
+// load stores value at addr in m, as the workload's memory image would hold
+// it, and returns the demand load of addr that DBP observes.
+func load(m *mem.Memory, pc, addr, value uint32) memsys.AccessEvent {
+	m.Write32(addr, value)
+	return memsys.AccessEvent{PC: pc, Addr: addr, IsLoad: true}
 }
 
 func TestLearnsProducerConsumer(t *testing.T) {
 	s := &sink{}
-	p := New(128, 256, s)
+	m := mem.New()
+	p := New(128, 256, m, s)
 	// Producer (pc 10) loads a pointer; consumer (pc 20) dereferences it
 	// at offset 8. After one observation, the next producer load triggers
 	// a prefetch of value+8.
-	p.OnAccess(load(10, 0x1000_0000, 0x1000_4000))
-	p.OnAccess(load(20, 0x1000_4008, 7)) // addr = producer value + 8
-	p.OnAccess(load(10, 0x1000_0100, 0x1000_8000))
+	p.OnAccess(load(m, 10, 0x1000_0000, 0x1000_4000))
+	p.OnAccess(load(m, 20, 0x1000_4008, 7)) // addr = producer value + 8
+	p.OnAccess(load(m, 10, 0x1000_0100, 0x1000_8000))
 	if len(s.reqs) != 1 {
 		t.Fatalf("issued %d prefetches, want 1", len(s.reqs))
 	}
@@ -37,10 +42,11 @@ func TestLearnsProducerConsumer(t *testing.T) {
 
 func TestOffsetWindowBound(t *testing.T) {
 	s := &sink{}
-	p := New(128, 256, s)
-	p.OnAccess(load(10, 0x1000_0000, 0x1000_4000))
-	p.OnAccess(load(20, 0x1000_4000+2000, 7)) // offset too large: no correlation
-	p.OnAccess(load(10, 0x1000_0100, 0x1000_8000))
+	m := mem.New()
+	p := New(128, 256, m, s)
+	p.OnAccess(load(m, 10, 0x1000_0000, 0x1000_4000))
+	p.OnAccess(load(m, 20, 0x1000_4000+2000, 7)) // offset too large: no correlation
+	p.OnAccess(load(m, 10, 0x1000_0100, 0x1000_8000))
 	if len(s.reqs) != 0 {
 		t.Fatalf("out-of-window offset learned anyway: %+v", s.reqs)
 	}
@@ -48,12 +54,13 @@ func TestOffsetWindowBound(t *testing.T) {
 
 func TestStoresIgnored(t *testing.T) {
 	s := &sink{}
-	p := New(128, 256, s)
-	ev := load(10, 0x1000_0000, 0x1000_4000)
+	m := mem.New()
+	p := New(128, 256, m, s)
+	ev := load(m, 10, 0x1000_0000, 0x1000_4000)
 	ev.IsLoad = false
 	p.OnAccess(ev)
-	p.OnAccess(load(20, 0x1000_4008, 7))
-	p.OnAccess(load(10, 0x1000_0100, 0x1000_8000))
+	p.OnAccess(load(m, 20, 0x1000_4008, 7))
+	p.OnAccess(load(m, 10, 0x1000_0100, 0x1000_8000))
 	if len(s.reqs) != 0 {
 		t.Fatal("store must not act as a producer")
 	}
@@ -61,9 +68,10 @@ func TestStoresIgnored(t *testing.T) {
 
 func TestZeroValuesNotProducers(t *testing.T) {
 	s := &sink{}
-	p := New(128, 256, s)
-	p.OnAccess(load(10, 0x1000_0000, 0))
-	p.OnAccess(load(20, 0x0000_0008, 7))
+	m := mem.New()
+	p := New(128, 256, m, s)
+	p.OnAccess(load(m, 10, 0x1000_0000, 0))
+	p.OnAccess(load(m, 20, 0x0000_0008, 7))
 	if len(s.reqs) != 0 {
 		t.Fatal("zero values must not correlate")
 	}
@@ -71,16 +79,17 @@ func TestZeroValuesNotProducers(t *testing.T) {
 
 func TestTableCapacity(t *testing.T) {
 	s := &sink{}
-	p := New(128, 4, s)
+	m := mem.New()
+	p := New(128, 4, m, s)
 	// Learn 8 distinct producers; table capacity 4 → oldest evicted, no
 	// panic, newest still prefetch.
 	for i := uint32(0); i < 8; i++ {
 		pc := 100 + i
-		p.OnAccess(load(pc, 0x1000_0000+i*0x1000, 0x1200_0000+i*0x1000))
-		p.OnAccess(load(200+i, 0x1200_0000+i*0x1000+4, 7))
+		p.OnAccess(load(m, pc, 0x1000_0000+i*0x1000, 0x1200_0000+i*0x1000))
+		p.OnAccess(load(m, 200+i, 0x1200_0000+i*0x1000+4, 7))
 	}
 	before := len(s.reqs)
-	p.OnAccess(load(107, 0x1000_9000, 0x1300_0000))
+	p.OnAccess(load(m, 107, 0x1000_9000, 0x1300_0000))
 	if len(s.reqs) != before+1 {
 		t.Fatalf("recent producer lost after eviction: %d -> %d", before, len(s.reqs))
 	}
@@ -90,10 +99,11 @@ func TestChainedWalkPrefetchesOneAhead(t *testing.T) {
 	// A linked-list walk: the same PC is both producer and consumer.
 	// DBP learns pc->pc with offset 0 and then runs one node ahead.
 	s := &sink{}
-	p := New(128, 256, s)
+	m := mem.New()
+	p := New(128, 256, m, s)
 	nodes := []uint32{0x1000_0000, 0x1000_4000, 0x1000_8000, 0x1000_c000}
 	for i := 0; i < len(nodes)-1; i++ {
-		p.OnAccess(load(10, nodes[i], nodes[i+1]))
+		p.OnAccess(load(m, 10, nodes[i], nodes[i+1]))
 	}
 	// After the self-correlation is learned, each load prefetches its
 	// value (the next node).
@@ -107,7 +117,7 @@ func TestChainedWalkPrefetchesOneAhead(t *testing.T) {
 }
 
 func TestIdentity(t *testing.T) {
-	p := New(0, 0, &sink{})
+	p := New(0, 0, mem.New(), &sink{})
 	if p.Name() != "dbp" || p.Source() != prefetch.SrcDBP {
 		t.Fatal("identity mismatch")
 	}

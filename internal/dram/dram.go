@@ -93,6 +93,10 @@ type Controller struct {
 	echoShift int64
 	echoLook  int64
 
+	// mergePos is ReplayMergedFrom's per-source cursor, kept to reuse its
+	// storage across barriers.
+	mergePos []int
+
 	// Transfers counts data-block bus transfers (fills and writebacks);
 	// this is the BPKI numerator.
 	Transfers int64

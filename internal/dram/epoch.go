@@ -6,7 +6,7 @@ package dram
 // a multi-core mix against a private SHADOW controller for one bounded cycle
 // epoch, then applies the requests each shadow absorbed to the shared MASTER
 // controller at the barrier in a fixed (core-index, program-order)
-// arbitration order. Three primitives support that:
+// arbitration order. Four primitives support that:
 //
 //   - StartLog marks a controller as a shadow: every Access/Writeback it
 //     serves is also appended, with its original arguments, to a request log.
@@ -64,7 +64,7 @@ type Request struct {
 }
 
 // StartLog turns on request logging: every subsequent Access/Writeback is
-// recorded for a later ReplayLogFrom. Intended for shadow controllers only;
+// recorded for a later ReplayMergedFrom. Intended for shadow controllers only;
 // the log grows until replayed or cleared by CopyStateFrom.
 func (c *Controller) StartLog() { c.logging = true }
 
@@ -90,21 +90,6 @@ func (c *Controller) CopyStateFrom(src *Controller) {
 	c.echo, c.echoPos, c.echoShift = nil, c.echoPos[:0], 0
 }
 
-// ReplayLogFrom applies every request src logged, in order, through c's
-// ordinary Access/Writeback paths (re-resolving admission, bank, and bus
-// contention against c's state), then clears src's log. Completion times are
-// discarded — see the package comment on epoch batching.
-func (c *Controller) ReplayLogFrom(src *Controller) {
-	for _, r := range src.log {
-		if r.Writeback {
-			c.Writeback(r.Addr, r.At)
-		} else {
-			c.Access(r.Addr, r.At, r.Demand)
-		}
-	}
-	src.log = src.log[:0]
-}
-
 // ReplayMergedFrom applies every request the srcs logged onto c in the
 // canonical arbitration order — ascending arrival time, with ties broken by
 // position in srcs (ascending core index) and program order within a source
@@ -112,7 +97,11 @@ func (c *Controller) ReplayLogFrom(src *Controller) {
 // order keeps the busy-until horizons meaningful (see the package comment),
 // and its determinism needs only that each src's log is deterministic.
 func (c *Controller) ReplayMergedFrom(srcs []*Controller) {
-	pos := make([]int, len(srcs))
+	pos := c.mergePos[:0]
+	for range srcs {
+		pos = append(pos, 0)
+	}
+	c.mergePos = pos
 	for {
 		best := -1
 		var bestAt int64

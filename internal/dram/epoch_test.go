@@ -85,7 +85,7 @@ func TestReplayReproducesDirectState(t *testing.T) {
 		epoch := script[off : off+150]
 		shadow.CopyStateFrom(master)
 		serve(shadow, epoch)
-		master.ReplayLogFrom(shadow)
+		master.ReplayMergedFrom([]*Controller{shadow})
 		serve(direct, epoch)
 		equalState(t, master, direct)
 		if n := len(shadow.Log()); n != 0 {

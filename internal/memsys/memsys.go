@@ -118,9 +118,6 @@ type AccessEvent struct {
 	PC uint32
 	// Addr is the data address.
 	Addr uint32
-	// Value is the 32-bit value at Addr (loads only; producers for the
-	// dependence-based prefetcher baseline).
-	Value uint32
 	// IsLoad distinguishes loads from stores.
 	IsLoad bool
 	// LDS marks pointer-chasing loads.
@@ -426,9 +423,6 @@ func (ms *MemSys) Access(addr, pc uint32, isLoad, lds bool, now int64) int64 {
 		ms.lastDemand = now
 	}
 	ev := AccessEvent{Now: now, PC: pc, Addr: addr, IsLoad: isLoad, LDS: lds}
-	if isLoad {
-		ev.Value = ms.mm.Read32(addr)
-	}
 	blk := ms.l2.BlockAddr(addr)
 
 	// L1.

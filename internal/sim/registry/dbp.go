@@ -40,7 +40,7 @@ func init() {
 			if tcap == 0 {
 				tcap = 256
 			}
-			db := dbp.New(ppw, tcap, env.MS)
+			db := dbp.New(ppw, tcap, env.MS.Mem(), env.MS)
 			return Instance{Prefetcher: db, Source: prefetch.SrcDBP,
 				Throttleable: db}, nil
 		},

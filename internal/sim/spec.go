@@ -81,7 +81,8 @@ type Spec struct {
 
 	// Engine selects the multi-core execution engine: EngineSerial (the
 	// default, also selected by "") steps cores sequentially, EngineParallel
-	// runs each epoch's cores on separate goroutines. Both drive the same
+	// steps each epoch's cores on up to min(GOMAXPROCS, cores) goroutines.
+	// Both drive the same
 	// epoch-barrier machinery (internal/sim/engine) and produce byte-identical
 	// reports, so Engine — like Trace — is excluded from the canonical
 	// encoding: it changes wall-clock time, never results. Single-core runs
@@ -107,8 +108,8 @@ const (
 	// EngineSerial steps the cores of a mix sequentially through the
 	// epoch-barrier engine. The default.
 	EngineSerial = "serial"
-	// EngineParallel runs each epoch's cores on separate goroutines;
-	// reports are byte-identical to EngineSerial.
+	// EngineParallel steps each epoch's cores on up to min(GOMAXPROCS,
+	// cores) goroutines; reports are byte-identical to EngineSerial.
 	EngineParallel = "parallel"
 )
 
