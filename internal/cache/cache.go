@@ -7,6 +7,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ldsprefetch/internal/prefetch"
 )
@@ -67,16 +68,10 @@ func New(name string, sizeBytes, ways, blockSize int) *Cache {
 			name, nsets, sizeBytes, ways, blockSize))
 	}
 	c := &Cache{
-		name:    name,
-		sets:    make([][]Line, nsets),
-		setMask: uint32(nsets - 1),
-		blockShift: func() uint {
-			s := uint(0)
-			for 1<<s != blockSize {
-				s++
-			}
-			return s
-		}(),
+		name:       name,
+		sets:       make([][]Line, nsets),
+		setMask:    uint32(nsets - 1),
+		blockShift: uint(bits.TrailingZeros(uint(blockSize))),
 	}
 	lines := make([]Line, nsets*ways)
 	for i := range c.sets {

@@ -1,11 +1,12 @@
-// Package cpu defines the core timing models that replay a
-// dependence-annotated trace against a memory hierarchy, and the Model seam
-// the simulator steps them through.
+// Package cpu is the core timing model that replays a dependence-annotated
+// trace against a memory hierarchy.
 //
-// Two models exist, selectable per run through the `core` component of
-// sim.Spec (registered in internal/sim/registry):
+// One Core type runs both models selectable per run through the `core`
+// component of sim.Spec (registered in internal/sim/registry); they share a
+// single issue/window/execute/retire loop and differ only in whether a
+// branch predictor is attached:
 //
-//   - "interval" — the Interval model in this package, the default: a
+//   - "interval" (NewInterval, the default, no predictor) — a
 //     dependence-graph simulation with in-order issue (up to Width
 //     instructions per cycle into a Window-entry instruction window),
 //     out-of-order completion (an op executes when its producer's value is
@@ -15,12 +16,25 @@
 //     studies depend on — independent (streaming) misses overlap up to the
 //     window/MSHR limits while dependent (pointer-chasing) misses
 //     serialize — at dependence-graph cost.
-//   - "ooo" — the speculative out-of-order model in internal/cpu/ooo: a
-//     fetch stage with a branch predictor (bimodal, gshare, or a small
-//     TAGE variant), out-of-order issue/retire over the same window, and
+//   - "ooo" (NewOoO, with a predictor) — the same loop plus a speculative
+//     front end: a fetch stage gated at FetchWidth instructions per cycle,
+//     every branch predicted at fetch (bimodal, gshare, or a small TAGE
+//     variant) and resolved one cycle after its condition producer
+//     completes, a fetch-redirect penalty after each misprediction, and
 //     misprediction-driven wrong-path memory accesses that genuinely reach
 //     the memory system (consuming MSHRs and DRAM bandwidth, polluting
-//     caches) before being squashed at branch resolve.
+//     caches) before being squashed at resolve. Wrong-path addresses are
+//     synthesized deterministically from the program's own state (the last
+//     pointer value loaded from a linked structure, chased through
+//     simulated memory, alternating with sequential next-block
+//     continuation), so wrong-path traffic has the locality structure of
+//     the program it shadows rather than random noise.
+//
+// On a branch-free trace the two models are identical
+// (TestOoOMatchesIntervalWithoutBranches). Everything is deterministic:
+// prediction, resolve times, and wrong-path addresses are pure functions of
+// the trace and configuration, so serial and parallel epoch-barrier engine
+// runs produce identical reports.
 //
 // Trace ops may batch several compute instructions (trace.Op.N); all
 // accounting — issue bandwidth, window occupancy, retire bandwidth, retired
@@ -52,7 +66,7 @@ type Result struct {
 	Retired int64
 	// Branches and Mispredicts count conditional branches retired and
 	// mispredicted. The interval model ignores branch ops entirely, so
-	// both stay zero there; only speculative models populate them.
+	// both stay zero there; only the speculative model populates them.
 	Branches    int64
 	Mispredicts int64
 	// WrongPath counts speculative wrong-path memory accesses issued past
@@ -68,35 +82,9 @@ func (r Result) IPC() float64 {
 	return float64(r.Retired) / float64(r.Cycles)
 }
 
-// Model is the seam internal/sim (and the epoch-barrier engine in
-// internal/sim/engine) steps a core through. A model replays one trace
-// against one memory system; it may be stepped incrementally for multi-core
-// interleaving or run to completion.
-//
-// Contract (the engine relies on every clause):
-//
-//   - Done reports whether the whole trace has been replayed.
-//   - Now returns a monotonically non-decreasing lower bound on the
-//     model's current cycle (typically the last issue time).
-//   - Step replays up to n ops and returns the number replayed.
-//   - StepUntil replays ops until Now reaches horizon (or the trace ends)
-//     and returns the number replayed. The horizon is checked before each
-//     op: a model already at or past it replays nothing, while one behind
-//     it always makes progress. The clock may overshoot the horizon by the
-//     last op's stall; barrier ordering does not depend on where within an
-//     epoch a request was issued.
-//   - Result returns the run summary (valid once Done).
-type Model interface {
-	Done() bool
-	Now() int64
-	Step(n int) int
-	StepUntil(horizon int64) int
-	Result() Result
-}
-
 // Run replays tr to completion on ms under the interval model and returns
 // the result. Profiling and hint collection use this directly; simulation
-// paths go through the registry-selected Model instead.
+// paths go through the registry-selected core instead.
 func Run(cfg Config, ms *memsys.MemSys, tr *trace.Trace) Result {
 	c := NewInterval(cfg, ms, tr)
 	for !c.Done() {

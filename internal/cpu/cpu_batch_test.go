@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"ldsprefetch/internal/dram"
 	"ldsprefetch/internal/mem"
+	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/trace"
 )
 
@@ -70,32 +72,37 @@ func TestWidthOneHalvesThroughput(t *testing.T) {
 	}
 }
 
+// randomTrace draws a well-formed, branch-free trace of 2000 random compute,
+// load and store ops over a fresh memory image.
+func randomTrace(rng *rand.Rand) *trace.Trace {
+	b := trace.NewBuilder("fuzz", mem.New(), 0)
+	var lastLoad int32 = trace.NoDep
+	for i := 0; i < 2000; i++ {
+		switch rng.Intn(3) {
+		case 0:
+			b.Compute(1 + rng.Intn(40))
+		case 1:
+			addr := mem.HeapBase + uint32(rng.Intn(1<<18))&^3
+			dep := trace.NoDep
+			if lastLoad >= 0 && rng.Intn(2) == 0 {
+				dep = lastLoad
+			}
+			_, lastLoad = b.Load(uint32(100+rng.Intn(5)), addr, dep, rng.Intn(2) == 0)
+		case 2:
+			addr := mem.HeapBase + uint32(rng.Intn(1<<18))&^3
+			b.Store(uint32(200+rng.Intn(5)), addr, uint32(i), trace.NoDep)
+		}
+	}
+	return b.Trace()
+}
+
 func TestRandomTraceInvariants(t *testing.T) {
 	// Property: for random well-formed traces, the core retires all
 	// instructions, cycles are positive and at least instructions/width,
 	// and timing is deterministic.
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 10; trial++ {
-		m := mem.New()
-		b := trace.NewBuilder("fuzz", m, 0)
-		var lastLoad int32 = trace.NoDep
-		for i := 0; i < 2000; i++ {
-			switch rng.Intn(3) {
-			case 0:
-				b.Compute(1 + rng.Intn(40))
-			case 1:
-				addr := mem.HeapBase + uint32(rng.Intn(1<<18))&^3
-				dep := trace.NoDep
-				if lastLoad >= 0 && rng.Intn(2) == 0 {
-					dep = lastLoad
-				}
-				_, lastLoad = b.Load(uint32(100+rng.Intn(5)), addr, dep, rng.Intn(2) == 0)
-			case 2:
-				addr := mem.HeapBase + uint32(rng.Intn(1<<18))&^3
-				b.Store(uint32(200+rng.Intn(5)), addr, uint32(i), trace.NoDep)
-			}
-		}
-		tr := b.Trace()
+		tr := randomTrace(rng)
 		if err := trace.Validate(tr); err != nil {
 			t.Fatal(err)
 		}
@@ -110,6 +117,39 @@ func TestRandomTraceInvariants(t *testing.T) {
 		}
 		// Determinism requires an identical memory image: rebuild.
 		// (The first run applied the trace's stores to m.)
+	}
+}
+
+// TestOoOMatchesIntervalWithoutBranches pins the invariant the single core
+// loop rests on: on a branch-free trace the speculative front end has nothing
+// to do, so the out-of-order model at default options must time every op
+// exactly as the interval model does, down to the memory-system counters.
+func TestOoOMatchesIntervalWithoutBranches(t *testing.T) {
+	replay := func(c *Core, ms *memsys.MemSys) (Result, memsys.Stats) {
+		for !c.Done() {
+			c.Step(97)
+		}
+		ms.FlushAccounting()
+		return c.Result(), ms.Stats()
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		// Replay applies stores to the trace's memory image, so each model
+		// gets its own copy of the same trace.
+		itr := randomTrace(rand.New(rand.NewSource(seed)))
+		otr := randomTrace(rand.New(rand.NewSource(seed)))
+		ims := memsys.New(memsys.DefaultConfig(), itr.Mem, dram.NewController(dram.DefaultConfig(1)))
+		oms := memsys.New(memsys.DefaultConfig(), otr.Mem, dram.NewController(dram.DefaultConfig(1)))
+		iRes, iStats := replay(NewInterval(DefaultConfig(), ims, itr), ims)
+		oRes, oStats := replay(NewOoO(DefaultConfig(), OoOOptions{}, oms, otr), oms)
+		if iRes != oRes {
+			t.Fatalf("seed %d: interval %+v != ooo %+v", seed, iRes, oRes)
+		}
+		if iStats != oStats {
+			t.Fatalf("seed %d: memory stats diverged:\ninterval %+v\nooo      %+v", seed, iStats, oStats)
+		}
+		if iRes.Retired == 0 {
+			t.Fatalf("seed %d: empty replay", seed)
+		}
 	}
 }
 

@@ -344,7 +344,6 @@ var simCorePackages = []string{
 	"internal/memsys",
 	"internal/dram",
 	"internal/cpu",
-	"internal/cpu/ooo",
 	"internal/cache",
 	"internal/prefetch",
 	"internal/stream",

@@ -781,6 +781,9 @@ func (ms *MemSys) FlushAccounting() {
 // BlockSize returns the cache block size in bytes.
 func (ms *MemSys) BlockSize() int { return ms.cfg.BlockSize }
 
+// BlockShift returns log2 of the cache block size.
+func (ms *MemSys) BlockShift() uint { return ms.l1.BlockShift() }
+
 // EnableOccupancyGauges switches MSHROccupancyAt/PFQueueOccupancyAt to
 // incrementally maintained gauge heaps: every fill completion is mirrored
 // into a gauge, and queries retire completed entries destructively — O(log n)

@@ -1,12 +1,9 @@
 package profiling
 
 import (
-	"ldsprefetch/internal/core"
 	"ldsprefetch/internal/cpu"
-	"ldsprefetch/internal/dram"
 	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/prefetch"
-	"ldsprefetch/internal/stream"
 	"ldsprefetch/internal/trace"
 )
 
@@ -28,19 +25,7 @@ import (
 // No simulator-internal hooks (eviction callbacks, PG-tagged cache lines)
 // are used — only information a real machine with informing loads provides.
 func CollectInforming(tr *trace.Trace, mcfg memsys.Config, ccfg cpu.Config) *Profile {
-	ctrl := dram.NewController(dram.DefaultConfig(1))
-	ms := memsys.New(mcfg, tr.Mem, ctrl)
-	shift := uint(0)
-	for 1<<shift != mcfg.BlockSize {
-		shift++
-	}
-	sp := stream.New(32, shift, ms)
-	cdpCfg := core.DefaultCDPConfig()
-	cdpCfg.BlockSize = mcfg.BlockSize
-	cd := core.NewCDP(cdpCfg, ms)
-	ms.Attach(sp)
-	ms.Attach(cd)
-
+	ms := newStack(tr, mcfg)
 	obs := newInformingObserver(mcfg.BlockSize)
 	ms.Attach(obs)
 	cpu.Run(ccfg, ms, tr)
@@ -57,7 +42,6 @@ type informingObserver struct {
 	pos        int
 	blockWords int
 	blockSize  uint32
-	shift      uint
 }
 
 // informingTableSize bounds the software candidate table; entries aging out
@@ -71,13 +55,6 @@ func newInformingObserver(blockSize int) *informingObserver {
 		ring:       make([]uint32, informingTableSize),
 		blockWords: blockSize / 4,
 		blockSize:  uint32(blockSize),
-		shift: func() uint {
-			s := uint(0)
-			for 1<<s != blockSize {
-				s++
-			}
-			return s
-		}(),
 	}
 }
 
@@ -130,7 +107,7 @@ func (o *informingObserver) OnAccess(ev memsys.AccessEvent) {
 	if !ev.IsLoad || !ev.HitPrefetchSrc.IsPrefetch() {
 		return
 	}
-	blk := (ev.Addr >> o.shift) << o.shift
+	blk := ev.Addr &^ (o.blockSize - 1)
 	if pg, ok := o.candidates[blk]; ok {
 		s := o.pgs[pg]
 		s.Useful++

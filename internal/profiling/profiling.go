@@ -53,19 +53,29 @@ type Profile struct {
 // The run consumes tr (stores are applied to its memory image); callers must
 // build a fresh trace for any subsequent measurement run.
 func Collect(tr *trace.Trace, mcfg memsys.Config, ccfg cpu.Config) *Profile {
-	ctrl := dram.NewController(dram.DefaultConfig(1))
-	ms := memsys.New(mcfg, tr.Mem, ctrl)
-	shift := uint(0)
-	for 1<<shift != mcfg.BlockSize {
-		shift++
-	}
-	sp := stream.New(32, shift, ms)
+	ms := newStack(tr, mcfg)
+	p := Attach(ms)
+	cpu.Run(ccfg, ms, tr)
+	return p
+}
+
+// newStack builds the profiling machine over tr's memory image: a private
+// one-core DRAM controller and the mcfg hierarchy with the baseline stream
+// prefetcher and an unfiltered CDP attached.
+func newStack(tr *trace.Trace, mcfg memsys.Config) *memsys.MemSys {
+	ms := memsys.New(mcfg, tr.Mem, dram.NewController(dram.DefaultConfig(1)))
+	sp := stream.New(32, ms.BlockShift(), ms)
 	cdpCfg := core.DefaultCDPConfig()
 	cdpCfg.BlockSize = mcfg.BlockSize
 	cd := core.NewCDP(cdpCfg, ms)
 	ms.Attach(sp)
 	ms.Attach(cd)
+	return ms
+}
 
+// Attach installs pointer-group outcome hooks on ms and returns the profile
+// they fill as the run resolves each prefetch.
+func Attach(ms *memsys.MemSys) *Profile {
 	p := &Profile{PGs: make(map[prefetch.PGKey]PGStats)}
 	ms.OnPGUseful = func(pg prefetch.PGKey) {
 		s := p.PGs[pg]
@@ -77,7 +87,6 @@ func Collect(tr *trace.Trace, mcfg memsys.Config, ccfg cpu.Config) *Profile {
 		s.Useless++
 		p.PGs[pg] = s
 	}
-	cpu.Run(ccfg, ms, tr)
 	return p
 }
 

@@ -96,7 +96,7 @@ import (
 	"ldsprefetch/internal/dram"
 )
 
-// Core is one steppable core of a mix. cpu.Model implementations satisfy it; tests may
+// Core is one steppable core of a mix. *cpu.Core satisfies it; tests may
 // substitute fakes.
 type Core interface {
 	// Done reports whether the core's trace is fully replayed.

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"ldsprefetch/internal/cpu"
-	"ldsprefetch/internal/cpu/ooo"
 	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/trace"
 )
@@ -39,7 +38,7 @@ type CoreModel struct {
 	Validate func(opts any) error
 	// Build constructs the model over env. opts is the struct NewOptions
 	// allocated, already decoded and validated.
-	Build func(env *CoreEnv, opts any) (cpu.Model, error)
+	Build func(env *CoreEnv, opts any) (*cpu.Core, error)
 }
 
 var coreModels = map[string]*CoreModel{}
@@ -114,27 +113,27 @@ func CanonicalCoreOptions(kind string, raw json.RawMessage) (json.RawMessage, er
 type IntervalOptions struct{}
 
 // OoOOptions aliases the out-of-order model's option struct so callers can
-// reference it without importing internal/cpu/ooo.
-type OoOOptions = ooo.Options
+// reference it next to the other registry option types.
+type OoOOptions = cpu.OoOOptions
 
 func init() {
 	RegisterCore(&CoreModel{
 		Kind:       DefaultCoreKind,
 		Version:    1,
 		NewOptions: func() any { return new(IntervalOptions) },
-		Build: func(env *CoreEnv, opts any) (cpu.Model, error) {
+		Build: func(env *CoreEnv, opts any) (*cpu.Core, error) {
 			return cpu.NewInterval(env.CPUCfg, env.MS, env.Trace), nil
 		},
 	})
 	RegisterCore(&CoreModel{
 		Kind:       "ooo",
 		Version:    1,
-		NewOptions: func() any { return new(ooo.Options) },
+		NewOptions: func() any { return new(OoOOptions) },
 		Validate: func(opts any) error {
-			return opts.(*ooo.Options).Validate()
+			return opts.(*OoOOptions).Validate()
 		},
-		Build: func(env *CoreEnv, opts any) (cpu.Model, error) {
-			return ooo.New(env.CPUCfg, *opts.(*ooo.Options), env.MS, env.Trace), nil
+		Build: func(env *CoreEnv, opts any) (*cpu.Core, error) {
+			return cpu.NewOoO(env.CPUCfg, *opts.(*OoOOptions), env.MS, env.Trace), nil
 		},
 	})
 }

@@ -33,6 +33,7 @@ import (
 	"ldsprefetch/internal/dram"
 	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/prefetch"
+	"ldsprefetch/internal/profiling"
 	"ldsprefetch/internal/sim/engine"
 	"ldsprefetch/internal/sim/registry"
 	"ldsprefetch/internal/telemetry"
@@ -84,19 +85,9 @@ type Result struct {
 type system struct {
 	bench string
 	ms    *memsys.MemSys
-	core  cpu.Model
-	pgs   map[prefetch.PGKey]*pgCount
+	core  *cpu.Core
+	pgs   *profiling.Profile
 	trace *telemetry.Trace
-}
-
-type pgCount struct{ useful, useless int64 }
-
-func blockShift(n int) uint {
-	s := uint(0)
-	for 1<<s != n {
-		s++
-	}
-	return s
 }
 
 // assemble builds one core's full stack for benchmark bench, issuing memory
@@ -143,7 +134,6 @@ func assemble(bench string, p workload.Params, sp Spec, ctrl *dram.Controller, c
 	}
 
 	ms := memsys.New(mcfg, tr.Mem, ctrl)
-	shift := blockShift(mcfg.BlockSize)
 	level := prefetch.Aggressive
 	if sp.InitialLevel != nil {
 		level = sp.InitialLevel.Clamp()
@@ -164,7 +154,7 @@ func assemble(bench string, p workload.Params, sp Spec, ctrl *dram.Controller, c
 	env := &registry.BuildEnv{
 		MS:         ms,
 		BlockSize:  mcfg.BlockSize,
-		BlockShift: shift,
+		BlockShift: ms.BlockShift(),
 		Hints:      sp.Hints,
 		Trace:      trc,
 	}
@@ -257,17 +247,7 @@ func assemble(bench string, p workload.Params, sp Spec, ctrl *dram.Controller, c
 		}
 	}
 	if sp.ProfilePGs {
-		sys.pgs = make(map[prefetch.PGKey]*pgCount)
-		get := func(pg prefetch.PGKey) *pgCount {
-			c := sys.pgs[pg]
-			if c == nil {
-				c = &pgCount{}
-				sys.pgs[pg] = c
-			}
-			return c
-		}
-		ms.OnPGUseful = func(pg prefetch.PGKey) { get(pg).useful++ }
-		ms.OnPGUseless = func(pg prefetch.PGKey) { get(pg).useless++ }
+		sys.pgs = profiling.Attach(ms)
 	}
 	return sys, nil
 }
@@ -300,29 +280,8 @@ func (sys *system) result(setupName string, busTransfers int64) Result {
 		r.Used[src] = int64(fb.Sources[src].Used.Raw())
 	}
 	if sys.pgs != nil {
-		//ldslint:ordered commutative histogram bin counts; order-independent
-		for _, c := range sys.pgs {
-			t := c.useful + c.useless
-			if t == 0 {
-				continue
-			}
-			u := float64(c.useful) / float64(t)
-			switch {
-			case u < 0.25:
-				r.PGHist[0]++
-			case u < 0.5:
-				r.PGHist[1]++
-			case u < 0.75:
-				r.PGHist[2]++
-			default:
-				r.PGHist[3]++
-			}
-			if u > 0.5 {
-				r.PGBeneficial++
-			} else {
-				r.PGHarmful++
-			}
-		}
+		r.PGHist = sys.pgs.Histogram()
+		r.PGBeneficial, r.PGHarmful = sys.pgs.BeneficialHarmful()
 	}
 	return r
 }
@@ -338,21 +297,12 @@ func controllerFor(sp Spec, cores int) *dram.Controller {
 	return dram.NewController(cfg)
 }
 
-// RunSingleSpec builds and runs benchmark bench on a single-core system.
-// The core talks to the controller directly — the epoch-barrier engine is a
-// multi-core construct and single-core runs take the zero-overhead path
-// regardless of Spec.Engine.
+// RunSingleSpec builds and runs benchmark bench on a single-core system: it
+// is RunAloneSpec at cores=1. The core talks to the controller directly —
+// the epoch-barrier engine is a multi-core construct and single-core runs
+// take the zero-overhead path regardless of Spec.Engine.
 func RunSingleSpec(bench string, p workload.Params, sp Spec) (Result, error) {
-	ctrl := controllerFor(sp, 1)
-	sys, err := assemble(bench, p, sp, ctrl, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	for !sys.core.Done() {
-		sys.core.Step(1 << 16)
-	}
-	sys.ms.FlushAccounting()
-	return sys.result(sp.Name, ctrl.Transfers), nil
+	return RunAloneSpec(bench, p, sp, 1)
 }
 
 // MultiResult is the outcome of a multi-core run.

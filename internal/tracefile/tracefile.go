@@ -489,6 +489,10 @@ func (r *Reader) Verify() error {
 	return nil
 }
 
+// loadPrealloc caps the op capacity Load reserves from the header's count
+// before any op has been read.
+const loadPrealloc = 1 << 16
+
 // Load materializes a full trace from rd, verifying the digest and the
 // trace's structural invariants.
 func Load(rd io.Reader) (*trace.Trace, Header, error) {
@@ -500,7 +504,9 @@ func Load(rd io.Reader) (*trace.Trace, Header, error) {
 	if hdr.OpCount > 1<<33 {
 		return nil, hdr, fmt.Errorf("tracefile: op count %d implausible", hdr.OpCount)
 	}
-	ops := make([]trace.Op, 0, hdr.OpCount)
+	// The header's count is untrusted until the digest checks out: bound
+	// the up-front allocation and let append grow past it.
+	ops := make([]trace.Op, 0, min(hdr.OpCount, loadPrealloc))
 	for {
 		op, err := r.Next()
 		if err == io.EOF {
