@@ -19,7 +19,7 @@ var ablationBenches = []string{"mst", "perimeter", "gcc", "health", "perlbench"}
 func AblateDepth(c *Context) Report {
 	levels := []prefetch.AggLevel{prefetch.VeryConservative, prefetch.Conservative,
 		prefetch.Moderate, prefetch.Aggressive}
-	g := c.Grids(ablationBenches)
+	g := c.Grids(ablationBenches, Base, Prof)
 	res := c.sweep(ablationBenches, func(i int) []sim.Spec {
 		var specs []sim.Spec
 		for _, lv := range levels {
@@ -56,7 +56,7 @@ func AblateThresholds(c *Context) Report {
 		{"tight(0.35/0.55/0.8)", core.Thresholds{TCoverage: 0.35, ALow: 0.55, AHigh: 0.8}},
 		{"loose(0.1/0.25/0.6)", core.Thresholds{TCoverage: 0.1, ALow: 0.25, AHigh: 0.6}},
 	}
-	g := c.Grids(ablationBenches)
+	g := c.Grids(ablationBenches, Base, Prof)
 	res := c.sweep(ablationBenches, func(i int) []sim.Spec {
 		var specs []sim.Spec
 		for _, v := range variants {
@@ -82,7 +82,7 @@ func AblateThresholds(c *Context) Report {
 // AblateInterval sweeps the feedback interval length (paper: 8192 L2
 // evictions).
 func AblateInterval(c *Context) Report {
-	g := c.Grids(ablationBenches)
+	g := c.Grids(ablationBenches, Base, Prof)
 	res := c.sweep(ablationBenches, func(i int) []sim.Spec {
 		var specs []sim.Spec
 		for _, iv := range []int{2048, 8192, 32768} {
@@ -107,7 +107,7 @@ func AblateInterval(c *Context) Report {
 // AblateHintThreshold sweeps the beneficial-PG classification boundary
 // (paper: 50% usefulness).
 func AblateHintThreshold(c *Context) Report {
-	g := c.Grids(ablationBenches)
+	g := c.Grids(ablationBenches, Base, Prof)
 	res := c.sweep(ablationBenches, func(i int) []sim.Spec {
 		var specs []sim.Spec
 		for _, cut := range []float64{0.25, 0.5, 0.75} {
@@ -135,7 +135,7 @@ func AblateHintThreshold(c *Context) Report {
 // the maximum rival coverage. We run stream + ECDP + GHB as a
 // three-prefetcher hybrid, with and without coordinated throttling.
 func AblateTriple(c *Context) Report {
-	g := c.Grids(ablationBenches)
+	g := c.Grids(ablationBenches, Base, Prof)
 	res := c.sweep(ablationBenches, func(i int) []sim.Spec {
 		return []sim.Spec{
 			sim.NewSpec("stream+ecdp+ghb", "stream", "cdp", "ghb").WithHints(g[i].Hints),

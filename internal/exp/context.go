@@ -14,6 +14,8 @@ import (
 
 // Grid holds the shared single-core results for one benchmark: the
 // configurations Figures 1, 2, 7, 8, 9 and Tables 1, 6 are all derived from.
+// Each field is one Cell, filled only once some caller of Context.Grid or
+// Context.Grids has asked for that cell.
 type Grid struct {
 	Bench string
 	// Prof is the train-input pointer-group profile; Hints its hint table.
@@ -193,13 +195,54 @@ func (c *Context) JobErrs() []error {
 	return out
 }
 
-// benchState memoizes one benchmark's train-input profile and its grid.
-// Each is computed once per context, however many goroutines ask for it.
+// Cell names one memoized unit of a benchmark's Grid: one of the seven
+// shared single-core configurations, or Prof, the train-input profile and
+// its hint table. A generator asks Grid or Grids for exactly the cells it
+// reads (helpers included); each cell is computed at most once per Context,
+// and no cell runs unless some caller names it.
+type Cell int
+
+const (
+	NoPF  Cell = iota // no prefetching
+	Base              // stream only (the paper's baseline)
+	CDP               // stream + original CDP
+	CDPT              // stream + original CDP + coordinated throttling
+	ECDP              // stream + ECDP
+	ECDPT             // stream + ECDP + coordinated throttling (the proposal)
+	Ideal             // stream + ideal LDS oracle (Figure 1 bottom)
+	Prof              // the train-input profile (Grid.Prof and Grid.Hints)
+
+	numConfigs = int(Prof) // the simulated cells precede Prof
+)
+
+// gridSpecs are the seven shared configurations, indexed by Cell. ECDP and
+// ECDPT run with the benchmark's train-input hints, so asking for either
+// also computes Prof.
+var gridSpecs = [numConfigs]sim.Spec{
+	NoPF: sim.NewSpec("nopf"),
+	Base: sim.NewSpec("stream", "stream"),
+	CDP: {Name: "stream+cdp", ProfilePGs: true,
+		Components: []sim.Component{{Kind: "stream"}, {Kind: "cdp"}}},
+	CDPT: sim.NewSpec("stream+cdp+thr", "stream", "cdp", "throttle"),
+	ECDP: {Name: "stream+ecdp", ProfilePGs: true,
+		Components: []sim.Component{{Kind: "stream"}, {Kind: "cdp"}}},
+	ECDPT: sim.NewSpec("stream+ecdp+thr", "stream", "cdp", "throttle"),
+	Ideal: {Name: "ideal-lds", IdealLDS: true,
+		Components: []sim.Component{{Kind: "stream"}}},
+}
+
+// result returns the Grid field that holds simulated cell c.
+func (g *Grid) result(c Cell) *sim.Result {
+	return [numConfigs]*sim.Result{&g.NoPF, &g.Base, &g.CDP, &g.CDPT, &g.ECDP, &g.ECDPT, &g.Ideal}[c]
+}
+
+// benchState memoizes one benchmark's grid, one cell at a time: profOnce
+// guards Prof, cellOnce[c] each simulated cell. Each is computed once per
+// context, however many goroutines ask for it.
 type benchState struct {
-	profOnce, gridOnce sync.Once
-	prof               *profiling.Profile
-	hints              *core.HintTable
-	grid               *Grid
+	profOnce sync.Once
+	cellOnce [numConfigs]sync.Once
+	grid     Grid
 }
 
 // state returns bench's memo, creating it on first use.
@@ -211,7 +254,7 @@ func (c *Context) state(bench string) *benchState {
 	}
 	s, ok := c.benches[bench]
 	if !ok {
-		s = &benchState{}
+		s = &benchState{grid: Grid{Bench: bench}}
 		c.benches[bench] = s
 	}
 	return s
@@ -228,40 +271,43 @@ func (c *Context) profile(bench string) (*profiling.Profile, *core.HintTable) {
 			c.noteJobErr(fmt.Errorf("profiling %s: %w", bench, err))
 			prof = &profiling.Profile{}
 		}
-		s.prof, s.hints = prof, prof.Hints(0)
+		s.grid.Prof, s.grid.Hints = prof, prof.Hints(0)
 	})
-	return s.prof, s.hints
+	return s.grid.Prof, s.grid.Hints
 }
 
-// Grid returns the cached shared results for bench, computing them on first
-// use. The seven configurations run concurrently.
-func (c *Context) Grid(bench string) *Grid {
+// computeCell computes bench's cell on first use.
+func (c *Context) computeCell(bench string, cell Cell) {
+	if cell == Prof {
+		c.profile(bench)
+		return
+	}
 	s := c.state(bench)
-	s.gridOnce.Do(func() {
-		g := &Grid{Bench: bench}
-		g.Prof, g.Hints = c.profile(bench)
-		runs := []struct {
-			dst *sim.Result
-			sp  sim.Spec
-		}{
-			{&g.NoPF, sim.NewSpec("nopf")},
-			{&g.Base, sim.NewSpec("stream", "stream")},
-			{&g.CDP, sim.Spec{Name: "stream+cdp", ProfilePGs: true,
-				Components: []sim.Component{{Kind: "stream"}, {Kind: "cdp"}}}},
-			{&g.CDPT, sim.NewSpec("stream+cdp+thr", "stream", "cdp", "throttle")},
-			{&g.ECDP, sim.Spec{Name: "stream+ecdp", Hints: g.Hints, ProfilePGs: true,
-				Components: []sim.Component{{Kind: "stream"}, {Kind: "cdp"}}}},
-			{&g.ECDPT, sim.NewSpec("stream+ecdp+thr", "stream", "cdp", "throttle").WithHints(g.Hints)},
-			{&g.Ideal, sim.Spec{Name: "ideal-lds", IdealLDS: true,
-				Components: []sim.Component{{Kind: "stream"}}}},
+	s.cellOnce[cell].Do(func() {
+		sp := gridSpecs[cell]
+		if cell == ECDP || cell == ECDPT {
+			_, sp.Hints = c.profile(bench)
 		}
-		fanOut(len(runs), func(i int) { *runs[i].dst = c.run(bench, runs[i].sp) })
-		s.grid = g
+		*s.grid.result(cell) = c.run(bench, sp)
 	})
-	return s.grid
 }
 
-// Grids returns grids for all listed benchmarks, computed concurrently.
-func (c *Context) Grids(benches []string) []*Grid {
-	return perBench(benches, func(_ int, b string) *Grid { return c.Grid(b) })
+// Grid returns bench's memoized grid once every requested cell is computed.
+// Cells no call has asked for keep their zero values; with no cells, Grid
+// computes nothing and returns the memo as it stands.
+func (c *Context) Grid(bench string, cells ...Cell) *Grid {
+	return c.Grids([]string{bench}, cells...)[0]
+}
+
+// Grids is Grid for every listed benchmark, with all benchmark × cell pairs
+// in flight at once.
+func (c *Context) Grids(benches []string, cells ...Cell) []*Grid {
+	fanOut(len(benches)*len(cells), func(k int) {
+		c.computeCell(benches[k/len(cells)], cells[k%len(cells)])
+	})
+	out := make([]*Grid, len(benches))
+	for i, b := range benches {
+		out[i] = &c.state(b).grid
+	}
+	return out
 }

@@ -20,8 +20,8 @@ func testCtx() *Context {
 
 func TestGridCachesResults(t *testing.T) {
 	c := testCtx()
-	g1 := c.Grid("mst")
-	g2 := c.Grid("mst")
+	g1 := c.Grid("mst", Base, ECDPT, Prof)
+	g2 := c.Grid("mst", Base, ECDPT, Prof)
 	if g1 != g2 {
 		t.Fatal("grid not cached")
 	}
@@ -129,13 +129,16 @@ func TestWorkloadMixesExist(t *testing.T) {
 }
 
 // TestGridConcurrentCallersShareOneGrid holds Grid to computing each
-// benchmark's profile and grid once, however many goroutines ask for it at
-// the same time (mixes that share a benchmark do exactly this).
+// benchmark's profile and each requested cell once, however many goroutines
+// ask for it at the same time (mixes that share a benchmark do exactly
+// this). The callers ask for overlapping cell sets: every cell in their union
+// runs as one job, and CDPT, which nobody asks for, never runs.
 func TestGridConcurrentCallersShareOneGrid(t *testing.T) {
 	c := NewContext()
 	c.Params = workload.Params{Scale: 0.02, Seed: 5}
 	c.TrainParams = workload.Params{Scale: 0.02, Seed: 1009}
 	benches := []string{"mst", "health"}
+	cellSets := [][]Cell{{Base, ECDPT}, {Base, CDP}, {ECDP, Prof}, {NoPF, Base, Ideal}}
 	const callers = 8
 	got := make([][]*Grid, len(benches))
 	var wg sync.WaitGroup
@@ -145,7 +148,7 @@ func TestGridConcurrentCallersShareOneGrid(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[i][k] = c.Grid(b)
+				got[i][k] = c.Grid(b, cellSets[k%len(cellSets)]...)
 			}()
 		}
 	}
@@ -158,14 +161,30 @@ func TestGridConcurrentCallersShareOneGrid(t *testing.T) {
 		}
 	}
 	profiles := map[string]int{}
+	singles := map[string]map[string]int{}
 	for _, rec := range c.Jobs().Records() {
-		if rec.Kind == "profile" {
-			profiles[strings.Join(rec.Benchmarks, "+")]++
+		b := strings.Join(rec.Benchmarks, "+")
+		switch rec.Kind {
+		case "profile":
+			profiles[b]++
+		case "single":
+			if singles[b] == nil {
+				singles[b] = map[string]int{}
+			}
+			singles[b][rec.Setup]++
 		}
 	}
 	for _, b := range benches {
 		if profiles[b] != 1 {
 			t.Errorf("%s profiled %d times, want exactly once", b, profiles[b])
+		}
+		for _, cell := range []Cell{NoPF, Base, CDP, ECDP, ECDPT, Ideal} {
+			if n := singles[b][gridSpecs[cell].Name]; n != 1 {
+				t.Errorf("%s: cell %s ran %d times, want exactly once", b, gridSpecs[cell].Name, n)
+			}
+		}
+		if len(singles[b]) != 6 {
+			t.Errorf("%s ran cells %v, want only the six requested", b, singles[b])
 		}
 	}
 	if len(profiles) != len(benches) {
@@ -176,8 +195,8 @@ func TestGridConcurrentCallersShareOneGrid(t *testing.T) {
 func TestHintsForMergesDisjointPCs(t *testing.T) {
 	c := testCtx()
 	merged := c.Hints([]string{"mst", "health"})
-	a := c.Grid("mst").Hints
-	b := c.Grid("health").Hints
+	a := c.Grid("mst", Prof).Hints
+	b := c.Grid("health", Prof).Hints
 	if merged.Len() != a.Len()+b.Len() {
 		t.Fatalf("merged %d != %d + %d (PC ranges must be disjoint)",
 			merged.Len(), a.Len(), b.Len())

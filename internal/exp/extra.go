@@ -18,7 +18,7 @@ import (
 // resulting ECDP+throttling systems perform.
 func Sec3Impl(c *Context) Report {
 	benches := ablationBenches
-	g := c.Grids(benches)
+	g := c.Grids(benches, Base, ECDPT, Prof)
 	informing := make([]*core.HintTable, len(benches))
 	res := perBench(benches, func(i int, b string) sim.Result {
 		prof, err := c.Jobs().ProfileInforming(b, c.TrainParams)
@@ -82,7 +82,7 @@ func hintAgreement(a, b *core.HintTable) float64 {
 // occupancy per transfer.
 func AblateBlockSize(c *Context) Report {
 	benches := ablationBenches
-	g := c.Grids(benches)
+	g := c.Grids(benches, Base, ECDPT, Prof)
 
 	mem128 := memsys.DefaultConfig()
 	mem128.BlockSize = 128

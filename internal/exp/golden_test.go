@@ -43,13 +43,24 @@ func goldenContext() *Context {
 // keeps the rendered reports and the sorted distinct cache keys the run
 // submitted: those of the result kinds (single, shared, alone) and those of
 // the profiles apart. A private context keeps the key sets independent of
-// which other golden tests ran first.
+// which other golden tests ran first. The run fills a result store in
+// goldenAllStore, which TestEntriesNameTheirCells replays; TestMain removes
+// it.
 var (
 	goldenAllOnce        sync.Once
 	goldenAllText        string
 	goldenAllKeys        string
 	goldenAllProfileKeys string
+	goldenAllStore       string
 )
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if goldenAllStore != "" {
+		os.RemoveAll(goldenAllStore)
+	}
+	os.Exit(code)
+}
 
 // sortedKeys returns the distinct cache keys of the records keep selects, one
 // per line in ascending order.
@@ -69,7 +80,12 @@ func sortedKeys(recs []jobs.Record, keep func(jobs.Record) bool) string {
 func goldenAll(t *testing.T) (text, keys, profileKeys string) {
 	t.Helper()
 	goldenAllOnce.Do(func() {
-		c := testCtx()
+		dir, err := os.MkdirTemp("", "exp-golden-store-")
+		if err != nil {
+			t.Fatal(err)
+		}
+		goldenAllStore = dir
+		c := cachedCtx(dir)
 		reps, err := Run(c, "all")
 		if err != nil {
 			t.Fatal(err)
@@ -120,6 +136,48 @@ func TestGoldenAll(t *testing.T) {
 	}
 	text, _, _ := goldenAll(t)
 	checkGolden(t, "golden_all.txt", text)
+}
+
+// TestEntriesNameTheirCells holds every generator to naming the Grid cells
+// it reads. Each registry entry runs alone on a fresh context over the store
+// the full run filled: it must render its part of golden_all.txt byte for
+// byte and compute nothing. A generator that reads a cell it did not ask
+// for sees that cell's zero value and renders something else.
+func TestEntriesNameTheirCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden simulation runs are slow")
+	}
+	goldenAll(t)
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_all.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 0
+	for _, e := range Registry {
+		c := cachedCtx(goldenAllStore)
+		reps, err := Run(c, e.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for _, r := range reps {
+			sb.WriteString(r.String())
+			sb.WriteByte('\n')
+		}
+		got := sb.String()
+		if end := off + len(got); end > len(want) || string(want[off:end]) != got {
+			t.Fatalf("%s alone does not render its part of golden_all.txt; does it name every cell it reads?\n--- got ---\n%s",
+				e.ID, got)
+		}
+		off += len(got)
+		if s := snapshot(c); s.CacheMisses != 0 || s.Computed != 0 || s.Uncached != 0 {
+			t.Errorf("%s alone: misses=%d computed=%d uncached=%d, want all 0",
+				e.ID, s.CacheMisses, s.Computed, s.Uncached)
+		}
+	}
+	if off != len(want) {
+		t.Errorf("the entries rendered %d bytes, golden_all.txt has %d", off, len(want))
+	}
 }
 
 // TestGoldenAllKeys pins the result cache keys (kinds single, shared and

@@ -43,6 +43,43 @@ func renderAll(t *testing.T, dir string, ids ...string) (string, *Context) {
 // snapshot returns c's scheduler counters.
 func snapshot(c *Context) jobs.Snapshot { return c.Jobs().Metrics().Snapshot() }
 
+// everyCell is a benchmark's whole grid: the seven shared configurations
+// and the train-input profile.
+var everyCell = []Cell{NoPF, Base, CDP, CDPT, ECDP, ECDPT, Ideal, Prof}
+
+// TestFig1SimulatesOnlyItsCells: fig1 reads the NoPF, Base and Ideal cells,
+// so on a fresh scheduler it submits exactly three single jobs per
+// pointer-intensive benchmark and no profiling pass.
+func TestFig1SimulatesOnlyItsCells(t *testing.T) {
+	c := testCtx()
+	if _, err := Run(c, "fig1"); err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]map[string]bool{}
+	for _, rec := range c.Jobs().Records() {
+		switch rec.Kind {
+		case "profile":
+			t.Errorf("fig1 ran a profiling pass for %v", rec.Benchmarks)
+		case "single":
+			b := rec.Benchmarks[0]
+			if keys[b] == nil {
+				keys[b] = map[string]bool{}
+			}
+			keys[b][rec.Key] = true
+		default:
+			t.Errorf("fig1 ran a %s job", rec.Kind)
+		}
+	}
+	for _, b := range pointerBenches() {
+		if len(keys[b]) != 3 {
+			t.Errorf("%s: %d single keys, want 3", b, len(keys[b]))
+		}
+	}
+	if len(keys) != len(pointerBenches()) {
+		t.Errorf("fig1 ran %d benchmarks, want %d", len(keys), len(pointerBenches()))
+	}
+}
+
 // TestExperimentCachedRerun is the cache-correctness acceptance test: an
 // identical re-run against the same store renders byte-identical reports
 // without executing a single cacheable simulation.
@@ -73,15 +110,15 @@ func TestExperimentCachedRerun(t *testing.T) {
 
 // TestExperimentCacheInvalidation: changing the measurement input must not
 // reuse stale cells. The train-input profiles do not depend on it, so they
-// are the only hits.
+// are the only hits. It runs sec6.7, which reads ECDPT and so profiles.
 func TestExperimentCacheInvalidation(t *testing.T) {
 	dir := t.TempDir()
-	_, c1 := renderAll(t, dir, "fig1")
+	_, c1 := renderAll(t, dir, "sec67")
 	s1 := snapshot(c1)
 
 	c := cachedCtx(dir)
 	c.Params.Seed++ // different measurement input → every result key changes
-	if _, err := Run(c, "fig1"); err != nil {
+	if _, err := Run(c, "sec67"); err != nil {
 		t.Fatal(err)
 	}
 	var profiles int64
@@ -97,7 +134,7 @@ func TestExperimentCacheInvalidation(t *testing.T) {
 		}
 	}
 	if profiles == 0 {
-		t.Fatal("fig1 ran no profile jobs")
+		t.Fatal("sec67 ran no profile jobs")
 	}
 	s2 := snapshot(c)
 	if s2.CacheHits != profiles {
@@ -108,8 +145,9 @@ func TestExperimentCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestProfileCachedRerun: all three profiling passes — train input (fig1),
-// self input (sec616) and informing loads (sec3impl) — are served from the
+// TestProfileCachedRerun: all three profiling passes — train input (the
+// ECDPT cell of sec616 and sec3impl), self input (sec616) and informing
+// loads (sec3impl) — are served from the
 // store on a re-run, which renders byte-identical reports without executing
 // anything.
 func TestProfileCachedRerun(t *testing.T) {
@@ -151,7 +189,7 @@ func TestGridResume(t *testing.T) {
 
 	// "Interrupted" sweep: one grid of seven configurations completed.
 	c1 := cachedCtx(dir)
-	c1.Grid("mst")
+	c1.Grid("mst", everyCell...)
 	// Seven cells plus the train-input profile.
 	s1 := snapshot(c1)
 	if s1.Computed != 8 {
@@ -160,8 +198,8 @@ func TestGridResume(t *testing.T) {
 
 	// Resume with a wider sweep: only the new benchmark's cells execute.
 	c2 := cachedCtx(dir)
-	c2.Grid("mst")
-	c2.Grid("health")
+	c2.Grid("mst", everyCell...)
+	c2.Grid("health", everyCell...)
 	s2 := snapshot(c2)
 	if s2.CacheHits != 8 {
 		t.Fatalf("resume re-used %d jobs, want 8", s2.CacheHits)
@@ -178,7 +216,7 @@ func TestGridResume(t *testing.T) {
 func TestManifestAttachJobs(t *testing.T) {
 	dir := t.TempDir()
 	c := cachedCtx(dir)
-	c.Grid("mst")
+	c.Grid("mst", everyCell...)
 
 	m := NewManifest("test", c.Params.Scale, c.Params.Seed, c.Parallel)
 	m.AttachJobs(dir, c.Jobs())

@@ -14,15 +14,23 @@
 // # Adding a figure
 //
 // Every generator has the same two halves. The fan-out runs the grid: Grids
-// supplies the seven shared single-core configurations per benchmark, and
-// sweep (benchmarks × spec variants), perBench (one closure per benchmark)
-// or collect put any extra runs in flight at once; the scheduler bounds how
-// many actually execute. The table builder lays out the report: each column
+// supplies the shared per-benchmark cells the generator names — any of the
+// seven single-core configurations (NoPF, Base, CDP, CDPT, ECDP, ECDPT,
+// Ideal) and the train-input profile (Prof) — and sweep (benchmarks × spec
+// variants), perBench (one closure per benchmark) or collect put any extra
+// runs in flight at once; the scheduler bounds how many actually execute.
+// Each cell is computed once per Context, and only when some generator asks
+// for it. A generator must name every cell it reads, including the ones its
+// helpers read (ipcVsBase and bwVsBase read Base; a hinted spec reads Prof):
+// an unnamed cell stays a zero sim.Result. TestEntriesNameTheirCells enforces
+// this by running each registry entry alone against the full run's store.
+// The table builder lays out the report: each column
 // is a head, a value function of the row index, a cell format, and a summary
 // format (nil leaves its summary cells blank), and table appends the chosen
 // summary rows (gmeanRow, gmeanNoHealthRow, ameanRow). A new rival costs one
 // spec in the sweep and one column:
 //
+//	g := c.Grids(benches, Base)
 //	res := c.sweep(benches, func(i int) []sim.Spec {
 //		return []sim.Spec{sim.NewSpec("stream+rival", "stream", "rival")}
 //	})

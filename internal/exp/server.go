@@ -17,7 +17,7 @@ import (
 // families in the workload catalog.
 func ServerFamilies(c *Context) Report {
 	benches := serverload.Families()
-	g := c.Grids(benches)
+	g := c.Grids(benches, NoPF, Base, CDP, CDPT, ECDP, ECDPT, Ideal)
 	r := Report{
 		ID:    "serverfam",
 		Title: "Server-class workload families (beyond the paper)",

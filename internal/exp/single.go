@@ -18,7 +18,7 @@ func pointerBenches() []string { return workload.PointerIntensiveNames() }
 // ideally hit (bottom), both over the relevant baselines.
 func Fig1(c *Context) Report {
 	benches := pointerBenches()
-	g := c.Grids(benches)
+	g := c.Grids(benches, NoPF, Base, Ideal)
 	r := Report{
 		ID:    "fig1",
 		Title: "Stream prefetcher speedup/coverage and ideal-LDS potential",
@@ -37,7 +37,7 @@ func Fig1(c *Context) Report {
 // CDP's prefetch accuracy.
 func Fig2Table1(c *Context) Report {
 	benches := pointerBenches()
-	g := c.Grids(benches)
+	g := c.Grids(benches, Base, CDP)
 	r := Report{
 		ID:    "fig2",
 		Title: "Original CDP on top of the stream baseline (Fig. 2 + Table 1)",
@@ -59,7 +59,7 @@ func Fig2Table1(c *Context) Report {
 // are majority-useful vs majority-useless, from the train-input profile.
 func Fig4(c *Context) Report {
 	benches := pointerBenches()
-	grids := c.Grids(benches)
+	grids := c.Grids(benches, Prof)
 	r := Report{
 		ID:     "fig4",
 		Title:  "Beneficial vs harmful pointer groups (train-input profile)",
@@ -84,7 +84,7 @@ func Fig4(c *Context) Report {
 // to the stream baseline.
 func Fig7Table6(c *Context) Report {
 	benches := pointerBenches()
-	g := c.Grids(benches)
+	g := c.Grids(benches, Base, CDP, CDPT, ECDP, ECDPT)
 	r := Report{
 		ID:    "fig7",
 		Title: "Performance and bandwidth of the proposal (Fig. 7 + Table 6)",
@@ -125,7 +125,7 @@ func Fig9(c *Context) Report {
 func accCovReport(c *Context, id, title string,
 	metric func(sim.Result, prefetch.Source) float64, note string) Report {
 	benches := pointerBenches()
-	g := c.Grids(benches)
+	g := c.Grids(benches, Base, CDP, ECDPT)
 	r := Report{ID: id, Title: title, Notes: []string{note}}
 	r.Header, r.Rows = table("bench", benches, []column{
 		{"cdp:orig", f3, f3, func(i int) float64 { return metric(g[i].CDP, prefetch.SrcCDP) }},
@@ -141,7 +141,7 @@ func accCovReport(c *Context, id, title string,
 // under original CDP (top) and under ECDP (bottom), measured at run time.
 func Fig10(c *Context) Report {
 	benches := pointerBenches()
-	grids := c.Grids(benches)
+	grids := c.Grids(benches, CDP, ECDP)
 	r := Report{
 		ID:    "fig10",
 		Title: "PG usefulness distribution: original CDP vs ECDP",
@@ -195,7 +195,7 @@ func Table7(c *Context) Report {
 // GHB+ECDP data point discussed in Section 6.3.
 func Fig11(c *Context) Report {
 	benches := pointerBenches()
-	g := c.Grids(benches)
+	g := c.Grids(benches, Base, ECDPT, Prof)
 	res := c.sweep(benches, func(i int) []sim.Spec {
 		return []sim.Spec{
 			sim.NewSpec("stream+dbp", "stream", "dbp"),
@@ -232,7 +232,7 @@ func Fig11(c *Context) Report {
 // filtering, alone and with coordinated throttling.
 func Fig12(c *Context) Report {
 	benches := pointerBenches()
-	g := c.Grids(benches)
+	g := c.Grids(benches, Base, CDP, ECDPT)
 	res := c.sweep(benches, func(int) []sim.Spec {
 		return []sim.Spec{
 			sim.NewSpec("cdp+hwfilter", "stream", "cdp", "hwfilter"),
@@ -262,7 +262,7 @@ func Fig12(c *Context) Report {
 // prefetching, both managing the stream + ECDP hybrid.
 func Fig13(c *Context) Report {
 	benches := pointerBenches()
-	g := c.Grids(benches)
+	g := c.Grids(benches, Base, ECDPT, Prof)
 	fdp := perBench(benches, func(i int, b string) sim.Result {
 		return c.run(b, sim.NewSpec("ecdp+fdp", "stream", "cdp", "fdp").WithHints(g[i].Hints))
 	})
@@ -284,7 +284,7 @@ func Fig13(c *Context) Report {
 // hints from the train input vs hints from the reference input itself.
 func Sec616(c *Context) Report {
 	benches := pointerBenches()
-	g := c.Grids(benches)
+	g := c.Grids(benches, Base, ECDPT)
 	self := perBench(benches, func(_ int, b string) sim.Result {
 		// Profile with the reference input, then measure.
 		prof, err := c.Jobs().Profile(b, c.Params)
@@ -314,7 +314,7 @@ func Sec616(c *Context) Report {
 // (non-pointer-intensive) benchmarks.
 func Sec67(c *Context) Report {
 	benches := workload.NonPointerIntensiveNames()
-	g := c.Grids(benches)
+	g := c.Grids(benches, NoPF, Base, ECDPT)
 	r := Report{
 		ID:    "sec6.7",
 		Title: "Non-pointer-intensive benchmarks: the proposal is harmless",
@@ -332,7 +332,7 @@ func Sec67(c *Context) Report {
 // ideally eliminated, on the benchmarks CDP hurts most.
 func Sec23(c *Context) Report {
 	benches := []string{"bisort", "mst", "mcf", "xalancbmk"}
-	g := c.Grids(benches)
+	g := c.Grids(benches, Base, CDP)
 	noPol := perBench(benches, func(_ int, b string) sim.Result {
 		return c.run(b, sim.Spec{Name: "cdp-nopollution", NoPollution: true,
 			Components: []sim.Component{{Kind: "stream"}, {Kind: "cdp"}}})
@@ -353,7 +353,7 @@ func Sec23(c *Context) Report {
 // trigger-load filtering) vs ECDP's per-pointer-group hints.
 func Sec72(c *Context) Report {
 	benches := pointerBenches()
-	g := c.Grids(benches)
+	g := c.Grids(benches, Base, ECDP, ECDPT, Prof)
 	coarse := perBench(benches, func(i int, b string) sim.Result {
 		return c.run(b, sim.NewSpec("grp-coarse", "stream", "cdp").WithHints(g[i].Prof.CoarseHints(0)))
 	})
@@ -373,7 +373,7 @@ func Sec72(c *Context) Report {
 // Sec74 reproduces Section 7.4: PAB-style best-prefetcher-only selection.
 func Sec74(c *Context) Report {
 	benches := pointerBenches()
-	g := c.Grids(benches)
+	g := c.Grids(benches, Base, ECDPT, Prof)
 	pab := perBench(benches, func(i int, b string) sim.Result {
 		return c.run(b, sim.NewSpec("pab", "stream", "cdp", "pab").WithHints(g[i].Hints))
 	})
