@@ -8,6 +8,7 @@
 //	experiments -list-configs        # named configs + component catalog
 //	experiments -exp fig7 -scale 0.5 # smaller inputs (faster, noisier)
 //	experiments -spec spec.json      # custom sim.Spec vs the stream baseline
+//	experiments -exp fig7 -cpuprofile cpu.pprof  # profile the process
 //
 // Persisting runs:
 //
@@ -28,6 +29,10 @@
 // manifest.json recording scale/seed/parallelism, the go toolchain, and the
 // git revision. The schemas are documented in OBSERVABILITY.md.
 //
+// -cpuprofile <file> and -memprofile <file> profile the process itself for
+// `go tool pprof`; the files are written once every report is out, failed
+// jobs or not.
+//
 // Failed jobs (contained worker panics, trace-write errors) do not abort
 // the sweep: they are appended to the affected report's footer and the
 // command exits 1.
@@ -42,6 +47,7 @@ import (
 	"runtime"
 
 	"ldsprefetch/internal/exp"
+	"ldsprefetch/internal/procprof"
 	"ldsprefetch/internal/workload"
 )
 
@@ -68,6 +74,7 @@ func main() {
 	outDir := flag.String("out", "", "directory to persist rendered reports (+ manifest)")
 	cacheDir := flag.String("cache", "", "content-addressed result cache directory (cached re-runs + resume)")
 	verify := flag.Bool("verifycache", false, "re-run every cache hit and fail jobs on result mismatch")
+	prof := procprof.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -95,6 +102,10 @@ func main() {
 	ext, ok := formatExt[*format]
 	if !ok {
 		fatal(fmt.Sprintf("experiments: unknown -format %q (text|json|csv)%s", *format, usageHint))
+	}
+	stopProfile, err := prof.Start()
+	if err != nil {
+		fatal("experiments:", err)
 	}
 
 	ctx := exp.NewContext()
@@ -155,6 +166,9 @@ func main() {
 		if err := manifest.Write(dir); err != nil {
 			fatal(err)
 		}
+	}
+	if err := stopProfile(); err != nil {
+		fatal("experiments:", err)
 	}
 	if errs := ctx.JobErrs(); len(errs) > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: %d job(s) failed:\n", len(errs))

@@ -14,6 +14,7 @@
 //	ldssim -bench mst -trace /tmp/t                       # + JSONL telemetry
 //	ldssim -bench mst -cache results/cache                # cached re-runs
 //	ldssim -replay run.ldstrc -config cdp+throttle        # replay a capture
+//	ldssim -bench kvstore -cpuprofile cpu.pprof           # profile the process
 //	ldssim -list
 //	ldssim -list-configs
 //
@@ -49,6 +50,10 @@
 // TRACEFORMAT.md) instead of generating a workload; the capture's
 // digest is verified on load and recorded in persisted manifests, and the
 // report is byte-identical to running the captured generator directly.
+//
+// -cpuprofile <file> and -memprofile <file> profile the process itself
+// (workload builds, profiling passes and simulation) for `go tool pprof`;
+// the files are written when the run succeeds.
 package main
 
 import (
@@ -64,6 +69,7 @@ import (
 	"ldsprefetch/internal/core"
 	"ldsprefetch/internal/exp"
 	"ldsprefetch/internal/prefetch"
+	"ldsprefetch/internal/procprof"
 	"ldsprefetch/internal/sim"
 	"ldsprefetch/internal/tracefile"
 	"ldsprefetch/internal/workload"
@@ -89,6 +95,7 @@ func main() {
 	traceDir := flag.String("trace", "", "directory for interval/event JSONL traces (+ manifest)")
 	outDir := flag.String("out", "", "directory to persist the run summary (+ manifest)")
 	cacheDir := flag.String("cache", "", "content-addressed result cache directory")
+	prof := procprof.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -102,6 +109,15 @@ func main() {
 	if *scale <= 0 || math.IsNaN(*scale) || math.IsInf(*scale, 0) {
 		fatal(fmt.Sprintf("ldssim: -scale must be a positive number, got %v (run 'ldssim -h' for usage)", *scale))
 	}
+	stopProfile, err := prof.Start()
+	if err != nil {
+		fatal("ldssim:", err)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fatal("ldssim:", err)
+		}
+	}()
 
 	// The harness context supplies the profile cache, the job scheduler and
 	// its result store, and trace persistence.

@@ -107,12 +107,53 @@ func (t *Trace) Clone() *Trace {
 	return &Trace{Name: t.Name, Ops: t.Ops, Mem: t.Mem.Clone()}
 }
 
+// chunkOps is the length of one OpBuffer chunk: 64 Ki ops, 1.25 MiB.
+const chunkOps = 1 << 16
+
+// OpBuffer accumulates a program-order op stream of unknown final length.
+// Ops go into fixed-size chunks, so appending never re-copies the ops
+// already held, and Ops concatenates them once into a slice whose capacity
+// equals its length: a cached trace carries no spare capacity. Only the
+// first chunk grows by append, which keeps short streams small.
+type OpBuffer struct {
+	full [][]Op // filled chunks, chunkOps ops each
+	cur  []Op   // the chunk being filled
+}
+
+// Append adds op to the end of the stream and returns its index.
+func (s *OpBuffer) Append(op Op) int32 {
+	if len(s.cur) == chunkOps {
+		s.full = append(s.full, s.cur)
+		s.cur = make([]Op, 0, chunkOps)
+	}
+	s.cur = append(s.cur, op)
+	return int32(s.Len() - 1)
+}
+
+// Len returns the number of ops appended so far.
+func (s *OpBuffer) Len() int { return len(s.full)*chunkOps + len(s.cur) }
+
+// Ops returns the whole stream as one slice with cap == len and empties the
+// buffer.
+func (s *OpBuffer) Ops() []Op {
+	ops := make([]Op, 0, s.Len())
+	for _, c := range s.full {
+		ops = append(ops, c...)
+	}
+	ops = append(ops, s.cur...)
+	s.full, s.cur = nil, nil
+	return ops
+}
+
 // Builder incrementally constructs a Trace. Workload generators use it both
 // to emit ops and to perform the loads/stores functionally against the
 // simulated memory, so that the emitted address stream and the memory image
-// stay consistent by construction.
+// stay consistent by construction. Ops accumulate in an OpBuffer and reach
+// the Trace only when Trace is called; op indices are global from the
+// start.
 type Builder struct {
 	t       *Trace
+	ops     OpBuffer
 	padding int // compute ops inserted after every memory op
 	undo    []undoRec
 	done    bool
@@ -136,7 +177,7 @@ func NewBuilder(name string, m *mem.Memory, computePad int) *Builder {
 }
 
 // Len returns the number of ops emitted so far.
-func (b *Builder) Len() int { return len(b.t.Ops) }
+func (b *Builder) Len() int { return b.ops.Len() }
 
 // Mem returns the underlying simulated memory.
 func (b *Builder) Mem() *mem.Memory { return b.t.Mem }
@@ -153,7 +194,7 @@ func (b *Builder) Compute(n int) {
 		if k > MaxBatch {
 			k = MaxBatch
 		}
-		b.t.Ops = append(b.t.Ops, Op{Kind: Compute, Dep: NoDep, N: uint8(k)})
+		b.ops.Append(Op{Kind: Compute, Dep: NoDep, N: uint8(k)})
 		n -= k
 	}
 }
@@ -162,8 +203,7 @@ func (b *Builder) Compute(n int) {
 // memory, and returns (value, opIndex). dep is the index of the op producing
 // the address (NoDep if none); lds tags the load as a pointer-chase access.
 func (b *Builder) Load(pc, addr uint32, dep int32, lds bool) (uint32, int32) {
-	idx := int32(len(b.t.Ops))
-	b.t.Ops = append(b.t.Ops, Op{Kind: Load, Addr: addr, Dep: dep, PC: pc, LDS: lds})
+	idx := b.ops.Append(Op{Kind: Load, Addr: addr, Dep: dep, PC: pc, LDS: lds})
 	b.pad()
 	return b.t.Mem.Read32(addr), idx
 }
@@ -177,8 +217,7 @@ func (b *Builder) Load(pc, addr uint32, dep int32, lds bool) (uint32, int32) {
 // pointers as of the scan time, not the end of the run (e.g. bisort's
 // subtree swaps rewrite child pointers mid-run).
 func (b *Builder) Store(pc, addr, val uint32, dep int32) int32 {
-	idx := int32(len(b.t.Ops))
-	b.t.Ops = append(b.t.Ops, Op{Kind: Store, Addr: addr, Val: val, Dep: dep, PC: pc})
+	idx := b.ops.Append(Op{Kind: Store, Addr: addr, Val: val, Dep: dep, PC: pc})
 	b.undo = append(b.undo, undoRec{addr, b.t.Mem.Read32(addr)})
 	b.t.Mem.Write32(addr, val)
 	b.pad()
@@ -192,20 +231,20 @@ func (b *Builder) Store(pc, addr, val uint32, dep int32) int32 {
 // compute padding: they are part of the instruction mix the padding already
 // models, not an addition to it.
 func (b *Builder) Branch(pc, target uint32, taken bool, dep int32) int32 {
-	idx := int32(len(b.t.Ops))
-	b.t.Ops = append(b.t.Ops, Op{Kind: Branch, Addr: target, Dep: dep, PC: pc, Taken: taken})
-	return idx
+	return b.ops.Append(Op{Kind: Branch, Addr: target, Dep: dep, PC: pc, Taken: taken})
 }
 
-// Trace finalizes the trace: the memory image is rewound to its pre-run
-// state (see Store) and the trace is returned. Further builder use after
-// Trace is a programming error.
+// Trace finalizes the trace: the ops are gathered into one exact-size slice,
+// the memory image is rewound to its pre-run state (see Store) and the trace
+// is returned. Later calls return the same trace. Emitting ops after Trace
+// is a programming error.
 func (b *Builder) Trace() *Trace {
 	if !b.done {
 		for i := len(b.undo) - 1; i >= 0; i-- {
 			b.t.Mem.Write32(b.undo[i].addr, b.undo[i].old)
 		}
 		b.undo = nil
+		b.t.Ops = b.ops.Ops()
 		b.done = true
 	}
 	return b.t

@@ -119,3 +119,49 @@ func TestKindString(t *testing.T) {
 		t.Fatalf("unknown kind = %q", Kind(9).String())
 	}
 }
+
+// TestBuilderAcrossChunks emits more than two chunks of ops and checks that
+// indices stay global and contiguous across every chunk boundary, that a
+// dependence pointing back across a boundary resolves to its producer, and
+// that the finished trace is exact-size and stable across Trace calls.
+func TestBuilderAcrossChunks(t *testing.T) {
+	b := NewBuilder("t", mem.New(), 0)
+	const n = 2*chunkOps + 100
+	var prev int32 = -1
+	for i := 0; i < n; i++ {
+		var idx int32
+		if i%2 == 0 {
+			_, idx = b.Load(uint32(i+1), mem.HeapBase+uint32(4*i), NoDep, false)
+		} else {
+			idx = b.Store(uint32(i+1), mem.HeapBase+uint32(4*i), uint32(i), NoDep)
+		}
+		if idx != prev+1 {
+			t.Fatalf("op %d got index %d, want %d", i, idx, prev+1)
+		}
+		prev = idx
+	}
+	// A load whose producer sits two chunks back.
+	far := int32(chunkOps - 2) // even: a Load
+	_, dep := b.Load(0xfeed, mem.HeapBase, far, true)
+	if b.Len() != n+1 {
+		t.Fatalf("Len() = %d, want %d", b.Len(), n+1)
+	}
+	tr := b.Trace()
+	if len(tr.Ops) != n+1 || cap(tr.Ops) != len(tr.Ops) {
+		t.Fatalf("len %d cap %d, want len = cap = %d", len(tr.Ops), cap(tr.Ops), n+1)
+	}
+	for i := 0; i < n; i++ {
+		if tr.Ops[i].PC != uint32(i+1) {
+			t.Fatalf("op %d has PC %d, want %d", i, tr.Ops[i].PC, i+1)
+		}
+	}
+	if p := tr.Ops[tr.Ops[dep].Dep]; p.Kind != Load || p.PC != uint32(far+1) {
+		t.Fatalf("dependence resolves to %+v, want the load at index %d", p, far)
+	}
+	if err := Validate(tr); err != nil {
+		t.Fatal(err)
+	}
+	if again := b.Trace(); again != tr || len(again.Ops) != n+1 {
+		t.Fatal("second Trace call returned a different trace")
+	}
+}

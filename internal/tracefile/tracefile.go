@@ -453,6 +453,9 @@ func (r *Reader) ReadMem() (*mem.Memory, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tracefile: page %d: %w", i, err)
 		}
+		if pn >= mem.NumPages {
+			return nil, fmt.Errorf("tracefile: page %d number %#x is outside the 32-bit address space", i, pn)
+		}
 		n, err := binary.ReadUvarint(r.hr)
 		if err != nil || n == 0 || n > uint64(mem.PageSize) {
 			return nil, fmt.Errorf("tracefile: page %d length invalid (%d, %v)", i, n, err)
@@ -489,10 +492,6 @@ func (r *Reader) Verify() error {
 	return nil
 }
 
-// loadPrealloc caps the op capacity Load reserves from the header's count
-// before any op has been read.
-const loadPrealloc = 1 << 16
-
 // Load materializes a full trace from rd, verifying the digest and the
 // trace's structural invariants.
 func Load(rd io.Reader) (*trace.Trace, Header, error) {
@@ -504,9 +503,10 @@ func Load(rd io.Reader) (*trace.Trace, Header, error) {
 	if hdr.OpCount > 1<<33 {
 		return nil, hdr, fmt.Errorf("tracefile: op count %d implausible", hdr.OpCount)
 	}
-	// The header's count is untrusted until the digest checks out: bound
-	// the up-front allocation and let append grow past it.
-	ops := make([]trace.Op, 0, min(hdr.OpCount, loadPrealloc))
+	// The header's count is untrusted until the digest checks out, so
+	// nothing is reserved from it: the buffer grows one chunk at a time as
+	// ops actually decode.
+	var ops trace.OpBuffer
 	for {
 		op, err := r.Next()
 		if err == io.EOF {
@@ -515,7 +515,7 @@ func Load(rd io.Reader) (*trace.Trace, Header, error) {
 		if err != nil {
 			return nil, hdr, err
 		}
-		ops = append(ops, op)
+		ops.Append(op)
 	}
 	m, err := r.ReadMem()
 	if err != nil {
@@ -524,7 +524,7 @@ func Load(rd io.Reader) (*trace.Trace, Header, error) {
 	if err := r.Verify(); err != nil {
 		return nil, hdr, err
 	}
-	tr := &trace.Trace{Name: hdr.Meta.Name, Ops: ops, Mem: m}
+	tr := &trace.Trace{Name: hdr.Meta.Name, Ops: ops.Ops(), Mem: m}
 	if err := trace.Validate(tr); err != nil {
 		return nil, hdr, fmt.Errorf("tracefile: %w", err)
 	}
