@@ -6,28 +6,18 @@
 //
 //	ldsserve -addr :8080 -cache results/cache -parallel 8
 //
-// It can also run as one node of a distributed sweep (DISTRIBUTED.md):
+// Endpoints (details in ORCHESTRATION.md):
 //
-//	ldsserve -addr :8080 -cache results/cache -coordinator
-//	ldsserve -worker http://coordinator:8080 -cache results/cache
+//	POST /api/v1/sweeps               submit an experiment or a raw spec sweep
+//	GET  /api/v1/sweeps               list sweeps
+//	GET  /api/v1/sweeps/{id}          sweep status and progress counts
+//	GET  /api/v1/sweeps/{id}/report   fetch reports (json, text, or csv)
+//	GET  /metrics                     queue/worker/cache/latency metrics
+//	GET  /healthz                     liveness
 //
-// A coordinator accepts sweeps as usual but leases every simulation to
-// pull-based workers instead of running it in-process; a worker runs no
-// API of its own — it pulls task batches, simulates, and pushes results
-// until the coordinator drains or the worker is signalled.
-//
-// Endpoints (details in ORCHESTRATION.md; work protocol in DISTRIBUTED.md):
-//
-//	POST /api/v1/sweeps                      submit an experiment or a raw spec sweep
-//	GET  /api/v1/sweeps                      list sweeps
-//	GET  /api/v1/sweeps/{id}                 sweep status and progress counts
-//	GET  /api/v1/sweeps/{id}/report          fetch reports (json, text, or csv)
-//	GET  /metrics                            queue/worker/cache/latency metrics
-//	POST /api/v1/work/leases                 lease a task batch (workers)
-//	POST /api/v1/work/leases/{id}/heartbeat  renew a lease
-//	POST /api/v1/work/leases/{id}/results    push one task result
-//	POST /api/v1/work/leases/{id}/release    hand unfinished tasks back
-//	GET  /api/v1/workers                     per-worker protocol counters
+// On SIGTERM or SIGINT it stops accepting sweeps, finishes the accepted
+// ones, and exits 0; -verifycache on a restart over the same -cache
+// re-executes every hit and fails any job whose fresh result differs.
 //
 // Example:
 //
@@ -63,12 +53,6 @@ func main() {
 	verify := flag.Bool("verifycache", false, "re-run every cache hit and fail jobs on result mismatch (determinism check)")
 	timeout := flag.Duration("jobtimeout", 0, "per-job execution timeout (0 = unbounded)")
 	retries := flag.Int("jobretries", 0, "re-attempts after a failed job")
-	coordinator := flag.Bool("coordinator", false, "dispatch simulations to pull-based workers instead of running them in-process")
-	leaseTTL := flag.Duration("leasettl", server.DefaultLeaseTTL, "coordinator: re-dispatch a leased batch after this long without a heartbeat")
-	workerURL := flag.String("worker", "", "run as a worker pulling tasks from this coordinator URL (no local API)")
-	workerID := flag.String("id", "", "worker: self-assigned worker id (default hostname-pid)")
-	batch := flag.Int("batch", 0, "worker: max tasks leased at once (default -parallel)")
-	poll := flag.Duration("poll", 2*time.Second, "worker: idle wait between lease polls that found no work")
 	flag.Parse()
 
 	if *par <= 0 {
@@ -77,44 +61,28 @@ func main() {
 	if *retries < 0 || *timeout < 0 {
 		fatal("ldsserve: -jobretries and -jobtimeout must be non-negative (run 'ldsserve -h' for usage)")
 	}
-	if *coordinator && *workerURL != "" {
-		fatal("ldsserve: -coordinator and -worker are mutually exclusive (a node is one or the other)")
-	}
-
-	if *workerURL != "" {
-		runWorker(*workerURL, *workerID, *cacheDir, *par, *batch, *verify, *timeout, *retries, *poll)
-		return
-	}
 
 	srv, err := server.New(server.Options{
-		CacheDir:    *cacheDir,
-		Workers:     *par,
-		Verify:      *verify,
-		JobTimeout:  *timeout,
-		JobRetries:  *retries,
-		Coordinator: *coordinator,
-		LeaseTTL:    *leaseTTL,
+		CacheDir:   *cacheDir,
+		Workers:    *par,
+		Verify:     *verify,
+		JobTimeout: *timeout,
+		JobRetries: *retries,
 	})
 	if err != nil {
 		fatal("ldsserve:", err)
 	}
 	// Graceful shutdown: on SIGTERM/SIGINT stop accepting new sweeps and
 	// drain in-flight sweeps so every journal and result-object write
-	// completes before exit. The HTTP listener stays up through the drain —
-	// in coordinator mode finishing a sweep REQUIRES it (workers push
-	// results over HTTP), and in either mode it keeps status and report
-	// endpoints answering while the queue empties.
+	// completes before exit. The HTTP listener stays up through the drain,
+	// so status and report endpoints keep answering while the queue empties.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	mode := "local"
-	if *coordinator {
-		mode = "coordinator"
-	}
-	fmt.Printf("ldsserve: listening on %s (mode=%s parallel=%d cache=%q)\n", *addr, mode, *par, *cacheDir)
+	fmt.Printf("ldsserve: listening on %s (parallel=%d cache=%q)\n", *addr, *par, *cacheDir)
 
 	select {
 	case err := <-errc:
@@ -133,37 +101,4 @@ func main() {
 		}
 		fmt.Println("ldsserve: drained; journal and result objects flushed")
 	}
-}
-
-// runWorker runs the pull-based worker loop until the coordinator goes away
-// for good or a signal arrives. On SIGTERM/SIGINT the worker releases its
-// lease (the coordinator re-dispatches unfinished tasks immediately), lets
-// running simulations finish and push, then exits.
-func runWorker(url, id, cacheDir string, par, batch int, verify bool, timeout time.Duration, retries int, poll time.Duration) {
-	w, err := server.NewWorker(server.WorkerOptions{
-		Coordinator: url,
-		ID:          id,
-		CacheDir:    cacheDir,
-		Workers:     par,
-		Batch:       batch,
-		Verify:      verify,
-		JobTimeout:  timeout,
-		JobRetries:  retries,
-		Poll:        poll,
-		Logf: func(format string, args ...any) {
-			fmt.Printf("ldsserve: "+format+"\n", args...)
-		},
-	})
-	if err != nil {
-		fatal("ldsserve:", err)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	fmt.Printf("ldsserve: worker pulling from %s (parallel=%d cache=%q)\n", url, par, cacheDir)
-	err = w.Run(ctx)
-	stop() // a second signal during the final pushes kills
-	if err != nil {
-		fatal("ldsserve:", err)
-	}
-	fmt.Println("ldsserve: worker drained")
 }

@@ -479,8 +479,12 @@ func TestUncacheableTracedRun(t *testing.T) {
 	s := New(Config{Workers: 1, Store: st})
 	sp := testSpec()
 	sp.Trace = true
-	if _, err := s.SingleSpec("mst", testParams, sp); err != nil {
+	res, err := s.SingleSpec("mst", testParams, sp)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Trace == nil {
+		t.Fatal("traced run returned no telemetry")
 	}
 	if got := s.Metrics().Snapshot(); got.Uncached != 1 || got.CacheMisses != 0 || got.Computed != 0 {
 		t.Fatalf("traced run touched the cache: %+v", got)

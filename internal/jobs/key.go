@@ -8,15 +8,10 @@
 // service route every simulation through a Scheduler.
 //
 // Every result job (a single-core run, a mix's shared run, one alone run) is
-// described once, as a TaskSpec, and runs on one path whether it was
-// submitted locally (SingleSpec, MultiSpec) or received from another node
-// (ExecTask). That makes jobs transportable: a Scheduler configured with a
-// Runner hands every cacheable TaskSpec to it instead of simulating
-// in-process (the coordinator side of a distributed sweep), and the worker
-// side runs what it receives exactly as it would its own. Profiles are
-// cached jobs too but stay on the node that asks for them. The result
-// store's Backend interface is the storage seam: a local directory today,
-// an object store tomorrow. See DISTRIBUTED.md.
+// described once, as a TaskSpec, and runs on one in-process path (runTask).
+// Profiles are cached jobs too. The Store is a directory of content-addressed
+// objects plus an advisory completion journal. ORCHESTRATION.md documents
+// the scheduler, the store, and the job service built on them.
 package jobs
 
 import (

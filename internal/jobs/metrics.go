@@ -27,7 +27,6 @@ type Metrics struct {
 	Computed    atomic.Int64 // cacheable simulations and profiles actually executed
 	Uncached    atomic.Int64 // uncacheable executions (traced runs)
 	Coalesced   atomic.Int64 // duplicate in-flight jobs served by a leader
-	Dispatched  atomic.Int64 // jobs handed to a remote Runner (coordinator mode)
 	Retries     atomic.Int64 // re-attempts after a failure
 	Panics      atomic.Int64 // worker panics contained
 	Timeouts    atomic.Int64 // attempts abandoned at the deadline
@@ -56,7 +55,6 @@ type Snapshot struct {
 	Submitted, Completed, Failed               int64
 	CacheHits, CacheMisses, Computed, Uncached int64
 	Coalesced, Retries, Panics, Timeouts       int64
-	Dispatched                                 int64
 	VerifyRuns, VerifyBad                      int64
 	LatencyBucketCounts                        []int64 // aligned with LatencyBuckets, +Inf last
 	LatencyCount                               int64
@@ -76,7 +74,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		Computed:    m.Computed.Load(),
 		Uncached:    m.Uncached.Load(),
 		Coalesced:   m.Coalesced.Load(),
-		Dispatched:  m.Dispatched.Load(),
 		Retries:     m.Retries.Load(),
 		Panics:      m.Panics.Load(),
 		Timeouts:    m.Timeouts.Load(),

@@ -17,7 +17,8 @@ import (
 	"ldsprefetch/internal/workload"
 )
 
-// Config parameterizes a Scheduler.
+// Config parameterizes a Scheduler. Every job executes in this process, on
+// the worker pool that Workers or Slots bounds.
 type Config struct {
 	// Workers bounds concurrent job execution (default: NumCPU). Ignored
 	// when Slots is provided.
@@ -46,16 +47,6 @@ type Config struct {
 	// result does not match the stored one — a determinism check for the
 	// simulator and the store.
 	Verify bool
-	// Runner, when non-nil, executes cacheable jobs remotely instead of on
-	// the local pool: single/shared/alone jobs are handed to Runner.RunTask
-	// (the distributed coordinator dispatches them to pull-based workers
-	// this way; DISTRIBUTED.md) and everything else — profiles and traced
-	// runs — runs locally. Remote jobs bypass Slots, Timeout, and Retries:
-	// the remote end owns its concurrency and failure containment, and the
-	// dispatch layer owns recovery from worker loss (lease expiry and
-	// re-dispatch). With Verify set, hit verification recomputes remotely
-	// too, making cross-node cache hits a distributed determinism check.
-	Runner Runner
 }
 
 // Record is the provenance of one completed job, in submission-completion
@@ -141,9 +132,8 @@ type jobDesc struct {
 	kind      string
 	benches   []string
 	setupName string
-	key       Key       // zero Hash means uncacheable
-	cacheable bool      // false: skip cache and dedup (traced runs)
-	task      *TaskSpec // transportable form, set when a Runner may execute it
+	key       Key  // zero Hash means uncacheable
+	cacheable bool // false: skip cache and dedup (traced runs)
 }
 
 func (s *Scheduler) record(rec Record, d time.Duration) {
@@ -214,29 +204,6 @@ func (s *Scheduler) execute(fn func() (any, error)) (res any, attempts int, err 
 		}
 		s.sinks(func(m *Metrics) { m.Retries.Add(1) })
 	}
-}
-
-// compute executes d's work: remotely via the configured Runner when the
-// job is transportable, locally on the worker pool otherwise. The remote
-// path holds no local slot — the executing node bounds its own concurrency —
-// and does not retry: worker loss is recovered by the dispatch layer
-// (re-dispatch), and a deterministic simulation failure pushed back by a
-// worker would fail again anywhere.
-func (s *Scheduler) compute(d jobDesc, run func() (any, error), newOut func() any) (any, int, error) {
-	if s.cfg.Runner != nil && d.task != nil {
-		s.sinks(func(m *Metrics) { m.Dispatched.Add(1) })
-		raw, err := s.cfg.Runner.RunTask(*d.task)
-		if err != nil {
-			return nil, 1, err
-		}
-		out := newOut()
-		if err := json.Unmarshal(raw, out); err != nil {
-			return nil, 1, fmt.Errorf("jobs: decoding remote result %s: %w", d.key.Hash, err)
-		}
-		return out, 1, nil
-	}
-	res, attempts, err := s.execute(run)
-	return res, attempts, err
 }
 
 // canonicalResult re-encodes a result for the determinism check. JSON
@@ -310,7 +277,7 @@ func (s *Scheduler) doLeader(d jobDesc, rec *Record, run func() (any, error), ne
 		if err == nil && hit {
 			s.sinks(func(m *Metrics) { m.CacheHits.Add(1) })
 			if s.cfg.Verify {
-				if verr := s.verifyHit(d, out, run, newOut); verr != nil {
+				if verr := s.verifyHit(d, out, run); verr != nil {
 					s.sinks(func(m *Metrics) { m.Failed.Add(1) })
 					rec.Provenance = "failed"
 					rec.Error = verr.Error()
@@ -332,7 +299,7 @@ func (s *Scheduler) doLeader(d jobDesc, rec *Record, run func() (any, error), ne
 	}
 
 	start := time.Now()
-	res, attempts, err := s.compute(d, run, newOut)
+	res, attempts, err := s.execute(run)
 	dur := time.Since(start)
 	s.sinks(func(m *Metrics) { m.observeLatency(dur) })
 	rec.Attempts = attempts
@@ -343,16 +310,8 @@ func (s *Scheduler) doLeader(d jobDesc, rec *Record, run func() (any, error), ne
 		s.record(*rec, dur)
 		return nil, err
 	}
-	if s.cfg.Runner != nil && d.task != nil {
-		// Remotely executed: the Dispatched counter already recorded it and
-		// the executing node counts the computation; counting it as Computed
-		// here too would double-book the simulation.
-		s.sinks(func(m *Metrics) { m.Completed.Add(1) })
-		rec.Provenance = "dispatched"
-	} else {
-		s.sinks(func(m *Metrics) { m.Completed.Add(1); m.Computed.Add(1) })
-		rec.Provenance = "computed"
-	}
+	s.sinks(func(m *Metrics) { m.Completed.Add(1); m.Computed.Add(1) })
+	rec.Provenance = "computed"
 	if s.cfg.Store != nil {
 		if perr := s.cfg.Store.Put(d.key, d.kind, res); perr != nil {
 			// The result is valid even if journaling it failed; surface the
@@ -364,13 +323,11 @@ func (s *Scheduler) doLeader(d jobDesc, rec *Record, run func() (any, error), ne
 	return res, err
 }
 
-// verifyHit recomputes a cache hit and compares it against the stored
-// result. With a Runner configured the recompute dispatches remotely, so a
-// coordinator's -verifycache audits cross-node determinism: a hit journaled
-// by one worker is recomputed by whichever worker leases the check.
-func (s *Scheduler) verifyHit(d jobDesc, cached any, run func() (any, error), newOut func() any) error {
+// verifyHit recomputes a cache hit on the worker pool, with the same retry
+// and timeout as any execution, and compares it against the stored result.
+func (s *Scheduler) verifyHit(d jobDesc, cached any, run func() (any, error)) error {
 	s.sinks(func(m *Metrics) { m.VerifyRuns.Add(1) })
-	fresh, _, err := s.compute(d, run, newOut)
+	fresh, _, err := s.execute(run)
 	if err != nil {
 		return fmt.Errorf("verifying cache hit %s: recompute failed: %w", d.key.Hash, err)
 	}

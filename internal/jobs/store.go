@@ -11,44 +11,26 @@ import (
 	"time"
 )
 
-// Backend is the storage layer under a Store: a flat content-addressed
-// object space plus an append-only journal stream. The Store owns envelope
-// encoding, schema checks, and key derivation; a Backend only moves bytes,
-// which is exactly the seam a remote backend (S3, another node's store
-// service) needs to slot in. Implementations must be safe for concurrent
-// use; several processes (a coordinator and its workers on one machine)
-// may share one backend.
-type Backend interface {
-	// ReadObject returns the stored bytes for hash, or an error wrapping
-	// fs.ErrNotExist when no such object exists.
-	ReadObject(hash string) ([]byte, error)
-	// WriteObject stores data under hash atomically: a concurrent reader
-	// observes either nothing or the complete object, never a partial
-	// write. Double-writes of the same hash are allowed and harmless —
-	// content addressing guarantees equal keys carry equal bytes (and the
-	// scheduler's verify mode checks exactly that).
-	WriteObject(hash string, data []byte) error
-	// AppendJournal appends one line (trailing newline included) to the
-	// advisory completion journal. Journal loss never loses results.
-	AppendJournal(line []byte) error
-}
-
-// Store is a content-addressed result cache over a pluggable Backend. Each
-// completed job is persisted as one object named by its key hash the moment
-// it finishes, which doubles as the sweep journal: re-running an interrupted
-// sweep against the same store skips every journaled cell, and workers on
-// other nodes sharing the backend skip each other's completed cells.
+// Store is a content-addressed result cache rooted at a local directory.
+// Each completed job is persisted as one object named by its key hash the
+// moment it finishes, which doubles as the sweep journal: re-running an
+// interrupted sweep against the same store skips every journaled cell.
 //
-// The default DirBackend layout:
+// Layout:
 //
 //	<dir>/objects/<hh>/<hash>.json   one envelope per completed job
 //	<dir>/journal.jsonl              append-only completion log
 //
-// Object writes are atomic, so a crash mid-write never corrupts a cell. The
-// journal is advisory observability — the objects are the source of truth
-// for both caching and resume.
+// Object writes are atomic (temp file + rename), so a crash mid-write never
+// corrupts a cell and processes sharing the directory never read a partial
+// object; writing the same hash twice is harmless, since equal keys carry
+// equal bytes (verify mode checks exactly that). The journal is advisory
+// observability — the objects are the source of truth for both caching and
+// resume. A Store is safe for concurrent use.
 type Store struct {
-	b Backend
+	dir string
+
+	mu sync.Mutex // serializes journal appends within this process
 }
 
 // envelope is the stored form of one result, carrying enough context to
@@ -62,21 +44,21 @@ type envelope struct {
 
 // Open opens (creating if needed) a store rooted at the local directory dir.
 func Open(dir string) (*Store, error) {
-	b, err := NewDirBackend(dir)
-	if err != nil {
-		return nil, err
+	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
+		return nil, fmt.Errorf("jobs: opening store: %w", err)
 	}
-	return NewStore(b), nil
+	return &Store{dir: dir}, nil
 }
 
-// NewStore builds a Store over an arbitrary Backend.
-func NewStore(b Backend) *Store { return &Store{b: b} }
+func (st *Store) objectPath(hash string) string {
+	return filepath.Join(st.dir, "objects", hash[:2], hash+".json")
+}
 
 // Get looks k up and, on a hit, decodes the stored result into out (a
 // pointer). A missing object, a kind mismatch, or a stale schema all read
 // as a miss; only I/O and decode problems are errors.
 func (st *Store) Get(k Key, kind string, out any) (bool, error) {
-	b, err := st.b.ReadObject(k.Hash)
+	b, err := os.ReadFile(st.objectPath(k.Hash))
 	if errors.Is(err, fs.ErrNotExist) {
 		return false, nil
 	}
@@ -111,7 +93,7 @@ func (st *Store) Put(k Key, kind string, result any) error {
 	if err != nil {
 		return fmt.Errorf("jobs: encoding cache object: %w", err)
 	}
-	if err := st.b.WriteObject(k.Hash, append(env, '\n')); err != nil {
+	if err := st.writeObject(k.Hash, append(env, '\n')); err != nil {
 		return fmt.Errorf("jobs: writing cache object: %w", err)
 	}
 	return nil
@@ -135,43 +117,24 @@ func (st *Store) appendJournal(rec Record, d time.Duration) error {
 	if err != nil {
 		return err
 	}
-	return st.b.AppendJournal(append(b, '\n'))
-}
-
-// DirBackend is the local-filesystem Backend: one file per object under
-// objects/<hh>/, plus journal.jsonl. Atomicity comes from temp-file +
-// rename, so coordinator and worker processes on one machine can safely
-// share a directory.
-type DirBackend struct {
-	dir string
-
-	mu sync.Mutex // serializes journal appends within this process
-}
-
-// NewDirBackend opens (creating if needed) a directory-backed object store.
-func NewDirBackend(dir string) (*DirBackend, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
-		return nil, fmt.Errorf("jobs: opening store: %w", err)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	f, err := os.OpenFile(filepath.Join(st.dir, "journal.jsonl"),
+		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
 	}
-	return &DirBackend{dir: dir}, nil
+	if _, err := f.Write(append(b, '\n')); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-// Dir returns the backend's root directory.
-func (b *DirBackend) Dir() string { return b.dir }
-
-func (b *DirBackend) objectPath(hash string) string {
-	return filepath.Join(b.dir, "objects", hash[:2], hash+".json")
-}
-
-// ReadObject implements Backend.
-func (b *DirBackend) ReadObject(hash string) ([]byte, error) {
-	return os.ReadFile(b.objectPath(hash))
-}
-
-// WriteObject implements Backend: temp file + rename in the object's own
+// writeObject stores data under hash: temp file + rename in the object's own
 // directory, so the visible file is always complete.
-func (b *DirBackend) WriteObject(hash string, data []byte) error {
-	path := b.objectPath(hash)
+func (st *Store) writeObject(hash string, data []byte) error {
+	path := st.objectPath(hash)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
@@ -193,20 +156,4 @@ func (b *DirBackend) WriteObject(hash string, data []byte) error {
 		return err
 	}
 	return nil
-}
-
-// AppendJournal implements Backend.
-func (b *DirBackend) AppendJournal(line []byte) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	f, err := os.OpenFile(filepath.Join(b.dir, "journal.jsonl"),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(line); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

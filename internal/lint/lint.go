@@ -364,9 +364,9 @@ var determinismPackages = append([]string{
 
 // servingPackages further extends the scope with the orchestration layer:
 // the scheduler, the result store, and the HTTP job service. Map-iteration
-// order here can leak into re-dispatch order, journal contents, or rendered
+// order here can leak into journal contents, sweep listings, or rendered
 // metrics, so maporder applies; walltime does not — the serving layer
-// legitimately reads the clock for lease TTLs, journal timestamps, and
+// legitimately reads the clock for job timeouts, journal timestamps, and
 // latency histograms.
 var servingPackages = append([]string{
 	"internal/jobs",
@@ -383,8 +383,8 @@ var nondetflowPackages = append([]string{
 }, determinismPackages...)
 
 // lockcheckPackages are the packages with mutex-guarded shared state: the
-// scheduler, the distributed control plane, the parallel engine, and the
-// workload registry.
+// scheduler and result store, the job service's sweep table, the parallel
+// engine, and the workload registry.
 var lockcheckPackages = []string{
 	"internal/jobs",
 	"internal/server",

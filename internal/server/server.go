@@ -5,17 +5,13 @@
 // worker pool, one content-addressed result store, and one metrics sink, so
 // concurrent sweeps obey a single concurrency bound and reuse each other's
 // journaled results. The API is documented in ORCHESTRATION.md.
-//
-// In coordinator mode (Options.Coordinator) the server additionally runs a
-// task dispatcher: every cacheable job of every sweep is leased to pull-
-// based Workers over the /api/v1/work endpoints instead of simulating
-// in-process, while report assembly, caching, and verification stay here.
-// The wire protocol and its failure modes are documented in DISTRIBUTED.md.
 package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -45,22 +41,15 @@ type Options struct {
 	JobTimeout time.Duration
 	// JobRetries re-attempts failed simulations.
 	JobRetries int
-	// Coordinator dispatches every cacheable job to pull-based workers over
-	// the /api/v1/work endpoints instead of simulating in-process.
-	Coordinator bool
-	// LeaseTTL is how long a leased batch may go without a heartbeat before
-	// its tasks are re-dispatched (default DefaultLeaseTTL).
-	LeaseTTL time.Duration
 }
 
 // Server is the job-service state: the sweep table plus the shared pool,
 // store, and metrics.
 type Server struct {
-	opts     Options
-	store    *jobs.Store
-	metrics  *jobs.Metrics
-	slots    chan struct{}
-	dispatch *dispatcher // non-nil in coordinator mode
+	opts    Options
+	store   *jobs.Store
+	metrics *jobs.Metrics
+	slots   chan struct{}
 
 	mu sync.Mutex
 	//ldslint:guardedby mu
@@ -87,9 +76,6 @@ func New(opts Options) (*Server, error) {
 		n = runtime.NumCPU()
 	}
 	s.slots = make(chan struct{}, n)
-	if opts.Coordinator {
-		s.dispatch = newDispatcher(opts.LeaseTTL)
-	}
 	if opts.CacheDir != "" {
 		store, err := jobs.Open(opts.CacheDir)
 		if err != nil {
@@ -145,8 +131,25 @@ func (sw *sweep) setState(st string) {
 	sw.mu.Unlock()
 }
 
+// decodeSweep decodes and validates one POST /api/v1/sweeps body, filling
+// in the default scale and seed. It is the service's only decoder of
+// untrusted request bytes, shared by handleSubmit and FuzzSweepSubmit; it
+// touches no Server state, so it cannot launch a sweep.
+func decodeSweep(body io.Reader) (sweepRequest, error) {
+	var req sweepRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		if strings.Contains(err.Error(), `unknown field "setups"`) {
+			return req, errors.New(`decoding request: the "setups" field was removed; describe each configuration as a sim.Spec in "specs" (or name it in "configs")`)
+		}
+		return req, fmt.Errorf("decoding request: %w", err)
+	}
+	return req, validate(&req)
+}
+
 // validate rejects malformed submissions before any job is queued.
-func (s *Server) validate(req *sweepRequest) error {
+func validate(req *sweepRequest) error {
 	if req.Scale == 0 {
 		req.Scale = 1.0
 	}
@@ -203,39 +206,24 @@ func (s *Server) validate(req *sweepRequest) error {
 // when Drain returns, every journal and object write of every accepted sweep
 // is on disk. Status and report endpoints keep working while draining, so a
 // supervisor can still collect results after sending SIGTERM.
-//
-// In coordinator mode the dispatcher drains too: idle workers asking for
-// work get 503 (their signal to back off), but leases for tasks already
-// queued keep flowing and results keep landing, so in-flight sweeps finish.
-// Once every sweep is done the dispatcher closes for good.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-	if s.dispatch != nil {
-		s.dispatch.setDraining()
-	}
 	s.running.Wait()
-	if s.dispatch != nil {
-		s.dispatch.close()
-	}
 }
 
 // submit registers and launches a sweep. It returns nil when the server is
 // draining (the caller reports 503).
 func (s *Server) submit(req sweepRequest) *sweep {
-	cfg := jobs.Config{
+	sched := jobs.New(jobs.Config{
 		Slots:   s.slots,
 		Store:   s.store,
 		Metrics: s.metrics,
 		Verify:  s.opts.Verify,
 		Timeout: s.opts.JobTimeout,
 		Retries: s.opts.JobRetries,
-	}
-	if s.dispatch != nil {
-		cfg.Runner = s.dispatch
-	}
-	sched := jobs.New(cfg)
+	})
 	sw := &sweep{
 		req:     req,
 		sched:   sched,
@@ -314,7 +302,6 @@ type jobCounts struct {
 	Computed    int64 `json:"computed"`
 	Uncached    int64 `json:"uncached"`
 	Coalesced   int64 `json:"coalesced"`
-	Dispatched  int64 `json:"dispatched,omitempty"`
 }
 
 func (sw *sweep) status() sweepStatus {
@@ -339,7 +326,6 @@ func (sw *sweep) status() sweepStatus {
 			Computed:    snap.Computed,
 			Uncached:    snap.Uncached,
 			Coalesced:   snap.Coalesced,
-			Dispatched:  snap.Dispatched,
 		},
 		FailedJobs: append([]string(nil), sw.failedJobs...),
 		Reports:    len(sw.reports),
@@ -358,12 +344,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte("ok\n"))
 	})
-	// Worker-pull protocol (coordinator mode; 404 with a hint otherwise).
-	mux.HandleFunc("POST /api/v1/work/leases", s.handleLease)
-	mux.HandleFunc("POST /api/v1/work/leases/{id}/heartbeat", s.handleHeartbeat)
-	mux.HandleFunc("POST /api/v1/work/leases/{id}/results", s.handlePush)
-	mux.HandleFunc("POST /api/v1/work/leases/{id}/release", s.handleRelease)
-	mux.HandleFunc("GET /api/v1/workers", s.handleWorkers)
 	return mux
 }
 
@@ -382,19 +362,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req sweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		if strings.Contains(err.Error(), `unknown field "setups"`) {
-			httpError(w, http.StatusBadRequest,
-				`decoding request: the "setups" field was removed; describe each configuration as a sim.Spec in "specs" (or name it in "configs")`)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	if err := s.validate(&req); err != nil {
+	req, err := decodeSweep(r.Body)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -503,7 +472,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("ldsjobs_jobs_completed_total", snap.Completed, "jobs finished successfully")
 	counter("ldsjobs_jobs_failed_total", snap.Failed, "jobs that exhausted their attempts")
 	counter("ldsjobs_jobs_coalesced_total", snap.Coalesced, "duplicate in-flight jobs served by a leader")
-	counter("ldsjobs_jobs_dispatched_total", snap.Dispatched, "jobs handed to remote workers (coordinator mode)")
 	counter("ldsjobs_jobs_retries_total", snap.Retries, "re-attempts after failures")
 	counter("ldsjobs_jobs_panics_total", snap.Panics, "worker panics contained")
 	counter("ldsjobs_jobs_timeouts_total", snap.Timeouts, "attempts abandoned at the deadline")
@@ -542,32 +510,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	add("# HELP ldsserve_sweeps sweeps by state\n# TYPE ldsserve_sweeps gauge\n")
 	for _, k := range keys {
 		add("ldsserve_sweeps{state=%q} %d\n", k, states[k])
-	}
-
-	if s.dispatch != nil {
-		d := s.dispatch.snapshot()
-		gauge("ldsdist_tasks_pending", int64(d.Pending), "dispatched tasks waiting for a lease")
-		gauge("ldsdist_tasks_leased", int64(d.Leased), "dispatched tasks currently leased to workers")
-		counter("ldsdist_tasks_redispatched_total", d.Redispatched, "tasks re-queued after lease expiry or release")
-		counter("ldsdist_result_conflicts_total", d.Conflicts, "duplicate pushes whose result bytes disagreed (determinism violations)")
-		workerCounter := func(name, help string, val func(workerSnapshot) int64) {
-			add("# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-			for _, ws := range d.Workers {
-				add("%s{worker=%q} %d\n", name, ws.ID, val(ws))
-			}
-		}
-		workerCounter("ldsdist_worker_leases_granted_total", "leases granted per worker",
-			func(ws workerSnapshot) int64 { return ws.LeasesGranted })
-		workerCounter("ldsdist_worker_heartbeats_total", "lease renewals per worker",
-			func(ws workerSnapshot) int64 { return ws.Heartbeats })
-		workerCounter("ldsdist_worker_leases_expired_total", "leases lost to TTL expiry per worker",
-			func(ws workerSnapshot) int64 { return ws.LeasesExpired })
-		workerCounter("ldsdist_worker_leases_released_total", "leases released voluntarily per worker",
-			func(ws workerSnapshot) int64 { return ws.LeasesReleased })
-		workerCounter("ldsdist_worker_tasks_completed_total", "task results accepted per worker",
-			func(ws workerSnapshot) int64 { return ws.TasksCompleted })
-		workerCounter("ldsdist_worker_tasks_failed_total", "task errors reported per worker",
-			func(ws workerSnapshot) int64 { return ws.TasksFailed })
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

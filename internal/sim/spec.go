@@ -86,8 +86,8 @@ type Spec struct {
 	// epoch-barrier machinery (internal/sim/engine) and produce byte-identical
 	// reports, so Engine — like Trace — is excluded from the canonical
 	// encoding: it changes wall-clock time, never results. Single-core runs
-	// ignore it. It does round-trip through JSON so distributed workers
-	// honor the coordinator's choice.
+	// ignore it. It does round-trip through JSON, so a spec submitted to
+	// the job service keeps its choice.
 	Engine string `json:"engine,omitempty"`
 
 	// IntervalLen overrides the feedback interval (L2 evictions).
