@@ -52,14 +52,13 @@ func main() {
 	par := flag.Int("parallel", runtime.NumCPU(), "max concurrent simulations across all sweeps")
 	verify := flag.Bool("verifycache", false, "re-run every cache hit and fail jobs on result mismatch (determinism check)")
 	timeout := flag.Duration("jobtimeout", 0, "per-job execution timeout (0 = unbounded)")
-	retries := flag.Int("jobretries", 0, "re-attempts after a failed job")
 	flag.Parse()
 
 	if *par <= 0 {
 		fatal("ldsserve: -parallel must be > 0 (run 'ldsserve -h' for usage)")
 	}
-	if *retries < 0 || *timeout < 0 {
-		fatal("ldsserve: -jobretries and -jobtimeout must be non-negative (run 'ldsserve -h' for usage)")
+	if *timeout < 0 {
+		fatal("ldsserve: -jobtimeout must be non-negative (run 'ldsserve -h' for usage)")
 	}
 
 	srv, err := server.New(server.Options{
@@ -67,7 +66,6 @@ func main() {
 		Workers:    *par,
 		Verify:     *verify,
 		JobTimeout: *timeout,
-		JobRetries: *retries,
 	})
 	if err != nil {
 		fatal("ldsserve:", err)

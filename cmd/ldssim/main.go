@@ -42,9 +42,10 @@
 // wall-clock time and is ignored for single-benchmark runs.
 //
 // -core selects the core timing model: interval (the default dependence-graph
-// model; byte-identical to pre-seam reports) or ooo (speculative out-of-order
-// with branch prediction and squashed wrong-path memory traffic). -core-opts
-// passes the model's typed options as JSON; -list-configs names them.
+// model; naming it changes no result or cache key) or ooo (speculative
+// out-of-order with branch prediction and squashed wrong-path memory
+// traffic). -core-opts passes the ooo model's options as JSON (interval takes
+// none); -list-configs names them.
 //
 // -replay <file> runs a trace capture (ldstrace capture, format:
 // TRACEFORMAT.md) instead of generating a workload; the capture's
@@ -136,7 +137,7 @@ func main() {
 	// content-addressed workload and its provenance lands in the manifest.
 	var traceRef *exp.TraceFileRef
 	if *replay != "" {
-		name, hdr, err := loadReplay(*replay)
+		name, hdr, err := workload.FromTraceFile(*replay)
 		if err != nil {
 			fatal(fmt.Sprintf("ldssim: %v", err))
 		}
@@ -247,25 +248,6 @@ func main() {
 	}
 	finish(ctx, *cacheDir)
 	persist(*traceDir, *outDir, configLabel, benches, *scale, *seed, traceRef, sb.String())
-}
-
-// loadReplay registers the capture at path as a workload and returns its
-// registered name and parsed header.
-func loadReplay(path string) (string, tracefile.Header, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", tracefile.Header{}, err
-	}
-	r, err := tracefile.NewReader(f)
-	f.Close()
-	if err != nil {
-		return "", tracefile.Header{}, err
-	}
-	name, err := workload.FromTraceFile(path)
-	if err != nil {
-		return "", tracefile.Header{}, err
-	}
-	return name, r.Header(), nil
 }
 
 // finish fails the run on any recorded job error (a failed profile or trace

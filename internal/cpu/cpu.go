@@ -2,9 +2,9 @@
 // trace against a memory hierarchy.
 //
 // One Core type runs both models selectable per run through the `core`
-// component of sim.Spec (registered in internal/sim/registry); they share a
-// single issue/window/execute/retire loop and differ only in whether a
-// branch predictor is attached:
+// field of sim.Spec (decoded in internal/sim); they share a single
+// issue/window/execute/retire loop and differ only in whether a branch
+// predictor is attached:
 //
 //   - "interval" (NewInterval, the default, no predictor) — a
 //     dependence-graph simulation with in-order issue (up to Width
@@ -84,7 +84,7 @@ func (r Result) IPC() float64 {
 
 // Run replays tr to completion on ms under the interval model and returns
 // the result. Profiling and hint collection use this directly; simulation
-// paths go through the registry-selected core instead.
+// paths build the core sim.Spec selects instead.
 func Run(cfg Config, ms *memsys.MemSys, tr *trace.Trace) Result {
 	c := NewInterval(cfg, ms, tr)
 	for !c.Done() {

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 
+	"ldsprefetch/internal/cpu"
 	"ldsprefetch/internal/sim"
 	"ldsprefetch/internal/sim/registry"
 	"ldsprefetch/internal/workload"
@@ -72,32 +73,16 @@ func PrintCatalog(w io.Writer) {
 			in.Kind, in.Version, in.ClaimsThrottle, in.MinSwitchable)
 	}
 	fmt.Fprintln(w, "\ncore models (ldssim -core, or \"core\" in -spec):")
-	for _, kind := range registry.Cores() {
-		cm, _ := registry.LookupCore(kind)
-		def := ""
-		if kind == registry.DefaultCoreKind {
-			def = " (default)"
-		}
-		opts := strings.Join(optionFields(cm.NewOptions()), ", ")
-		if opts == "" {
-			opts = "none"
-		}
-		fmt.Fprintf(w, "  %-10s v%-2d options: %s%s\n", kind, cm.Version, opts, def)
-	}
+	fmt.Fprintf(w, "  %-14s options: none (default)\n", sim.CoreInterval)
+	fmt.Fprintf(w, "  %-10s v%-2d options: %s\n", sim.CoreOoO, sim.CoreOoOVersion,
+		strings.Join(optionFields(reflect.TypeOf(cpu.OoOOptions{})), ", "))
 	fmt.Fprintln(w, "\nworkloads (ldssim -bench):")
 	PrintWorkloads(w)
 }
 
-// optionFields lists the JSON option names a registry options struct
-// accepts, so the catalog documents each core model's typed knobs.
-func optionFields(opts any) []string {
-	t := reflect.TypeOf(opts)
-	for t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
-	if t.Kind() != reflect.Struct {
-		return nil
-	}
+// optionFields lists the JSON option names an options struct accepts, so
+// the catalog documents the ooo core's typed knobs.
+func optionFields(t reflect.Type) []string {
 	var names []string
 	for i := 0; i < t.NumField(); i++ {
 		tag, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")

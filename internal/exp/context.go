@@ -58,11 +58,6 @@ type Context struct {
 	// sim.EngineParallel; "" = serial) for every mix this context runs.
 	// Engines are result-equivalent, so this is a wall-clock knob only.
 	Engine string
-	// Core, when non-nil, selects the core timing model (a registered
-	// sim Core component, e.g. "ooo") for every simulation this context
-	// runs that does not pin one itself. Nil runs the registry default
-	// ("interval"), whose results are byte-identical to pre-seam reports.
-	Core *sim.Component
 	// Sched, when set before first use, is the scheduler all simulations
 	// run on (the job service injects a per-sweep scheduler sharing a
 	// global worker pool this way). When nil, a private scheduler is built
@@ -113,10 +108,6 @@ func (c *Context) RunOne(bench string, sp sim.Spec) (sim.Result, error) {
 	if c.TraceDir != "" {
 		sp.Trace = true
 	}
-	if c.Core != nil && sp.Core == nil {
-		core := *c.Core
-		sp.Core = &core
-	}
 	r, err := c.Jobs().SingleSpec(bench, c.Params, sp)
 	if err != nil {
 		return r, err
@@ -148,10 +139,6 @@ func (c *Context) RunMix(benches []string, sp sim.Spec) (sim.MultiResult, error)
 	}
 	if c.Engine != "" {
 		sp.Engine = c.Engine
-	}
-	if c.Core != nil && sp.Core == nil {
-		core := *c.Core
-		sp.Core = &core
 	}
 	r, err := c.Jobs().MultiSpec(benches, c.Params, sp)
 	if err != nil {

@@ -3,9 +3,9 @@ package exp
 import (
 	"fmt"
 
+	"ldsprefetch/internal/cpu"
 	"ldsprefetch/internal/prefetch"
 	"ldsprefetch/internal/sim"
-	"ldsprefetch/internal/sim/registry"
 )
 
 // Wrong-path pollution study (beyond the paper): the paper's evaluation uses
@@ -34,7 +34,7 @@ func WrongPath(c *Context) Report {
 		core  *sim.Component
 	}
 	ooo := func(pred string) *sim.Component {
-		comp := sim.NewComponent("ooo", &registry.OoOOptions{Predictor: pred})
+		comp := sim.NewComponent(sim.CoreOoO, &cpu.OoOOptions{Predictor: pred})
 		return &comp
 	}
 	variants := []variant{

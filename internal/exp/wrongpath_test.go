@@ -4,48 +4,13 @@ import (
 	"reflect"
 	"testing"
 
+	"ldsprefetch/internal/cpu"
 	"ldsprefetch/internal/sim"
-	"ldsprefetch/internal/sim/registry"
 )
 
 func oooComponent(pred string) *sim.Component {
-	c := sim.NewComponent("ooo", &registry.OoOOptions{Predictor: pred})
+	c := sim.NewComponent(sim.CoreOoO, &cpu.OoOOptions{Predictor: pred})
 	return &c
-}
-
-// TestGoldenFig1ExplicitIntervalCore pins the core seam's transparency end to
-// end: a context that explicitly selects core=interval must reproduce the
-// same golden fig1 report as one that leaves the core unset — the refactor
-// added a seam, not a behaviour change.
-func TestGoldenFig1ExplicitIntervalCore(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden simulation runs are slow")
-	}
-	if *updateGolden {
-		t.Skip("golden is written by the default-core variant")
-	}
-	ctx := testCtx()
-	core := sim.NewComponent("interval", nil)
-	ctx.Core = &core
-	r := Fig1(ctx)
-	checkGolden(t, "golden_fig1.txt", r.String())
-}
-
-// TestGoldenMulticoreMixExplicitIntervalCore is the multi-core counterpart.
-func TestGoldenMulticoreMixExplicitIntervalCore(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden simulation runs are slow")
-	}
-	if *updateGolden {
-		t.Skip("golden is written by the default-core variant")
-	}
-	ctx := testCtx()
-	core := sim.NewComponent("interval", nil)
-	ctx.Core = &core
-	r := multiReport(ctx, "golden-mix",
-		"Golden dual-core mix (determinism guard)",
-		[][]string{{"mst", "health"}}, nil)
-	checkGolden(t, "golden_multicore.txt", r.String())
 }
 
 // TestOoORunsDeterministic runs the same ooo-core spec through two fresh

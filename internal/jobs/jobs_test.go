@@ -136,7 +136,7 @@ func fakeDesc(name string) jobDesc {
 }
 
 // runUncached runs fn as one uncacheable job on s's generic path: bounded
-// concurrency, panic containment, timeout and retry apply as to any job.
+// concurrency, panic containment and timeout apply as to any job.
 func runUncached(s *Scheduler, label string, fn func() (any, error)) (any, error) {
 	return s.do(jobDesc{kind: "test", setupName: label}, fn, nil)
 }
@@ -278,40 +278,29 @@ func TestPanicContainment(t *testing.T) {
 	}
 }
 
-func TestRetry(t *testing.T) {
-	s := New(Config{Workers: 1, Retries: 2})
-	var calls atomic.Int64
-	v, err := runUncached(s, "flaky", func() (any, error) {
-		if calls.Add(1) < 3 {
-			return nil, errors.New("transient")
-		}
-		return "done", nil
-	})
-	if err != nil || v != "done" {
-		t.Fatalf("retry did not recover: v=%v err=%v", v, err)
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("ran %d attempts, want 3", calls.Load())
-	}
-	if got := s.Metrics().Snapshot(); got.Retries != 2 || got.Failed != 0 {
-		t.Fatalf("retries=%d failed=%d, want 2/0", got.Retries, got.Failed)
-	}
-}
-
-func TestRetryExhaustion(t *testing.T) {
-	s := New(Config{Workers: 1, Retries: 1})
+// TestFailingJobRunsOnce: a job is a pure function of its key, so a failure
+// is final. The job runs exactly once and is recorded failed.
+func TestFailingJobRunsOnce(t *testing.T) {
+	s := New(Config{Workers: 1})
 	var calls atomic.Int64
 	_, err := runUncached(s, "hopeless", func() (any, error) {
 		calls.Add(1)
 		return nil, errors.New("permanent")
 	})
-	if err == nil || calls.Load() != 2 {
-		t.Fatalf("want failure after 2 attempts, got err=%v calls=%d", err, calls.Load())
+	if err == nil || calls.Load() != 1 {
+		t.Fatalf("want one failed run, got err=%v calls=%d", err, calls.Load())
+	}
+	if got := s.Metrics().Snapshot(); got.Failed != 1 || got.Completed != 0 {
+		t.Fatalf("failed=%d completed=%d, want 1/0", got.Failed, got.Completed)
+	}
+	recs := s.Records()
+	if len(recs) != 1 || recs[0].Provenance != "failed" || recs[0].Error != "permanent" {
+		t.Fatalf("records = %+v, want one failed record carrying the error", recs)
 	}
 }
 
 func TestTimeout(t *testing.T) {
-	s := New(Config{Workers: 1, Timeout: 20 * time.Millisecond, Retries: 3})
+	s := New(Config{Workers: 1, Timeout: 20 * time.Millisecond})
 	release := make(chan struct{})
 	defer close(release)
 	var calls atomic.Int64
@@ -325,7 +314,7 @@ func TestTimeout(t *testing.T) {
 		t.Fatalf("want timeoutError, got %v", err)
 	}
 	if calls.Load() != 1 {
-		t.Fatalf("timed-out job was retried (%d attempts); deterministic sims must not be", calls.Load())
+		t.Fatalf("timed-out job ran %d times, want once", calls.Load())
 	}
 	if got := s.Metrics().Snapshot(); got.Timeouts != 1 {
 		t.Fatalf("timeouts=%d, want 1", got.Timeouts)

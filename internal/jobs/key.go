@@ -1,8 +1,8 @@
-// Package jobs turns simulations into cacheable, retryable, observable
-// jobs. It provides a content-addressed result store keyed by a canonical
-// hash of the full simulation input (Spec, workload parameters, benchmark
-// set, schema version), a bounded worker-pool scheduler with per-job panic
-// containment, timeout and retry, in-flight deduplication of identical
+// Package jobs turns simulations into cacheable, observable jobs. It
+// provides a content-addressed result store keyed by a canonical hash of
+// the full simulation input (Spec, workload parameters, benchmark set,
+// schema version), a bounded worker-pool scheduler with per-job panic
+// containment and timeout, in-flight deduplication of identical
 // jobs, a journal that makes interrupted sweeps resumable, and counters
 // suitable for a /metrics endpoint. internal/exp, both CLIs, and the job
 // service route every simulation through a Scheduler.

@@ -21,15 +21,14 @@ type Metrics struct {
 	// Counters.
 	Submitted   atomic.Int64 // jobs submitted (including cache hits)
 	Completed   atomic.Int64 // jobs finished successfully (computed or hit)
-	Failed      atomic.Int64 // jobs that exhausted their attempts
+	Failed      atomic.Int64 // jobs that failed (error, panic or timeout)
 	CacheHits   atomic.Int64 // results served from the store
 	CacheMisses atomic.Int64 // cacheable jobs that had to compute
 	Computed    atomic.Int64 // cacheable simulations and profiles actually executed
 	Uncached    atomic.Int64 // uncacheable executions (traced runs)
 	Coalesced   atomic.Int64 // duplicate in-flight jobs served by a leader
-	Retries     atomic.Int64 // re-attempts after a failure
 	Panics      atomic.Int64 // worker panics contained
-	Timeouts    atomic.Int64 // attempts abandoned at the deadline
+	Timeouts    atomic.Int64 // executions abandoned at the deadline
 	VerifyRuns  atomic.Int64 // determinism checks performed on cache hits
 	VerifyBad   atomic.Int64 // determinism checks that found a mismatch
 
@@ -54,7 +53,7 @@ type Snapshot struct {
 	QueueDepth, WorkersBusy                    int64
 	Submitted, Completed, Failed               int64
 	CacheHits, CacheMisses, Computed, Uncached int64
-	Coalesced, Retries, Panics, Timeouts       int64
+	Coalesced, Panics, Timeouts                int64
 	VerifyRuns, VerifyBad                      int64
 	LatencyBucketCounts                        []int64 // aligned with LatencyBuckets, +Inf last
 	LatencyCount                               int64
@@ -74,7 +73,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		Computed:    m.Computed.Load(),
 		Uncached:    m.Uncached.Load(),
 		Coalesced:   m.Coalesced.Load(),
-		Retries:     m.Retries.Load(),
 		Panics:      m.Panics.Load(),
 		Timeouts:    m.Timeouts.Load(),
 		VerifyRuns:  m.VerifyRuns.Load(),

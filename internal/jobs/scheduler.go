@@ -34,15 +34,12 @@ type Config struct {
 	// Metrics, when non-nil, is an additional shared sink the scheduler
 	// mirrors its counters into (the per-scheduler Metrics always works).
 	Metrics *Metrics
-	// Timeout bounds one execution attempt (0 = unbounded). A timed-out
-	// attempt is abandoned: its goroutine finishes in the background and
-	// its result is discarded, so the concurrency bound can transiently be
-	// exceeded by abandoned workers.
+	// Timeout bounds one execution (0 = unbounded). A timed-out execution
+	// is abandoned: its goroutine finishes in the background and its
+	// result is discarded, so the concurrency bound can transiently be
+	// exceeded by abandoned workers. A failed job is never re-run: a job is
+	// a pure function of its key, so it would fail the same way again.
 	Timeout time.Duration
-	// Retries is the number of re-attempts after a failed attempt
-	// (panics included, timeouts excluded — a deterministic simulation
-	// that timed out once will time out again).
-	Retries int
 	// Verify re-executes every cache hit and fails the job if the fresh
 	// result does not match the stored one — a determinism check for the
 	// simulator and the store.
@@ -59,12 +56,11 @@ type Record struct {
 	Setup      string   `json:"setup,omitempty"`
 	Key        string   `json:"key,omitempty"`
 	Provenance string   `json:"provenance"`
-	Attempts   int      `json:"attempts,omitempty"`
 	Error      string   `json:"error,omitempty"`
 }
 
 // Scheduler executes simulation jobs on a bounded worker pool with cache
-// lookup, in-flight deduplication, panic containment, timeout, and retry.
+// lookup, in-flight deduplication, panic containment, and timeout.
 // The zero value is not usable; construct with New. All methods are safe
 // for concurrent use.
 type Scheduler struct {
@@ -146,15 +142,23 @@ func (s *Scheduler) record(rec Record, d time.Duration) {
 	}
 }
 
-// timeoutError marks an attempt abandoned at the deadline.
+// timeoutError marks an execution abandoned at the deadline.
 type timeoutError struct{ d time.Duration }
 
 func (e timeoutError) Error() string {
 	return fmt.Sprintf("job timed out after %s (worker abandoned)", e.d)
 }
 
-// attempt runs fn once with panic containment and the configured timeout.
-func (s *Scheduler) attempt(fn func() (any, error)) (any, error) {
+// execute runs fn once under a worker slot, with panic containment and the
+// configured timeout.
+func (s *Scheduler) execute(fn func() (any, error)) (any, error) {
+	s.sinks(func(m *Metrics) { m.QueueDepth.Add(1) })
+	s.slots <- struct{}{}
+	s.sinks(func(m *Metrics) { m.QueueDepth.Add(-1); m.WorkersBusy.Add(1) })
+	defer func() {
+		s.sinks(func(m *Metrics) { m.WorkersBusy.Add(-1) })
+		<-s.slots
+	}()
 	type outcome struct {
 		res any
 		err error
@@ -182,27 +186,6 @@ func (s *Scheduler) attempt(fn func() (any, error)) (any, error) {
 	case <-timer.C:
 		s.sinks(func(m *Metrics) { m.Timeouts.Add(1) })
 		return nil, timeoutError{s.cfg.Timeout}
-	}
-}
-
-// execute runs fn under a worker slot with bounded retries.
-func (s *Scheduler) execute(fn func() (any, error)) (res any, attempts int, err error) {
-	s.sinks(func(m *Metrics) { m.QueueDepth.Add(1) })
-	s.slots <- struct{}{}
-	s.sinks(func(m *Metrics) { m.QueueDepth.Add(-1); m.WorkersBusy.Add(1) })
-	defer func() {
-		s.sinks(func(m *Metrics) { m.WorkersBusy.Add(-1) })
-		<-s.slots
-	}()
-	for attempts = 1; ; attempts++ {
-		res, err = s.attempt(fn)
-		if err == nil {
-			return res, attempts, nil
-		}
-		if _, timedOut := err.(timeoutError); timedOut || attempts > s.cfg.Retries {
-			return nil, attempts, err
-		}
-		s.sinks(func(m *Metrics) { m.Retries.Add(1) })
 	}
 }
 
@@ -253,10 +236,9 @@ func (s *Scheduler) do(d jobDesc, run func() (any, error), newOut func() any) (a
 	}
 
 	start := time.Now()
-	res, attempts, err := s.execute(run)
+	res, err := s.execute(run)
 	dur := time.Since(start)
 	s.sinks(func(m *Metrics) { m.observeLatency(dur) })
-	rec.Attempts = attempts
 	if err != nil {
 		s.sinks(func(m *Metrics) { m.Failed.Add(1) })
 		rec.Provenance = "failed"
@@ -299,10 +281,9 @@ func (s *Scheduler) doLeader(d jobDesc, rec *Record, run func() (any, error), ne
 	}
 
 	start := time.Now()
-	res, attempts, err := s.execute(run)
+	res, err := s.execute(run)
 	dur := time.Since(start)
 	s.sinks(func(m *Metrics) { m.observeLatency(dur) })
-	rec.Attempts = attempts
 	if err != nil {
 		s.sinks(func(m *Metrics) { m.Failed.Add(1) })
 		rec.Provenance = "failed"
@@ -323,11 +304,11 @@ func (s *Scheduler) doLeader(d jobDesc, rec *Record, run func() (any, error), ne
 	return res, err
 }
 
-// verifyHit recomputes a cache hit on the worker pool, with the same retry
-// and timeout as any execution, and compares it against the stored result.
+// verifyHit recomputes a cache hit on the worker pool, with the same
+// timeout as any execution, and compares it against the stored result.
 func (s *Scheduler) verifyHit(d jobDesc, cached any, run func() (any, error)) error {
 	s.sinks(func(m *Metrics) { m.VerifyRuns.Add(1) })
-	fresh, _, err := s.execute(run)
+	fresh, err := s.execute(run)
 	if err != nil {
 		return fmt.Errorf("verifying cache hit %s: recompute failed: %w", d.key.Hash, err)
 	}

@@ -37,10 +37,8 @@ type Options struct {
 	Workers int
 	// Verify re-executes cache hits as a determinism check.
 	Verify bool
-	// JobTimeout bounds one simulation attempt (0 = unbounded).
+	// JobTimeout bounds one simulation (0 = unbounded).
 	JobTimeout time.Duration
-	// JobRetries re-attempts failed simulations.
-	JobRetries int
 }
 
 // Server is the job-service state: the sweep table plus the shared pool,
@@ -222,7 +220,6 @@ func (s *Server) submit(req sweepRequest) *sweep {
 		Metrics: s.metrics,
 		Verify:  s.opts.Verify,
 		Timeout: s.opts.JobTimeout,
-		Retries: s.opts.JobRetries,
 	})
 	sw := &sweep{
 		req:     req,
@@ -470,11 +467,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("ldsjobs_workers_capacity", int64(cap(s.slots)), "size of the shared worker pool")
 	counter("ldsjobs_jobs_submitted_total", snap.Submitted, "jobs submitted")
 	counter("ldsjobs_jobs_completed_total", snap.Completed, "jobs finished successfully")
-	counter("ldsjobs_jobs_failed_total", snap.Failed, "jobs that exhausted their attempts")
+	counter("ldsjobs_jobs_failed_total", snap.Failed, "jobs that failed (error, panic or timeout)")
 	counter("ldsjobs_jobs_coalesced_total", snap.Coalesced, "duplicate in-flight jobs served by a leader")
-	counter("ldsjobs_jobs_retries_total", snap.Retries, "re-attempts after failures")
 	counter("ldsjobs_jobs_panics_total", snap.Panics, "worker panics contained")
-	counter("ldsjobs_jobs_timeouts_total", snap.Timeouts, "attempts abandoned at the deadline")
+	counter("ldsjobs_jobs_timeouts_total", snap.Timeouts, "jobs abandoned at the deadline")
 	counter("ldsjobs_cache_hits_total", snap.CacheHits, "results served from the store")
 	counter("ldsjobs_cache_misses_total", snap.CacheMisses, "cacheable jobs that had to compute")
 	counter("ldsjobs_cache_computed_total", snap.Computed, "cacheable simulations and profiling passes executed")

@@ -1,13 +1,13 @@
 // Package registry is the simulator's component catalog. Every prefetcher
-// (stream, cdp, markov, ghb, dbp), every control policy (throttle, fdp,
-// pab, hwfilter), and every core timing model (interval, ooo) registers a
-// named factory here, with its own typed, versioned options; sim assembles
-// a system by walking a declarative spec and looking each component up
-// instead of switching on booleans.
+// (stream, cdp, markov, ghb, dbp) and every control policy (throttle, fdp,
+// pab, hwfilter) registers a named factory here, with its own typed,
+// versioned options; sim assembles a system by walking a declarative spec
+// and looking each component up instead of switching on booleans. The core
+// timing model is not a registered component: sim decodes Spec.Core itself,
+// through the same strict option decoder (DecodeInto).
 //
 // Adding a component is one file in this package: define an options struct,
-// call RegisterPrefetcher, RegisterPolicy, or RegisterCore from init, and
-// write its tests.
+// call RegisterPrefetcher or RegisterPolicy from init, and write its tests.
 // The spec validator, the cache-key encoder, the experiment definitions, the
 // CLIs, and the job server all consume the catalog generically — none of
 // them enumerate component kinds.
@@ -149,9 +149,6 @@ func checkRegistration(kind string, hasOptions, hasBuild bool) {
 	if _, ok := policies[kind]; ok {
 		panic(fmt.Sprintf("registry: duplicate component kind %q", kind))
 	}
-	if _, ok := coreModels[kind]; ok {
-		panic(fmt.Sprintf("registry: duplicate component kind %q", kind))
-	}
 }
 
 // LookupPrefetcher returns the prefetcher factory for kind.
@@ -239,29 +236,35 @@ func DecodeOptions(kind string, raw json.RawMessage) (any, error) {
 	if !ok {
 		return nil, &UnknownComponentError{Kind: kind}
 	}
-	return decodeInto(kind, newOptions, validate, raw)
+	opts := newOptions()
+	if err := DecodeInto(kind, raw, opts, validate); err != nil {
+		return nil, err
+	}
+	return opts, nil
 }
 
-// decodeInto is the shared decode/validate path behind DecodeOptions and
-// DecodeCoreOptions.
-func decodeInto(kind string, newOptions func() any, validate func(any) error, raw json.RawMessage) (any, error) {
-	opts := newOptions()
+// DecodeInto decodes raw into opts, a pointer to a typed options struct
+// holding its defaults, then runs validate (when non-nil) on it. It is the
+// one strict decode path behind DecodeOptions and sim's core decode: empty
+// or null raw keeps the defaults, and unknown fields or trailing data are
+// errors. Errors are prefixed with kind.
+func DecodeInto(kind string, raw json.RawMessage, opts any, validate func(any) error) error {
 	if len(raw) > 0 && !bytes.Equal(bytes.TrimSpace(raw), []byte("null")) {
 		dec := json.NewDecoder(bytes.NewReader(raw))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(opts); err != nil {
-			return nil, fmt.Errorf("%s options: %w", kind, err)
+			return fmt.Errorf("%s options: %w", kind, err)
 		}
 		if dec.More() {
-			return nil, fmt.Errorf("%s options: trailing data after JSON value", kind)
+			return fmt.Errorf("%s options: trailing data after JSON value", kind)
 		}
 	}
 	if validate != nil {
 		if err := validate(opts); err != nil {
-			return nil, fmt.Errorf("%s options: %w", kind, err)
+			return fmt.Errorf("%s options: %w", kind, err)
 		}
 	}
-	return opts, nil
+	return nil
 }
 
 // CanonicalOptions returns the deterministic re-encoding of a component's

@@ -203,27 +203,17 @@ func assemble(bench string, p workload.Params, sp Spec, ctrl *dram.Controller, c
 		c.Install()
 	}
 
-	// The core timing model is the third registered component class: nil
-	// Spec.Core resolves to the default interval model, so pre-seam specs
-	// assemble exactly what they always did.
-	coreKind := registry.DefaultCoreKind
-	var coreRaw []byte
-	if sp.Core != nil {
-		coreKind = sp.Core.Kind
-		coreRaw = sp.Core.Options
-	}
-	cm, ok := registry.LookupCore(coreKind)
-	if !ok {
-		return nil, &SpecError{Spec: sp.Name, Component: coreKind, Err: ErrUnknownComponent,
-			Reason: (&registry.UnknownCoreError{Kind: coreKind}).Error()}
-	}
-	copts, err := registry.DecodeCoreOptions(coreKind, coreRaw)
+	// Nil ooo options (Spec.Core absent or "interval") select the interval
+	// core; anything else runs the speculative out-of-order core.
+	ooo, err := sp.decodeCore()
 	if err != nil {
 		return nil, err // unreachable: Validate decoded these already
 	}
-	model, err := cm.Build(&registry.CoreEnv{MS: ms, Trace: tr, CPUCfg: ccfg}, copts)
-	if err != nil {
-		return nil, err
+	var model *cpu.Core
+	if ooo == nil {
+		model = cpu.NewInterval(ccfg, ms, tr)
+	} else {
+		model = cpu.NewOoO(ccfg, *ooo, ms, tr)
 	}
 
 	sys := &system{bench: bench, ms: ms, core: model, trace: trc}

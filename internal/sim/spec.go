@@ -56,11 +56,9 @@ type Spec struct {
 	// Components lists the prefetchers and control policies to assemble.
 	Components []Component `json:"components,omitempty"`
 
-	// Core selects the core timing model (registry.RegisterCore kinds:
-	// "interval", "ooo") with its typed options. Nil selects the default
-	// interval model; nil and an explicit default-option "interval" are
-	// canonically identical, so pre-seam cache keys and golden reports are
-	// untouched by either form.
+	// Core selects the core timing model: CoreInterval (the default, no
+	// options) or CoreOoO with cpu.OoOOptions. Nil and an explicit
+	// "interval" are canonically identical, so both share cache keys.
 	Core *Component `json:"core,omitempty"`
 
 	// Hints is the compiler-provided hint table consumed by hint-aware
@@ -135,9 +133,9 @@ func (sp Spec) WithHints(h *core.HintTable) Spec {
 	return sp
 }
 
-// WithCore returns a copy of the spec running on the given core model (a
-// registry.RegisterCore kind) with typed options (one of the registry core
-// option structs; nil means defaults).
+// WithCore returns a copy of the spec running on the given core model
+// (CoreInterval or CoreOoO) with typed options (cpu.OoOOptions for ooo; nil
+// means defaults).
 func (sp Spec) WithCore(kind string, opts any) Spec {
 	c := NewComponent(kind, opts)
 	sp.Core = &c
@@ -201,15 +199,8 @@ func (sp Spec) Validate() error {
 		return &SpecError{Spec: sp.Name, Err: ErrBadComposition,
 			Reason: fmt.Sprintf("unknown engine %q (use %q or %q)", sp.Engine, EngineSerial, EngineParallel)}
 	}
-	if sp.Core != nil {
-		if _, ok := registry.LookupCore(sp.Core.Kind); !ok {
-			return &SpecError{Spec: sp.Name, Component: sp.Core.Kind, Err: ErrUnknownComponent,
-				Reason: (&registry.UnknownCoreError{Kind: sp.Core.Kind}).Error()}
-		}
-		if _, err := registry.DecodeCoreOptions(sp.Core.Kind, sp.Core.Options); err != nil {
-			return &SpecError{Spec: sp.Name, Component: sp.Core.Kind, Err: ErrBadOptions,
-				Reason: err.Error()}
-		}
+	if _, err := sp.decodeCore(); err != nil {
+		return err
 	}
 	seen := make(map[string]bool, len(sp.Components))
 	var claimants []string
@@ -299,10 +290,9 @@ type canonSpec struct {
 	CPUCfg       json.RawMessage  `json:"cpu_cfg"`
 	DRAMCfg      json.RawMessage  `json:"dram_cfg"`
 	InitialLevel *int             `json:"initial_level"`
-	// Core is appended last and omitted entirely for the default interval
-	// model, so every pre-seam spec — and every spec that names the
-	// default explicitly — encodes to the exact bytes it did before the
-	// core seam existed (cache keys and golden reports are untouched).
+	// Core is appended last and omitted entirely for the interval core, so
+	// a spec that names it encodes to the same bytes as one that omits it
+	// (see canonicalCore).
 	Core json.RawMessage `json:"core,omitempty"`
 }
 
@@ -356,26 +346,11 @@ func (sp Spec) Canonical() ([]byte, error) {
 		}
 		cs.Components = append(cs.Components, canonComponent{Kind: comp.Kind, Version: info.Version, Options: opts})
 	}
-	if sp.Core != nil {
-		opts, err := registry.CanonicalCoreOptions(sp.Core.Kind, sp.Core.Options)
-		if err != nil {
-			sentinel := ErrBadOptions
-			var unk *registry.UnknownCoreError
-			if errors.As(err, &unk) {
-				sentinel = ErrUnknownComponent
-			}
-			return nil, &SpecError{Spec: sp.Name, Component: sp.Core.Kind, Err: sentinel,
-				Reason: err.Error()}
-		}
-		if sp.Core.Kind != registry.DefaultCoreKind {
-			cm, _ := registry.LookupCore(sp.Core.Kind)
-			b, err := json.Marshal(canonComponent{Kind: sp.Core.Kind, Version: cm.Version, Options: opts})
-			if err != nil {
-				panic(fmt.Sprintf("sim: canonical encode: %v", err))
-			}
-			cs.Core = b
-		}
+	ooo, err := sp.decodeCore()
+	if err != nil {
+		return nil, err
 	}
+	cs.Core = canonicalCore(ooo)
 	cs.Hints = rawOrNull(nilable(sp.Hints))
 	cs.MemCfg = rawOrNull(nilable(sp.MemCfg))
 	cs.CPUCfg = rawOrNull(nilable(sp.CPUCfg))

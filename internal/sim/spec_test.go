@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ldsprefetch/internal/core"
+	"ldsprefetch/internal/cpu"
 	"ldsprefetch/internal/prefetch"
 	"ldsprefetch/internal/sim/registry"
 	"ldsprefetch/internal/workload"
@@ -154,15 +155,21 @@ func TestCanonicalOmitsDefaultCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cInterval, err := base.WithCore("interval", nil).Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(cNone) != string(cInterval) {
-		t.Fatalf("explicit interval core changed the canonical encoding:\n%s\nvs\n%s", cNone, cInterval)
-	}
 	if strings.Contains(string(cNone), `"core"`) {
 		t.Fatalf("default core leaked into the canonical encoding: %s", cNone)
+	}
+	// Explicit interval cores, with absent, null or empty options, encode
+	// exactly like no core at all.
+	for _, raw := range []string{"", "null", "{}"} {
+		sp := base
+		sp.Core = &Component{Kind: CoreInterval, Options: json.RawMessage(raw)}
+		c, err := sp.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(c) != string(cNone) {
+			t.Fatalf("explicit interval core (options %q) changed the canonical encoding:\n%s\nvs\n%s", raw, cNone, c)
+		}
 	}
 
 	cOoO, err := base.WithCore("ooo", nil).Canonical()
@@ -172,11 +179,26 @@ func TestCanonicalOmitsDefaultCore(t *testing.T) {
 	if string(cOoO) == string(cNone) {
 		t.Fatal("ooo core did not change the canonical encoding; cache keys would collide")
 	}
-	if !strings.Contains(string(cOoO), `"ooo"`) {
-		t.Fatalf("ooo core missing from its canonical encoding: %s", cOoO)
+	// Default ooo options canonicalize to the empty object (omitempty on
+	// every field); no golden pins this, since wrongpath always names a
+	// predictor.
+	if want := `"core":{"kind":"ooo","version":1,"options":{}}}`; !strings.HasSuffix(string(cOoO), want) {
+		t.Fatalf("ooo canonical encoding %s does not end in %s", cOoO, want)
+	}
+	// Absent, null and empty ooo options are the same defaults.
+	for _, raw := range []string{"null", "{}", " { } "} {
+		sp := base
+		sp.Core = &Component{Kind: CoreOoO, Options: json.RawMessage(raw)}
+		c, err := sp.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(c) != string(cOoO) {
+			t.Fatalf("ooo options %q canonicalize differently from absent options:\n%s\nvs\n%s", raw, c, cOoO)
+		}
 	}
 	// Option formatting must not split ooo cache keys.
-	cA, err := base.WithCore("ooo", registry.OoOOptions{Predictor: "tage"}).Canonical()
+	cA, err := base.WithCore("ooo", cpu.OoOOptions{Predictor: "tage"}).Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +219,8 @@ func TestValidateRejectsUnknownCore(t *testing.T) {
 	if !errors.Is(err, ErrUnknownComponent) {
 		t.Fatalf("err = %v, want ErrUnknownComponent", err)
 	}
-	for _, want := range []string{"known core models", "interval", "ooo"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q not actionable (missing %q)", err, want)
-		}
+	if want := `unknown core model "quantum" (known core models: interval, ooo)`; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q not actionable (missing %q)", err, want)
 	}
 	// Canonical must fail the same way (it feeds cache keys).
 	if _, err := NewSpec("x", "stream").WithCore("quantum", nil).Canonical(); !errors.Is(err, ErrUnknownComponent) {
@@ -210,18 +230,33 @@ func TestValidateRejectsUnknownCore(t *testing.T) {
 
 func TestValidateRejectsBadCoreOptions(t *testing.T) {
 	err := NewSpec("x", "stream").
-		WithCore("ooo", registry.OoOOptions{Predictor: "psychic"}).Validate()
+		WithCore("ooo", cpu.OoOOptions{Predictor: "psychic"}).Validate()
 	if !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("bad predictor: err = %v, want ErrBadOptions", err)
 	}
 	if !strings.Contains(err.Error(), "psychic") {
 		t.Fatalf("error does not name the bad value: %v", err)
 	}
+	// Decoding is strict for both kinds: misspelled fields, options on the
+	// option-less interval core, and trailing data are all rejected.
+	for _, core := range []Component{
+		{Kind: "ooo", Options: json.RawMessage(`{"predicter":"tage"}`)},
+		{Kind: "interval", Options: json.RawMessage(`{"x":1}`)},
+		{Kind: "ooo", Options: json.RawMessage(`{} {}`)},
+	} {
+		sp := NewSpec("x", "stream")
+		sp.Core = &core
+		if err := sp.Validate(); !errors.Is(err, ErrBadOptions) {
+			t.Fatalf("core %s %s: Validate err = %v, want ErrBadOptions", core.Kind, core.Options, err)
+		}
+		if _, err := sp.Canonical(); !errors.Is(err, ErrBadOptions) {
+			t.Fatalf("core %s %s: Canonical err = %v, want ErrBadOptions", core.Kind, core.Options, err)
+		}
+	}
 	sp := NewSpec("x", "stream")
-	c := Component{Kind: "ooo", Options: json.RawMessage(`{"predicter":"tage"}`)}
-	sp.Core = &c
-	if err := sp.Validate(); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("unknown option field: err = %v, want ErrBadOptions", err)
+	sp.Core = &Component{Kind: "ooo", Options: json.RawMessage(`{"predictor":"gshare","history_bits":14}`)}
+	if err := sp.Validate(); err != nil {
+		t.Fatalf("valid gshare options rejected: %v", err)
 	}
 }
 
@@ -273,7 +308,7 @@ func randomSpec(rng *rand.Rand, i int) Spec {
 	switch rng.Intn(4) {
 	case 0:
 		preds := []string{"", "bimodal", "gshare", "tage"}
-		c := NewComponent("ooo", registry.OoOOptions{Predictor: preds[rng.Intn(len(preds))]})
+		c := NewComponent("ooo", cpu.OoOOptions{Predictor: preds[rng.Intn(len(preds))]})
 		sp.Core = &c
 	case 1:
 		c := Component{Kind: "interval"}

@@ -213,7 +213,7 @@ func TestReplayBitExact(t *testing.T) {
 		t.Run(bench, func(t *testing.T) {
 			dir := t.TempDir()
 			path, _ := captureFile(t, dir, bench, p)
-			replayBench, err := workload.FromTraceFile(path)
+			replayBench, _, err := workload.FromTraceFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,14 +248,18 @@ func TestReplayBitExact(t *testing.T) {
 func TestFromTraceFileIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	path, digest := captureFile(t, dir, "graphserve", workload.Params{Scale: 0.02, Seed: 11})
-	a, err := workload.FromTraceFile(path)
+	a, hdr, err := workload.FromTraceFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := workload.TraceBenchName(digest); a != want {
 		t.Fatalf("name %q, want %q", a, want)
 	}
-	b, err := workload.FromTraceFile(path)
+	// The header is the one whose digest Load verified.
+	if hdr.Digest != digest || hdr.Meta.Generator != "graphserve" {
+		t.Fatalf("header digest %x generator %q, want %x graphserve", hdr.Digest, hdr.Meta.Generator, digest)
+	}
+	b, _, err := workload.FromTraceFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

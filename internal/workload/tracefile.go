@@ -19,19 +19,20 @@ func TraceBenchName(digest [32]byte) string {
 }
 
 // FromTraceFile loads the capture at path (verifying its digest), registers
-// it as a server-class workload, and returns the registered benchmark name.
-// The capture's Build ignores Params: the ops are fixed; only the memory
-// image is cloned per build so timing replays cannot corrupt the canonical
-// image. Loading the same capture twice is idempotent.
-func FromTraceFile(path string) (string, error) {
+// it as a server-class workload, and returns the registered benchmark name
+// and the header of the bytes it verified, so provenance comes from the one
+// read that is replayed. The capture's Build ignores Params: the ops are
+// fixed; only the memory image is cloned per build so timing replays cannot
+// corrupt the canonical image. Loading the same capture twice is idempotent.
+func FromTraceFile(path string) (string, tracefile.Header, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return "", fmt.Errorf("workload: opening trace file: %w", err)
+		return "", tracefile.Header{}, fmt.Errorf("workload: opening trace file: %w", err)
 	}
 	defer f.Close()
 	tr, hdr, err := tracefile.Load(f)
 	if err != nil {
-		return "", err
+		return "", tracefile.Header{}, err
 	}
 	name := TraceBenchName(hdr.Digest)
 	err = Register(Generator{
@@ -42,7 +43,7 @@ func FromTraceFile(path string) (string, error) {
 		Build: func(Params) *trace.Trace { return tr.Clone() },
 	})
 	if err != nil && !strings.Contains(err.Error(), "duplicate") {
-		return "", err
+		return "", tracefile.Header{}, err
 	}
-	return name, nil
+	return name, hdr, nil
 }
