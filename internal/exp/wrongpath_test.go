@@ -13,6 +13,66 @@ func oooComponent(pred string) *sim.Component {
 	return &c
 }
 
+// renderFromStore renders one report on a fresh context over the result
+// store in dir and requires every cell it reads to be served from the store.
+func renderFromStore(t *testing.T, dir string, render func(*Context) Report) string {
+	t.Helper()
+	c := cachedCtx(dir)
+	r := render(c)
+	if s := snapshot(c); s.CacheMisses != 0 || s.Computed != 0 || s.Uncached != 0 {
+		t.Errorf("misses=%d computed=%d uncached=%d, want all 0", s.CacheMisses, s.Computed, s.Uncached)
+	}
+	return r.String()
+}
+
+// TestGoldenFig1ExplicitIntervalCore pins the interval core's transparency
+// end to end: fig1's cells simulated with an explicit core=interval must be
+// stored under the default cells' cache keys with the default results, so a
+// fresh context renders the golden fig1 report from them, computing nothing.
+func TestGoldenFig1ExplicitIntervalCore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden simulation runs are slow")
+	}
+	if *updateGolden {
+		t.Skip("golden is written by the default-core variant")
+	}
+	dir := t.TempDir()
+	c := cachedCtx(dir)
+	benches, cells := pointerBenches(), []Cell{NoPF, Base, Ideal}
+	fanOut(len(benches)*len(cells), func(k int) {
+		sp := gridSpecs[cells[k%len(cells)]].WithCore(sim.CoreInterval, nil)
+		if _, err := c.RunOne(benches[k/len(cells)], sp); err != nil {
+			t.Error(err)
+		}
+	})
+	checkGolden(t, "golden_fig1.txt", renderFromStore(t, dir, Fig1))
+}
+
+// TestGoldenMulticoreMixExplicitIntervalCore is the multi-core counterpart:
+// the shared and alone runs of the golden mix, submitted with an explicit
+// core=interval, must serve the golden mix report.
+func TestGoldenMulticoreMixExplicitIntervalCore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden simulation runs are slow")
+	}
+	if *updateGolden {
+		t.Skip("golden is written by the default-core variant")
+	}
+	dir := t.TempDir()
+	c := cachedCtx(dir)
+	mix := []string{"mst", "health"}
+	specs := mixSpecs(c.Hints(mix))
+	fanOut(len(specs), func(j int) {
+		if _, err := c.RunMix(mix, specs[j].WithCore(sim.CoreInterval, nil)); err != nil {
+			t.Error(err)
+		}
+	})
+	checkGolden(t, "golden_multicore.txt", renderFromStore(t, dir, func(c *Context) Report {
+		return multiReport(c, "golden-mix", "Golden dual-core mix (determinism guard)",
+			[][]string{mix}, nil)
+	}))
+}
+
 // TestOoORunsDeterministic runs the same ooo-core spec through two fresh
 // contexts and requires bit-identical results: prediction, resolve timing,
 // and wrong-path address synthesis must all be pure functions of the trace

@@ -1,40 +1,31 @@
-package registry
+package registry_test
 
 import (
 	"encoding/json"
-	"errors"
-	"reflect"
 	"strings"
 	"testing"
+
+	"ldsprefetch/internal/cpu"
+	"ldsprefetch/internal/sim"
+	"ldsprefetch/internal/sim/registry"
 )
 
-func TestCoreCatalog(t *testing.T) {
-	got := Cores()
-	want := []string{"interval", "ooo"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Cores() = %v, want %v", got, want)
-	}
-	for _, kind := range got {
-		f, ok := LookupCore(kind)
-		if !ok {
-			t.Fatalf("LookupCore(%q) missed a cataloged kind", kind)
-		}
-		if f.Kind != kind || f.Version < 1 || f.NewOptions == nil || f.Build == nil {
-			t.Fatalf("core %q registration incomplete: %+v", kind, f)
-		}
-	}
-	if _, ok := LookupCore("bogus"); ok {
-		t.Fatal("LookupCore accepted an unregistered kind")
-	}
-	if DefaultCoreKind != "interval" {
-		t.Fatalf("default core kind %q; goldens and cache keys pin interval", DefaultCoreKind)
-	}
+// Core kinds are not registry components: sim decodes Spec.Core itself. Its
+// ooo options still go through DecodeInto, the registry's one strict decode
+// path, with cpu.OoOOptions.Validate as the hook. These tests hold that path
+// to the same contract as component options.
+
+// decodeOoO decodes raw the way sim decodes an ooo core's options.
+func decodeOoO(raw json.RawMessage) (*cpu.OoOOptions, error) {
+	opts := new(cpu.OoOOptions)
+	err := registry.DecodeInto(sim.CoreOoO, raw, opts, func(any) error { return opts.Validate() })
+	return opts, err
 }
 
 func TestUnknownCoreErrorCarriesCatalog(t *testing.T) {
-	err := &UnknownCoreError{Kind: "quantum"}
+	err := &sim.UnknownCoreError{Kind: "quantum"}
 	msg := err.Error()
-	for _, want := range []string{`"quantum"`, "known core models", "interval", "ooo"} {
+	for _, want := range []string{`"quantum"`, "known core models", sim.CoreInterval, sim.CoreOoO} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("message %q missing %q", msg, want)
 		}
@@ -42,80 +33,62 @@ func TestUnknownCoreErrorCarriesCatalog(t *testing.T) {
 }
 
 func TestDecodeCoreOptions(t *testing.T) {
-	// Empty and null raw options mean factory defaults.
+	// Empty and null raw options mean the defaults.
 	for _, raw := range []json.RawMessage{nil, json.RawMessage("null"), json.RawMessage("{}")} {
-		opts, err := DecodeCoreOptions("ooo", raw)
+		o, err := decodeOoO(raw)
 		if err != nil {
 			t.Fatalf("defaults for raw %q: %v", raw, err)
 		}
-		if o := opts.(*OoOOptions); *o != (OoOOptions{}) {
+		if *o != (cpu.OoOOptions{}) {
 			t.Fatalf("raw %q decoded to non-defaults %+v", raw, o)
 		}
 	}
-	opts, err := DecodeCoreOptions("ooo", json.RawMessage(`{"predictor":"gshare","history_bits":14}`))
+	o, err := decodeOoO(json.RawMessage(`{"predictor":"gshare","history_bits":14}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o := opts.(*OoOOptions); o.Predictor != "gshare" || o.HistoryBits != 14 {
+	if o.Predictor != "gshare" || o.HistoryBits != 14 {
 		t.Fatalf("decoded %+v", o)
 	}
 
-	// Unknown kinds surface the typed catalog error.
-	_, err = DecodeCoreOptions("quantum", nil)
-	var unk *UnknownCoreError
-	if !errors.As(err, &unk) || unk.Kind != "quantum" {
-		t.Fatalf("err = %v, want UnknownCoreError{quantum}", err)
-	}
-
-	// Misspelled fields are errors, same contract as prefetcher options.
-	if _, err := DecodeCoreOptions("ooo", json.RawMessage(`{"predicter":"tage"}`)); err == nil {
+	// Misspelled fields and trailing data are errors, same contract as
+	// prefetcher options.
+	if _, err := decodeOoO(json.RawMessage(`{"predicter":"tage"}`)); err == nil {
 		t.Fatal("unknown option field accepted")
 	}
-	// The factory Validate runs during decode.
-	if _, err := DecodeCoreOptions("ooo", json.RawMessage(`{"predictor":"psychic"}`)); err == nil ||
+	if _, err := decodeOoO(json.RawMessage(`{} {}`)); err == nil {
+		t.Fatal("trailing data accepted")
+	}
+	// The Validate hook runs during decode.
+	if _, err := decodeOoO(json.RawMessage(`{"predictor":"psychic"}`)); err == nil ||
 		!strings.Contains(err.Error(), "psychic") {
 		t.Fatalf("invalid predictor: err = %v, want mention of the bad value", err)
+	}
+	// The interval core takes no options at all.
+	if err := registry.DecodeInto(sim.CoreInterval, json.RawMessage(`{"x":1}`), &struct{}{}, nil); err == nil {
+		t.Fatal("interval core accepted an option")
 	}
 }
 
 func TestCanonicalCoreOptionsNormalizes(t *testing.T) {
-	a, err := CanonicalCoreOptions("ooo", json.RawMessage(`{ "predictor" : "tage" }`))
-	if err != nil {
-		t.Fatal(err)
+	encode := func(raw json.RawMessage) string {
+		t.Helper()
+		o, err := decodeOoO(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	b, err := CanonicalCoreOptions("ooo", json.RawMessage(`{"predictor":"tage"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
+	if a, b := encode(json.RawMessage(`{ "predictor" : "tage" }`)), encode(json.RawMessage(`{"predictor":"tage"}`)); a != b {
 		t.Fatalf("formatting split the canonical encoding: %s vs %s", a, b)
 	}
 	// Defaults canonicalize to the empty object (omitempty on every field),
 	// so "unset" and "explicitly default" produce identical cache keys.
-	c, err := CanonicalCoreOptions("ooo", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(c) != "{}" {
+	if c := encode(nil); c != "{}" {
 		t.Fatalf("default ooo options canonicalize to %s, want {}", c)
-	}
-}
-
-func TestRegisterCoreSharesComponentNamespace(t *testing.T) {
-	cases := []string{"stream", "throttle", "interval"} // prefetcher, policy, core
-	for _, kind := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("RegisterCore(%q) did not panic on a namespace collision", kind)
-				}
-			}()
-			RegisterCore(&CoreModel{
-				Kind:       kind,
-				Version:    1,
-				NewOptions: func() any { return new(IntervalOptions) },
-				Build:      coreModels[DefaultCoreKind].Build,
-			})
-		}()
 	}
 }
