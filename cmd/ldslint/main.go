@@ -32,7 +32,7 @@ import (
 // when analyzer behavior changes so cached "clean" verdicts (and vetx fact
 // files) are invalidated. The TestAnalyzerSourcesPinnedToVersion guard in
 // this package fails when analyzer sources change without a bump.
-const version = "2.0.3"
+const version = "2.0.4"
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))

@@ -6,7 +6,6 @@ import (
 	"ldsprefetch/internal/core"
 	"ldsprefetch/internal/prefetch"
 	"ldsprefetch/internal/sim"
-	"ldsprefetch/internal/sim/registry"
 )
 
 // ablationBenches is a representative subset used for design-choice sweeps
@@ -61,7 +60,7 @@ func AblateThresholds(c *Context) Report {
 		var specs []sim.Spec
 		for _, v := range variants {
 			specs = append(specs, sim.NewSpec("ecdp+thr", "stream", "cdp").
-				With(sim.NewComponent("throttle", registry.ThrottleOptions{Thresholds: &v.th})).
+				With(sim.NewComponent("throttle", sim.ThrottleOptions{Thresholds: &v.th})).
 				WithHints(g[i].Hints))
 		}
 		return specs

@@ -9,7 +9,6 @@ import (
 
 	"ldsprefetch/internal/cpu"
 	"ldsprefetch/internal/sim"
-	"ldsprefetch/internal/sim/registry"
 	"ldsprefetch/internal/workload"
 )
 
@@ -48,9 +47,9 @@ func PrintWorkloads(w io.Writer) {
 	}
 }
 
-// PrintCatalog lists the named configurations, the registered prefetcher,
-// policy and core components, and the workloads, so -spec authors can
-// discover kinds without reading source (the CLIs' -list-configs).
+// PrintCatalog lists the named configurations, the prefetcher, policy and
+// core components, and the workloads, so -spec authors can discover kinds
+// without reading source (the CLIs' -list-configs).
 func PrintCatalog(w io.Writer) {
 	fmt.Fprintln(w, "named configurations (ldssim -config; building blocks of the figures):")
 	for _, n := range sim.NamedConfigs() {
@@ -60,17 +59,14 @@ func PrintCatalog(w io.Writer) {
 		}
 		fmt.Fprintf(w, "  %s%s\n", n, suffix)
 	}
+	prefetchers, policies := sim.ComponentLines()
 	fmt.Fprintln(w, "\nprefetcher components (-spec kinds):")
-	for _, kind := range registry.Prefetchers() {
-		in, _ := registry.Lookup(kind)
-		fmt.Fprintf(w, "  %-10s v%-2d throttleable=%-5v switchable=%-5v consumes_hints=%v\n",
-			in.Kind, in.Version, in.Throttleable, in.Switchable, in.ConsumesHints)
+	for _, line := range prefetchers {
+		fmt.Fprintf(w, "  %s\n", line)
 	}
 	fmt.Fprintln(w, "\npolicy components (-spec kinds):")
-	for _, kind := range registry.Policies() {
-		in, _ := registry.Lookup(kind)
-		fmt.Fprintf(w, "  %-10s v%-2d claims_throttle=%-5v min_switchable=%d\n",
-			in.Kind, in.Version, in.ClaimsThrottle, in.MinSwitchable)
+	for _, line := range policies {
+		fmt.Fprintf(w, "  %s\n", line)
 	}
 	fmt.Fprintln(w, "\ncore models (ldssim -core, or \"core\" in -spec):")
 	fmt.Fprintf(w, "  %-14s options: none (default)\n", sim.CoreInterval)

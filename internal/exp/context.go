@@ -54,10 +54,6 @@ type Context struct {
 	// VerifyCache re-executes every cache hit and fails the job on a
 	// mismatch (determinism check).
 	VerifyCache bool
-	// Engine selects the multi-core execution engine (sim.EngineSerial /
-	// sim.EngineParallel; "" = serial) for every mix this context runs.
-	// Engines are result-equivalent, so this is a wall-clock knob only.
-	Engine string
 	// Sched, when set before first use, is the scheduler all simulations
 	// run on (the job service injects a per-sweep scheduler sharing a
 	// global worker pool this way). When nil, a private scheduler is built
@@ -136,9 +132,6 @@ func (c *Context) run(bench string, sp sim.Spec) sim.Result {
 func (c *Context) RunMix(benches []string, sp sim.Spec) (sim.MultiResult, error) {
 	if c.TraceDir != "" {
 		sp.Trace = true
-	}
-	if c.Engine != "" {
-		sp.Engine = c.Engine
 	}
 	r, err := c.Jobs().MultiSpec(benches, c.Params, sp)
 	if err != nil {

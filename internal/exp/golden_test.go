@@ -220,9 +220,11 @@ func TestGoldenMulticoreMix(t *testing.T) {
 	checkGolden(t, "golden_multicore.txt", r.String())
 }
 
-// TestGoldenMulticoreMixParallel renders the same mix under the parallel
-// engine and holds it to the SAME golden file: engine equivalence must reach
-// all the way up to the rendered report, not just sim.MultiResult.
+// TestGoldenMulticoreMixParallel simulates the golden mix's cells under the
+// parallel engine into a fresh store, then renders the mix report from that
+// store on a fresh context and holds it to the SAME golden file: engine
+// equivalence must reach all the way up to the rendered report, and the
+// engine must not split cache keys (the render computes nothing).
 func TestGoldenMulticoreMixParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden simulation runs are slow")
@@ -230,10 +232,19 @@ func TestGoldenMulticoreMixParallel(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden is written by the serial variant")
 	}
-	ctx := testCtx()
-	ctx.Engine = sim.EngineParallel
-	r := multiReport(ctx, "golden-mix",
-		"Golden dual-core mix (determinism guard)",
-		[][]string{{"mst", "health"}}, nil)
-	checkGolden(t, "golden_multicore.txt", r.String())
+	dir := t.TempDir()
+	c := cachedCtx(dir)
+	mix := []string{"mst", "health"}
+	specs := mixSpecs(c.Hints(mix))
+	fanOut(len(specs), func(j int) {
+		sp := specs[j]
+		sp.Engine = sim.EngineParallel
+		if _, err := c.RunMix(mix, sp); err != nil {
+			t.Error(err)
+		}
+	})
+	checkGolden(t, "golden_multicore.txt", renderFromStore(t, dir, func(c *Context) Report {
+		return multiReport(c, "golden-mix", "Golden dual-core mix (determinism guard)",
+			[][]string{mix}, nil)
+	}))
 }

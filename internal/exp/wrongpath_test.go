@@ -107,9 +107,9 @@ func TestOoOEngineEquivalence(t *testing.T) {
 	}
 	run := func(engine string) sim.MultiResult {
 		ctx := testCtx()
-		ctx.Engine = engine
 		sp := sim.NewSpec("wp-mix", "stream", "cdp", "throttle")
 		sp.Core = oooComponent("bimodal")
+		sp.Engine = engine
 		r, err := ctx.RunMix([]string{"mst", "health"}, sp)
 		if err != nil {
 			t.Fatal(err)

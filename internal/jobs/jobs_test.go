@@ -103,14 +103,14 @@ func TestKeyInvalidation(t *testing.T) {
 	})
 	add("schema version", bumped)
 
-	// A component factory version bump must also change the key: the
-	// canonical spec embeds per-factory versions.
+	// A component version bump must also change the key: the canonical
+	// spec embeds per-component versions.
 	withStream, err := testSpec().With(sim.NewComponent("stream", nil)).Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(withStream), `"version"`) {
-		t.Fatalf("canonical spec carries no factory versions: %s", withStream)
+		t.Fatalf("canonical spec carries no component versions: %s", withStream)
 	}
 }
 

@@ -36,7 +36,7 @@ import (
 //	1 — canonical payload mirrored the since-removed Setup flag-bag
 //	    field by field (canonSetup).
 //	2 — canonical payload embeds sim.Spec.Canonical(): the declarative
-//	    component list with per-factory versions. Simulated results are
+//	    component list with per-component versions. Simulated results are
 //	    unchanged; only the key derivation moved, so version 1 objects are
 //	    unreachable (stale but harmless — prune old store directories).
 //	3 — simulator behaviour changed: multi-core mixes run under the
@@ -50,7 +50,7 @@ const SchemaVersion = 3
 
 // Key identifies one job's full input. Equal inputs hash equal; any change
 // to the spec, the workload parameters, the benchmark set, the machine
-// width, a component factory version, or SchemaVersion produces a different
+// width, a component version, or SchemaVersion produces a different
 // key.
 type Key struct {
 	// Hash is the hex SHA-256 of the canonical payload.
@@ -62,7 +62,7 @@ type Key struct {
 
 // keyPayload is the canonical, versioned form of a job input. Field order
 // is fixed by the struct; Spec is the deterministic encoding produced by
-// sim.Spec.Canonical (components with factory versions, sorted hint
+// sim.Spec.Canonical (components with their versions, sorted hint
 // triples, pointer configs expanded to value-or-null). Spec.Trace is
 // deliberately absent from that encoding: tracing is observation-only and
 // traced runs bypass the cache anyway.

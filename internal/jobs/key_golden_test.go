@@ -13,7 +13,7 @@ import (
 // this test fails, previously cached results are unreachable (or, worse,
 // reachable under a key that no longer means what it did). An intentional
 // change — a component Version bump, a canonical-encoding change — must come
-// with a SchemaVersion bump or a factory Version bump, an ORCHESTRATION.md
+// with a SchemaVersion bump or a component version bump, an ORCHESTRATION.md
 // note, and regenerated hashes here.
 func TestGoldenKeys(t *testing.T) {
 	p := workload.Params{Scale: 0.05, Seed: 7}

@@ -421,7 +421,7 @@ type profiler struct {
 
 // profileSpec names a profiler in its cache key. The components are the
 // stream + unfiltered CDP pair every profiling pass simulates, so a stream
-// or cdp factory Version bump invalidates stored profiles too.
+// or cdp component version bump invalidates stored profiles too.
 func profileSpec(name string) sim.Spec {
 	return sim.Spec{Name: name, ProfilePGs: true,
 		Components: []sim.Component{{Kind: "stream"}, {Kind: "cdp"}}}

@@ -339,7 +339,6 @@ func suffixScope(suffixes ...string) func(string) bool {
 // changes reported numbers or cache keys.
 var simCorePackages = []string{
 	"internal/sim",
-	"internal/sim/registry",
 	"internal/sim/engine",
 	"internal/memsys",
 	"internal/dram",

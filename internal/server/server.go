@@ -92,7 +92,7 @@ type sweepRequest struct {
 	// Benchmarks + Configs/Specs describe a raw sweep: every benchmark runs
 	// under every configuration. Configs are the named CLI configurations.
 	// Specs are declarative sim.Spec values; they are validated against the
-	// component registry at submit and rejected with the known-component
+	// component table at submit and rejected with the known-component
 	// catalog on error. Hardware overrides are not statically validated —
 	// a config that panics the simulator is contained and reported as a
 	// failed job.
@@ -182,7 +182,7 @@ func validate(req *sweepRequest) error {
 			return err
 		}
 	}
-	// Specs are validated against the component registry here, so an
+	// Specs are validated against the component table here, so an
 	// unknown component, a throttle+fdp conflict, hints without a consumer,
 	// or bad options come back as a 400 with an actionable message (the
 	// unknown-component error carries the full catalog) instead of a failed

@@ -267,7 +267,7 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // TestRawSweepSpecs drives the declarative path end-to-end: a sweep
-// submitted as sim.Spec JSON documents runs through the registry assembler
+// submitted as sim.Spec JSON documents runs through the component-table assembler
 // and reports per-cell results.
 func TestRawSweepSpecs(t *testing.T) {
 	ts := newTestServer(t, Options{})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"ldsprefetch/internal/cpu"
-	"ldsprefetch/internal/sim/registry"
 )
 
 // Core model kinds for Spec.Core. Both build the one cpu.Core; they differ
@@ -48,10 +47,10 @@ func (sp Spec) decodeCore() (*cpu.OoOOptions, error) {
 	var opts *cpu.OoOOptions
 	switch sp.Core.Kind {
 	case CoreInterval:
-		err = registry.DecodeInto(CoreInterval, sp.Core.Options, &struct{}{}, nil)
+		err = decodeOptions(CoreInterval, sp.Core.Options, &struct{}{}, nil)
 	case CoreOoO:
 		opts = new(cpu.OoOOptions)
-		err = registry.DecodeInto(CoreOoO, sp.Core.Options, opts,
+		err = decodeOptions(CoreOoO, sp.Core.Options, opts,
 			func(any) error { return opts.Validate() })
 	default:
 		return nil, &SpecError{Spec: sp.Name, Component: sp.Core.Kind, Err: ErrUnknownComponent,

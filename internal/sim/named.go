@@ -9,7 +9,7 @@ import (
 
 // namedConfigs maps the CLI/API configuration names to Spec constructors.
 // The hints argument is only consulted by the ECDP variants. Each entry is a
-// spec literal over the registry's component kinds; components are listed in
+// spec literal over the component table's kinds; components are listed in
 // the conventional order (prefetchers, then policies) so named runs keep
 // reproducing historical results bit-for-bit.
 var namedConfigs = []struct {

@@ -6,8 +6,8 @@
 //
 // # Lifecycle
 //
-// A run is described by a Spec — a declarative list of registered component
-// kinds (see internal/sim/registry) plus spec-level inputs — and workload
+// A run is described by a Spec — a declarative list of component kinds from
+// the component table (components.go) plus spec-level inputs — and workload
 // Params (input scale and seed). RunSingleSpec builds the whole stack —
 // workload trace, caches, DRAM controller, prefetchers, controllers —
 // executes it to completion, and returns a Result with the end-of-run
@@ -16,8 +16,7 @@
 // normalize the weighted and harmonic speedups in MultiResult.
 //
 // Named configurations ("stream", "ecdp+throttle", ...) resolve to Specs
-// through Named; NewSpec builds any other composition from registered
-// component kinds.
+// through Named; NewSpec builds any other composition of component kinds.
 //
 // Setting Spec.Trace additionally attaches an interval-level telemetry
 // recorder; the Result then carries a telemetry.Trace with the per-interval
@@ -35,7 +34,6 @@ import (
 	"ldsprefetch/internal/prefetch"
 	"ldsprefetch/internal/profiling"
 	"ldsprefetch/internal/sim/engine"
-	"ldsprefetch/internal/sim/registry"
 	"ldsprefetch/internal/telemetry"
 	"ldsprefetch/internal/workload"
 )
@@ -91,13 +89,13 @@ type system struct {
 }
 
 // assemble builds one core's full stack for benchmark bench, issuing memory
-// requests through ctrl on a cores-wide machine. It is a loop over the
-// spec's components: control policies are constructed first, then each
-// prefetcher is built through its registry factory, attached, and offered to
-// every policy, and finally the policies install themselves — all in spec
+// requests through ctrl on a cores-wide machine. It is two loops over the
+// spec's decoded components: each prefetcher is built and attached, then
+// each control policy installs over every built prefetcher — both in spec
 // order.
 func assemble(bench string, p workload.Params, sp Spec, ctrl *dram.Controller, cores int) (*system, error) {
-	if err := sp.Validate(); err != nil {
+	parts, ooo, err := sp.validate()
+	if err != nil {
 		return nil, err
 	}
 	mcfg := memsys.DefaultConfig()
@@ -151,64 +149,32 @@ func assemble(bench string, p workload.Params, sp Spec, ctrl *dram.Controller, c
 		rec.Install()
 	}
 
-	env := &registry.BuildEnv{
-		MS:         ms,
-		BlockSize:  mcfg.BlockSize,
-		BlockShift: ms.BlockShift(),
-		Hints:      sp.Hints,
-		Trace:      trc,
-	}
-
-	// Policies are constructed before any prefetcher attaches (they hook
-	// feedback in install order, after the recorder), then offered every
-	// prefetcher instance, then installed.
-	var ctls []registry.Controller
-	for _, comp := range sp.Components {
-		pol, ok := registry.LookupPolicy(comp.Kind)
-		if !ok {
+	env := &buildEnv{ms: ms, blockSize: mcfg.BlockSize, hints: sp.Hints, trace: trc}
+	var pfs []instance
+	for _, pt := range parts {
+		if pt.prefetcher == nil {
 			continue
 		}
-		opts, err := registry.DecodeOptions(comp.Kind, comp.Options)
-		if err != nil {
-			return nil, err // unreachable: Validate decoded these already
-		}
-		ctls = append(ctls, pol.Build(env, opts))
-	}
-	for _, comp := range sp.Components {
-		pf, ok := registry.LookupPrefetcher(comp.Kind)
-		if !ok {
-			continue
-		}
-		opts, err := registry.DecodeOptions(comp.Kind, comp.Options)
-		if err != nil {
-			return nil, err // unreachable: Validate decoded these already
-		}
-		inst, err := pf.Build(env, opts)
-		if err != nil {
-			return nil, err
-		}
-		ms.Attach(inst.Prefetcher)
+		inst := pt.prefetcher(env, pt.opts)
+		ms.Attach(inst.pf)
 		if trc != nil {
-			trc.Sources = append(trc.Sources, inst.Source)
+			trc.Sources = append(trc.Sources, inst.src)
 		}
-		if inst.Throttleable != nil {
-			levels[inst.Source] = inst.Throttleable
-			inst.Throttleable.SetLevel(level)
+		if inst.throttleable != nil {
+			levels[inst.src] = inst.throttleable
+			inst.throttleable.SetLevel(level)
 		}
-		for _, c := range ctls {
-			c.Attach(inst)
-		}
+		pfs = append(pfs, inst)
 	}
-	for _, c := range ctls {
-		c.Install()
+	// Policies hook feedback in install order, after the recorder.
+	for _, pt := range parts {
+		if pt.install != nil {
+			pt.install(env, pt.opts, pfs)
+		}
 	}
 
 	// Nil ooo options (Spec.Core absent or "interval") select the interval
 	// core; anything else runs the speculative out-of-order core.
-	ooo, err := sp.decodeCore()
-	if err != nil {
-		return nil, err // unreachable: Validate decoded these already
-	}
 	var model *cpu.Core
 	if ooo == nil {
 		model = cpu.NewInterval(ccfg, ms, tr)

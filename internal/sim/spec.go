@@ -12,20 +12,20 @@ import (
 	"ldsprefetch/internal/dram"
 	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/prefetch"
-	"ldsprefetch/internal/sim/registry"
 )
 
-// Component is one entry of a Spec: a registered component kind plus its
-// JSON-encoded options. Empty or null options mean factory defaults; the
-// option schema of each kind is defined by its registry factory.
+// Component is one entry of a Spec: a component kind plus its JSON-encoded
+// options. Empty or null options mean the kind's defaults; the option schema
+// of each kind is its entry's options struct in the component table
+// (components.go).
 type Component struct {
 	Kind    string          `json:"kind"`
 	Options json.RawMessage `json:"options,omitempty"`
 }
 
-// NewComponent builds a Component from typed options (one of the registry
-// *Options structs). nil opts means defaults. It panics if opts cannot be
-// marshaled, which cannot happen for the scalar-only registry structs.
+// NewComponent builds a Component from typed options (one of the *Options
+// structs). nil opts means defaults. It panics if opts cannot be marshaled,
+// which cannot happen for the scalar-only options structs.
 func NewComponent(kind string, opts any) Component {
 	c := Component{Kind: kind}
 	if opts != nil {
@@ -43,8 +43,9 @@ func NewComponent(kind string, opts any) Component {
 // spec-level inputs (hint table, oracles, hardware overrides). Components
 // are attached and installed in slice order; the conventional order —
 // prefetchers (stream, cdp, markov, ghb, dbp) then policies (throttle, fdp,
-// pab, hwfilter) — matches the fixed order the pre-registry assembler used,
-// so specs written that way reproduce historical results bit-for-bit.
+// pab, hwfilter) — matches the fixed order of the original flag-based
+// assembler, so specs written that way reproduce historical results
+// bit-for-bit.
 //
 // A Spec round-trips through JSON (the server's sweep endpoint and the CLI
 // -spec flag accept this encoding) and has a deterministic Canonical
@@ -145,7 +146,7 @@ func (sp Spec) WithCore(kind string, opts any) Spec {
 // Validation sentinels. A failed Validate returns a *SpecError wrapping one
 // of these, so callers can classify failures with errors.Is.
 var (
-	// ErrUnknownComponent: a component kind is not in the registry catalog.
+	// ErrUnknownComponent: a component kind is not in the component table.
 	ErrUnknownComponent = errors.New("unknown component")
 	// ErrComponentConflict: components that cannot coexist (a duplicate
 	// kind, or two policies claiming throttle control, e.g. throttle+fdp).
@@ -189,81 +190,93 @@ func (e *SpecError) Error() string {
 
 func (e *SpecError) Unwrap() error { return e.Err }
 
-// Validate checks the spec against the registry catalog and the composition
+// Validate checks the spec against the component table and the composition
 // rules. It is purely static — nothing is constructed — so servers can
 // reject bad requests before scheduling work. Errors are *SpecError.
 func (sp Spec) Validate() error {
+	_, _, err := sp.validate()
+	return err
+}
+
+// part is one spec component resolved against the component table, with
+// its options decoded and validated.
+type part struct {
+	*component
+	opts any
+}
+
+// validate is Validate returning what it decoded: the spec's components in
+// spec order and the ooo core options (nil for the interval core), so
+// assemble decodes each component once.
+func (sp Spec) validate() ([]part, *cpu.OoOOptions, error) {
 	switch sp.Engine {
 	case "", EngineSerial, EngineParallel:
 	default:
-		return &SpecError{Spec: sp.Name, Err: ErrBadComposition,
+		return nil, nil, &SpecError{Spec: sp.Name, Err: ErrBadComposition,
 			Reason: fmt.Sprintf("unknown engine %q (use %q or %q)", sp.Engine, EngineSerial, EngineParallel)}
 	}
-	if _, err := sp.decodeCore(); err != nil {
-		return err
+	ooo, err := sp.decodeCore()
+	if err != nil {
+		return nil, nil, err
 	}
+	parts := make([]part, 0, len(sp.Components))
 	seen := make(map[string]bool, len(sp.Components))
 	var claimants []string
 	switchable := 0
 	hintsConsumed := false
 	for _, comp := range sp.Components {
-		info, ok := registry.Lookup(comp.Kind)
-		if !ok {
-			return &SpecError{Spec: sp.Name, Component: comp.Kind, Err: ErrUnknownComponent,
-				Reason: (&registry.UnknownComponentError{Kind: comp.Kind}).Error()}
-		}
 		if seen[comp.Kind] {
-			return &SpecError{Spec: sp.Name, Component: comp.Kind, Err: ErrComponentConflict,
+			return nil, nil, &SpecError{Spec: sp.Name, Component: comp.Kind, Err: ErrComponentConflict,
 				Reason: "listed twice"}
 		}
 		seen[comp.Kind] = true
-		if _, err := registry.DecodeOptions(comp.Kind, comp.Options); err != nil {
-			return &SpecError{Spec: sp.Name, Component: comp.Kind, Err: ErrBadOptions,
-				Reason: err.Error()}
+		c, opts, err := sp.decode(comp)
+		if err != nil {
+			return nil, nil, err
 		}
-		if info.Switchable {
+		parts = append(parts, part{c, opts})
+		if c.switchable {
 			switchable++
 		}
-		if info.ConsumesHints {
+		if c.consumesHints {
 			hintsConsumed = true
 		}
-		if info.ClaimsThrottle {
-			claimants = append(claimants, comp.Kind)
+		if c.claimsThrottle {
+			claimants = append(claimants, c.kind)
 		}
 	}
 	if len(claimants) > 1 {
-		return &SpecError{Spec: sp.Name, Err: ErrComponentConflict,
+		return nil, nil, &SpecError{Spec: sp.Name, Err: ErrComponentConflict,
 			Reason: fmt.Sprintf("%s both claim prefetcher aggressiveness control and would fight over the same levels; keep exactly one of them",
 				strings.Join(claimants, " and "))}
 	}
-	for _, comp := range sp.Components {
-		info, _ := registry.Lookup(comp.Kind)
-		if info.MinSwitchable > switchable {
-			return &SpecError{Spec: sp.Name, Component: comp.Kind, Err: ErrBadComposition,
+	for _, p := range parts {
+		if p.minSwitchable > switchable {
+			return nil, nil, &SpecError{Spec: sp.Name, Component: p.kind, Err: ErrBadComposition,
 				Reason: fmt.Sprintf("needs at least %d switchable prefetchers to select between, spec has %d (switchable kinds: %s)",
-					info.MinSwitchable, switchable, strings.Join(switchableKinds(), ", "))}
+					p.minSwitchable, switchable, strings.Join(switchableKinds(), ", "))}
 		}
 	}
 	if sp.Hints != nil && !hintsConsumed {
-		return &SpecError{Spec: sp.Name, Err: ErrBadComposition,
+		return nil, nil, &SpecError{Spec: sp.Name, Err: ErrBadComposition,
 			Reason: `hints are set but no component consumes them; add "cdp" (hint-filtered CDP is the paper's ECDP) or drop the hint table`}
 	}
-	return nil
+	return parts, ooo, nil
 }
 
-// switchableKinds lists the registered prefetcher kinds that support
-// on/off switching, for actionable composition errors.
+// switchableKinds lists the prefetcher kinds that support on/off switching,
+// for actionable composition errors.
 func switchableKinds() []string {
 	var out []string
-	for _, k := range registry.Prefetchers() {
-		if info, ok := registry.Lookup(k); ok && info.Switchable {
-			out = append(out, k)
+	for _, c := range components {
+		if c.switchable {
+			out = append(out, c.kind)
 		}
 	}
 	return out
 }
 
-// canonComponent is the canonical form of one component: kind, factory
+// canonComponent is the canonical form of one component: kind, table
 // version, and the options normalized through a decode/re-encode
 // round-trip so input formatting cannot split cache keys.
 type canonComponent struct {
@@ -323,7 +336,7 @@ func nilable[T any](p *T) any {
 // Canonical returns the spec's deterministic encoding — the bytes cache
 // keys embed. Two specs describing the same configuration (regardless of
 // option formatting or omitted-vs-explicit defaults) encode identically;
-// any semantic difference, including a component factory's Version bump,
+// any semantic difference, including a component's version bump,
 // changes the bytes. It fails only on a spec that does not validate.
 func (sp Spec) Canonical() ([]byte, error) {
 	cs := canonSpec{
@@ -334,17 +347,13 @@ func (sp Spec) Canonical() ([]byte, error) {
 		IntervalLen: sp.IntervalLen,
 	}
 	for _, comp := range sp.Components {
-		info, ok := registry.Lookup(comp.Kind)
-		if !ok {
-			return nil, &SpecError{Spec: sp.Name, Component: comp.Kind, Err: ErrUnknownComponent,
-				Reason: (&registry.UnknownComponentError{Kind: comp.Kind}).Error()}
-		}
-		opts, err := registry.CanonicalOptions(comp.Kind, comp.Options)
+		c, opts, err := sp.decode(comp)
 		if err != nil {
-			return nil, &SpecError{Spec: sp.Name, Component: comp.Kind, Err: ErrBadOptions,
-				Reason: err.Error()}
+			return nil, err
 		}
-		cs.Components = append(cs.Components, canonComponent{Kind: comp.Kind, Version: info.Version, Options: opts})
+		// Options structs are scalar-only by construction, so their JSON
+		// after a decode round-trip is deterministic.
+		cs.Components = append(cs.Components, canonComponent{Kind: c.kind, Version: c.version, Options: rawOrNull(opts)})
 	}
 	ooo, err := sp.decodeCore()
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"ldsprefetch/internal/core"
 	"ldsprefetch/internal/cpu"
 	"ldsprefetch/internal/prefetch"
-	"ldsprefetch/internal/sim/registry"
 	"ldsprefetch/internal/workload"
 )
 
@@ -46,7 +45,7 @@ func TestValidateRejectsUnknownComponent(t *testing.T) {
 		t.Fatalf("error does not identify the component: %#v", err)
 	}
 	// The message must carry the catalog so the fix is obvious from the error.
-	for _, kind := range registry.Catalog() {
+	for _, kind := range kinds() {
 		if !strings.Contains(err.Error(), kind) {
 			t.Fatalf("catalog entry %q missing from error: %v", kind, err)
 		}
@@ -78,7 +77,7 @@ func TestValidateRejectsHintsWithoutConsumer(t *testing.T) {
 
 func TestValidateRejectsNegativeHWFilterBits(t *testing.T) {
 	err := NewSpec("x", "stream", "cdp").
-		With(NewComponent("hwfilter", registry.HWFilterOptions{Bits: -8})).Validate()
+		With(NewComponent("hwfilter", HWFilterOptions{Bits: -8})).Validate()
 	if !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("err = %v, want ErrBadOptions", err)
 	}
@@ -267,7 +266,7 @@ func TestValidateRejectsBadCoreOptions(t *testing.T) {
 // spec-level fields. It deliberately may violate composition rules — the
 // property under test is encoding fidelity, not validity.
 func randomSpec(rng *rand.Rand, i int) Spec {
-	catalog := registry.Catalog()
+	catalog := kinds()
 	sp := Spec{Name: fmt.Sprintf("prop-%d", i)}
 	perm := rng.Perm(len(catalog))
 	n := rng.Intn(len(catalog) + 1)
@@ -276,15 +275,15 @@ func randomSpec(rng *rand.Rand, i int) Spec {
 		switch comp.Kind {
 		case "stream":
 			if rng.Intn(2) == 0 {
-				comp = NewComponent("stream", registry.StreamOptions{Streams: 1 + rng.Intn(64)})
+				comp = NewComponent("stream", StreamOptions{Streams: 1 + rng.Intn(64)})
 			}
 		case "cdp":
 			if rng.Intn(2) == 0 {
-				comp = NewComponent("cdp", registry.CDPOptions{CompareBits: 1 + rng.Intn(32)})
+				comp = NewComponent("cdp", CDPOptions{CompareBits: 1 + rng.Intn(32)})
 			}
 		case "hwfilter":
 			if rng.Intn(2) == 0 {
-				comp = NewComponent("hwfilter", registry.HWFilterOptions{Bits: 1 << uint(10+rng.Intn(8))})
+				comp = NewComponent("hwfilter", HWFilterOptions{Bits: 1 << uint(10+rng.Intn(8))})
 			}
 		}
 		sp.Components = append(sp.Components, comp)

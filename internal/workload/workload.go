@@ -133,7 +133,7 @@ func ordered() []string {
 
 // UnknownBenchmarkError reports a benchmark name that is not in the
 // catalog. The catalog is embedded so CLI and HTTP error payloads are
-// actionable as-is (mirroring registry.UnknownComponentError for spec
+// actionable as-is (mirroring sim.UnknownComponentError for spec
 // components).
 type UnknownBenchmarkError struct {
 	Name string

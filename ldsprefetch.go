@@ -42,9 +42,9 @@ func RefInput() Input { return workload.Ref() }
 func TrainInput() Input { return workload.Train() }
 
 // Spec is the declarative, serializable run configuration: an ordered list
-// of registered component kinds (prefetchers and control policies) with
-// typed options, plus spec-level inputs (hint table, oracles, hardware
-// overrides). See sim.Spec and internal/sim/registry.
+// of component kinds (prefetchers and control policies) with typed options,
+// plus spec-level inputs (hint table, oracles, hardware overrides). See
+// sim.Spec and the component table in internal/sim/components.go.
 type Spec = sim.Spec
 
 // NewSpec builds a Spec from component kinds with default options, e.g.
