@@ -2,58 +2,52 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestVersionHandshake: cmd/go probes the vet tool with -V=full and expects
-// "<name> version <version>" for its action-cache key.
-func TestVersionHandshake(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-V=full"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr.String())
-	}
-	if got, want := stdout.String(), "ldslint version "+version+"\n"; got != want {
-		t.Errorf("stdout = %q, want %q", got, want)
-	}
-}
-
-// TestFlagsHandshake: go vet queries -flags to learn which flags it may pass
-// through; every analyzer toggle must be present.
-func TestFlagsHandshake(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-flags"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr.String())
-	}
-	var flags []struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	if err := json.Unmarshal(stdout.Bytes(), &flags); err != nil {
-		t.Fatalf("-flags output is not JSON: %v\n%s", err, stdout.String())
-	}
-	got := map[string]bool{}
-	for _, f := range flags {
-		if !f.Bool {
-			t.Errorf("flag %s is not boolean; go vet only forwards boolean tool flags", f.Name)
-		}
-		got[f.Name] = true
-	}
-	for _, want := range []string{"timings", "maporder", "walltime", "checkedmath", "observereffect", "nondetflow", "lockcheck"} {
-		if !got[want] {
-			t.Errorf("-flags output missing %q; got %s", want, stdout.String())
-		}
-	}
-}
-
 func TestBadFlagExitsNonzero(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-no-such-flag"}, &stdout, &stderr); code != 1 {
+	var stderr bytes.Buffer
+	if code := run([]string{"-no-such-flag"}, &stderr); code != 1 {
 		t.Errorf("exit %d, want 1", code)
 	}
 	if !strings.Contains(stderr.String(), "no-such-flag") {
 		t.Errorf("stderr does not mention the bad flag:\n%s", stderr.String())
+	}
+}
+
+// TestTypecheckFailureExitsOne: a package that does not type-check is a
+// tool failure (exit 1) whose message names the package, not a clean run.
+func TestTypecheckFailureExitsOne(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod":                    "module testmod\n\ngo 1.22\n",
+		"internal/memsys/broken.go": "package memsys\n\nfunc f() { undefined() }\n",
+	}
+	for name, content := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	var stderr bytes.Buffer
+	if code := run(nil, &stderr); code != 1 {
+		t.Errorf("exit %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "testmod/internal/memsys") {
+		t.Errorf("stderr does not name the broken package:\n%s", stderr.String())
 	}
 }

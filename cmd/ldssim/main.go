@@ -6,7 +6,7 @@
 //	ldssim -bench mst -config ecdp+throttle
 //	ldssim -bench health -config stream -scale 0.5
 //	ldssim -bench xalancbmk,astar -config ecdp+throttle   # dual-core
-//	ldssim -bench mcf,mst,em3d,health -engine parallel     # parallel engine
+//	ldssim -bench mcf,mst,bisort,health -engine parallel   # parallel engine
 //	ldssim -bench mst -core ooo                           # speculative core
 //	ldssim -bench mst -core ooo -core-opts '{"predictor":"tage"}'
 //	ldssim -bench mst -spec spec.json                     # declarative spec

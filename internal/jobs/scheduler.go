@@ -200,60 +200,48 @@ func canonicalResult(v any) ([]byte, error) { return json.Marshal(v) }
 func (s *Scheduler) do(d jobDesc, run func() (any, error), newOut func() any) (any, error) {
 	s.sinks(func(m *Metrics) { m.Submitted.Add(1) })
 	rec := Record{Kind: d.kind, Benchmarks: d.benches, Setup: d.setupName}
-	if d.cacheable {
-		rec.Key = d.key.Hash
+	if !d.cacheable {
+		return s.doLeader(d, &rec, run, newOut)
+	}
+	rec.Key = d.key.Hash
 
-		// In-flight dedup: identical concurrent jobs share one execution.
-		s.mu.Lock()
-		if c, ok := s.inflight[d.key.Hash]; ok {
-			s.mu.Unlock()
-			<-c.done
-			s.sinks(func(m *Metrics) { m.Coalesced.Add(1) })
-			if c.err == nil {
-				s.sinks(func(m *Metrics) { m.Completed.Add(1) })
-				rec.Provenance = "coalesced"
-			} else {
-				s.sinks(func(m *Metrics) { m.Failed.Add(1) })
-				rec.Provenance = "failed"
-				rec.Error = c.err.Error()
-			}
-			s.record(rec, 0)
-			return c.res, c.err
-		}
-		c := &call{done: make(chan struct{})}
-		s.inflight[d.key.Hash] = c
+	// In-flight dedup: identical concurrent jobs share one execution.
+	s.mu.Lock()
+	if c, ok := s.inflight[d.key.Hash]; ok {
 		s.mu.Unlock()
-		defer func() {
-			s.mu.Lock()
-			delete(s.inflight, d.key.Hash)
-			s.mu.Unlock()
-			close(c.done)
-		}()
-
-		res, err := s.doLeader(d, &rec, run, newOut)
-		c.res, c.err = res, err
-		return res, err
+		<-c.done
+		s.sinks(func(m *Metrics) { m.Coalesced.Add(1) })
+		if c.err == nil {
+			s.sinks(func(m *Metrics) { m.Completed.Add(1) })
+			rec.Provenance = "coalesced"
+		} else {
+			s.sinks(func(m *Metrics) { m.Failed.Add(1) })
+			rec.Provenance = "failed"
+			rec.Error = c.err.Error()
+		}
+		s.record(rec, 0)
+		return c.res, c.err
 	}
+	c := &call{done: make(chan struct{})}
+	s.inflight[d.key.Hash] = c
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.inflight, d.key.Hash)
+		s.mu.Unlock()
+		close(c.done)
+	}()
 
-	start := time.Now()
-	res, err := s.execute(run)
-	dur := time.Since(start)
-	s.sinks(func(m *Metrics) { m.observeLatency(dur) })
-	if err != nil {
-		s.sinks(func(m *Metrics) { m.Failed.Add(1) })
-		rec.Provenance = "failed"
-		rec.Error = err.Error()
-	} else {
-		s.sinks(func(m *Metrics) { m.Completed.Add(1); m.Uncached.Add(1) })
-		rec.Provenance = "uncached"
-	}
-	s.record(rec, dur)
+	res, err := s.doLeader(d, &rec, run, newOut)
+	c.res, c.err = res, err
 	return res, err
 }
 
-// doLeader is the non-coalesced half of do for cacheable jobs.
+// doLeader is the non-coalesced half of do: a store lookup for cacheable
+// jobs, then one execution recorded as "computed" (and stored) or, for an
+// uncacheable job, "uncached".
 func (s *Scheduler) doLeader(d jobDesc, rec *Record, run func() (any, error), newOut func() any) (any, error) {
-	if s.cfg.Store != nil {
+	if d.cacheable && s.cfg.Store != nil {
 		out := newOut()
 		hit, err := s.cfg.Store.Get(d.key, d.kind, out)
 		if err == nil && hit {
@@ -291,17 +279,22 @@ func (s *Scheduler) doLeader(d jobDesc, rec *Record, run func() (any, error), ne
 		s.record(*rec, dur)
 		return nil, err
 	}
-	s.sinks(func(m *Metrics) { m.Completed.Add(1); m.Computed.Add(1) })
-	rec.Provenance = "computed"
-	if s.cfg.Store != nil {
-		if perr := s.cfg.Store.Put(d.key, d.kind, res); perr != nil {
-			// The result is valid even if journaling it failed; surface the
-			// problem through the record.
-			rec.Error = perr.Error()
+	if !d.cacheable {
+		s.sinks(func(m *Metrics) { m.Completed.Add(1); m.Uncached.Add(1) })
+		rec.Provenance = "uncached"
+	} else {
+		s.sinks(func(m *Metrics) { m.Completed.Add(1); m.Computed.Add(1) })
+		rec.Provenance = "computed"
+		if s.cfg.Store != nil {
+			if perr := s.cfg.Store.Put(d.key, d.kind, res); perr != nil {
+				// The result is valid even if journaling it failed; surface
+				// the problem through the record.
+				rec.Error = perr.Error()
+			}
 		}
 	}
 	s.record(*rec, dur)
-	return res, err
+	return res, nil
 }
 
 // verifyHit recomputes a cache hit on the worker pool, with the same

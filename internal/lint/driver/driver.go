@@ -1,15 +1,14 @@
 // Package driver loads type-checked packages and runs the internal/lint
-// analyzer suite over them. It provides the two loading paths cmd/ldslint
-// needs:
+// analyzer suite over them for cmd/ldslint. The loader (golist.go) resolves
+// package patterns, test variants and export data through one
+// `go list -test -deps -export` call, then type-checks each package from
+// source against its dependencies' export data with the standard library's
+// gc importer, in dependency order, threading one in-memory fact set
+// through the run. It keeps no state between runs, so there is no cache
+// that can serve a verdict computed by an older analyzer build.
 //
-//   - a standalone loader (golist.go) that resolves package patterns and
-//     export data through `go list -export`, for `ldslint ./...`;
-//   - an implementation of the cmd/go vet tool protocol (unitchecker.go),
-//     for `go vet -vettool=$(which ldslint) ./...`.
-//
-// Both paths type-check from export data with the standard library's gc
-// importer, so the driver — like the analyzers — has no dependency outside
-// the standard library (the build environment vendors no modules).
+// Like the analyzers, the driver has no dependency outside the standard
+// library (the build environment vendors no modules).
 package driver
 
 import (
@@ -59,17 +58,17 @@ type AnalyzeOpts struct {
 	// that are out of every reporting scope (or are dependency-only) but
 	// whose facts importers need.
 	FactsOnly bool
-	// SuppressFactExport drops the package's own fact exports. The
-	// standalone loader sets it for external test packages ("p_test"),
-	// whose normalized path collides with the package under test.
+	// SuppressFactExport drops the package's own fact exports. The loader
+	// sets it for test variants ("p [p.test]" and "p_test"), whose
+	// normalized path collides with the package under test.
 	SuppressFactExport bool
 	// Timings, when non-nil, accumulates per-analyzer wall time.
 	Timings map[string]time.Duration
 }
 
 // InScope reports whether any of the analyzers applies to the normalized
-// import path. Drivers use it to skip type-checking packages no analyzer
-// cares about.
+// import path. The loader uses it to skip type-checking packages no
+// analyzer cares about.
 func InScope(pkgPath string, analyzers []*lint.Analyzer) bool {
 	for _, a := range analyzers {
 		if a.Scope == nil || a.Scope(pkgPath) {

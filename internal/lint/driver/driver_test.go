@@ -1,11 +1,7 @@
 package driver
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -16,10 +12,10 @@ import (
 // writeTestModule lays out a small module with a cross-package taint chain:
 // testmod/util (outside every analyzer scope) returns map-iteration-ordered
 // keys, and testmod/internal/memsys (a nondetflow sink) calls it. Only the
-// interprocedural facts flow can connect the two.
-func writeTestModule(t *testing.T) string {
+// interprocedural facts flow can connect the two. extra adds or replaces
+// files.
+func writeTestModule(t *testing.T, extra map[string]string) string {
 	t.Helper()
-	dir := t.TempDir()
 	files := map[string]string{
 		"go.mod": "module testmod\n\ngo 1.22\n",
 		"util/util.go": `package util
@@ -53,6 +49,10 @@ func Size(m map[string]int) int {
 }
 `,
 	}
+	for name, content := range extra {
+		files[name] = content
+	}
+	dir := t.TempDir()
 	for name, content := range files {
 		path := filepath.Join(dir, name)
 		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
@@ -69,7 +69,7 @@ func Size(m map[string]int) int {
 // temp module: the only finding must be nondetflow's cross-package taint
 // report in the sink package.
 func TestLoadAndAnalyzeCrossPackageFacts(t *testing.T) {
-	dir := writeTestModule(t)
+	dir := writeTestModule(t, nil)
 	res, err := LoadAndAnalyzeIn(dir, []string{"./..."}, lint.All())
 	if err != nil {
 		t.Fatal(err)
@@ -92,251 +92,96 @@ func TestLoadAndAnalyzeCrossPackageFacts(t *testing.T) {
 	}
 }
 
-// listExports runs go list -export over the temp module and returns each
-// package's export-data file.
-func listExports(t *testing.T, dir string) map[string]string {
-	t.Helper()
-	cmd := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Export", "./...")
-	cmd.Dir = dir
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("go list -export: %v", err)
-	}
-	exports := map[string]string{}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p struct{ ImportPath, Export string }
-		if err := dec.Decode(&p); err != nil {
-			break
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	return exports
+// TestLoadAndAnalyzeTestVariants lints a sink package with an in-package
+// _test.go file and an external memsys_test package, plus two importers of
+// the sink: stream, which has tests of its own, and cpu, which has none.
+// go list -test reports memsys three times ("memsys", "memsys
+// [memsys.test]", "memsys_test [memsys.test]"), all normalizing to one
+// path, and the importers again as the foreign variants "stream
+// [memsys.test]" and "cpu [memsys.test]" the external test links. Each
+// finding must be reported exactly once:
+//   - mem.go's only from the test-augmented variant;
+//   - cpu.go's from plain cpu, which a foreign variant must not supersede;
+//   - stream.go's at all, because the external test package, analyzed
+//     before stream's own test variant, must not overwrite memsys's facts
+//     with its own.
+func TestLoadAndAnalyzeTestVariants(t *testing.T) {
+	dir := writeTestModule(t, map[string]string{
+		"internal/memsys/mem_internal_test.go": `package memsys
+
+import "time"
+
+func seed() int64 { return time.Now().UnixNano() }
+`,
+		"internal/memsys/mem_external_test.go": `package memsys_test
+
+import (
+	"testmod/internal/cpu"
+	"testmod/internal/memsys"
+	"testmod/internal/stream"
+)
+
+var _, _ = cpu.Order, stream.Order
+
+func order(m map[string]int) []string {
+	return memsys.Keys(m)
 }
+`,
+		"internal/stream/stream.go": `package stream
 
-func writeCfg(t *testing.T, dir string, cfg *VetConfig) string {
-	t.Helper()
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, strings.ReplaceAll(cfg.ImportPath, "/", "_")+".cfg")
-	if err := os.WriteFile(path, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	return path
+import "testmod/internal/memsys"
+
+func Order(m map[string]int) []string {
+	return memsys.Keys(m)
 }
+`,
+		"internal/stream/stream_test.go": "package stream\n\nvar _ = Order\n",
+		"internal/cpu/cpu.go": `package cpu
 
-// TestUnitcheckerFactsRoundTrip drives the vet.cfg protocol by hand across a
-// package boundary: a VetxOnly pass over testmod/util must export a
-// nondetflow fact for RawKeys into its vetx file, and a reporting pass over
-// testmod/internal/memsys fed that file via PackageVetx must flag the call.
-func TestUnitcheckerFactsRoundTrip(t *testing.T) {
-	dir := writeTestModule(t)
-	exports := listExports(t, dir)
-	utilExport := exports["testmod/util"]
-	if utilExport == "" {
-		t.Fatal("go list produced no export data for testmod/util")
-	}
+import "testmod/internal/memsys"
 
-	utilVetx := filepath.Join(dir, "util.vetx")
-	utilCfg := writeCfg(t, dir, &VetConfig{
-		ID:         "testmod/util",
-		Compiler:   "gc",
-		Dir:        filepath.Join(dir, "util"),
-		ImportPath: "testmod/util",
-		GoFiles:    []string{filepath.Join(dir, "util", "util.go")},
-		ModulePath: "testmod",
-		GoVersion:  "go1.22",
-		VetxOnly:   true,
-		VetxOutput: utilVetx,
+func Order(m map[string]int) []string {
+	return memsys.Keys(m)
+}
+`,
 	})
-	var out bytes.Buffer
-	if code := Unitchecker(&out, utilCfg, lint.All()); code != 0 {
-		t.Fatalf("util dependency pass: exit %d, output:\n%s", code, out.String())
-	}
-	data, err := os.ReadFile(utilVetx)
-	if err != nil {
-		t.Fatalf("no vetx written: %v", err)
-	}
-	fs, err := lint.DecodeFactSet(data)
-	if err != nil {
-		t.Fatalf("decoding vetx: %v", err)
-	}
-	payload := fs.Read("nondetflow", "testmod/util")
-	if !strings.Contains(string(payload), "RawKeys") {
-		t.Fatalf("util vetx carries no RawKeys fact: %q", data)
-	}
-
-	memVetx := filepath.Join(dir, "memsys.vetx")
-	memCfg := writeCfg(t, dir, &VetConfig{
-		ID:          "testmod/internal/memsys",
-		Compiler:    "gc",
-		Dir:         filepath.Join(dir, "internal", "memsys"),
-		ImportPath:  "testmod/internal/memsys",
-		GoFiles:     []string{filepath.Join(dir, "internal", "memsys", "mem.go")},
-		ModulePath:  "testmod",
-		GoVersion:   "go1.22",
-		ImportMap:   map[string]string{"testmod/util": "testmod/util"},
-		PackageFile: map[string]string{"testmod/util": utilExport},
-		PackageVetx: map[string]string{"testmod/util": utilVetx},
-		VetxOutput:  memVetx,
-	})
-	out.Reset()
-	code := Unitchecker(&out, memCfg, lint.All())
-	if code != 2 {
-		t.Fatalf("memsys reporting pass: exit %d, want 2; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "util.RawKeys returns a value derived from map iteration order") {
-		t.Fatalf("missing nondetflow finding in output:\n%s", out.String())
-	}
-	// The sink's vetx must re-export the merged facts so cmd/go can forward
-	// them to importers of memsys.
-	data, err = os.ReadFile(memVetx)
-	if err != nil {
-		t.Fatalf("no vetx written for memsys: %v", err)
-	}
-	fs, err = lint.DecodeFactSet(data)
-	if err != nil {
-		t.Fatalf("decoding memsys vetx: %v", err)
-	}
-	if payload := fs.Read("nondetflow", "testmod/util"); !strings.Contains(string(payload), "RawKeys") {
-		t.Fatalf("memsys vetx dropped the dependency facts: %q", data)
-	}
-}
-
-// TestUnitcheckerOutOfScopeWithFacts checks the scope gate: a module-local
-// package outside every reporting scope still computes facts but reports
-// nothing, exiting 0.
-func TestUnitcheckerOutOfScopeWithFacts(t *testing.T) {
-	dir := writeTestModule(t)
-	vetx := filepath.Join(dir, "util.vetx")
-	cfg := writeCfg(t, dir, &VetConfig{
-		ID:         "testmod/util",
-		Compiler:   "gc",
-		Dir:        filepath.Join(dir, "util"),
-		ImportPath: "testmod/util",
-		GoFiles:    []string{filepath.Join(dir, "util", "util.go")},
-		ModulePath: "testmod",
-		GoVersion:  "go1.22",
-		VetxOutput: vetx,
-	})
-	var out bytes.Buffer
-	if code := Unitchecker(&out, cfg, lint.All()); code != 0 {
-		t.Fatalf("exit %d, want 0; output:\n%s", code, out.String())
-	}
-	data, err := os.ReadFile(vetx)
+	res, err := LoadAndAnalyzeIn(dir, []string{"./..."}, lint.All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs, err := lint.DecodeFactSet(data); err != nil || len(fs) == 0 {
-		t.Fatalf("out-of-scope module-local package exported no facts: %q (err %v)", data, err)
+	want := map[string]string{
+		"mem.go":               "nondetflow",
+		"mem_internal_test.go": "walltime",
+		"mem_external_test.go": "nondetflow",
+		"stream.go":            "nondetflow",
+		"cpu.go":               "nondetflow",
 	}
-}
-
-// TestUnitcheckerForeignPackageFastPath: with no fact-using analyzer, an
-// out-of-scope unit is pure bookkeeping — an empty vetx file and exit 0.
-func TestUnitcheckerForeignPackageFastPath(t *testing.T) {
-	dir := writeTestModule(t)
-	vetx := filepath.Join(dir, "util.vetx")
-	cfg := writeCfg(t, dir, &VetConfig{
-		ID:         "testmod/util",
-		ImportPath: "testmod/util",
-		ModulePath: "testmod",
-		VetxOutput: vetx,
-	})
-	var out bytes.Buffer
-	if code := Unitchecker(&out, cfg, []*lint.Analyzer{lint.MapOrder}); code != 0 {
-		t.Fatalf("exit %d, want 0; output:\n%s", code, out.String())
+	got := map[string][]string{}
+	for _, d := range res.Diags {
+		name := filepath.Base(d.Position.Filename)
+		got[name] = append(got[name], d.Analyzer)
 	}
-	data, err := os.ReadFile(vetx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) != 0 {
-		t.Fatalf("fast path wrote a non-empty vetx: %q", data)
-	}
-}
-
-// TestUnitcheckerStaleVetxTolerated: garbage in a dependency's vetx file (a
-// pre-facts ldslint leftover) must be skipped, not fatal.
-func TestUnitcheckerStaleVetxTolerated(t *testing.T) {
-	dir := writeTestModule(t)
-	exports := listExports(t, dir)
-	stale := filepath.Join(dir, "stale.vetx")
-	if err := os.WriteFile(stale, []byte("not json"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	cfg := writeCfg(t, dir, &VetConfig{
-		ID:          "testmod/internal/memsys",
-		Compiler:    "gc",
-		Dir:         filepath.Join(dir, "internal", "memsys"),
-		ImportPath:  "testmod/internal/memsys",
-		GoFiles:     []string{filepath.Join(dir, "internal", "memsys", "mem.go")},
-		ModulePath:  "testmod",
-		GoVersion:   "go1.22",
-		ImportMap:   map[string]string{"testmod/util": "testmod/util"},
-		PackageFile: map[string]string{"testmod/util": exports["testmod/util"]},
-		PackageVetx: map[string]string{"testmod/util": stale},
-	})
-	var out bytes.Buffer
-	// Without util's facts the taint is invisible: clean exit, no crash.
-	if code := Unitchecker(&out, cfg, lint.All()); code != 0 {
-		t.Fatalf("exit %d, want 0; output:\n%s", code, out.String())
-	}
-}
-
-func TestUnitcheckerToolFailures(t *testing.T) {
-	dir := t.TempDir()
-	var out bytes.Buffer
-	if code := Unitchecker(&out, filepath.Join(dir, "missing.cfg"), lint.All()); code != 1 {
-		t.Errorf("missing cfg: exit %d, want 1", code)
-	}
-	bad := filepath.Join(dir, "bad.cfg")
-	if err := os.WriteFile(bad, []byte("{"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if code := Unitchecker(&out, bad, lint.All()); code != 1 {
-		t.Errorf("bad cfg JSON: exit %d, want 1", code)
-	}
-	if !strings.Contains(out.String(), "parsing") {
-		t.Errorf("bad cfg JSON: missing parse error, got:\n%s", out.String())
-	}
-}
-
-// TestUnitcheckerTypecheckFailure: a package that does not type-check exits 1
-// (or 0 under SucceedOnTypecheckFailure), preserving dependency facts either
-// way.
-func TestUnitcheckerTypecheckFailure(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "broken.go")
-	if err := os.WriteFile(src, []byte("package broken\n\nfunc f() { undefined() }\n"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	for _, succeed := range []bool{false, true} {
-		vetx := filepath.Join(dir, fmt.Sprintf("broken-%v.vetx", succeed))
-		cfg := writeCfg(t, dir, &VetConfig{
-			ID:                        fmt.Sprintf("broken%v", succeed),
-			ImportPath:                "testmod/internal/memsys", // in scope
-			GoFiles:                   []string{src},
-			ModulePath:                "testmod",
-			VetxOutput:                vetx,
-			SucceedOnTypecheckFailure: succeed,
-		})
-		var out bytes.Buffer
-		want := 1
-		if succeed {
-			want = 0
+	for name, analyzer := range want {
+		if g := got[name]; len(g) != 1 || g[0] != analyzer {
+			t.Errorf("%s: got findings %v, want exactly one %s finding", name, g, analyzer)
 		}
-		if code := Unitchecker(&out, cfg, lint.All()); code != want {
-			t.Errorf("succeedOnTypecheckFailure=%v: exit %d, want %d; output:\n%s",
-				succeed, code, want, out.String())
-		}
-		if _, err := os.Stat(vetx); err != nil {
-			t.Errorf("succeedOnTypecheckFailure=%v: vetx not written: %v", succeed, err)
-		}
+	}
+	if len(res.Diags) != len(want) {
+		t.Errorf("got %d diagnostics, want %d: %v", len(res.Diags), len(want), res.Diags)
+	}
+}
+
+// TestLoadAndAnalyzeTypecheckFailure: a package that does not type-check is
+// a tool failure whose error names the package, not a clean run.
+func TestLoadAndAnalyzeTypecheckFailure(t *testing.T) {
+	dir := writeTestModule(t, map[string]string{
+		"internal/memsys/broken.go": "package memsys\n\nfunc f() { undefined() }\n",
+	})
+	_, err := LoadAndAnalyzeIn(dir, []string{"./..."}, lint.All())
+	if err == nil {
+		t.Fatal("LoadAndAnalyzeIn succeeded on a package that does not type-check")
+	}
+	if !strings.Contains(err.Error(), "testmod/internal/memsys") {
+		t.Errorf("error does not name the broken package: %v", err)
 	}
 }

@@ -105,7 +105,7 @@ func LoadAndAnalyzeIn(dir string, patterns []string, analyzers []*lint.Analyzer)
 			continue // a foreign test variant such as "q [p.test]"
 		}
 		units = append(units, p)
-		if base == p.ImportPath { // plain package (or external test pkg)
+		if base == p.ImportPath { // plain package
 			factProvider[base] = p
 		}
 	}
@@ -178,9 +178,9 @@ func LoadAndAnalyzeIn(dir string, patterns []string, analyzers []*lint.Analyzer)
 		diags := Analyze(pkg, analyzers, AnalyzeOpts{
 			Facts:     facts,
 			FactsOnly: !reporting,
-			// "p_test" and "p [p.test]" normalize to "p": keep the plain
-			// variant's facts authoritative for importers.
-			SuppressFactExport: base != p.ImportPath || strings.HasSuffix(base, "_test"),
+			// "p [p.test]" and "p_test [p.test]" normalize to "p": keep
+			// the plain variant's facts authoritative for importers.
+			SuppressFactExport: base != p.ImportPath,
 			Timings:            res.Timings,
 		})
 		res.Diags = append(res.Diags, diags...)
@@ -189,11 +189,12 @@ func LoadAndAnalyzeIn(dir string, patterns []string, analyzers []*lint.Analyzer)
 }
 
 // ownTestVariant classifies an import path from `go list -test` output: it
-// returns the plain package path and true for a plain package ("p"), its
-// internal test variant ("p [p.test]"), or its external test package
-// ("p_test [p.test]"); it returns false for a foreign variant like
-// "q [p.test]" (a dependency rebuilt against p's test files), which would
-// double-report q's diagnostics.
+// returns the path without its bracketed suffix and true for a plain
+// package ("p"), its internal test variant ("p [p.test]"), or its external
+// test package ("p_test [p.test]"); it returns false for a foreign variant
+// like "q [p.test]" (a dependency rebuilt against p's test files), which is
+// no test build of q: taken for one, it would supersede plain q as q's
+// reporting unit although it is only a dependency, dropping q's findings.
 func ownTestVariant(importPath string) (base string, ok bool) {
 	i := strings.Index(importPath, " [")
 	if i < 0 {

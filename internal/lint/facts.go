@@ -1,21 +1,16 @@
 package lint
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "encoding/json"
 
 // PackageFacts holds one package's serialized facts, keyed by analyzer name.
 // The payload format is private to each analyzer; the framework only moves
 // the bytes between packages.
 type PackageFacts map[string]json.RawMessage
 
-// FactSet is every known package's facts, keyed by normalized import path.
-// It is both the in-memory store of the standalone driver and the wire
-// format of the vetx files exchanged under the cmd/go vet protocol: each
-// package's vetx file carries its own facts merged with every dependency's,
-// so transitive facts are available to importers regardless of which
-// dependency vetx files cmd/go chooses to forward.
+// FactSet is every known package's facts, keyed by normalized import path:
+// the in-memory store the driver threads through one run, analyzing
+// packages in dependency order so each package's facts are recorded before
+// its importers read them.
 type FactSet map[string]PackageFacts
 
 // Read returns the named analyzer's facts for pkgPath, or nil when absent.
@@ -24,7 +19,7 @@ func (fs FactSet) Read(analyzer, pkgPath string) json.RawMessage {
 }
 
 // Set records the named analyzer's facts for pkgPath. A nil or empty payload
-// deletes the entry, so packages with nothing to export stay off the wire.
+// deletes the entry, so packages with nothing to export leave no entry.
 func (fs FactSet) Set(analyzer, pkgPath string, payload json.RawMessage) {
 	if len(payload) == 0 {
 		if pf := fs[pkgPath]; pf != nil {
@@ -41,39 +36,4 @@ func (fs FactSet) Set(analyzer, pkgPath string, payload json.RawMessage) {
 		fs[pkgPath] = pf
 	}
 	pf[analyzer] = payload
-}
-
-// Merge copies every entry of other into fs, overwriting on collision.
-func (fs FactSet) Merge(other FactSet) {
-	for pkg, pf := range other {
-		for analyzer, payload := range pf {
-			fs.Set(analyzer, pkg, payload)
-		}
-	}
-}
-
-// Encode serializes the set. encoding/json sorts map keys, so the bytes are
-// deterministic for a given set — vetx files feed cmd/go's content-addressed
-// action cache.
-func (fs FactSet) Encode() ([]byte, error) {
-	if len(fs) == 0 {
-		// cmd/go caches the vet action on the vetx file's existence; an
-		// empty file is the canonical "no facts" encoding (and what ldslint
-		// v1 always wrote, so old cache entries still decode).
-		return []byte{}, nil
-	}
-	return json.Marshal(fs)
-}
-
-// DecodeFactSet parses bytes produced by Encode. Empty input decodes to an
-// empty set.
-func DecodeFactSet(data []byte) (FactSet, error) {
-	fs := FactSet{}
-	if len(data) == 0 {
-		return fs, nil
-	}
-	if err := json.Unmarshal(data, &fs); err != nil {
-		return nil, fmt.Errorf("decoding facts: %w", err)
-	}
-	return fs, nil
 }

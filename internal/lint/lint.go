@@ -6,10 +6,10 @@
 // The package deliberately mirrors the golang.org/x/tools/go/analysis API
 // shape (Analyzer, Pass, Diagnostic) but is self-contained on the standard
 // library: the build environment vendors no third-party modules, and the
-// analyzers need nothing beyond go/ast and go/types. cmd/ldslint provides
-// both a standalone driver and a `go vet -vettool` implementation; see
-// LINTING.md for the catalog, the rationale per rule, the annotation escape
-// hatch, and how to add an analyzer.
+// analyzers need nothing beyond go/ast and go/types. cmd/ldslint runs the
+// suite through the loader in internal/lint/driver; see LINTING.md for the
+// catalog, the rationale per rule, the annotation escape hatch, and how to
+// add an analyzer.
 package lint
 
 import (
@@ -37,7 +37,7 @@ type Analyzer struct {
 	// given import path. Drivers normalize test-variant paths (the
 	// "p [p.test]" and "p_test" forms) before calling it.
 	Scope func(pkgPath string) bool
-	// UsesFacts marks an interprocedural analyzer: drivers must run it over
+	// UsesFacts marks an interprocedural analyzer: the driver runs it over
 	// every module-local package in dependency order — facts-only (no
 	// diagnostics) outside Scope — so facts exported by dependencies are
 	// available when their importers are analyzed.
@@ -336,7 +336,9 @@ func suffixScope(suffixes ...string) func(string) bool {
 
 // simCorePackages are the packages whose execution is inside the simulated
 // machine or on the serialization path of its results: nondeterminism here
-// changes reported numbers or cache keys.
+// changes reported numbers or cache keys. Together with determinismPackages
+// they must cover every module package internal/sim links
+// (TestDeterminismScopeCoversSimDeps).
 var simCorePackages = []string{
 	"internal/sim",
 	"internal/sim/engine",
@@ -346,8 +348,16 @@ var simCorePackages = []string{
 	"internal/cache",
 	"internal/prefetch",
 	"internal/stream",
+	"internal/baselines/dbp",
+	"internal/baselines/fdp",
+	"internal/baselines/ghb",
+	"internal/baselines/hwfilter",
+	"internal/baselines/markov",
+	"internal/baselines/pab",
 	"internal/telemetry",
 	"internal/mem",
+	"internal/heap64",
+	"internal/trace",
 	"internal/workload",
 	"internal/workload/serverload",
 	"internal/tracefile",
