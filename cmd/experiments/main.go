@@ -61,65 +61,85 @@ const usageHint = " (run 'experiments -h' for usage)"
 
 var formatExt = map[string]string{"": "txt", "text": "txt", "json": "json", "csv": "csv"}
 
+// options are the command's flag values.
+type options struct {
+	id, spec                string
+	list, listConfigs       bool
+	scale                   float64
+	seed                    int64
+	par                     int
+	format                  string
+	traceDir, outDir, cache string
+	verify                  bool
+	prof                    *procprof.Flags
+}
+
+// defineFlags defines the command's flags on fs.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.id, "exp", "", "experiment id (see -list), or \"all\"")
+	fs.StringVar(&o.spec, "spec", "", "sim.Spec JSON, inline or a file path (alternative to -exp)")
+	fs.BoolVar(&o.list, "list", false, "list experiment ids and exit")
+	fs.BoolVar(&o.listConfigs, "list-configs", false, "list named configurations and registered components, then exit")
+	fs.Float64Var(&o.scale, "scale", 1.0, "input scale (1.0 = reference inputs)")
+	fs.Int64Var(&o.seed, "seed", 1, "workload seed")
+	fs.IntVar(&o.par, "parallel", runtime.NumCPU(), "max concurrent simulations")
+	fs.StringVar(&o.format, "format", "text", "output format: text, json, or csv")
+	fs.StringVar(&o.traceDir, "trace", "", "directory for per-run interval/event JSONL traces (+ manifest)")
+	fs.StringVar(&o.outDir, "out", "", "directory to persist rendered reports (+ manifest)")
+	fs.StringVar(&o.cache, "cache", "", "content-addressed result cache directory (cached re-runs + resume)")
+	fs.BoolVar(&o.verify, "verifycache", false, "re-run every cache hit and fail jobs on result mismatch")
+	o.prof = procprof.Register(fs)
+	return o
+}
+
 func main() {
-	id := flag.String("exp", "", "experiment id (see -list), or \"all\"")
-	specArg := flag.String("spec", "", "sim.Spec JSON, inline or a file path (alternative to -exp)")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	listConfigs := flag.Bool("list-configs", false, "list named configurations and registered components, then exit")
-	scale := flag.Float64("scale", 1.0, "input scale (1.0 = reference inputs)")
-	seed := flag.Int64("seed", 1, "workload seed")
-	par := flag.Int("parallel", runtime.NumCPU(), "max concurrent simulations")
-	format := flag.String("format", "text", "output format: text, json, or csv")
-	traceDir := flag.String("trace", "", "directory for per-run interval/event JSONL traces (+ manifest)")
-	outDir := flag.String("out", "", "directory to persist rendered reports (+ manifest)")
-	cacheDir := flag.String("cache", "", "content-addressed result cache directory (cached re-runs + resume)")
-	verify := flag.Bool("verifycache", false, "re-run every cache hit and fail jobs on result mismatch")
-	prof := procprof.Register(flag.CommandLine)
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *list {
+	if o.list {
 		for _, e := range exp.Registry {
 			fmt.Printf("%-8s %s\n", e.ID, e.Desc)
 		}
 		return
 	}
-	if *listConfigs {
+	if o.listConfigs {
 		exp.PrintCatalog(os.Stdout)
 		return
 	}
-	if *id == "" && *specArg == "" {
+	if o.id == "" && o.spec == "" {
 		fatal("experiments: -exp <id> or -spec <json> required (use -list to see ids)")
 	}
-	if *id != "" && *specArg != "" {
+	if o.id != "" && o.spec != "" {
 		fatal("experiments: -exp and -spec are mutually exclusive" + usageHint)
 	}
-	if *par <= 0 {
-		fatal(fmt.Sprintf("experiments: -parallel must be > 0, got %d%s", *par, usageHint))
+	if o.par <= 0 {
+		fatal(fmt.Sprintf("experiments: -parallel must be > 0, got %d%s", o.par, usageHint))
 	}
-	if *scale <= 0 || math.IsNaN(*scale) || math.IsInf(*scale, 0) {
-		fatal(fmt.Sprintf("experiments: -scale must be a positive number, got %v%s", *scale, usageHint))
+	if o.scale <= 0 || math.IsNaN(o.scale) || math.IsInf(o.scale, 0) {
+		fatal(fmt.Sprintf("experiments: -scale must be a positive number, got %v%s", o.scale, usageHint))
 	}
-	ext, ok := formatExt[*format]
+	ext, ok := formatExt[o.format]
 	if !ok {
-		fatal(fmt.Sprintf("experiments: unknown -format %q (text|json|csv)%s", *format, usageHint))
+		fatal(fmt.Sprintf("experiments: unknown -format %q (text|json|csv)%s", o.format, usageHint))
 	}
-	stopProfile, err := prof.Start()
+	stopProfile, err := o.prof.Start()
 	if err != nil {
 		fatal("experiments:", err)
 	}
 
 	ctx := exp.NewContext()
-	ctx.Params = workload.Params{Scale: *scale, Seed: *seed}
-	ctx.TrainParams = workload.Params{Scale: *scale * workload.Train().Scale, Seed: workload.Train().Seed}
-	ctx.Parallel = *par
-	ctx.TraceDir = *traceDir
-	ctx.CacheDir = *cacheDir
-	ctx.VerifyCache = *verify
+	ctx.Params = workload.Params{Scale: o.scale, Seed: o.seed}
+	ctx.TrainParams = workload.Params{Scale: o.scale * workload.Train().Scale, Seed: workload.Train().Seed}
+	ctx.Parallel = o.par
+	ctx.TraceDir = o.traceDir
+	ctx.CacheDir = o.cache
+	ctx.VerifyCache = o.verify
 
-	label := *id
+	label := o.id
 	var reports []exp.Report
-	if *specArg != "" {
-		sp, err := exp.LoadSpec(*specArg)
+	if o.spec != "" {
+		sp, err := exp.LoadSpec(o.spec)
 		if err != nil {
 			fatal(fmt.Sprintf("experiments: %v", err))
 		}
@@ -130,36 +150,36 @@ func main() {
 		reports = []exp.Report{exp.CustomSpec(ctx, sp)}
 	} else {
 		var err error
-		reports, err = exp.Run(ctx, *id)
+		reports, err = exp.Run(ctx, o.id)
 		if err != nil {
 			fatal(err)
 		}
 	}
 	for _, r := range reports {
-		out, err := r.Render(*format)
+		out, err := r.Render(o.format)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Println(out)
-		if *outDir != "" {
-			if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		if o.outDir != "" {
+			if err := os.MkdirAll(o.outDir, 0o755); err != nil {
 				fatal(err)
 			}
-			name := filepath.Join(*outDir, r.ID+"."+ext)
+			name := filepath.Join(o.outDir, r.ID+"."+ext)
 			if err := os.WriteFile(name, []byte(out+"\n"), 0o644); err != nil {
 				fatal(err)
 			}
 		}
 	}
 
-	manifest := exp.NewManifest(label, *scale, *seed, *par)
-	if *cacheDir != "" {
-		manifest.AttachJobs(*cacheDir, ctx.Jobs())
+	manifest := exp.NewManifest(label, o.scale, o.seed, o.par)
+	if o.cache != "" {
+		manifest.AttachJobs(o.cache, ctx.Jobs())
 		snap := ctx.Jobs().Metrics().Snapshot()
 		fmt.Fprintf(os.Stderr, "cache: hits=%d misses=%d computed=%d uncached=%d coalesced=%d\n",
 			snap.CacheHits, snap.CacheMisses, snap.Computed, snap.Uncached, snap.Coalesced)
 	}
-	for _, dir := range []string{*traceDir, *outDir} {
+	for _, dir := range []string{o.traceDir, o.outDir} {
 		if dir == "" {
 			continue
 		}

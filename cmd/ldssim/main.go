@@ -81,36 +81,101 @@ func fatal(v ...interface{}) {
 	os.Exit(2)
 }
 
+// options are the command's flag values.
+type options struct {
+	bench, config, spec        string
+	scale                      float64
+	seed                       int64
+	list, listConfigs          bool
+	engine, coreKind, coreOpts string
+	replay                     string
+	traceDir, outDir, cache    string
+	prof                       *procprof.Flags
+}
+
+// defineFlags defines the command's flags on fs.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.bench, "bench", "mst", "benchmark name")
+	fs.StringVar(&o.config, "config", "ecdp+throttle", "prefetching configuration")
+	fs.StringVar(&o.spec, "spec", "", "sim.Spec JSON, inline or a file path (overrides -config)")
+	fs.Float64Var(&o.scale, "scale", 1.0, "input scale")
+	fs.Int64Var(&o.seed, "seed", 1, "workload seed")
+	fs.BoolVar(&o.list, "list", false, "list benchmarks and exit")
+	fs.BoolVar(&o.listConfigs, "list-configs", false, "list named configurations and registered components, then exit")
+	fs.StringVar(&o.engine, "engine", "", "multi-core execution engine: serial (default) or parallel (up to min(GOMAXPROCS, cores) goroutines); reports are byte-identical")
+	fs.StringVar(&o.coreKind, "core", "", "core timing model: interval (default) or ooo; see -list-configs")
+	fs.StringVar(&o.coreOpts, "core-opts", "", "core model options as JSON (e.g. '{\"predictor\":\"tage\"}'); requires -core")
+	fs.StringVar(&o.replay, "replay", "", "trace capture file to replay as the benchmark (overrides -bench)")
+	fs.StringVar(&o.traceDir, "trace", "", "directory for interval/event JSONL traces (+ manifest)")
+	fs.StringVar(&o.outDir, "out", "", "directory to persist the run summary (+ manifest)")
+	fs.StringVar(&o.cache, "cache", "", "content-addressed result cache directory")
+	o.prof = procprof.Register(fs)
+	return o
+}
+
+// runSpec builds the run's configuration from -spec, or else from -config
+// with the hint table hints returns (called only when the configuration
+// consumes one), then applies -engine, -core and -core-opts. An error's text
+// is what the command prints after "ldssim: ".
+func (o *options) runSpec(hints func() *core.HintTable) (sim.Spec, error) {
+	var setup sim.Spec
+	if o.spec != "" {
+		sp, err := exp.LoadSpec(o.spec)
+		if err != nil {
+			return sim.Spec{}, err
+		}
+		if sp.Name == "" {
+			sp.Name = "spec"
+		}
+		if err := sp.Validate(); err != nil {
+			return sim.Spec{}, err
+		}
+		setup = sp
+	} else {
+		var h *core.HintTable
+		if sim.NamedNeedsHints(o.config) {
+			h = hints()
+		}
+		var err error
+		setup, err = sim.Named(o.config, h)
+		if err != nil {
+			return sim.Spec{}, fmt.Errorf("%v%s", err, usageHint)
+		}
+	}
+	setup.Engine = o.engine
+	if o.coreOpts != "" && o.coreKind == "" {
+		return sim.Spec{}, fmt.Errorf("-core-opts requires -core%s", usageHint)
+	}
+	if o.coreKind != "" {
+		c := sim.Component{Kind: o.coreKind, Options: json.RawMessage(o.coreOpts)}
+		setup.Core = &c
+	}
+	if err := setup.Validate(); err != nil {
+		return sim.Spec{}, fmt.Errorf("%v%s", err, usageHint)
+	}
+	return setup, nil
+}
+
+// usageHint is appended to flag-validation errors.
+const usageHint = " (run 'ldssim -h' for usage)"
+
 func main() {
-	bench := flag.String("bench", "mst", "benchmark name")
-	config := flag.String("config", "ecdp+throttle", "prefetching configuration")
-	specArg := flag.String("spec", "", "sim.Spec JSON, inline or a file path (overrides -config)")
-	scale := flag.Float64("scale", 1.0, "input scale")
-	seed := flag.Int64("seed", 1, "workload seed")
-	list := flag.Bool("list", false, "list benchmarks and exit")
-	listConfigs := flag.Bool("list-configs", false, "list named configurations and registered components, then exit")
-	engine := flag.String("engine", "", "multi-core execution engine: serial (default) or parallel (up to min(GOMAXPROCS, cores) goroutines); reports are byte-identical")
-	coreKind := flag.String("core", "", "core timing model: interval (default) or ooo; see -list-configs")
-	coreOpts := flag.String("core-opts", "", "core model options as JSON (e.g. '{\"predictor\":\"tage\"}'); requires -core")
-	replay := flag.String("replay", "", "trace capture file to replay as the benchmark (overrides -bench)")
-	traceDir := flag.String("trace", "", "directory for interval/event JSONL traces (+ manifest)")
-	outDir := flag.String("out", "", "directory to persist the run summary (+ manifest)")
-	cacheDir := flag.String("cache", "", "content-addressed result cache directory")
-	prof := procprof.Register(flag.CommandLine)
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *list {
+	if o.list {
 		exp.PrintWorkloads(os.Stdout)
 		return
 	}
-	if *listConfigs {
+	if o.listConfigs {
 		exp.PrintCatalog(os.Stdout)
 		return
 	}
-	if *scale <= 0 || math.IsNaN(*scale) || math.IsInf(*scale, 0) {
-		fatal(fmt.Sprintf("ldssim: -scale must be a positive number, got %v (run 'ldssim -h' for usage)", *scale))
+	if o.scale <= 0 || math.IsNaN(o.scale) || math.IsInf(o.scale, 0) {
+		fatal(fmt.Sprintf("ldssim: -scale must be a positive number, got %v%s", o.scale, usageHint))
 	}
-	stopProfile, err := prof.Start()
+	stopProfile, err := o.prof.Start()
 	if err != nil {
 		fatal("ldssim:", err)
 	}
@@ -123,82 +188,51 @@ func main() {
 	// The harness context supplies the profile cache, the job scheduler and
 	// its result store, and trace persistence.
 	ctx := exp.NewContext()
-	ctx.Params = workload.Params{Scale: *scale, Seed: *seed}
-	ctx.TrainParams.Scale *= *scale
-	ctx.TraceDir = *traceDir
-	ctx.CacheDir = *cacheDir
+	ctx.Params = workload.Params{Scale: o.scale, Seed: o.seed}
+	ctx.TrainParams.Scale *= o.scale
+	ctx.TraceDir = o.traceDir
+	ctx.CacheDir = o.cache
 	ctx.Jobs() // opens the result store; a failure is recorded as a job error
 	if errs := ctx.JobErrs(); len(errs) > 0 {
 		fatal("ldssim:", errs[0])
 	}
-	benches := strings.Split(*bench, ",")
+	benches := strings.Split(o.bench, ",")
 
 	// A replayed capture substitutes for -bench: the capture registers as a
 	// content-addressed workload and its provenance lands in the manifest.
 	var traceRef *exp.TraceFileRef
-	if *replay != "" {
-		name, hdr, err := workload.FromTraceFile(*replay)
+	if o.replay != "" {
+		name, hdr, err := workload.FromTraceFile(o.replay)
 		if err != nil {
 			fatal(fmt.Sprintf("ldssim: %v", err))
 		}
 		benches = []string{name}
 		traceRef = &exp.TraceFileRef{
-			Path:          *replay,
+			Path:          o.replay,
 			Generator:     hdr.Meta.Generator,
 			Digest:        tracefile.HexDigest(hdr.Digest),
 			FormatVersion: hdr.FormatVersion,
 		}
 	}
 
-	var setup sim.Spec
-	if *specArg != "" {
-		sp, err := exp.LoadSpec(*specArg)
-		if err != nil {
-			fatal(fmt.Sprintf("ldssim: %v", err))
-		}
-		if sp.Name == "" {
-			sp.Name = "spec"
-		}
-		if err := sp.Validate(); err != nil {
-			fatal(fmt.Sprintf("ldssim: %v", err))
-		}
-		setup = sp
-	} else {
-		// Hint tables are only profiled when the configuration consumes them;
-		// a mix merges the per-benchmark tables.
-		var h *core.HintTable
-		if sim.NamedNeedsHints(*config) {
-			h = ctx.Hints(benches)
-		}
-		var err error
-		setup, err = sim.Named(*config, h)
-		if err != nil {
-			fatal(fmt.Sprintf("ldssim: %v (run 'ldssim -h' for usage)", err))
-		}
-	}
-	setup.Engine = *engine
-	if *coreOpts != "" && *coreKind == "" {
-		fatal("ldssim: -core-opts requires -core (run 'ldssim -h' for usage)")
-	}
-	if *coreKind != "" {
-		c := sim.Component{Kind: *coreKind, Options: json.RawMessage(*coreOpts)}
-		setup.Core = &c
-	}
-	if err := setup.Validate(); err != nil {
-		fatal(fmt.Sprintf("ldssim: %v (run 'ldssim -h' for usage)", err))
+	// Hint tables are only profiled when the configuration consumes them;
+	// a mix merges the per-benchmark tables.
+	setup, err := o.runSpec(func() *core.HintTable { return ctx.Hints(benches) })
+	if err != nil {
+		fatal("ldssim: " + err.Error())
 	}
 
 	// Manifests record the named configuration, or the spec name for -spec
 	// runs (the spec itself is what reproduces the run, not the label).
-	configLabel := *config
-	if *specArg != "" {
+	configLabel := o.config
+	if o.spec != "" {
 		configLabel = "spec:" + setup.Name
 	}
 
 	// The summary goes to stdout and, with -out, to <out>/run.txt too.
 	var sb strings.Builder
 	w := io.Writer(os.Stdout)
-	if *outDir != "" {
+	if o.outDir != "" {
 		w = io.MultiWriter(os.Stdout, &sb)
 	}
 
@@ -207,7 +241,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(w, "mix              %s\n", *bench)
+		fmt.Fprintf(w, "mix              %s\n", o.bench)
 		fmt.Fprintf(w, "config           %s\n", setup.Name)
 		fmt.Fprintf(w, "weighted speedup %.4f\n", mr.WeightedSpeedup)
 		fmt.Fprintf(w, "hmean speedup    %.4f\n", mr.HmeanSpeedup)
@@ -216,8 +250,8 @@ func main() {
 			fmt.Fprintf(w, "core %d (%s): IPC %.4f shared, %.4f alone\n",
 				i, pc.Benchmark, pc.IPC, mr.AloneIPC[i])
 		}
-		finish(ctx, *cacheDir)
-		persist(*traceDir, *outDir, configLabel, benches, *scale, *seed, traceRef, sb.String())
+		finish(ctx, o.cache)
+		persist(o.traceDir, o.outDir, configLabel, benches, o.scale, o.seed, traceRef, sb.String())
 		return
 	}
 
@@ -246,8 +280,8 @@ func main() {
 		fmt.Fprintf(w, "%-8s issued %d, used %d (accuracy %.3f, coverage %.3f)\n",
 			src, r.Issued[src], r.Used[src], r.Accuracy[src], r.Coverage[src])
 	}
-	finish(ctx, *cacheDir)
-	persist(*traceDir, *outDir, configLabel, benches, *scale, *seed, traceRef, sb.String())
+	finish(ctx, o.cache)
+	persist(o.traceDir, o.outDir, configLabel, benches, o.scale, o.seed, traceRef, sb.String())
 }
 
 // finish fails the run on any recorded job error (a failed profile or trace

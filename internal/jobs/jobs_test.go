@@ -81,11 +81,11 @@ func TestKeyInvalidation(t *testing.T) {
 	add("seed", must(SingleSpecKey("mst", p, testSpec())))
 
 	add("benchmark", must(SingleSpecKey("health", testParams, testSpec())))
-	add("kind+cores", must(AloneSpecKey("mst", testParams, testSpec(), 2)))
-	add("mix", must(SharedSpecKey([]string{"mst", "health"}, testParams, testSpec())))
-	add("profile", must(profileKey("mst", testParams, simProfiler)))
-	add("profiler", must(profileKey("mst", testParams, informingProfiler)))
-	add("profile input", must(profileKey("mst", p, simProfiler)))
+	add("kind+cores", must(newKey("alone", []string{"mst"}, 2, testParams, testSpec())))
+	add("mix", must(newKey("shared", []string{"mst", "health"}, 2, testParams, testSpec())))
+	add("profile", must(newKey("profile", []string{"mst"}, 1, testParams, simProfiler.spec)))
+	add("profiler", must(newKey("profile", []string{"mst"}, 1, testParams, informingProfiler.spec)))
+	add("profile input", must(newKey("profile", []string{"mst"}, 1, p, simProfiler.spec)))
 	add("profile spec as a result", must(SingleSpecKey("mst", testParams, simProfiler.spec)))
 
 	canon, err := testSpec().Canonical()
@@ -460,6 +460,23 @@ func TestMultiSharesAloneRuns(t *testing.T) {
 	}
 	if rb.AloneIPC[0] != ra.AloneIPC[1] || rb.AloneIPC[1] != ra.AloneIPC[0] {
 		t.Fatalf("alone IPCs inconsistent across mixes: %v vs %v", ra.AloneIPC, rb.AloneIPC)
+	}
+}
+
+// TestInvalidMixSpecFailsOnce: an invalid spec fails a mix up front as one
+// failed job, not once per shared and alone run.
+func TestInvalidMixSpecFailsOnce(t *testing.T) {
+	s := New(Config{Workers: 1})
+	_, err := s.MultiSpec([]string{"mst", "health"}, testParams, sim.NewSpec("bad", "warp-drive"))
+	if err == nil {
+		t.Fatal("invalid mix spec accepted")
+	}
+	if got := s.Metrics().Snapshot(); got.Submitted != 1 || got.Failed != 1 {
+		t.Fatalf("submitted=%d failed=%d, want 1/1", got.Submitted, got.Failed)
+	}
+	recs := s.Records()
+	if len(recs) != 1 || recs[0].Provenance != "failed" || recs[0].Kind != "shared" {
+		t.Fatalf("records = %+v, want one failed shared job", recs)
 	}
 }
 

@@ -7,9 +7,9 @@
 // suitable for a /metrics endpoint. internal/exp, both CLIs, and the job
 // service route every simulation through a Scheduler.
 //
-// Every result job (a single-core run, a mix's shared run, one alone run) is
-// described once, as a TaskSpec, and runs on one in-process path (runTask).
-// Profiles are cached jobs too. The Store is a directory of content-addressed
+// Every job (a single-core run, a mix's shared run, one alone run, a
+// profiling pass) runs on one in-process path, runJob, which validates its
+// spec, derives its key and hands a typed closure to the scheduler. The Store is a directory of content-addressed
 // objects plus an advisory completion journal. ORCHESTRATION.md documents
 // the scheduler, the store, and the job service built on them.
 package jobs
@@ -107,15 +107,4 @@ func keyFromPayload(pl keyPayload) Key {
 // SingleSpecKey is the cache key of a RunSingleSpec job.
 func SingleSpecKey(bench string, p workload.Params, sp sim.Spec) (Key, error) {
 	return newKey("single", []string{bench}, 1, p, sp)
-}
-
-// SharedSpecKey is the cache key of the shared portion of a multi-core job.
-func SharedSpecKey(benches []string, p workload.Params, sp sim.Spec) (Key, error) {
-	return newKey("shared", benches, len(benches), p, sp)
-}
-
-// AloneSpecKey is the cache key of one alone-run normalization job on a
-// cores-wide machine.
-func AloneSpecKey(bench string, p workload.Params, sp sim.Spec, cores int) (Key, error) {
-	return newKey("alone", []string{bench}, cores, p, sp)
 }

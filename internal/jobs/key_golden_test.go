@@ -31,11 +31,11 @@ func TestGoldenKeys(t *testing.T) {
 			"c63514845729850065a10630c11c9e41c775d38471698e3bb3b148adc742a564"},
 		{"single/ecdp+thr", func() (Key, error) { return SingleSpecKey("mst", p, ecdpt) },
 			"bb4453e0c1e3217eaed93bae379f1815b742001d99e0c12e045004116eaed086"},
-		{"shared/ecdp+thr", func() (Key, error) { return SharedSpecKey([]string{"mst", "health"}, p, ecdpt) },
+		{"shared/ecdp+thr", func() (Key, error) { return newKey("shared", []string{"mst", "health"}, 2, p, ecdpt) },
 			"ad68a338601fd6d367e67c3d12491992b1b80deb8da7fce5f4475f85430cbdda"},
-		{"alone/ecdp+thr/2", func() (Key, error) { return AloneSpecKey("mst", p, ecdpt, 2) },
+		{"alone/ecdp+thr/2", func() (Key, error) { return newKey("alone", []string{"mst"}, 2, p, ecdpt) },
 			"ff536a062d5a076554cfabce23666d542f29b3b1fb6ebb52486bacea45cfee25"},
-		{"profile", func() (Key, error) { return profileKey("mst", p, simProfiler) },
+		{"profile", func() (Key, error) { return newKey("profile", []string{"mst"}, 1, p, simProfiler.spec) },
 			"8ff6c02023470817c2ce7b8498b120bd9792663ebc654af38c829bb2daa09b8b"},
 	}
 	for _, g := range golden {

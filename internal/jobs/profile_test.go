@@ -27,7 +27,7 @@ func TestProfileCached(t *testing.T) {
 	if len(recs) != 1 || recs[0].Kind != "profile" || recs[0].Provenance != "computed" || recs[0].Key == "" {
 		t.Fatalf("cold records = %+v, want one computed profile with a key", recs)
 	}
-	k, err := profileKey("mst", testParams, simProfiler)
+	k, err := newKey("profile", []string{"mst"}, 1, testParams, simProfiler.spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestProfileVerify(t *testing.T) {
 		t.Fatalf("honest hit: %+v, want one verified hit", got)
 	}
 
-	k, err := profileKey("mst", testParams, informingProfiler)
+	k, err := newKey("profile", []string{"mst"}, 1, testParams, informingProfiler.spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -331,17 +331,46 @@ func (s *Scheduler) rejectSpec(kind string, benches []string, name string, err e
 	return err
 }
 
-// SingleSpec runs benchmark bench under sp as one job. The spec is
-// validated first; a typed *sim.SpecError is returned (and recorded as a
-// failed job) without consuming a worker slot. Traced runs (sp.Trace)
-// bypass the cache: telemetry is not stored.
+// runJob is the one path of every job: it validates sp, derives the key of
+// kind over benches on a cores-wide machine, and runs fn through do. A spec
+// that does not validate or key is rejected as one failed job without
+// consuming a worker slot. A traced spec (sp.Trace) runs uncached: telemetry
+// is not stored.
+func runJob[T any](s *Scheduler, kind string, benches []string, cores int, p workload.Params, sp sim.Spec, fn func() (T, error)) (*T, error) {
+	if err := sp.Validate(); err != nil {
+		return nil, s.rejectSpec(kind, benches, sp.Name, err)
+	}
+	key, err := newKey(kind, benches, cores, p, sp)
+	if err != nil {
+		return nil, s.rejectSpec(kind, benches, sp.Name, err)
+	}
+	d := jobDesc{kind: kind, benches: benches, setupName: sp.Name}
+	if !sp.Trace {
+		d.key, d.cacheable = key, true
+	}
+	v, err := s.do(d, func() (any, error) {
+		r, err := fn()
+		if err != nil {
+			return nil, err
+		}
+		return &r, nil
+	}, func() any { return new(T) })
+	if err != nil {
+		return nil, err
+	}
+	return v.(*T), nil
+}
+
+// SingleSpec runs benchmark bench under sp as one job. An invalid spec
+// fails with a typed *sim.SpecError, recorded as a failed job.
 func (s *Scheduler) SingleSpec(bench string, p workload.Params, sp sim.Spec) (sim.Result, error) {
-	v, err := s.runTask(TaskSpec{Kind: "single", Benches: []string{bench},
-		Scale: p.Scale, Seed: p.Seed, Cores: 1, Spec: sp})
+	r, err := runJob(s, "single", []string{bench}, 1, p, sp, func() (sim.Result, error) {
+		return sim.RunSingleSpec(bench, p, sp)
+	})
 	if err != nil {
 		return sim.Result{Benchmark: bench, Setup: sp.Name}, err
 	}
-	return *(v.(*sim.Result)), nil
+	return *r, nil
 }
 
 // MultiSpec runs the benchmarks as a multi-core mix. The shared run and
@@ -366,7 +395,7 @@ func (s *Scheduler) MultiSpec(benches []string, p workload.Params, sp sim.Spec) 
 
 	var (
 		wg        sync.WaitGroup
-		shared    any
+		shared    *sim.MultiResult
 		sharedErr error
 		alone     = make([]float64, n)
 		aloneErrs = make([]error, n)
@@ -374,19 +403,21 @@ func (s *Scheduler) MultiSpec(benches []string, p workload.Params, sp sim.Spec) 
 	wg.Add(n + 1)
 	go func() {
 		defer wg.Done()
-		shared, sharedErr = s.runTask(TaskSpec{Kind: "shared", Benches: benches,
-			Scale: p.Scale, Seed: p.Seed, Cores: n, Spec: sp})
+		shared, sharedErr = runJob(s, "shared", benches, n, p, sp, func() (sim.MultiResult, error) {
+			return sim.RunSharedSpec(benches, p, sp)
+		})
 	}()
 	for i, b := range benches {
 		go func() {
 			defer wg.Done()
-			v, err := s.runTask(TaskSpec{Kind: "alone", Benches: []string{b},
-				Scale: p.Scale, Seed: p.Seed, Cores: n, Spec: aloneSpec})
+			r, err := runJob(s, "alone", []string{b}, n, p, aloneSpec, func() (sim.Result, error) {
+				return sim.RunAloneSpec(b, p, aloneSpec, n)
+			})
 			if err != nil {
 				aloneErrs[i] = err
 				return
 			}
-			alone[i] = v.(*sim.Result).IPC
+			alone[i] = r.IPC
 		}()
 	}
 	wg.Wait()
@@ -399,7 +430,7 @@ func (s *Scheduler) MultiSpec(benches []string, p workload.Params, sp sim.Spec) 
 			return fail, fmt.Errorf("alone run %s: %w", benches[i], err)
 		}
 	}
-	mr := *(shared.(*sim.MultiResult))
+	mr := *shared
 	mr.Normalize(alone)
 	return mr, nil
 }
@@ -425,11 +456,6 @@ var (
 	informingProfiler = profiler{profileSpec("profile-informing"), profiling.CollectInforming}
 )
 
-// profileKey is the cache key of bench's profile at p under pr.
-func profileKey(bench string, p workload.Params, pr profiler) (Key, error) {
-	return newKey("profile", []string{bench}, 1, p, pr.spec)
-}
-
 // Profile collects bench's pointer-group profile over input p by cache-
 // hierarchy simulation, the paper's profiling pass. The profile is a cached
 // job: a warm store serves it without simulating.
@@ -443,26 +469,14 @@ func (s *Scheduler) ProfileInforming(bench string, p workload.Params) (*profilin
 }
 
 func (s *Scheduler) profile(bench string, p workload.Params, pr profiler) (*profiling.Profile, error) {
-	benches := []string{bench}
 	if _, err := workload.Get(bench); err != nil {
-		return nil, s.rejectSpec("profile", benches, pr.spec.Name, err)
+		return nil, s.rejectSpec("profile", []string{bench}, pr.spec.Name, err)
 	}
-	key, err := profileKey(bench, p, pr)
-	if err != nil {
-		return nil, s.rejectSpec("profile", benches, pr.spec.Name, err)
-	}
-	v, err := s.do(jobDesc{kind: "profile", benches: benches, setupName: pr.spec.Name,
-		key: key, cacheable: true},
-		func() (any, error) {
-			tr, err := workload.BuildShared(bench, p)
-			if err != nil {
-				return nil, err
-			}
-			return pr.collect(tr, memsys.DefaultConfig(), cpu.DefaultConfig()), nil
-		},
-		func() any { return new(profiling.Profile) })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*profiling.Profile), nil
+	return runJob(s, "profile", []string{bench}, 1, p, pr.spec, func() (profiling.Profile, error) {
+		tr, err := workload.BuildShared(bench, p)
+		if err != nil {
+			return profiling.Profile{}, err
+		}
+		return *pr.collect(tr, memsys.DefaultConfig(), cpu.DefaultConfig()), nil
+	})
 }

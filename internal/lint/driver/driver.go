@@ -12,7 +12,6 @@
 package driver
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -51,7 +50,7 @@ type Package struct {
 type AnalyzeOpts struct {
 	// Facts is the cross-package fact store: analyzers read their
 	// dependencies' facts from it and their exports are recorded into it
-	// under the package's normalized path. Nil disables facts flow.
+	// under the package's normalized path.
 	Facts lint.FactSet
 	// FactsOnly runs the package purely as a dependency: only fact-using
 	// analyzers run, and no diagnostics are returned. Used for packages
@@ -110,6 +109,7 @@ func Analyze(pkg *Package, analyzers []*lint.Analyzer, opts AnalyzeOpts) []Diagn
 			TypesInfo: pkg.Info,
 			PkgPath:   pkg.PkgPath,
 			FactsOnly: factsOnly,
+			Facts:     opts.Facts,
 			Report: func(d lint.Diagnostic) {
 				out = append(out, Diagnostic{
 					Analyzer: a.Name,
@@ -117,20 +117,10 @@ func Analyze(pkg *Package, analyzers []*lint.Analyzer, opts AnalyzeOpts) []Diagn
 					Message:  d.Message,
 				})
 			},
+			SuppressFactExport: opts.SuppressFactExport,
 		}
 		if factsOnly {
 			pass.Report = func(lint.Diagnostic) {}
-		}
-		if opts.Facts != nil {
-			name := a.Name
-			pass.ReadFacts = func(pkgPath string) json.RawMessage {
-				return opts.Facts.Read(name, pkgPath)
-			}
-			if !opts.SuppressFactExport {
-				pass.ExportFacts = func(payload json.RawMessage) {
-					opts.Facts.Set(name, pkg.PkgPath, payload)
-				}
-			}
 		}
 		if err := a.Run(pass); err != nil {
 			out = append(out, Diagnostic{

@@ -13,7 +13,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -75,33 +74,45 @@ type Pass struct {
 	// export facts for importers, but the package itself is out of scope, so
 	// Report drops diagnostics. Analyzers may skip their reporting phase.
 	FactsOnly bool
-	// ReadFacts returns this analyzer's serialized facts for the dependency
-	// package with the given (normalized) import path, or nil when the
-	// package exported none. Nil when the driver does not supply facts.
-	ReadFacts func(pkgPath string) json.RawMessage
-	// ExportFacts records this analyzer's serialized facts for the current
-	// package, to be surfaced to importers via ReadFacts. Nil when the
-	// driver does not collect facts.
-	ExportFacts func(payload json.RawMessage)
+	// Facts is the run's cross-package fact store, which every driver
+	// supplies: the pass reads its dependencies' facts from it and records
+	// its own under PkgPath.
+	Facts FactSet
+	// SuppressFactExport drops the package's own fact exports. Drivers set
+	// it for test variants ("p [p.test]" and "p_test"), whose normalized
+	// path collides with the package under test, so the plain package's
+	// facts stay authoritative for importers.
+	SuppressFactExport bool
 
 	// suppressions indexes //ldslint: comments by file line, built lazily.
 	suppressions map[*token.File]map[int]*annotation
 }
 
-// ImportedFacts is a nil-safe ReadFacts: it returns nil when the driver
-// supplies no facts or the dependency exported none.
-func (p *Pass) ImportedFacts(pkgPath string) json.RawMessage {
-	if p.ReadFacts == nil {
-		return nil
-	}
-	return p.ReadFacts(pkgPath)
+// FactSet is every analyzed package's facts, keyed by normalized import path
+// and then by analyzer name: the in-memory store a driver threads through one
+// run, analyzing packages in dependency order so each package's facts are
+// recorded before its importers read them. A fact is whatever typed value
+// its analyzer exports; only that analyzer reads it back.
+type FactSet map[string]map[string]any
+
+// ImportedFacts returns this analyzer's facts for the dependency package at
+// the normalized import path pkgPath, or nil when it exported none.
+func (p *Pass) ImportedFacts(pkgPath string) any {
+	return p.Facts[pkgPath][p.Analyzer.Name]
 }
 
-// SetFacts is a nil-safe ExportFacts.
-func (p *Pass) SetFacts(payload json.RawMessage) {
-	if p.ExportFacts != nil {
-		p.ExportFacts(payload)
+// SetFacts records facts as this analyzer's facts for the current package,
+// unless the pass suppresses fact export.
+func (p *Pass) SetFacts(facts any) {
+	if p.SuppressFactExport {
+		return
 	}
+	pf := p.Facts[p.PkgPath]
+	if pf == nil {
+		pf = map[string]any{}
+		p.Facts[p.PkgPath] = pf
+	}
+	pf[p.Analyzer.Name] = facts
 }
 
 // Reportf reports a formatted diagnostic at pos.

@@ -18,7 +18,6 @@
 package linttest
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -142,13 +141,8 @@ func analyze(t *testing.T, a *lint.Analyzer, pkgs []Package, deps map[string]str
 			TypesInfo: info,
 			PkgPath:   norm,
 			FactsOnly: !inScope,
+			Facts:     facts,
 			Report:    func(d lint.Diagnostic) { diags = append(diags, d) },
-			ReadFacts: func(pkgPath string) json.RawMessage {
-				return facts.Read(a.Name, pkgPath)
-			},
-			ExportFacts: func(payload json.RawMessage) {
-				facts.Set(a.Name, norm, payload)
-			},
 		}
 		if !inScope {
 			pass.Report = func(lint.Diagnostic) {}

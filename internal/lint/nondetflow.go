@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"go/ast"
 	"go/types"
 )
@@ -39,13 +38,14 @@ var NondetFlow = &Analyzer{
 	Run:       runNondetFlow,
 }
 
-// taintFact is the per-function fact payload: why the function's results are
-// nondeterministic.
+// taintFact is the per-function fact: why the function's results are
+// nondeterministic. A package's facts are a map[string]taintFact keyed by
+// funcTaintKey.
 type taintFact struct {
 	// Kind is "walltime", "rand", or "maporder".
-	Kind string `json:"kind"`
+	Kind string
 	// Via is the human-readable source chain, e.g. "util.ClockSeed ← time.Now".
-	Via string `json:"via"`
+	Via string
 }
 
 // kindPhrase renders a taint kind for diagnostics.
@@ -61,7 +61,7 @@ func kindPhrase(kind string) string {
 	return kind
 }
 
-// funcTaintKey names a function in a fact payload: "F" for package-level
+// funcTaintKey names a function in a package's facts: "F" for package-level
 // functions, "T.M" for methods (pointer receivers stripped). Interface
 // methods and other untrackable shapes return "".
 func funcTaintKey(fn *types.Func) string {
@@ -88,16 +88,10 @@ type nondetFlow struct {
 	pass *Pass
 	// local maps this package's functions to their taint, grown to fixpoint.
 	local map[*types.Func]taintFact
-	// depFacts caches decoded fact payloads per dependency package path.
-	depFacts map[string]map[string]taintFact
 }
 
 func runNondetFlow(pass *Pass) error {
-	nf := &nondetFlow{
-		pass:     pass,
-		local:    map[*types.Func]taintFact{},
-		depFacts: map[string]map[string]taintFact{},
-	}
+	nf := &nondetFlow{pass: pass, local: map[*types.Func]taintFact{}}
 
 	type fnDecl struct {
 		fn   *types.Func
@@ -140,11 +134,7 @@ func runNondetFlow(pass *Pass) error {
 			}
 		}
 		if len(out) > 0 {
-			payload, err := json.Marshal(out)
-			if err != nil {
-				return err
-			}
-			pass.SetFacts(payload)
+			pass.SetFacts(out)
 		}
 	}
 
@@ -184,17 +174,7 @@ func (nf *nondetFlow) importedTaint(fn *types.Func) (taintFact, bool) {
 	if key == "" {
 		return taintFact{}, false
 	}
-	path := NormalizePkgPath(fn.Pkg().Path())
-	facts, ok := nf.depFacts[path]
-	if !ok {
-		facts = map[string]taintFact{}
-		if payload := nf.pass.ImportedFacts(path); len(payload) > 0 {
-			// A payload this analyzer wrote always decodes; tolerate garbage
-			// (e.g. a stale file) by treating it as no facts.
-			_ = json.Unmarshal(payload, &facts)
-		}
-		nf.depFacts[path] = facts
-	}
+	facts, _ := nf.pass.ImportedFacts(NormalizePkgPath(fn.Pkg().Path())).(map[string]taintFact)
 	info, ok := facts[key]
 	return info, ok
 }

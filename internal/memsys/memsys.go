@@ -284,9 +284,10 @@ type MemSys struct {
 // zero value is interpreted: an explicit positive limit is used unchanged,
 // and 0 — the value DefaultConfig leaves and an unset JSON field decodes to —
 // selects half the DRAM request buffer, reserving the other half for demand
-// requests. Every construction path (sim.Named setups, raw server-submitted
-// Setups, the CLIs) funnels through New, which applies this resolution, so an
-// explicit 0 and an omitted field always behave identically.
+// requests. Every construction path (sim.Named configurations, specs
+// submitted to the job service, the CLIs) funnels through New, which applies
+// this resolution, so an explicit 0 and an omitted field always behave
+// identically.
 func ResolvePrefetchCongestionLimit(limit, requestBuffer int) int {
 	if limit > 0 {
 		return limit

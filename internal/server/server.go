@@ -9,7 +9,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -17,7 +16,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -138,9 +136,6 @@ func decodeSweep(body io.Reader) (sweepRequest, error) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		if strings.Contains(err.Error(), `unknown field "setups"`) {
-			return req, errors.New(`decoding request: the "setups" field was removed; describe each configuration as a sim.Spec in "specs" (or name it in "configs")`)
-		}
 		return req, fmt.Errorf("decoding request: %w", err)
 	}
 	return req, validate(&req)

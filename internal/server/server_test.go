@@ -298,7 +298,7 @@ func TestRawSweepSpecs(t *testing.T) {
 // TestSubmitSpecValidation asserts invalid specs are rejected at submit with
 // 400 and an actionable message — unknown kinds list the component catalog,
 // composition conflicts name the fighting components — and that the removed
-// setups field is refused with a pointer to specs.
+// setups field is refused as an unknown field.
 func TestSubmitSpecValidation(t *testing.T) {
 	ts := newTestServer(t, Options{})
 	cases := []struct {
@@ -330,7 +330,7 @@ func TestSubmitSpecValidation(t *testing.T) {
 			"predictor"},
 		{"setups is rejected",
 			`{"benchmarks":["mst"],"setups":[{"Name":"x","Stream":true,"Throttle":true,"FDP":true}]}`,
-			`"specs"`},
+			`unknown field "setups"`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/api/v1/sweeps", "application/json", strings.NewReader(tc.body))

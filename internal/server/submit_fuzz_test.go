@@ -15,8 +15,8 @@ import (
 // be accepted again and re-encode to the same bytes.
 //
 // The seed corpus in testdata/fuzz/FuzzSweepSubmit covers an experiment id,
-// raw configs and specs sweeps, the rejected mixes (experiment plus raw
-// cells, the removed setups field) and NaN, negative and zero scales. Run
+// raw configs and specs sweeps, the rejected bodies (experiment plus raw
+// cells, an unknown field) and NaN, negative and zero scales. Run
 // the fuzzer with
 //
 //	go test -run '^$' -fuzz FuzzSweepSubmit -fuzztime 30s ./internal/server
