@@ -81,9 +81,6 @@ func (p *Prefetcher) Level() prefetch.AggLevel { return p.level }
 // SetLevel implements prefetch.Throttleable.
 func (p *Prefetcher) SetLevel(l prefetch.AggLevel) { p.level = l.Clamp() }
 
-// OnFill implements memsys.Prefetcher (DBP ignores block contents).
-func (p *Prefetcher) OnFill(memsys.FillEvent) {}
-
 func (p *Prefetcher) insertCorr(producer uint32, c corr) {
 	if _, ok := p.table[producer]; !ok && len(p.table) >= p.tableCap {
 		// Evict in insertion order (the keys ring tracks residents).
@@ -112,6 +109,9 @@ func (p *Prefetcher) insertCorr(producer uint32, c corr) {
 	}
 	p.table[producer] = c
 }
+
+// The prefetcher trains on demand accesses and ignores block contents.
+var _ memsys.AccessObserver = (*Prefetcher)(nil)
 
 // OnAccess observes every demand load: it learns producer→consumer
 // correlations through the PPW and issues a one-step-ahead prefetch when a

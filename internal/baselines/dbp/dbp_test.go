@@ -125,5 +125,4 @@ func TestIdentity(t *testing.T) {
 	if p.Level() != prefetch.Moderate {
 		t.Fatal("level not stored")
 	}
-	p.OnFill(memsys.FillEvent{})
 }

@@ -66,10 +66,10 @@ func (p *Prefetcher) Level() prefetch.AggLevel { return p.level }
 // degree (1, 2, 3, 4).
 func (p *Prefetcher) SetLevel(l prefetch.AggLevel) { p.level = l.Clamp() }
 
-// OnFill implements memsys.Prefetcher (GHB ignores block contents).
-func (p *Prefetcher) OnFill(memsys.FillEvent) {}
-
 func key(d0, d1 int32) uint64 { return uint64(uint32(d0))<<32 | uint64(uint32(d1)) }
+
+// The prefetcher trains on demand accesses and ignores block contents.
+var _ memsys.AccessObserver = (*Prefetcher)(nil)
 
 // OnAccess trains on the L2 demand miss stream and issues delta-correlated
 // prefetches.

@@ -103,7 +103,6 @@ func TestIdentity(t *testing.T) {
 	if p.Name() != "ghb" || p.Source() != prefetch.SrcGHB {
 		t.Fatal("identity mismatch")
 	}
-	p.OnFill(memsys.FillEvent{})
 	p.Enabled = false
 	for i := uint32(0); i < 8; i++ {
 		p.OnAccess(miss(0x1000_0000 + i*64))

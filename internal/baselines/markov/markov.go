@@ -67,9 +67,6 @@ func (p *Prefetcher) Level() prefetch.AggLevel { return p.level }
 // the recorded successors are prefetched (1, 2, 3, 4).
 func (p *Prefetcher) SetLevel(l prefetch.AggLevel) { p.level = l.Clamp() }
 
-// OnFill implements memsys.Prefetcher (Markov ignores block contents).
-func (p *Prefetcher) OnFill(memsys.FillEvent) {}
-
 func (p *Prefetcher) slot(key uint32) *entry {
 	if i, ok := p.index[key]; ok {
 		return &p.entries[i]
@@ -91,6 +88,9 @@ func (p *Prefetcher) slot(key uint32) *entry {
 		return e
 	}
 }
+
+// The prefetcher trains on demand accesses and ignores block contents.
+var _ memsys.AccessObserver = (*Prefetcher)(nil)
 
 // OnAccess trains on the L2 demand miss stream and prefetches the recorded
 // successors of the current miss address.

@@ -141,16 +141,6 @@ func (c *Cache) Insert(addr uint32) (*Line, Line, bool) {
 	return victim, evicted, had
 }
 
-// Invalidate drops the block holding addr if present and returns a copy.
-func (c *Cache) Invalidate(addr uint32) (Line, bool) {
-	if l := c.Lookup(addr, false); l != nil {
-		old := *l
-		*l = Line{}
-		return old, true
-	}
-	return Line{}, false
-}
-
 // Name returns the cache's configured name.
 func (c *Cache) Name() string { return c.name }
 

@@ -66,22 +66,6 @@ func TestInsertExistingRefreshes(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New("l1", 1<<10, 2, 64)
-	l, _, _ := c.Insert(0x1000_0000)
-	l.Dirty = true
-	old, ok := c.Invalidate(0x1000_0000)
-	if !ok || !old.Dirty {
-		t.Fatal("invalidate must return the dropped line")
-	}
-	if c.Lookup(0x1000_0000, false) != nil {
-		t.Fatal("block still present after invalidate")
-	}
-	if _, ok := c.Invalidate(0x1000_0000); ok {
-		t.Fatal("second invalidate must report absence")
-	}
-}
-
 func TestSetIndexingDistributes(t *testing.T) {
 	c := New("l2", 1<<16, 1, 64) // direct-mapped, 1024 sets
 	// Blocks mapping to different sets must coexist.

@@ -92,15 +92,15 @@ func (c *CDP) MaxDepth() int { return prefetch.CDPDepth(c.level) }
 // SetEnabled turns prefetch issue on or off (PAB baseline support).
 func (c *CDP) SetEnabled(on bool) { c.Enabled = on }
 
-// OnAccess implements memsys.Prefetcher (CDP trains on fills, not accesses).
-func (c *CDP) OnAccess(memsys.AccessEvent) {}
-
 // isPointer implements the virtual-address matching predictor: a value is
 // predicted to be a pointer if its high-order CompareBits equal those of the
 // block's own address (Section 2.2).
 func (c *CDP) isPointer(v, blockAddr uint32) bool {
 	return v>>c.shift == blockAddr>>c.shift
 }
+
+// CDP trains on block contents, not on demand accesses.
+var _ memsys.FillObserver = (*CDP)(nil)
 
 // OnFill scans an incoming cache block for candidate pointers.
 //

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/trace"
@@ -72,32 +73,39 @@ type Core struct {
 
 	// Ring buffers over recent ops, indexed by dense ordinal (the ordinal
 	// among ops that take slots; without a predictor, branches are
-	// skipped). Every indexed op carries ≥1 instruction, so any op within
-	// the instruction window is at most Window ordinals back.
+	// skipped) masked by ringMask. Every indexed op carries ≥1 instruction,
+	// so any op within the instruction window is at most Window ordinals
+	// back; the rings hold the next power of two ≥ Window+2 entries.
 	retireRing []int64 // retire time per op
 	cumRing    []int64 // cumulative instruction count through each op
+	ringMask   int
 
-	pos         int
-	dense       int   // dense ordinal of op pos (ring index space)
-	windowTail  int   // oldest dense ordinal whose slots are still charged to the window
-	cumInstr    int64 // instructions up to and including ordinal dense-1
-	issueSlots  int64 // issue-bandwidth slots consumed (Width/cycle)
-	retireSlots int64 // retire-bandwidth slots consumed (Width/cycle)
-	lastIssue   int64
-	lastRetire  int64
+	pos        int
+	dense      int   // dense ordinal of op pos (ring index space)
+	windowTail int   // oldest dense ordinal whose slots are still charged to the window
+	cumInstr   int64 // instructions up to and including ordinal dense-1
+	issue      slots // issue bandwidth (Width/cycle)
+	retire     slots // retire bandwidth (Width/cycle)
+	lastIssue  int64
+	lastRetire int64
 
 	// Speculative front end, used only when pred is non-nil.
 	pred       predictor
-	fetchWidth int64
 	penalty    int64
 	wpDepth    int
-	fetchSlots int64 // fetch-bandwidth slots consumed (FetchWidth/cycle)
+	fetch      slots // fetch bandwidth (FetchWidth/cycle)
 	redirectAt int64 // no op may issue before this (mispredict refill)
 
 	// Wrong-path address synthesis state: the last demand load address and
-	// the last pointer value chased out of a linked structure.
-	lastAddr uint32
-	lastPtr  uint32
+	// the last pointer value chased out of a linked structure. The value is
+	// read lazily: ptrAddr is the address of the last pointer-chase load,
+	// and while ptrPending is set lastPtr is stale and the value still sits
+	// in memory at ptrAddr, since only a store that overlaps it could change
+	// it (step reads it before such a store writes).
+	lastAddr   uint32
+	lastPtr    uint32
+	ptrAddr    uint32
+	ptrPending bool
 
 	branches    int64
 	mispredicts int64
@@ -113,14 +121,59 @@ func NewInterval(cfg Config, ms *memsys.MemSys, tr *trace.Trace) *Core {
 	if cfg.Width <= 0 {
 		cfg.Width = 4
 	}
-	ring := cfg.Window + 2
-	return &Core{
+	ring := 1 << bits.Len(uint(cfg.Window+1))
+	c := &Core{
 		cfg:        cfg,
 		ms:         ms,
 		tr:         tr,
 		complete:   make([]int64, len(tr.Ops)),
 		retireRing: make([]int64, ring),
 		cumRing:    make([]int64, ring),
+		ringMask:   ring - 1,
+	}
+	c.issue = newSlots(cfg.Width)
+	c.retire = c.issue
+	return c
+}
+
+// slots is an in-order bandwidth counter of width instructions per cycle.
+// It keeps the slot count cycle*width + rem as a (cycle, remainder) pair
+// with 0 ≤ rem < width, so reading the current cycle needs no division, and
+// charges an op through split, each op's instruction count pre-divided by
+// the width, so charging needs none either.
+type slots struct {
+	width int64
+	cycle int64
+	rem   int64
+	split *opSplit
+}
+
+// opSplit holds, for every trace.Op.N, the op's instruction count n
+// divided by a width: n = cycles*width + rem, 0 ≤ rem < width. N is a
+// uint8, so 256 entries cover every op whatever the width.
+type opSplit [256]struct{ cycles, rem int64 }
+
+func newSlots(width int) slots {
+	s := slots{width: int64(width), split: new(opSplit)}
+	for n := range s.split {
+		op := trace.Op{N: uint8(n)}
+		instr := op.Instructions()
+		s.split[n].cycles, s.split[n].rem = instr/s.width, instr%s.width
+	}
+	return s
+}
+
+// take charges op n's instructions starting no earlier than cycle t.
+func (s *slots) take(t int64, n uint8) {
+	if t > s.cycle {
+		s.cycle, s.rem = t, 0
+	}
+	d := &s.split[n]
+	s.cycle += d.cycles
+	s.rem += d.rem
+	if s.rem >= s.width {
+		s.cycle++
+		s.rem -= s.width
 	}
 }
 
@@ -135,9 +188,10 @@ func NewOoO(cfg Config, opts OoOOptions, ms *memsys.MemSys, tr *trace.Trace) *Co
 		panic(fmt.Sprintf("cpu: %v", err))
 	}
 	c.pred = pred
-	c.fetchWidth = int64(opts.FetchWidth)
-	if c.fetchWidth <= 0 {
-		c.fetchWidth = int64(c.cfg.Width)
+	if opts.FetchWidth > 0 {
+		c.fetch = newSlots(opts.FetchWidth)
+	} else {
+		c.fetch = newSlots(c.cfg.Width)
 	}
 	c.penalty = int64(opts.MispredictPenalty)
 	if c.penalty == 0 {
@@ -179,9 +233,8 @@ func (c *Core) StepUntil(horizon int64) int {
 
 func (c *Core) step(n int, horizon int64) int {
 	ops := c.tr.Ops
-	width := int64(c.cfg.Width)
 	window := int64(c.cfg.Window)
-	ring := len(c.retireRing)
+	mask := c.ringMask
 	spec := c.pred != nil
 	done := 0
 	for done < n && c.pos < len(ops) && c.lastIssue < horizon {
@@ -201,9 +254,9 @@ func (c *Core) step(n int, horizon int64) int {
 		// Issue bandwidth: Width instructions per cycle, in order. The
 		// speculative front end's fetch bandwidth and any pending fetch
 		// redirect also gate entry into the window.
-		t := c.issueSlots / width
+		t := c.issue.cycle
 		if spec {
-			if ft := c.fetchSlots / c.fetchWidth; ft > t {
+			if ft := c.fetch.cycle; ft > t {
 				t = ft
 			}
 			if t < c.redirectAt {
@@ -214,21 +267,15 @@ func (c *Core) step(n int, horizon int64) int {
 			t = c.lastIssue
 		}
 		// Window occupancy: instructions after the window tail must fit.
-		for cum-c.cumRing[c.windowTail%ring] > window && c.windowTail < di {
-			if r := c.retireRing[c.windowTail%ring]; r > t {
+		for cum-c.cumRing[c.windowTail&mask] > window && c.windowTail < di {
+			if r := c.retireRing[c.windowTail&mask]; r > t {
 				t = r
 			}
 			c.windowTail++
 		}
-		if adv := t * width; adv > c.issueSlots {
-			c.issueSlots = adv
-		}
-		c.issueSlots += instr
+		c.issue.take(t, op.N)
 		if spec {
-			if adv := t * c.fetchWidth; adv > c.fetchSlots {
-				c.fetchSlots = adv
-			}
-			c.fetchSlots += instr
+			c.fetch.take(t, op.N)
 		}
 		c.lastIssue = t
 
@@ -243,11 +290,8 @@ func (c *Core) step(n int, horizon int64) int {
 		var comp int64
 		switch op.Kind {
 		case trace.Compute:
-			lat := instr / width
-			if lat < 1 {
-				lat = 1
-			}
-			comp = exec + lat
+			// One cycle per Width instructions, at least one.
+			comp = exec + max(1, c.issue.split[op.N].cycles)
 		case trace.Load:
 			comp = c.ms.Access(op.Addr, op.PC, true, op.LDS, exec)
 			if spec {
@@ -255,10 +299,18 @@ func (c *Core) step(n int, horizon int64) int {
 				if op.LDS {
 					// The loaded value of a pointer-chase load is the
 					// next pointer — the seed wrong-path fetches chase.
-					c.lastPtr = c.ms.Mem().Read32(op.Addr)
+					// Only a misprediction reads it (see ptrPending).
+					c.ptrAddr, c.ptrPending = op.Addr, true
 				}
 			}
 		case trace.Store:
+			// A store over any byte of the pending pointer would change
+			// the value the load returned: take it first. Both words are
+			// 4 bytes, so they overlap iff op.Addr-ptrAddr is in [-3, 3]
+			// (mod 2^32, as the byte addresses wrap).
+			if c.ptrPending && op.Addr-c.ptrAddr+3 < 7 {
+				c.loadPtr()
+			}
 			// Apply the store's value in program order so block scans see
 			// time-accurate contents, then access for timing side effects.
 			c.ms.Mem().Write32(op.Addr, op.Val)
@@ -285,21 +337,24 @@ func (c *Core) step(n int, horizon int64) int {
 		if c.lastRetire > r {
 			r = c.lastRetire
 		}
-		if lb := c.retireSlots / width; lb > r {
+		if lb := c.retire.cycle; lb > r {
 			r = lb
 		}
-		if adv := r * width; adv > c.retireSlots {
-			c.retireSlots = adv
-		}
-		c.retireSlots += instr
+		c.retire.take(r, op.N)
 		c.lastRetire = r
 
-		c.retireRing[di%ring] = r
-		c.cumRing[di%ring] = cum
+		c.retireRing[di&mask] = r
+		c.cumRing[di&mask] = cum
 		c.cumInstr = cum
 		c.dense++
 	}
 	return done
+}
+
+// loadPtr reads the pending pointer-chase load's value into lastPtr.
+func (c *Core) loadPtr() {
+	c.lastPtr = c.ms.Mem().Read32(c.ptrAddr)
+	c.ptrPending = false
 }
 
 // injectWrongPath issues the speculative loads the front end fetched past a
@@ -315,6 +370,9 @@ func (c *Core) injectWrongPath(resolve int64) {
 	step := c.penalty / int64(c.wpDepth)
 	if step < 1 {
 		step = 1
+	}
+	if c.ptrPending {
+		c.loadPtr()
 	}
 	blk := uint32(c.ms.BlockSize())
 	chase := c.lastPtr

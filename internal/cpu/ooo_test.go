@@ -200,3 +200,53 @@ func TestStepUntilMatchesStep(t *testing.T) {
 		t.Fatalf("StepUntil replay %+v != Step replay %+v", got, want)
 	}
 }
+
+// TestWrongPathSeesLoadedPointer pins the pointer the wrong path chases
+// after a store rewrites bytes of the last pointer-chase load's word before
+// a mispredicted branch: the chase must start from the value the load
+// returned, not from what the store left in memory. Each case stores at an
+// offset from the loaded word (aligned, 1–3-byte unaligned overlaps on
+// either side, and the adjacent words, which do not overlap); the
+// expectations were recorded with the load's value read eagerly at the load.
+func TestWrongPathSeesLoadedPointer(t *testing.T) {
+	type outcome struct {
+		res      Result
+		toDRAM   int64
+		l2Misses int64
+	}
+	// The loaded pointers are the same in every case, so is the outcome.
+	want := outcome{Result{Cycles: 113623, Retired: 1795, Branches: 299, Mispredicts: 99, WrongPath: 396}, 396, 102}
+	for _, off := range []int32{0, 1, 2, 3, -1, -2, -3, 4, -4} {
+		m := mem.New()
+		const n = 300
+		nodes := make([]uint32, n)
+		for i := range nodes {
+			nodes[i] = mem.HeapBase + uint32(i)*65536 + uint32(i%8)*64 + 8
+		}
+		for i := 0; i < n-1; i++ {
+			m.Write32(nodes[i], nodes[i+1])
+			m.Write32(nodes[i+1]+32, nodes[(i*13+5)%n])
+		}
+		b := trace.NewBuilder("lazyptr", m, 0)
+		ptr, dep := b.Load(0x100, nodes[0], trace.NoDep, true)
+		for i := 1; i < n; i++ {
+			// Overwrite (part of) the word just loaded with a pointer to a
+			// block that holds a different pointer, then branch.
+			b.Store(0x104, uint32(int32(nodes[i-1])+off), nodes[(i*7)%n]+32, dep)
+			b.Compute(3)
+			b.Branch(0x108, 0x100, i%3 != 0, dep)
+			ptr, dep = b.Load(0x10c, ptr, dep, true)
+		}
+		tr := b.Trace()
+		ms := memsys.New(memsys.DefaultConfig(), m, dram.NewController(dram.DefaultConfig(1)))
+		c := NewOoO(DefaultConfig(), OoOOptions{}, ms, tr)
+		for !c.Done() {
+			c.Step(64)
+		}
+		st := ms.Stats()
+		got := outcome{c.Result(), st.WrongPathToDRAM, st.L2DemandMisses}
+		if got != want {
+			t.Errorf("store offset %d: got %+v, want %+v", off, got, want)
+		}
+	}
+}

@@ -17,7 +17,11 @@
 // cycles exceeds 1 block / 40 cycles).
 package dram
 
-import "ldsprefetch/internal/heap64"
+import (
+	"fmt"
+
+	"ldsprefetch/internal/heap64"
+)
 
 // Config parameterizes the DRAM model.
 type Config struct {
@@ -53,6 +57,19 @@ func DefaultConfig(cores int) Config {
 		RequestBuffer: 32 * cores,
 		BlockShift:    6,
 	}
+}
+
+// MaxBanks bounds Config.Banks, so that a configuration from an untrusted
+// source (a spec's dram_cfg) cannot make NewController allocate without
+// limit: the controller keeps two busy-until times per bank.
+const MaxBanks = 1 << 10
+
+// Validate checks that Banks is at most MaxBanks (zero or less selects 8).
+func (c Config) Validate() error {
+	if c.Banks > MaxBanks {
+		return fmt.Errorf("dram_cfg: Banks must be at most %d, got %d", MaxBanks, c.Banks)
+	}
+	return nil
 }
 
 // MinLatency returns the contention-free memory latency.

@@ -37,9 +37,19 @@
 // the occupancy calls fall back to a non-destructive scan. Interval
 // boundaries reach the feedback unit through Feedback.EvictionAt with the
 // eviction's cycle, which timestamps each telemetry.IntervalRecord.
+//
+// # Prefetcher hooks
+//
+// Attach takes any Prefetcher and subscribes it to the events its optional
+// hooks observe: AccessObserver for demand accesses (stream, GHB, Markov,
+// DBP), FillObserver for the contents of filled blocks (CDP, the
+// informing-load profiler). Block contents are read from the memory image
+// only when at least one FillObserver is attached, so a configuration with
+// no content scanner pays for no block copies.
 package memsys
 
 import (
+	"fmt"
 	"sort"
 
 	"ldsprefetch/internal/cache"
@@ -109,8 +119,40 @@ func DefaultConfig() Config {
 	}
 }
 
+// Bounds on Config, so that a configuration from an untrusted source (a
+// spec's mem_cfg) cannot make New allocate without limit: each cache's tag
+// store holds one line per block of its size, and the content-scan buffer
+// one block.
+const (
+	MaxBlockSize  = 4096
+	MaxCacheLines = 1 << 20
+)
+
+// Validate checks the allocation bounds: BlockSize at most MaxBlockSize, and
+// L1Size and L2Size at most MaxCacheLines blocks each (64 MiB at 64-byte
+// blocks). It checks nothing else; New panics on sizes that give no
+// power-of-two set count.
+func (c Config) Validate() error {
+	if c.BlockSize > MaxBlockSize {
+		return fmt.Errorf("mem_cfg: BlockSize must be at most %d, got %d", MaxBlockSize, c.BlockSize)
+	}
+	if c.BlockSize <= 0 {
+		return nil // no cache can be built; New's callers reject it
+	}
+	for _, cs := range []struct {
+		name string
+		size int
+	}{{"L1Size", c.L1Size}, {"L2Size", c.L2Size}} {
+		if cs.size/c.BlockSize > MaxCacheLines {
+			return fmt.Errorf("mem_cfg: %s must be at most %d blocks (%d bytes), got %d",
+				cs.name, MaxCacheLines, MaxCacheLines*c.BlockSize, cs.size)
+		}
+	}
+	return nil
+}
+
 // AccessEvent describes one demand access, delivered to every attached
-// prefetcher for training.
+// AccessObserver for training.
 type AccessEvent struct {
 	// Now is the cycle the access reached the L1.
 	Now int64
@@ -143,8 +185,11 @@ type AccessEvent struct {
 // Miss reports whether the access missed the whole on-chip hierarchy.
 func (e AccessEvent) Miss() bool { return !e.L1Hit && !e.L2Hit && !e.InFlight }
 
-// FillEvent describes a block arriving in the L2, delivered to prefetchers
-// that scan block contents (CDP).
+// FillEvent describes a block arriving in the L2, delivered to every attached
+// FillObserver: the block-content scanners (CDP, the informing-load
+// profiler). A demand miss fills a block; of the prefetch fills, only CDP's
+// are delivered, because only CDP recursion scans prefetched blocks. With no
+// FillObserver attached the memory system reads no block contents at all.
 type FillEvent struct {
 	// Now is the cycle the fill completes.
 	Now int64
@@ -174,17 +219,28 @@ type FillEvent struct {
 	TriggerIsLoad bool
 }
 
-// Prefetcher is the interface all prefetchers implement to observe the
-// memory system. Prefetchers issue requests through the Issuer they were
-// constructed with (the MemSys itself).
+// Prefetcher is what every attached prefetcher or observer implements.
+// Prefetchers issue requests through the Issuer they were constructed with
+// (the MemSys itself). The event hooks are optional: Attach subscribes a
+// Prefetcher to demand accesses if it is an AccessObserver and to fills if
+// it is a FillObserver, so a prefetcher implements only the hooks it reads.
 type Prefetcher interface {
 	// Name identifies the prefetcher for reports.
 	Name() string
 	// Source returns the request source this prefetcher issues as.
 	Source() prefetch.Source
-	// OnAccess observes every demand access.
+}
+
+// AccessObserver is an optional Prefetcher hook that observes every demand
+// access (stream, GHB, Markov and DBP train on it).
+type AccessObserver interface {
 	OnAccess(ev AccessEvent)
-	// OnFill observes every block filled into the L2.
+}
+
+// FillObserver is an optional Prefetcher hook that observes the contents of
+// filled blocks (see FillEvent). Attaching one makes the memory system read
+// each delivered block into its scan buffer.
+type FillObserver interface {
 	OnFill(ev FillEvent)
 }
 
@@ -227,7 +283,10 @@ type MemSys struct {
 	l2   *cache.Cache
 	ctrl *dram.Controller
 	fb   *prefetch.Feedback
-	pfs  []Prefetcher
+
+	// Attached hooks, each in attach order (see Attach).
+	accessObs []AccessObserver
+	fillObs   []FillObserver
 
 	mshr    heap64.Heap // demand-miss fill completions
 	pfQueue heap64.Heap // prefetch fill completions
@@ -263,7 +322,7 @@ type MemSys struct {
 	evictPos  int
 	sideBuf   map[uint32]sideLine // NoPollution oracle
 
-	blockBuf []byte
+	blockBuf []byte // content-scan buffer, shared by every FillEvent
 	stats    Stats
 
 	// FilterPrefetch, if set, gates every prefetch request before issue
@@ -325,8 +384,17 @@ func New(cfg Config, mm *mem.Memory, ctrl *dram.Controller) *MemSys {
 	return ms
 }
 
-// Attach registers a prefetcher to receive access and fill events.
-func (ms *MemSys) Attach(p Prefetcher) { ms.pfs = append(ms.pfs, p) }
+// Attach registers a prefetcher for the events its optional hooks observe:
+// demand accesses if it is an AccessObserver, fills if it is a
+// FillObserver. Each kind of event reaches its observers in attach order.
+func (ms *MemSys) Attach(p Prefetcher) {
+	if o, ok := p.(AccessObserver); ok {
+		ms.accessObs = append(ms.accessObs, o)
+	}
+	if o, ok := p.(FillObserver); ok {
+		ms.fillObs = append(ms.fillObs, o)
+	}
+}
 
 // Feedback returns the run-time feedback counters.
 func (ms *MemSys) Feedback() *prefetch.Feedback { return ms.fb }
@@ -344,14 +412,19 @@ func (ms *MemSys) Stats() Stats { return ms.stats }
 func (ms *MemSys) Config() Config { return ms.cfg }
 
 func (ms *MemSys) notifyAccess(ev AccessEvent) {
-	for _, p := range ms.pfs {
-		p.OnAccess(ev)
+	for _, o := range ms.accessObs {
+		o.OnAccess(ev)
 	}
 }
 
-func (ms *MemSys) notifyFill(ev FillEvent) {
-	for _, p := range ms.pfs {
-		p.OnFill(ev)
+// notifyFill reads blk into the scan buffer and delivers ev, with Data set
+// to it, to every fill observer. Callers skip it when none is attached.
+func (ms *MemSys) notifyFill(blk uint32, ev FillEvent) {
+	ms.mm.ReadBlock(blk, ms.blockBuf)
+	ev.BlockAddr = blk
+	ev.Data = ms.blockBuf
+	for _, o := range ms.fillObs {
+		o.OnFill(ev)
 	}
 }
 
@@ -574,16 +647,15 @@ func (ms *MemSys) Access(addr, pc uint32, isLoad, lds bool, now int64) int64 {
 	ms.notifyAccess(ev)
 
 	// Content scan of the demand-fetched block.
-	ms.mm.ReadBlock(blk, ms.blockBuf)
-	ms.notifyFill(FillEvent{
-		Now:           ready,
-		BlockAddr:     blk,
-		Data:          ms.blockBuf,
-		Cause:         prefetch.SrcDemand,
-		TriggerPC:     pc,
-		TriggerOff:    int(addr - blk),
-		TriggerIsLoad: isLoad,
-	})
+	if len(ms.fillObs) > 0 {
+		ms.notifyFill(blk, FillEvent{
+			Now:           ready,
+			Cause:         prefetch.SrcDemand,
+			TriggerPC:     pc,
+			TriggerOff:    int(addr - blk),
+			TriggerIsLoad: isLoad,
+		})
+	}
 	return ready
 }
 
@@ -733,13 +805,10 @@ func (ms *MemSys) Issue(r prefetch.Request) {
 		nl.PG = r.PG
 	}
 
-	if r.Src == prefetch.SrcCDP {
+	if r.Src == prefetch.SrcCDP && len(ms.fillObs) > 0 {
 		// Recursive content scan of the prefetched block.
-		ms.mm.ReadBlock(blk, ms.blockBuf)
-		ms.notifyFill(FillEvent{
+		ms.notifyFill(blk, FillEvent{
 			Now:        ready,
-			BlockAddr:  blk,
-			Data:       ms.blockBuf,
 			Cause:      prefetch.SrcCDP,
 			Depth:      r.Depth,
 			PG:         r.PG,

@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"fmt"
 	"testing"
 
 	"ldsprefetch/internal/dram"
@@ -218,7 +219,6 @@ type fillRecorder struct {
 
 func (f *fillRecorder) Name() string            { return "rec" }
 func (f *fillRecorder) Source() prefetch.Source { return prefetch.SrcCDP }
-func (f *fillRecorder) OnAccess(ev AccessEvent) {}
 func (f *fillRecorder) OnFill(ev FillEvent)     { f.fills = append(f.fills, ev) }
 
 func TestDemandFillEventCarriesTriggerAndData(t *testing.T) {
@@ -251,6 +251,80 @@ func TestCDPFillEventOnPrefetch(t *testing.T) {
 	ms.Issue(prefetch.Request{When: 0, Addr: 0x1000_0100, Src: prefetch.SrcStream})
 	if len(rec.fills) != 1 {
 		t.Fatal("stream prefetch fill must not be scanned")
+	}
+}
+
+// orderedFill logs each fill it observes, tagged with its name, into a log
+// shared with other observers.
+type orderedFill struct {
+	name string
+	log  *[]string
+}
+
+func (o *orderedFill) Name() string            { return o.name }
+func (o *orderedFill) Source() prefetch.Source { return prefetch.SrcCDP }
+func (o *orderedFill) OnFill(ev FillEvent) {
+	*o.log = append(*o.log, fmt.Sprintf("%s:%#x", o.name, ev.BlockAddr))
+}
+
+// driveFills runs two demand misses and one CDP prefetch through ms, over a
+// memory image whose blocks are non-zero.
+func driveFills(ms *MemSys) {
+	for a := uint32(0x1000_0000); a < 0x1000_0200; a += 4 {
+		ms.Mem().Write32(a, a|1)
+	}
+	ms.Access(0x1000_0004, 7, true, false, 0)
+	ms.Access(0x1000_0048, 7, false, false, 10)
+	ms.Issue(prefetch.Request{When: 20, Addr: 0x1000_0180, Src: prefetch.SrcCDP, Depth: 1})
+}
+
+func TestFillObserversInAttachOrder(t *testing.T) {
+	ms := newMS(t, nil)
+	var log []string
+	acc := &accessRecorder{}
+	ms.Attach(&orderedFill{"a", &log})
+	ms.Attach(acc)
+	ms.Attach(&orderedFill{"b", &log})
+	driveFills(ms)
+	want := []string{"a:0x10000000", "b:0x10000000", "a:0x10000040", "b:0x10000040", "a:0x10000180", "b:0x10000180"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("fill order %v, want %v", log, want)
+	}
+	if len(acc.evs) != 2 {
+		t.Fatalf("access observer saw %d accesses, want 2", len(acc.evs))
+	}
+}
+
+// TestNoFillObserverNoScan: an observer with only OnAccess is not
+// subscribed to fills, and with no fill observer attached the memory system
+// never reads a block into its scan buffer.
+func TestNoFillObserverNoScan(t *testing.T) {
+	for _, attach := range []bool{false, true} {
+		ms := newMS(t, nil)
+		acc := &accessRecorder{}
+		if attach {
+			ms.Attach(acc)
+		}
+		driveFills(ms)
+		if len(ms.fillObs) != 0 {
+			t.Fatalf("access-only observer subscribed to fills: %d fill observers", len(ms.fillObs))
+		}
+		for i, b := range ms.blockBuf {
+			if b != 0 {
+				t.Fatalf("scan buffer byte %d = %#x with no fill observer", i, b)
+			}
+		}
+		if attach && len(acc.evs) != 2 {
+			t.Fatalf("access observer saw %d accesses, want 2", len(acc.evs))
+		}
+	}
+	// Control: one fill observer makes the same run fill the buffer.
+	ms := newMS(t, nil)
+	var log []string
+	ms.Attach(&orderedFill{"a", &log})
+	driveFills(ms)
+	if len(log) != 3 || ms.blockBuf[0] == 0 {
+		t.Fatalf("fill observer saw %v, scan buffer %x", log, ms.blockBuf[:4])
 	}
 }
 
@@ -323,7 +397,6 @@ type accessRecorder struct{ evs []AccessEvent }
 func (a *accessRecorder) Name() string            { return "rec" }
 func (a *accessRecorder) Source() prefetch.Source { return prefetch.SrcDemand }
 func (a *accessRecorder) OnAccess(ev AccessEvent) { a.evs = append(a.evs, ev) }
-func (a *accessRecorder) OnFill(FillEvent)        {}
 
 // TestMSHRFullDemandWaits pins the MSHR capacity semantics: a demand miss
 // that finds every MSHR busy waits for the earliest outstanding fill before

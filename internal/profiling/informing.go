@@ -76,6 +76,12 @@ func (o *informingObserver) record(blk uint32, pg prefetch.PGKey) {
 	o.candidates[blk] = pg
 }
 
+// The profiler reads both the fills and the informing-load outcomes.
+var (
+	_ memsys.FillObserver   = (*informingObserver)(nil)
+	_ memsys.AccessObserver = (*informingObserver)(nil)
+)
+
 // OnFill scans demand-fetched blocks just as the CDP hardware would,
 // predicting which blocks each pointer group will cause to be prefetched.
 func (o *informingObserver) OnFill(ev memsys.FillEvent) {

@@ -248,6 +248,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"no cells", `{"benchmarks":["mst"]}`},
 		{"unknown field", `{"experiment":"fig1","turbo":true}`},
 		{"empty", `{}`},
+		{"oversized cpu_cfg", `{"benchmarks":["mst"],"specs":[{"name":"big","components":[{"kind":"stream"}],"cpu_cfg":{"Window":17592186044416,"Width":4}}]}`},
+		{"oversized mem_cfg", `{"benchmarks":["mst"],"specs":[{"name":"big","mem_cfg":{"BlockSize":64,"L1Size":32768,"L1Ways":4,"L2Size":1099511627776,"L2Ways":8}}]}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/api/v1/sweeps", "application/json", strings.NewReader(tc.body))

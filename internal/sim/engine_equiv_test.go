@@ -114,7 +114,10 @@ func TestAssemblePlumbsCores(t *testing.T) {
 	sp := NewSpec("stream", "stream")
 	sp.DRAMCfg = &dram.Config{Banks: 8, CtrlCycles: 50, BankCycles: 110,
 		BusCycles: 40, FillCycles: 250, RequestBuffer: 96, BlockShift: 6}
-	ctrl := controllerFor(sp, 2)
+	ctrl, err := controllerFor(sp, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sys, err := assemble("mst", workload.Params{Scale: 0.05, Seed: 1}, sp, ctrl, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -242,7 +242,13 @@ func (sys *system) result(setupName string, busTransfers int64) Result {
 	return r
 }
 
-func controllerFor(sp Spec, cores int) *dram.Controller {
+// controllerFor builds the shared DRAM controller sp configures for a
+// cores-wide machine. It bounds the hardware overrides first, because the
+// controller is built before assemble validates the rest of the spec.
+func controllerFor(sp Spec, cores int) (*dram.Controller, error) {
+	if err := sp.checkHardware(); err != nil {
+		return nil, err
+	}
 	cfg := dram.DefaultConfig(cores)
 	if sp.DRAMCfg != nil {
 		cfg = *sp.DRAMCfg
@@ -250,7 +256,7 @@ func controllerFor(sp Spec, cores int) *dram.Controller {
 			cfg.RequestBuffer = 32 * cores
 		}
 	}
-	return dram.NewController(cfg)
+	return dram.NewController(cfg), nil
 }
 
 // RunSingleSpec builds and runs benchmark bench on a single-core system: it
@@ -305,7 +311,10 @@ const (
 // decomposition to cache and share alone runs across mixes.
 func RunSharedSpec(benches []string, p workload.Params, sp Spec) (MultiResult, error) {
 	n := len(benches)
-	master := controllerFor(sp, n)
+	master, err := controllerFor(sp, n)
+	if err != nil {
+		return MultiResult{}, err
+	}
 	systems := make([]*system, n)
 	shadows := make([]*dram.Controller, n)
 	cores := make([]engine.Core, n)
@@ -351,7 +360,10 @@ func RunSharedSpec(benches []string, p workload.Params, sp Spec) (MultiResult, e
 // cores), so an alone run is shareable across every mix of the same width
 // that includes the benchmark under the same configuration.
 func RunAloneSpec(bench string, p workload.Params, sp Spec, cores int) (Result, error) {
-	ctrl := controllerFor(sp, cores)
+	ctrl, err := controllerFor(sp, cores)
+	if err != nil {
+		return Result{}, err
+	}
 	sys, err := assemble(bench, p, sp, ctrl, cores)
 	if err != nil {
 		return Result{}, err

@@ -151,7 +151,9 @@ var (
 	// ErrComponentConflict: components that cannot coexist (a duplicate
 	// kind, or two policies claiming throttle control, e.g. throttle+fdp).
 	ErrComponentConflict = errors.New("conflicting components")
-	// ErrBadOptions: a component's options failed to decode or validate.
+	// ErrBadOptions: a component's options failed to decode or validate,
+	// or a hardware override (cpu_cfg, mem_cfg, dram_cfg) is out of
+	// bounds.
 	ErrBadOptions = errors.New("invalid component options")
 	// ErrBadComposition: a structurally valid spec that cannot work (hints
 	// with no consumer, pab with fewer than two switchable prefetchers).
@@ -215,6 +217,9 @@ func (sp Spec) validate() ([]part, *cpu.OoOOptions, error) {
 		return nil, nil, &SpecError{Spec: sp.Name, Err: ErrBadComposition,
 			Reason: fmt.Sprintf("unknown engine %q (use %q or %q)", sp.Engine, EngineSerial, EngineParallel)}
 	}
+	if err := sp.checkHardware(); err != nil {
+		return nil, nil, err
+	}
 	ooo, err := sp.decodeCore()
 	if err != nil {
 		return nil, nil, err
@@ -262,6 +267,27 @@ func (sp Spec) validate() ([]part, *cpu.OoOOptions, error) {
 			Reason: `hints are set but no component consumes them; add "cdp" (hint-filtered CDP is the paper's ECDP) or drop the hint table`}
 	}
 	return parts, ooo, nil
+}
+
+// checkHardware bounds the hardware overrides whose values size a run's
+// allocations (cpu.Config.Validate, memsys.Config.Validate,
+// dram.Config.Validate). Without it one oversized value in a submitted spec
+// would make the run die out of memory, which no panic containment catches.
+func (sp Spec) checkHardware() error {
+	var errs []error
+	if sp.CPUCfg != nil {
+		errs = append(errs, sp.CPUCfg.Validate())
+	}
+	if sp.MemCfg != nil {
+		errs = append(errs, sp.MemCfg.Validate())
+	}
+	if sp.DRAMCfg != nil {
+		errs = append(errs, sp.DRAMCfg.Validate())
+	}
+	if err := errors.Join(errs...); err != nil {
+		return &SpecError{Spec: sp.Name, Err: ErrBadOptions, Reason: err.Error()}
+	}
+	return nil
 }
 
 // switchableKinds lists the prefetcher kinds that support on/off switching,

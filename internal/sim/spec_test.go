@@ -10,6 +10,8 @@ import (
 
 	"ldsprefetch/internal/core"
 	"ldsprefetch/internal/cpu"
+	"ldsprefetch/internal/dram"
+	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/prefetch"
 	"ldsprefetch/internal/workload"
 )
@@ -111,6 +113,60 @@ func TestValidateRejectsBadOptionJSON(t *testing.T) {
 	}}
 	if err := sp.Validate(); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("err = %v, want ErrBadOptions", err)
+	}
+}
+
+// TestValidateBoundsHardware: a hardware override that would size a run's
+// allocations past the documented bounds is a typed ErrBadOptions error from
+// Validate, and RunSingleSpec returns it without building anything. Before
+// the bounds, a cpu_cfg window of 2^44 validated and the run died out of
+// memory, taking the process with it.
+func TestValidateBoundsHardware(t *testing.T) {
+	mcfg := func(f func(*memsys.Config)) *memsys.Config {
+		c := memsys.DefaultConfig()
+		f(&c)
+		return &c
+	}
+	bad := []struct {
+		name string
+		sp   Spec
+		want string
+	}{
+		{"window 2^44", Spec{CPUCfg: &cpu.Config{Window: 1 << 44, Width: 4}}, "Window"},
+		{"window past max", Spec{CPUCfg: &cpu.Config{Window: cpu.MaxWindow + 1}}, "Window"},
+		{"negative window", Spec{CPUCfg: &cpu.Config{Window: -1}}, "Window"},
+		{"width 2^40", Spec{CPUCfg: &cpu.Config{Window: 256, Width: 1 << 40}}, "Width"},
+		{"negative width", Spec{CPUCfg: &cpu.Config{Width: -4}}, "Width"},
+		{"l2 2^40 bytes", Spec{MemCfg: mcfg(func(c *memsys.Config) { c.L2Size = 1 << 40 })}, "L2Size"},
+		{"l1 past max", Spec{MemCfg: mcfg(func(c *memsys.Config) { c.L1Size = 64 * (memsys.MaxCacheLines + 1) })}, "L1Size"},
+		{"block 2^30", Spec{MemCfg: mcfg(func(c *memsys.Config) { c.BlockSize = 1 << 30 })}, "BlockSize"},
+		{"banks 2^40", Spec{DRAMCfg: &dram.Config{Banks: 1 << 40}}, "Banks"},
+	}
+	for _, tc := range bad {
+		tc.sp.Name = tc.name
+		tc.sp.Components = []Component{{Kind: "stream"}}
+		err := tc.sp.Validate()
+		if !errors.Is(err, ErrBadOptions) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate err = %v, want ErrBadOptions naming %s", tc.name, err, tc.want)
+		}
+		if _, err := RunSingleSpec("mst", workload.Params{Scale: 0.05, Seed: 5}, tc.sp); !errors.Is(err, ErrBadOptions) {
+			t.Errorf("%s: RunSingleSpec err = %v, want ErrBadOptions", tc.name, err)
+		}
+		if _, err := RunMultiSpec([]string{"mst", "health"}, workload.Params{Scale: 0.05, Seed: 5}, tc.sp); !errors.Is(err, ErrBadOptions) {
+			t.Errorf("%s: RunMultiSpec err = %v, want ErrBadOptions", tc.name, err)
+		}
+	}
+	for _, sp := range []Spec{
+		{CPUCfg: &cpu.Config{}},
+		{CPUCfg: &cpu.Config{Window: cpu.MaxWindow, Width: cpu.MaxWidth}},
+		{MemCfg: mcfg(func(c *memsys.Config) { c.L2Size = 64 * memsys.MaxCacheLines })},
+		{MemCfg: mcfg(func(c *memsys.Config) { c.BlockSize = memsys.MaxBlockSize })},
+		{MemCfg: mcfg(func(c *memsys.Config) { c.BlockSize = 4 })}, // a 1 MiB L2 of 2^18 lines
+		{DRAMCfg: &dram.Config{Banks: dram.MaxBanks}},
+	} {
+		if err := sp.Validate(); err != nil {
+			t.Errorf("in-bounds spec rejected: %v", err)
+		}
 	}
 }
 

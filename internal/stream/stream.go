@@ -73,8 +73,8 @@ func (p *Prefetcher) SetLevel(l prefetch.AggLevel) { p.level = l.Clamp() }
 // SetEnabled turns prefetch issue on or off (PAB baseline support).
 func (p *Prefetcher) SetEnabled(on bool) { p.Enabled = on }
 
-// OnFill implements memsys.Prefetcher (stream prefetching ignores contents).
-func (p *Prefetcher) OnFill(memsys.FillEvent) {}
+// The prefetcher trains on demand accesses and ignores block contents.
+var _ memsys.AccessObserver = (*Prefetcher)(nil)
 
 // OnAccess trains the stream table. Demand L2 misses allocate and train
 // streams; demand accesses inside a monitored region advance it.
