@@ -18,17 +18,6 @@ type CDPConfig struct {
 	// Recursive (prefetch-fill) scans always prefetch all pointers, per
 	// Section 3. Nil reproduces the original Cooksey CDP.
 	Hints *HintTable
-	// AttributeRecursion controls pointer-group attribution of recursive
-	// prefetches. When false (the default), only depth-1 prefetches — the
-	// ones that directly fetch a pointer belonging to PG(L, X) — count
-	// toward the PG's usefulness, matching the paper's Figure 3 ("the set
-	// of all prefetches generated to prefetch P1, P2, P3 ... form PG1's
-	// prefetches"). When true, recursive prefetches inherit the root PG,
-	// the alternative reading of Section 3; that reading dilutes every
-	// root PG with its recursion's fan-out and classifies nearly all PGs
-	// harmful on fan-heavy structures, which contradicts the paper's
-	// Figure 10, so it is off by default.
-	AttributeRecursion bool
 }
 
 // DefaultCDPConfig returns the paper's CDP parameters (original mode).
@@ -108,7 +97,10 @@ var _ memsys.FillObserver = (*CDP)(nil)
 // bit vector when hints are configured: only beneficial pointer groups
 // generate prefetches, each attributed to its PG(L, X). CDP-prefetched fills
 // are scanned recursively up to the aggressiveness-controlled maximum depth,
-// prefetching all pointers and inheriting the root PG.
+// prefetching all pointers. Recursive prefetches belong to no PG: only
+// depth-1 prefetches, the ones that directly fetch a pointer of PG(L, X),
+// count toward its usefulness, per the paper's Figure 3 ("the set of all
+// prefetches generated to prefetch P1, P2, P3 ... form PG1's prefetches").
 func (c *CDP) OnFill(ev memsys.FillEvent) {
 	if !c.Enabled {
 		return
@@ -152,10 +144,6 @@ func (c *CDP) OnFill(ev memsys.FillEvent) {
 		if int(ev.Depth) >= c.MaxDepth() {
 			return
 		}
-		pg := prefetch.PGKey(0)
-		if c.cfg.AttributeRecursion {
-			pg = ev.PG
-		}
 		for w := 0; w < c.blockWords && w*4 < len(ev.Data); w++ {
 			v := word(ev.Data, w)
 			if !c.isPointer(v, ev.BlockAddr) {
@@ -166,7 +154,6 @@ func (c *CDP) OnFill(ev memsys.FillEvent) {
 				Addr:  v,
 				Src:   prefetch.SrcCDP,
 				Depth: ev.Depth + 1,
-				PG:    pg,
 			})
 		}
 	}

@@ -144,31 +144,31 @@ func TestECDPUnprofiledLoadPrefetchesNothing(t *testing.T) {
 	}
 }
 
-func TestRecursivePrefetchAllPointersInheritsPG(t *testing.T) {
+// TestRecursivePrefetchAllPointersNoPG: a CDP-prefetched block is scanned
+// for all pointers even under ECDP (the hint filter applies only to demand
+// fills), and the recursive prefetches are attributed to no pointer group,
+// not to the root PG that led to the block (paper Figure 3).
+func TestRecursivePrefetchAllPointersNoPG(t *testing.T) {
 	hints := NewHintTable()
 	hints.Mark(7, 1)
 	cfg := DefaultCDPConfig()
 	cfg.Hints = hints
-	cfg.AttributeRecursion = true
 	s := &sink{}
 	c := NewCDP(cfg, s)
-	rootPG := prefetch.MakePGKey(7, 1)
-	// A CDP-prefetched block: even under ECDP, all pointers are prefetched
-	// (the hint filter applies only to demand fills), inheriting the root PG.
 	data := block(map[int]uint32{
 		0: 0x1000_1000,
 		9: 0x1000_9000,
 	})
 	c.OnFill(memsys.FillEvent{
 		Now: 500, BlockAddr: 0x1000_2000, Data: data,
-		Cause: prefetch.SrcCDP, Depth: 1, PG: rootPG, TriggerOff: -1,
+		Cause: prefetch.SrcCDP, Depth: 1, PG: prefetch.MakePGKey(7, 1), TriggerOff: -1,
 	})
 	if len(s.reqs) != 2 {
 		t.Fatalf("recursive scan issued %d, want 2", len(s.reqs))
 	}
 	for _, r := range s.reqs {
-		if r.PG != rootPG || r.Depth != 2 {
-			t.Fatalf("recursive request %+v, want root PG and depth 2", r)
+		if r.PG != 0 || r.Depth != 2 {
+			t.Fatalf("recursive request %+v, want no PG and depth 2", r)
 		}
 	}
 }

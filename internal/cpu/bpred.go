@@ -16,37 +16,23 @@ type predictor interface {
 // Predictor kind names accepted by OoOOptions.Predictor.
 const (
 	PredBimodal = "bimodal"
-	PredGshare  = "gshare"
 	PredTAGE    = "tage"
 )
 
-// newPredictor builds the named predictor. historyBits parameterizes gshare
-// (clamped to 2..20); bimodal and TAGE have fixed sizes.
-func newPredictor(kind string, historyBits int) (predictor, error) {
+// newPredictor builds the named predictor ("" is bimodal).
+func newPredictor(kind string) (predictor, error) {
 	switch kind {
 	case "", PredBimodal:
 		return newBimodal(bimodalBits), nil
-	case PredGshare:
-		if historyBits <= 0 {
-			historyBits = 12
-		}
-		if historyBits < 2 {
-			historyBits = 2
-		}
-		if historyBits > 20 {
-			historyBits = 20
-		}
-		return newGshare(historyBits), nil
 	case PredTAGE:
 		return newTAGE(), nil
 	default:
-		return nil, fmt.Errorf("unknown predictor %q (known: %s, %s, %s)",
-			kind, PredBimodal, PredGshare, PredTAGE)
+		return nil, fmt.Errorf("unknown predictor %q (known: %s, %s)",
+			kind, PredBimodal, PredTAGE)
 	}
 }
 
-// bimodalBits sizes the bimodal table (and the gshare counter table) at
-// 2^12 = 4096 two-bit counters.
+// bimodalBits sizes the bimodal table at 2^12 = 4096 two-bit counters.
 const bimodalBits = 12
 
 // bimodal is a PC-indexed table of saturating two-bit counters, initialized
@@ -78,45 +64,6 @@ func (b *bimodal) update(pc uint32, taken bool) {
 	} else if b.ctr[i] > 0 {
 		b.ctr[i]--
 	}
-}
-
-// gshare XORs a global branch-history register into the counter index,
-// separating dynamic instances of the same static branch by path.
-type gshare struct {
-	ctr      []uint8
-	hist     uint32
-	histMask uint32
-	mask     uint32
-}
-
-func newGshare(historyBits int) *gshare {
-	g := &gshare{
-		ctr:      make([]uint8, 1<<bimodalBits),
-		histMask: 1<<historyBits - 1,
-		mask:     1<<bimodalBits - 1,
-	}
-	for i := range g.ctr {
-		g.ctr[i] = 2
-	}
-	return g
-}
-
-func (g *gshare) index(pc uint32) uint32 { return ((pc >> 2) ^ g.hist) & g.mask }
-
-func (g *gshare) predict(pc uint32) bool { return g.ctr[g.index(pc)] >= 2 }
-
-func (g *gshare) update(pc uint32, taken bool) {
-	i := g.index(pc)
-	bit := uint32(0)
-	if taken {
-		if g.ctr[i] < 3 {
-			g.ctr[i]++
-		}
-		bit = 1
-	} else if g.ctr[i] > 0 {
-		g.ctr[i]--
-	}
-	g.hist = (g.hist<<1 | bit) & g.histMask
 }
 
 // tage is a small TAGE variant: a bimodal base predictor plus four

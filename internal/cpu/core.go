@@ -8,49 +8,29 @@ import (
 	"ldsprefetch/internal/trace"
 )
 
-// OoOOptions parameterizes the speculative out-of-order core (NewOoO).
+// OoOOptions parameterizes the speculative out-of-order core (NewOoO). The
+// front end fetches at the issue Width, a mispredicted branch costs a
+// fixed mispredictPenalty-cycle refill, and each misprediction injects
+// wrongPathDepth wrong-path loads.
 type OoOOptions struct {
-	// Predictor selects the branch predictor: "bimodal" (default),
-	// "gshare", or "tage".
+	// Predictor selects the branch predictor: "bimodal" (default) or
+	// "tage".
 	Predictor string `json:"predictor,omitempty"`
-	// HistoryBits is the gshare global-history length (default 12).
-	HistoryBits int `json:"history_bits,omitempty"`
-	// FetchWidth is the fetch bandwidth in instructions per cycle
-	// (default: the core's issue Width).
-	FetchWidth int `json:"fetch_width,omitempty"`
-	// MispredictPenalty is the fetch-redirect penalty in cycles after a
-	// mispredicted branch resolves (default 15: pipeline refill).
-	MispredictPenalty int `json:"mispredict_penalty,omitempty"`
-	// WrongPathDepth bounds the speculative wrong-path loads injected per
-	// misprediction (default 4; 0 uses the default, negative disables
-	// wrong-path traffic entirely).
-	WrongPathDepth int `json:"wrong_path_depth,omitempty"`
 }
 
 // Validate checks option values without building anything.
 func (o *OoOOptions) Validate() error {
-	if _, err := newPredictor(o.Predictor, o.HistoryBits); err != nil {
-		return err
-	}
-	if o.HistoryBits < 0 {
-		return fmt.Errorf("history_bits must be >= 0, got %d", o.HistoryBits)
-	}
-	if o.FetchWidth < 0 {
-		return fmt.Errorf("fetch_width must be >= 0, got %d", o.FetchWidth)
-	}
-	if o.MispredictPenalty < 0 {
-		return fmt.Errorf("mispredict_penalty must be >= 0, got %d", o.MispredictPenalty)
-	}
-	return nil
+	_, err := newPredictor(o.Predictor)
+	return err
 }
 
-// DefaultMispredictPenalty is the fetch-redirect penalty when OoOOptions
-// leaves it zero.
-const DefaultMispredictPenalty = 15
+// mispredictPenalty is the fetch-redirect penalty in cycles after a
+// mispredicted branch resolves (pipeline refill).
+const mispredictPenalty = 15
 
-// DefaultWrongPathDepth is the per-misprediction wrong-path load budget when
-// OoOOptions leaves it zero.
-const DefaultWrongPathDepth = 4
+// wrongPathDepth is the number of speculative wrong-path loads injected per
+// misprediction.
+const wrongPathDepth = 4
 
 // Core is one core replaying a trace against a memory system: in-order
 // issue, out-of-order completion, in-order retire, total cycles = retire
@@ -89,11 +69,11 @@ type Core struct {
 	lastIssue  int64
 	lastRetire int64
 
-	// Speculative front end, used only when pred is non-nil.
+	// Speculative front end, used only when pred is non-nil. Fetch runs at
+	// the issue width, so issue bandwidth also bounds fetch.
 	pred       predictor
-	penalty    int64
-	wpDepth    int
-	fetch      slots // fetch bandwidth (FetchWidth/cycle)
+	penalty    int64 // mispredictPenalty; tests vary it
+	wpDepth    int   // wrongPathDepth; tests vary it (0 disables)
 	redirectAt int64 // no op may issue before this (mispredict refill)
 
 	// Wrong-path address synthesis state: the last demand load address and
@@ -181,29 +161,15 @@ func (s *slots) take(t int64, n uint8) {
 // have passed Validate.
 func NewOoO(cfg Config, opts OoOOptions, ms *memsys.MemSys, tr *trace.Trace) *Core {
 	c := NewInterval(cfg, ms, tr)
-	pred, err := newPredictor(opts.Predictor, opts.HistoryBits)
+	pred, err := newPredictor(opts.Predictor)
 	if err != nil {
 		// Unreachable when opts passed Validate; fail deterministically
 		// rather than limp on without a predictor.
 		panic(fmt.Sprintf("cpu: %v", err))
 	}
 	c.pred = pred
-	if opts.FetchWidth > 0 {
-		c.fetch = newSlots(opts.FetchWidth)
-	} else {
-		c.fetch = newSlots(c.cfg.Width)
-	}
-	c.penalty = int64(opts.MispredictPenalty)
-	if c.penalty == 0 {
-		c.penalty = DefaultMispredictPenalty
-	}
-	c.wpDepth = opts.WrongPathDepth
-	if c.wpDepth == 0 {
-		c.wpDepth = DefaultWrongPathDepth
-	}
-	if c.wpDepth < 0 {
-		c.wpDepth = 0
-	}
+	c.penalty = mispredictPenalty
+	c.wpDepth = wrongPathDepth
 	return c
 }
 
@@ -251,17 +217,11 @@ func (c *Core) step(n int, horizon int64) int {
 		instr := op.Instructions()
 		cum := c.cumInstr + instr
 
-		// Issue bandwidth: Width instructions per cycle, in order. The
-		// speculative front end's fetch bandwidth and any pending fetch
-		// redirect also gate entry into the window.
+		// Issue bandwidth: Width instructions per cycle, in order. Any
+		// pending fetch redirect also gates entry into the window.
 		t := c.issue.cycle
-		if spec {
-			if ft := c.fetch.cycle; ft > t {
-				t = ft
-			}
-			if t < c.redirectAt {
-				t = c.redirectAt
-			}
+		if t < c.redirectAt {
+			t = c.redirectAt
 		}
 		if t < c.lastIssue {
 			t = c.lastIssue
@@ -274,9 +234,6 @@ func (c *Core) step(n int, horizon int64) int {
 			c.windowTail++
 		}
 		c.issue.take(t, op.N)
-		if spec {
-			c.fetch.take(t, op.N)
-		}
 		c.lastIssue = t
 
 		// Execute when the producer's value is ready.

@@ -17,13 +17,13 @@
 //     window/MSHR limits while dependent (pointer-chasing) misses
 //     serialize — at dependence-graph cost.
 //   - "ooo" (NewOoO, with a predictor) — the same loop plus a speculative
-//     front end: a fetch stage gated at FetchWidth instructions per cycle,
-//     every branch predicted at fetch (bimodal, gshare, or a small TAGE
-//     variant) and resolved one cycle after its condition producer
-//     completes, a fetch-redirect penalty after each misprediction, and
-//     misprediction-driven wrong-path memory accesses that genuinely reach
-//     the memory system (consuming MSHRs and DRAM bandwidth, polluting
-//     caches) before being squashed at resolve. Wrong-path addresses are
+//     front end: fetch at the issue width, every branch predicted at fetch
+//     (bimodal or a small TAGE variant) and resolved one cycle after its
+//     condition producer completes, a 15-cycle fetch-redirect penalty after
+//     each misprediction, and four wrong-path memory accesses per
+//     misprediction that genuinely reach the memory system (consuming
+//     MSHRs and DRAM bandwidth, polluting caches) before being squashed at
+//     resolve. Wrong-path addresses are
 //     synthesized deterministically from the program's own state (the last
 //     pointer value loaded from a linked structure, chased through
 //     simulated memory, alternating with sequential next-block

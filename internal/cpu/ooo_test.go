@@ -28,8 +28,8 @@ func TestPredictorsLearnBiasedBranch(t *testing.T) {
 	for i := range dirs {
 		dirs[i] = true
 	}
-	for _, kind := range []string{PredBimodal, PredGshare, PredTAGE} {
-		p, err := newPredictor(kind, 0)
+	for _, kind := range []string{PredBimodal, PredTAGE} {
+		p, err := newPredictor(kind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,31 +43,29 @@ func TestPredictorsLearnBiasedBranch(t *testing.T) {
 func TestHistoryPredictorsLearnAlternation(t *testing.T) {
 	// A strictly alternating branch defeats per-PC counters (bimodal
 	// oscillates around 50%) but is a pure function of one history bit, so
-	// the history-indexed predictors must learn it.
+	// the history-indexed TAGE must learn it.
 	dirs := make([]bool, 2048)
 	for i := range dirs {
 		dirs[i] = i%2 == 0
 	}
 	const pc, warmup = 0xa_0114, 256
-	bi, _ := newPredictor(PredBimodal, 0)
+	bi, _ := newPredictor(PredBimodal)
 	base := mispredicts(bi, pc, dirs, warmup)
 	if lo := (len(dirs) - warmup) / 4; base < lo {
 		t.Fatalf("bimodal got %d mispredicts on alternation, expected >= %d (should not learn it)", base, lo)
 	}
-	for _, kind := range []string{PredGshare, PredTAGE} {
-		p, _ := newPredictor(kind, 0)
-		if wrong := mispredicts(p, pc, dirs, warmup); wrong > base/4 {
-			t.Errorf("%s: %d mispredicts on alternation vs bimodal's %d; history is not helping", kind, wrong, base)
-		}
+	p, _ := newPredictor(PredTAGE)
+	if wrong := mispredicts(p, pc, dirs, warmup); wrong > base/4 {
+		t.Errorf("tage: %d mispredicts on alternation vs bimodal's %d; history is not helping", wrong, base)
 	}
 }
 
 func TestNewPredictorUnknownKind(t *testing.T) {
-	_, err := newPredictor("psychic", 0)
+	_, err := newPredictor("psychic")
 	if err == nil {
 		t.Fatal("newPredictor accepted an unknown kind")
 	}
-	for _, want := range []string{"psychic", PredBimodal, PredGshare, PredTAGE} {
+	for _, want := range []string{"psychic", PredBimodal, PredTAGE} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
@@ -81,11 +79,10 @@ func TestOptionsValidate(t *testing.T) {
 		want string // substring of the error; "" means valid
 	}{
 		{"defaults", OoOOptions{}, ""},
-		{"tage, wrong-path disabled", OoOOptions{Predictor: PredTAGE, WrongPathDepth: -1}, ""},
+		{"bimodal", OoOOptions{Predictor: PredBimodal}, ""},
+		{"tage", OoOOptions{Predictor: PredTAGE}, ""},
 		{"unknown predictor", OoOOptions{Predictor: "psychic"}, "unknown predictor"},
-		{"negative history", OoOOptions{HistoryBits: -4}, "history_bits"},
-		{"negative fetch width", OoOOptions{FetchWidth: -2}, "fetch_width"},
-		{"negative penalty", OoOOptions{MispredictPenalty: -1}, "mispredict_penalty"},
+		{"retired gshare", OoOOptions{Predictor: "gshare"}, "unknown predictor"},
 	}
 	for _, tc := range cases {
 		err := tc.opts.Validate()
@@ -124,8 +121,17 @@ func chaseTrace(m *mem.Memory) *trace.Trace {
 }
 
 func run(opts OoOOptions, m *mem.Memory, tr *trace.Trace) (*Core, Result, memsys.Stats) {
+	return runWith(opts, nil, m, tr)
+}
+
+// runWith is run with tune, when non-nil, applied to the fresh core: the
+// tests set its fixed front-end parameters through it.
+func runWith(opts OoOOptions, tune func(*Core), m *mem.Memory, tr *trace.Trace) (*Core, Result, memsys.Stats) {
 	ms := memsys.New(memsys.DefaultConfig(), m, dram.NewController(dram.DefaultConfig(1)))
 	c := NewOoO(DefaultConfig(), opts, ms, tr)
+	if tune != nil {
+		tune(c)
+	}
 	for !c.Done() {
 		c.Step(64)
 	}
@@ -155,15 +161,15 @@ func TestRunDeterministicWithWrongPathTraffic(t *testing.T) {
 	}
 }
 
-func TestWrongPathDepthNegativeDisablesTraffic(t *testing.T) {
+func TestWrongPathDepthZeroDisablesTraffic(t *testing.T) {
 	m := mem.New()
 	tr := chaseTrace(m)
-	_, r, s := run(OoOOptions{WrongPathDepth: -1}, m, tr)
+	_, r, s := runWith(OoOOptions{}, func(c *Core) { c.wpDepth = 0 }, m, tr)
 	if r.Mispredicts == 0 {
 		t.Fatalf("expected mispredictions: %+v", r)
 	}
 	if r.WrongPath != 0 || s.WrongPathAccesses != 0 || s.WrongPathToDRAM != 0 {
-		t.Fatalf("wrong-path traffic with depth -1: %+v / %+v", r, s)
+		t.Fatalf("wrong-path traffic with depth 0: %+v / %+v", r, s)
 	}
 }
 
@@ -172,8 +178,8 @@ func TestMispredictPenaltyCostsCycles(t *testing.T) {
 	tr := chaseTrace(m)
 	// Disable wrong-path traffic so the comparison isolates the refill
 	// penalty from cache-pollution side effects.
-	_, cheap, _ := run(OoOOptions{MispredictPenalty: 1, WrongPathDepth: -1}, m, tr)
-	_, dear, _ := run(OoOOptions{MispredictPenalty: 60, WrongPathDepth: -1}, m, tr)
+	_, cheap, _ := runWith(OoOOptions{}, func(c *Core) { c.penalty, c.wpDepth = 1, 0 }, m, tr)
+	_, dear, _ := runWith(OoOOptions{}, func(c *Core) { c.penalty, c.wpDepth = 60, 0 }, m, tr)
 	if cheap.Mispredicts != dear.Mispredicts {
 		t.Fatalf("penalty changed prediction outcomes: %d vs %d mispredicts",
 			cheap.Mispredicts, dear.Mispredicts)

@@ -52,45 +52,56 @@ func shapeTrace() *trace.Trace {
 // TestCoreShapes pins the cycle counts of both core models over issue
 // widths and window sizes the golden reports never run: widths that do and
 // do not divide trace.MaxBatch, a one-entry window, and windows just below,
-// at and past the paper's 256. The ooo core runs with a fetch width unlike
-// its issue width. The expectations were recorded from the division-based
-// bandwidth counters and 258-entry rings that preceded the remainder
-// counters and power-of-two rings, so any drift in either shows here.
+// at and past the paper's 256. The ooo core runs with both predictors. The
+// interval expectations were recorded from the division-based bandwidth
+// counters and 258-entry rings that preceded the remainder counters and
+// power-of-two rings, and the ooo ones from the core that still kept a
+// separate fetch-bandwidth counter, so any drift in either shows here.
 func TestCoreShapes(t *testing.T) {
 	// Cycles per window size, in the order of windows.
 	windows := []int{1, 100, 256, 257}
 	shapes := []struct {
-		ooo    bool
+		pred   string // "" runs the interval core
 		width  int
 		cycles []int64
 	}{
-		{false, 1, []int64{125648, 82854, 57656, 57085}},
-		{false, 3, []int64{102266, 64655, 48125, 47866}},
-		{false, 4, []int64{99717, 62478, 47018, 46835}},
-		{false, 6, []int64{97233, 60301, 45943, 45824}},
-		{true, 1, []int64{122592, 78563, 54134, 53375}},
-		{true, 3, []int64{98911, 60690, 44047, 43759}},
-		{true, 4, []int64{100380, 63351, 46254, 45704}},
-		{true, 6, []int64{95285, 58142, 42789, 42542}},
+		{"", 1, []int64{125648, 82854, 57656, 57085}},
+		{"", 3, []int64{102266, 64655, 48125, 47866}},
+		{"", 4, []int64{99717, 62478, 47018, 46835}},
+		{"", 6, []int64{97233, 60301, 45943, 45824}},
+		{PredBimodal, 1, []int64{122637, 79430, 54888, 54234}},
+		{PredBimodal, 3, []int64{99434, 61439, 44560, 44275}},
+		{PredBimodal, 4, []int64{96892, 59348, 43365, 43151}},
+		{PredBimodal, 6, []int64{94439, 57251, 42199, 42047}},
+		{PredTAGE, 1, []int64{122374, 79415, 55025, 54337}},
+		{PredTAGE, 3, []int64{98846, 61627, 44939, 44655}},
+		{PredTAGE, 4, []int64{96336, 59590, 43795, 43580}},
+		{PredTAGE, 6, []int64{93989, 57529, 42665, 42512}},
+	}
+	// Branch outcomes do not depend on the timing parameters.
+	speculative := map[string]Result{
+		PredBimodal: {Retired: 25902, Branches: 269, Mispredicts: 116, WrongPath: 464},
+		PredTAGE:    {Retired: 25902, Branches: 269, Mispredicts: 125, WrongPath: 500},
 	}
 	for _, sh := range shapes {
 		for i, window := range windows {
 			tr := shapeTrace()
 			ms := memsys.New(memsys.DefaultConfig(), tr.Mem, dram.NewController(dram.DefaultConfig(1)))
 			cfg := Config{Window: window, Width: sh.width}
-			want := Result{Cycles: sh.cycles[i], Retired: 25633}
+			want := Result{Retired: 25633}
 			var c *Core
-			if sh.ooo {
-				c = NewOoO(cfg, OoOOptions{Predictor: PredGshare, FetchWidth: sh.width%4 + 2}, ms, tr)
-				want = Result{Cycles: sh.cycles[i], Retired: 25902, Branches: 269, Mispredicts: 109, WrongPath: 436}
+			if sh.pred != "" {
+				c = NewOoO(cfg, OoOOptions{Predictor: sh.pred}, ms, tr)
+				want = speculative[sh.pred]
 			} else {
 				c = NewInterval(cfg, ms, tr)
 			}
+			want.Cycles = sh.cycles[i]
 			for !c.Done() {
 				c.Step(101)
 			}
 			if got := c.Result(); got != want {
-				t.Errorf("ooo=%v width=%d window=%d: got %+v, want %+v", sh.ooo, sh.width, window, got, want)
+				t.Errorf("pred=%q width=%d window=%d: got %+v, want %+v", sh.pred, sh.width, window, got, want)
 			}
 		}
 	}

@@ -312,9 +312,9 @@ func TestSubmitSpecValidation(t *testing.T) {
 		{"throttle+fdp conflict",
 			`{"benchmarks":["mst"],"specs":[{"name":"x","components":[{"kind":"stream"},{"kind":"throttle"},{"kind":"fdp"}]}]}`,
 			"claim prefetcher aggressiveness control"},
-		{"negative hwfilter bits",
+		{"removed hwfilter option",
 			`{"benchmarks":["mst"],"specs":[{"name":"x","components":[{"kind":"stream"},{"kind":"cdp"},{"kind":"hwfilter","options":{"bits":-8}}]}]}`,
-			"bits must be >= 0"},
+			`unknown field "bits"`},
 		{"pab without switchable pair",
 			`{"benchmarks":["mst"],"specs":[{"name":"x","components":[{"kind":"stream"},{"kind":"pab"}]}]}`,
 			"switchable"},
@@ -330,6 +330,9 @@ func TestSubmitSpecValidation(t *testing.T) {
 		{"bad core options",
 			`{"benchmarks":["mst"],"specs":[{"name":"x","components":[{"kind":"stream"}],"core":{"kind":"ooo","options":{"predictor":"psychic"}}}]}`,
 			"predictor"},
+		{"removed core option",
+			`{"benchmarks":["mst"],"specs":[{"name":"x","components":[{"kind":"stream"}],"core":{"kind":"ooo","options":{"wrong_path_depth":1000000000}}}]}`,
+			"wrong_path_depth"},
 		{"setups is rejected",
 			`{"benchmarks":["mst"],"setups":[{"Name":"x","Stream":true,"Throttle":true,"FDP":true}]}`,
 			`unknown field "setups"`},

@@ -17,12 +17,24 @@ func accountedOutcomes(m memsys.Stats) int64 {
 	return m.L1Hits + m.InFlightMerges + m.L2DemandHits + m.L2DemandMisses
 }
 
+// busTransfers is the bus traffic r's counters account for: every demand
+// L2 miss the IdealLDS oracle did not turn into a hit, every issued
+// prefetch, every wrong-path fetch that went to DRAM, and every writeback.
+func busTransfers(r Result) int64 {
+	n := r.Mem.L2DemandMisses - r.Mem.IdealLDSHits + r.Mem.WrongPathToDRAM + r.Mem.Writebacks
+	for _, issued := range r.Issued {
+		n += issued
+	}
+	return n
+}
+
 // TestAccountingIdentities checks the counter identities that hold on every
 // named configuration under both core models: each access has one outcome,
-// no prefetcher is credited with more useful prefetches than it issued, the
-// interval core sees no branches and no wrong path, and the ooo core's
-// mispredictions and wrong-path DRAM fetches are subsets of its branches
-// and wrong-path loads.
+// every bus transfer is a demand miss, an issued prefetch, a wrong-path
+// fetch or a writeback, no prefetcher is credited with more useful
+// prefetches than it issued, the interval core sees no branches and no
+// wrong path, and the ooo core's mispredictions and wrong-path DRAM
+// fetches are subsets of its branches and wrong-path loads.
 func TestAccountingIdentities(t *testing.T) {
 	p := workload.Params{Scale: 0.05, Seed: 5}
 	g, _ := workload.Get("mst")
@@ -42,6 +54,10 @@ func TestAccountingIdentities(t *testing.T) {
 			if sum := accountedOutcomes(m); sum != m.Accesses {
 				t.Errorf("%s/%s: L1Hits %d + InFlightMerges %d + L2DemandHits %d + L2DemandMisses %d = %d, want Accesses %d",
 					config, coreKind, m.L1Hits, m.InFlightMerges, m.L2DemandHits, m.L2DemandMisses, sum, m.Accesses)
+			}
+			if n := busTransfers(r); n != r.BusTransfers {
+				t.Errorf("%s/%s: counters account for %d bus transfers, controller counted %d",
+					config, coreKind, n, r.BusTransfers)
 			}
 			for src := prefetch.Source(0); src < prefetch.NumSources; src++ {
 				if r.Used[src] > r.Issued[src] {
@@ -79,12 +95,41 @@ func TestAccountingIdentities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := busTransfers(r); n != r.BusTransfers {
+		t.Errorf("no-pollution: counters account for %d bus transfers, controller counted %d", n, r.BusTransfers)
+	}
 	sum := accountedOutcomes(r.Mem)
 	if sum >= r.Mem.Accesses {
 		t.Fatalf("no-pollution: outcomes sum %d, accesses %d: side-buffer hits are now counted; assert the identity here instead",
 			sum, r.Mem.Accesses)
 	}
 	t.Logf("no-pollution: %d of %d accesses counted in no outcome", r.Mem.Accesses-sum, r.Mem.Accesses)
+}
+
+// TestMixBusAccounting extends the bus identity to a shared-DRAM mix: the
+// per-core counters together account for every transfer on the shared bus.
+func TestMixBusAccounting(t *testing.T) {
+	p := workload.Params{Scale: 0.05, Seed: 5}
+	for _, config := range []string{"stream", "cdp+throttle"} {
+		for _, coreKind := range []string{CoreInterval, CoreOoO} {
+			sp, err := Named(config, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mr, err := RunMultiSpec([]string{"mst", "health"}, p, sp.WithCore(coreKind, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var n int64
+			for _, r := range mr.PerCore {
+				n += busTransfers(r)
+			}
+			if n != mr.BusTransfers {
+				t.Errorf("%s/%s: per-core counters account for %d bus transfers, the shared controller counted %d",
+					config, coreKind, n, mr.BusTransfers)
+			}
+		}
+	}
 }
 
 // TestExplicitIntervalCoreMatchesDefault requires a spec that names the

@@ -19,65 +19,13 @@ import (
 	"ldsprefetch/internal/telemetry"
 )
 
-// StreamOptions parameterizes the POWER4-style stream prefetcher.
-type StreamOptions struct {
-	// Streams is the number of tracked streams (0 = the paper's 32).
-	Streams int `json:"streams,omitempty"`
-}
-
-// CDPOptions parameterizes the content-directed prefetcher. The hint table
-// that turns CDP into ECDP is spec-level input (Spec.Hints), not an option:
-// hints are profiled per benchmark, options describe hardware.
-type CDPOptions struct {
-	// CompareBits is the number of high-order address bits compared when
-	// guessing whether a scanned value is a pointer (0 = the paper's 8).
-	CompareBits int `json:"compare_bits,omitempty"`
-	// AttributeRecursion attributes recursive prefetches to the root
-	// pointer group (see core.CDPConfig; off reproduces the paper).
-	AttributeRecursion bool `json:"attribute_recursion,omitempty"`
-}
-
-// MarkovOptions parameterizes the Markov correlation prefetcher baseline.
-type MarkovOptions struct {
-	// TableEntries sizes the correlation table (0 = the paper's 1 MB table).
-	TableEntries int `json:"table_entries,omitempty"`
-}
-
-// GHBOptions parameterizes the G/DC global-history-buffer baseline.
-type GHBOptions struct {
-	// Entries sizes the history buffer and index table (0 = 1024).
-	Entries int `json:"entries,omitempty"`
-}
-
-// DBPOptions parameterizes the dependence-based prefetcher baseline.
-type DBPOptions struct {
-	// PPWSize is the potential-producer window size (0 = 128).
-	PPWSize int `json:"ppw_size,omitempty"`
-	// TableCap caps the correlation table (0 = 256).
-	TableCap int `json:"table_cap,omitempty"`
-}
-
 // ThrottleOptions parameterizes the paper's coordinated prefetcher
-// throttling (Section 4, Table 3).
+// throttling (Section 4, Table 3). It is the only component with options:
+// every other kind takes none, and its table sizes are the paper's.
 type ThrottleOptions struct {
 	// Thresholds overrides the accuracy/coverage decision thresholds
 	// (nil = core.DefaultThresholds).
 	Thresholds *core.Thresholds `json:"thresholds,omitempty"`
-}
-
-// FDPOptions parameterizes the feedback-directed prefetching baseline
-// (Srinath et al.), which throttles each prefetcher on its own metrics.
-type FDPOptions struct {
-	// Thresholds overrides the FDP decision thresholds
-	// (nil = fdp.DefaultThresholds).
-	Thresholds *fdp.Thresholds `json:"thresholds,omitempty"`
-}
-
-// HWFilterOptions parameterizes the Zhuang-Lee hardware pollution filter
-// that gates CDP requests.
-type HWFilterOptions struct {
-	// Bits sizes the filter table (0 = the paper's 8 KB = 65536 bits).
-	Bits int `json:"bits,omitempty"`
 }
 
 // buildEnv is the per-run context components build against: the assembled
@@ -102,8 +50,8 @@ type instance struct {
 }
 
 // component is one entry of the component table: a spec kind with its
-// typed, versioned options and either a prefetcher constructor or a control
-// policy's install hook.
+// version and either a prefetcher constructor or a control policy's install
+// hook.
 type component struct {
 	kind string
 	// version participates in cache keys; bump it whenever the component's
@@ -121,41 +69,29 @@ type component struct {
 	claimsThrottle bool
 	minSwitchable  int
 
-	// newOptions allocates the typed options struct at its defaults;
-	// validate (optional) checks it after decoding.
+	// newOptions allocates the typed options struct at its defaults; nil
+	// means the kind takes no options.
 	newOptions func() any
-	validate   func(opts any) error
 
 	// Exactly one of prefetcher and install is set. prefetcher builds the
 	// prefetcher against env; install wires a policy over every prefetcher
 	// built for the run (pfs, in spec order), after all of them attached.
-	prefetcher func(env *buildEnv, opts any) instance
+	prefetcher func(env *buildEnv) instance
 	install    func(env *buildEnv, opts any, pfs []instance)
 }
 
 // components is the catalog of spec kinds: the paper's stream prefetcher,
 // (E)CDP and coordinated throttling, plus the rivals it compares against.
 // It is sorted by kind, which is the order catalogs and errors list them in.
+// Table sizes are the paper's (or the rival's published) constants.
 var components = []component{
 	{
 		kind: "cdp", version: 1,
 		throttleable: true, switchable: true, consumesHints: true,
-		newOptions: func() any { return new(CDPOptions) },
-		validate: func(opts any) error {
-			if o := opts.(*CDPOptions); o.CompareBits < 0 || o.CompareBits > 32 {
-				return fmt.Errorf("compare_bits must be in [0, 32], got %d", o.CompareBits)
-			}
-			return nil
-		},
-		prefetcher: func(env *buildEnv, opts any) instance {
-			o := opts.(*CDPOptions)
+		prefetcher: func(env *buildEnv) instance {
 			cfg := core.DefaultCDPConfig()
 			cfg.BlockSize = env.blockSize
 			cfg.Hints = env.hints
-			if o.CompareBits != 0 {
-				cfg.CompareBits = o.CompareBits
-			}
-			cfg.AttributeRecursion = o.AttributeRecursion
 			cd := core.NewCDP(cfg, env.ms)
 			return instance{pf: cd, src: prefetch.SrcCDP, throttleable: cd, switchable: cd}
 		},
@@ -163,40 +99,18 @@ var components = []component{
 	{
 		kind: "dbp", version: 1,
 		throttleable: true,
-		newOptions:   func() any { return new(DBPOptions) },
-		validate: func(opts any) error {
-			o := opts.(*DBPOptions)
-			if o.PPWSize < 0 {
-				return fmt.Errorf("ppw_size must be >= 0, got %d", o.PPWSize)
-			}
-			if o.TableCap < 0 {
-				return fmt.Errorf("table_cap must be >= 0, got %d", o.TableCap)
-			}
-			return nil
-		},
-		prefetcher: func(env *buildEnv, opts any) instance {
-			o := opts.(*DBPOptions)
-			ppw, tcap := o.PPWSize, o.TableCap
-			if ppw == 0 {
-				ppw = 128
-			}
-			if tcap == 0 {
-				tcap = 256
-			}
-			db := dbp.New(ppw, tcap, env.ms.Mem(), env.ms)
+		prefetcher: func(env *buildEnv) instance {
+			// A 128-entry potential-producer window, a 256-entry
+			// correlation table.
+			db := dbp.New(128, 256, env.ms.Mem(), env.ms)
 			return instance{pf: db, src: prefetch.SrcDBP, throttleable: db}
 		},
 	},
 	{
 		kind: "fdp", version: 1,
 		claimsThrottle: true,
-		newOptions:     func() any { return new(FDPOptions) },
-		install: func(env *buildEnv, opts any, pfs []instance) {
-			th := fdp.DefaultThresholds()
-			if o := opts.(*FDPOptions); o.Thresholds != nil {
-				th = *o.Thresholds
-			}
-			ctl := fdp.NewController(th, env.ms.Feedback())
+		install: func(env *buildEnv, _ any, pfs []instance) {
+			ctl := fdp.NewController(fdp.DefaultThresholds(), env.ms.Feedback())
 			n := 0
 			for _, inst := range pfs {
 				if inst.throttleable != nil {
@@ -212,19 +126,8 @@ var components = []component{
 	{
 		kind: "ghb", version: 1,
 		throttleable: true,
-		newOptions:   func() any { return new(GHBOptions) },
-		validate: func(opts any) error {
-			if o := opts.(*GHBOptions); o.Entries < 0 {
-				return fmt.Errorf("entries must be >= 0, got %d", o.Entries)
-			}
-			return nil
-		},
-		prefetcher: func(env *buildEnv, opts any) instance {
-			n := opts.(*GHBOptions).Entries
-			if n == 0 {
-				n = 1024
-			}
-			gh := ghb.New(n, env.ms.BlockShift(), env.ms)
+		prefetcher: func(env *buildEnv) instance {
+			gh := ghb.New(1024, env.ms.BlockShift(), env.ms)
 			return instance{pf: gh, src: prefetch.SrcGHB, throttleable: gh}
 		},
 	},
@@ -233,19 +136,8 @@ var components = []component{
 		// instances: it gates every CDP request and learns from every CDP
 		// outcome.
 		kind: "hwfilter", version: 1,
-		newOptions: func() any { return new(HWFilterOptions) },
-		validate: func(opts any) error {
-			if o := opts.(*HWFilterOptions); o.Bits < 0 {
-				return fmt.Errorf("bits must be >= 0 (0 = the default 65536), got %d", o.Bits)
-			}
-			return nil
-		},
-		install: func(env *buildEnv, opts any, _ []instance) {
-			bits := opts.(*HWFilterOptions).Bits
-			if bits == 0 {
-				bits = 8 << 10 * 8
-			}
-			f := hwfilter.New(bits, env.ms.BlockShift())
+		install: func(env *buildEnv, _ any, _ []instance) {
+			f := hwfilter.New(8<<10*8, env.ms.BlockShift()) // the paper's 8 KB
 			ms := env.ms
 			ms.FilterPrefetch = func(r prefetch.Request) bool {
 				if r.Src != prefetch.SrcCDP {
@@ -267,28 +159,16 @@ var components = []component{
 	{
 		kind: "markov", version: 1,
 		throttleable: true,
-		newOptions:   func() any { return new(MarkovOptions) },
-		validate: func(opts any) error {
-			if o := opts.(*MarkovOptions); o.TableEntries < 0 {
-				return fmt.Errorf("table_entries must be >= 0, got %d", o.TableEntries)
-			}
-			return nil
-		},
-		prefetcher: func(env *buildEnv, opts any) instance {
-			n := opts.(*MarkovOptions).TableEntries
-			if n == 0 {
-				n = markov.TableEntriesFor1MB
-			}
-			mk := markov.New(n, env.ms.BlockShift(), env.ms)
+		prefetcher: func(env *buildEnv) instance {
+			mk := markov.New(markov.TableEntriesFor1MB, env.ms.BlockShift(), env.ms)
 			return instance{pf: mk, src: prefetch.SrcMarkov, throttleable: mk}
 		},
 	},
 	{
-		// Gendler-style best-prefetcher-only selection. It has no options;
-		// selecting one prefetcher needs at least two switchable candidates.
+		// Gendler-style best-prefetcher-only selection: selecting one
+		// prefetcher needs at least two switchable candidates.
 		kind: "pab", version: 1,
 		minSwitchable: 2,
-		newOptions:    func() any { return new(struct{}) },
 		install: func(env *buildEnv, _ any, pfs []instance) {
 			sel := pab.NewSelector(env.ms.Feedback())
 			for _, inst := range pfs {
@@ -302,19 +182,8 @@ var components = []component{
 	{
 		kind: "stream", version: 1,
 		throttleable: true, switchable: true,
-		newOptions: func() any { return new(StreamOptions) },
-		validate: func(opts any) error {
-			if o := opts.(*StreamOptions); o.Streams < 0 {
-				return fmt.Errorf("streams must be >= 0, got %d", o.Streams)
-			}
-			return nil
-		},
-		prefetcher: func(env *buildEnv, opts any) instance {
-			n := opts.(*StreamOptions).Streams
-			if n == 0 {
-				n = 32
-			}
-			sp := stream.New(n, env.ms.BlockShift(), env.ms)
+		prefetcher: func(env *buildEnv) instance {
+			sp := stream.New(32, env.ms.BlockShift(), env.ms)
 			return instance{pf: sp, src: prefetch.SrcStream, throttleable: sp, switchable: sp}
 		},
 	},
@@ -382,8 +251,11 @@ func (sp Spec) decode(comp Component) (*component, any, error) {
 		return nil, nil, &SpecError{Spec: sp.Name, Component: comp.Kind, Err: ErrUnknownComponent,
 			Reason: (&UnknownComponentError{Kind: comp.Kind}).Error()}
 	}
-	opts := c.newOptions()
-	if err := decodeOptions(comp.Kind, comp.Options, opts, c.validate); err != nil {
+	var opts any = new(struct{})
+	if c.newOptions != nil {
+		opts = c.newOptions()
+	}
+	if err := decodeOptions(comp.Kind, comp.Options, opts); err != nil {
 		return nil, nil, &SpecError{Spec: sp.Name, Component: comp.Kind, Err: ErrBadOptions,
 			Reason: err.Error()}
 	}
@@ -391,25 +263,21 @@ func (sp Spec) decode(comp Component) (*component, any, error) {
 }
 
 // decodeOptions decodes raw into opts, a pointer to a typed options struct
-// holding its defaults, then runs validate (when non-nil) on it. Empty or
-// null raw keeps the defaults; unknown fields and trailing data are errors,
-// so misspelled option names cannot be silently ignored (and cannot leak
-// into cache keys). Errors are prefixed with kind.
-func decodeOptions(kind string, raw json.RawMessage, opts any, validate func(any) error) error {
-	if len(raw) > 0 && !bytes.Equal(bytes.TrimSpace(raw), []byte("null")) {
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(opts); err != nil {
-			return fmt.Errorf("%s options: %w", kind, err)
-		}
-		if dec.More() {
-			return fmt.Errorf("%s options: trailing data after JSON value", kind)
-		}
+// holding its defaults. Empty or null raw keeps the defaults; unknown
+// fields and trailing data are errors, so misspelled or removed option
+// names cannot be silently ignored (and cannot leak into cache keys).
+// Errors are prefixed with kind.
+func decodeOptions(kind string, raw json.RawMessage, opts any) error {
+	if len(raw) == 0 || bytes.Equal(bytes.TrimSpace(raw), []byte("null")) {
+		return nil
 	}
-	if validate != nil {
-		if err := validate(opts); err != nil {
-			return fmt.Errorf("%s options: %w", kind, err)
-		}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(opts); err != nil {
+		return fmt.Errorf("%s options: %w", kind, err)
+	}
+	if dec.More() {
+		return fmt.Errorf("%s options: trailing data after JSON value", kind)
 	}
 	return nil
 }

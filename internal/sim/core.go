@@ -47,11 +47,14 @@ func (sp Spec) decodeCore() (*cpu.OoOOptions, error) {
 	var opts *cpu.OoOOptions
 	switch sp.Core.Kind {
 	case CoreInterval:
-		err = decodeOptions(CoreInterval, sp.Core.Options, &struct{}{}, nil)
+		err = decodeOptions(CoreInterval, sp.Core.Options, &struct{}{})
 	case CoreOoO:
 		opts = new(cpu.OoOOptions)
-		err = decodeOptions(CoreOoO, sp.Core.Options, opts,
-			func(any) error { return opts.Validate() })
+		if err = decodeOptions(CoreOoO, sp.Core.Options, opts); err == nil {
+			if err = opts.Validate(); err != nil {
+				err = fmt.Errorf("%s options: %w", CoreOoO, err)
+			}
+		}
 	default:
 		return nil, &SpecError{Spec: sp.Name, Component: sp.Core.Kind, Err: ErrUnknownComponent,
 			Reason: (&UnknownCoreError{Kind: sp.Core.Kind}).Error()}

@@ -39,11 +39,11 @@ func TestDecodeCoreOptions(t *testing.T) {
 			t.Fatalf("raw %q decoded to non-defaults %+v", raw, o)
 		}
 	}
-	o, err := decodeOoO(json.RawMessage(`{"predictor":"gshare","history_bits":14}`))
+	o, err := decodeOoO(json.RawMessage(`{"predictor":"tage"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Predictor != "gshare" || o.HistoryBits != 14 {
+	if o.Predictor != "tage" {
 		t.Fatalf("decoded %+v", o)
 	}
 

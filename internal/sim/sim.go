@@ -155,7 +155,7 @@ func assemble(bench string, p workload.Params, sp Spec, ctrl *dram.Controller, c
 		if pt.prefetcher == nil {
 			continue
 		}
-		inst := pt.prefetcher(env, pt.opts)
+		inst := pt.prefetcher(env)
 		ms.Attach(inst.pf)
 		if trc != nil {
 			trc.Sources = append(trc.Sources, inst.src)

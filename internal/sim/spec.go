@@ -17,15 +17,16 @@ import (
 // Component is one entry of a Spec: a component kind plus its JSON-encoded
 // options. Empty or null options mean the kind's defaults; the option schema
 // of each kind is its entry's options struct in the component table
-// (components.go).
+// (components.go), and a kind without one takes no options.
 type Component struct {
 	Kind    string          `json:"kind"`
 	Options json.RawMessage `json:"options,omitempty"`
 }
 
-// NewComponent builds a Component from typed options (one of the *Options
-// structs). nil opts means defaults. It panics if opts cannot be marshaled,
-// which cannot happen for the scalar-only options structs.
+// NewComponent builds a Component from typed options (ThrottleOptions, or
+// cpu.OoOOptions for a core). nil opts means defaults. It panics if opts
+// cannot be marshaled, which cannot happen for the scalar-only options
+// structs.
 func NewComponent(kind string, opts any) Component {
 	c := Component{Kind: kind}
 	if opts != nil {
@@ -151,9 +152,9 @@ var (
 	// ErrComponentConflict: components that cannot coexist (a duplicate
 	// kind, or two policies claiming throttle control, e.g. throttle+fdp).
 	ErrComponentConflict = errors.New("conflicting components")
-	// ErrBadOptions: a component's options failed to decode or validate,
-	// or a hardware override (cpu_cfg, mem_cfg, dram_cfg) is out of
-	// bounds.
+	// ErrBadOptions: a component's options failed to decode or validate
+	// (including a field the kind does not take), or a hardware override
+	// (cpu_cfg, mem_cfg, dram_cfg) is out of bounds.
 	ErrBadOptions = errors.New("invalid component options")
 	// ErrBadComposition: a structurally valid spec that cannot work (hints
 	// with no consumer, pab with fewer than two switchable prefetchers).
