@@ -130,7 +130,7 @@ func main() {
 
 	ctx := exp.NewContext()
 	ctx.Params = workload.Params{Scale: o.scale, Seed: o.seed}
-	ctx.TrainParams = workload.Params{Scale: o.scale * workload.Train().Scale, Seed: workload.Train().Seed}
+	ctx.TrainParams = workload.TrainFor(ctx.Params)
 	ctx.Parallel = o.par
 	ctx.TraceDir = o.traceDir
 	ctx.CacheDir = o.cache

@@ -189,7 +189,7 @@ func main() {
 	// its result store, and trace persistence.
 	ctx := exp.NewContext()
 	ctx.Params = workload.Params{Scale: o.scale, Seed: o.seed}
-	ctx.TrainParams.Scale *= o.scale
+	ctx.TrainParams = workload.TrainFor(ctx.Params)
 	ctx.TraceDir = o.traceDir
 	ctx.CacheDir = o.cache
 	ctx.Jobs() // opens the result store; a failure is recorded as a job error

@@ -133,8 +133,7 @@ func infoCmd(args []string) {
 	if !*stats {
 		return
 	}
-	var loads, lds, stores, computes, branches, taken uint64
-	var instructions int64
+	var s trace.Stats
 	for {
 		op, err := r.Next()
 		if err == io.EOF {
@@ -143,28 +142,12 @@ func infoCmd(args []string) {
 		if err != nil {
 			fatal("ldstrace info:", err)
 		}
-		instructions += op.Instructions()
-		switch op.Kind {
-		case trace.Load:
-			loads++
-			if op.LDS {
-				lds++
-			}
-		case trace.Store:
-			stores++
-		case trace.Branch:
-			branches++
-			if op.Taken {
-				taken++
-			}
-		default:
-			computes++
-		}
+		s.Add(&op)
 	}
-	fmt.Printf("loads     %d (%d LDS)\n", loads, lds)
-	fmt.Printf("stores    %d\n", stores)
-	fmt.Printf("branches  %d (%d taken)\n", branches, taken)
-	fmt.Printf("computes  %d (%d instructions total)\n", computes, instructions)
+	fmt.Printf("loads     %d (%d LDS)\n", s.Loads, s.LDSLoads)
+	fmt.Printf("stores    %d\n", s.Stores)
+	fmt.Printf("branches  %d (%d taken)\n", s.Branches, s.Taken)
+	fmt.Printf("computes  %d (%d instructions total)\n", s.Computes, s.Instructions)
 	if err := r.Verify(); err != nil {
 		fatal("ldstrace info:", err)
 	}

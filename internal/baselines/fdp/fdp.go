@@ -5,9 +5,15 @@
 // prefetchers. The paper's coordinated throttling outperforms FDP precisely
 // because FDP cannot tell whether a prefetcher performs poorly on its own or
 // because a rival interferes with it.
+//
+// Pollution is FDP's input alone, so the controller attributes it itself,
+// from the memory system's outcome events (OnOutcome).
 package fdp
 
-import "ldsprefetch/internal/prefetch"
+import (
+	"ldsprefetch/internal/memsys"
+	"ldsprefetch/internal/prefetch"
+)
 
 // Thresholds are FDP's six tuning knobs.
 type Thresholds struct {
@@ -42,16 +48,73 @@ type controlled struct {
 	streak int
 }
 
+// pollutionWindow is how many prefetch displacements the controller
+// remembers: a demand miss to a block displaced longer ago is not pollution.
+const pollutionWindow = 4096
+
+// displacement is the remembered displacer of one block. refs counts the
+// ring slots naming the block: a block displaced twice within the window
+// holds two slots and one entry, so recycling the older slot cannot drop the
+// attribution the newer slot still covers.
+type displacement struct {
+	src  prefetch.Source
+	refs int
+}
+
 // Controller throttles each registered prefetcher individually.
 type Controller struct {
 	th  Thresholds
 	fb  *prefetch.Feedback
 	pfs []controlled
+
+	// displacedBy maps each block in ring, the last pollutionWindow
+	// prefetch displacements (0 = empty slot; no simulated block sits at
+	// address 0), to the prefetcher that displaced it. It is never ranged.
+	displacedBy map[uint32]displacement
+	ring        []uint32
+	pos         int
+	// pollution counts, per prefetcher, demand misses to blocks it
+	// displaced; Round folds it at each interval (Equation 3).
+	pollution [prefetch.NumSources]prefetch.Counter
 }
 
-// NewController builds an FDP controller over fb.
+// NewController builds an FDP controller over fb. Subscribe OnOutcome to the
+// memory system whose feedback fb is, so the controller sees pollution.
 func NewController(th Thresholds, fb *prefetch.Feedback) *Controller {
-	return &Controller{th: th, fb: fb}
+	return &Controller{
+		th:          th,
+		fb:          fb,
+		displacedBy: make(map[uint32]displacement),
+		ring:        make([]uint32, pollutionWindow),
+	}
+}
+
+// OnOutcome attributes pollution: a demand miss to a block a prefetch fill
+// displaced within the window counts once against that prefetcher. The
+// entry is then marked SrcDemand rather than deleted (its ring slots still
+// name it), so further misses do not re-count until it is displaced again.
+func (c *Controller) OnOutcome(ev memsys.OutcomeEvent) {
+	switch ev.Kind {
+	case memsys.DisplacedByPrefetch:
+		if old := c.ring[c.pos]; old != 0 {
+			if d := c.displacedBy[old]; d.refs > 1 {
+				d.refs--
+				c.displacedBy[old] = d
+			} else {
+				delete(c.displacedBy, old)
+			}
+		}
+		c.ring[c.pos] = ev.BlockAddr
+		c.pos = (c.pos + 1) % len(c.ring)
+		d := c.displacedBy[ev.BlockAddr]
+		c.displacedBy[ev.BlockAddr] = displacement{src: ev.Src, refs: d.refs + 1}
+	case memsys.DemandMiss:
+		if d, ok := c.displacedBy[ev.BlockAddr]; ok && d.src.IsPrefetch() {
+			c.pollution[d.src].Inc()
+			d.src = prefetch.SrcDemand
+			c.displacedBy[ev.BlockAddr] = d
+		}
+	}
 }
 
 // Add registers a prefetcher for individual throttling.
@@ -78,7 +141,13 @@ func (c *Controller) Install() {
 //	accuracy medium& polluting     → throttle down
 //	accuracy medium& otherwise     → no change
 //	accuracy low                   → throttle down
+//
+// It first folds the interval's pollution counts, so it must run once per
+// interval (Install hooks it on the interval boundary).
 func (c *Controller) Round() {
+	for i := range c.pollution {
+		c.pollution[i].EndInterval()
+	}
 	for i := range c.pfs {
 		p := &c.pfs[i]
 		st := &c.fb.Sources[p.src]
@@ -89,7 +158,7 @@ func (c *Controller) Round() {
 		}
 		pol := 0.0
 		if m := c.fb.DemandMisses.Value(); m > 0 {
-			pol = st.Pollution.Value() / m
+			pol = c.pollution[p.src].Value() / m
 		}
 		var dir int
 		switch {

@@ -53,10 +53,10 @@ func (f *Filter) Allow(r prefetch.Request) bool {
 	return true
 }
 
-// Outcome records a resolved prefetch, implementing the memsys
-// OnPrefetchOutcome hook: useless evictions set the suppress bit, useful
+// Outcome records a resolved prefetch of blockAddr (a memsys PrefetchUsed
+// or PrefetchUseless event): useless evictions set the suppress bit, useful
 // prefetches clear it.
-func (f *Filter) Outcome(blockAddr uint32, _ prefetch.Source, used bool) {
+func (f *Filter) Outcome(blockAddr uint32, used bool) {
 	w, b := f.idx(blockAddr)
 	if used {
 		f.bits[w] &^= b

@@ -22,7 +22,7 @@ func TestAllowsByDefault(t *testing.T) {
 
 func TestUselessOutcomeSuppresses(t *testing.T) {
 	f := New(1<<16, 6)
-	f.Outcome(0x1000_0000, prefetch.SrcCDP, false)
+	f.Outcome(0x1000_0000, false)
 	if f.Allow(req(0x1000_0000)) {
 		t.Fatal("block with useless history must be filtered")
 	}
@@ -35,8 +35,8 @@ func TestUselessOutcomeSuppresses(t *testing.T) {
 
 func TestUsefulOutcomeClears(t *testing.T) {
 	f := New(1<<16, 6)
-	f.Outcome(0x1000_0000, prefetch.SrcCDP, false)
-	f.Outcome(0x1000_0000, prefetch.SrcCDP, true)
+	f.Outcome(0x1000_0000, false)
+	f.Outcome(0x1000_0000, true)
 	if !f.Allow(req(0x1000_0000)) {
 		t.Fatal("useful outcome must clear the suppress bit")
 	}

@@ -188,22 +188,22 @@ func (c *Controller) access(addr uint32, t int64, demand, real bool) int64 {
 		// Demands queue only behind other demands at the bank and the bus,
 		// paying at most half an in-service low-priority access/transfer
 		// (non-preemption) when the full FIFO view is busier.
-		bankStart := max64(start, c.bankFreeDem[b])
+		bankStart := max(start, c.bankFreeDem[b])
 		bankStart += nonPreempt(c.bankFree[b], bankStart, c.cfg.BankCycles)
 		bankDone = bankStart + c.cfg.BankCycles
 		c.bankFreeDem[b] = bankDone
-		c.bankFree[b] = max64(c.bankFree[b], bankDone)
+		c.bankFree[b] = max(c.bankFree[b], bankDone)
 
-		busStart := max64(bankDone, c.busFreeDem)
+		busStart := max(bankDone, c.busFreeDem)
 		busStart += nonPreempt(c.busFree, busStart, c.cfg.BusCycles)
 		busDone = busStart + c.cfg.BusCycles
 		c.busFreeDem = busDone
-		c.busFree = max64(c.busFree, busDone)
+		c.busFree = max(c.busFree, busDone)
 	} else {
-		bankStart := max64(start, c.bankFree[b])
+		bankStart := max(start, c.bankFree[b])
 		bankDone = bankStart + c.cfg.BankCycles
 		c.bankFree[b] = bankDone
-		busStart := max64(bankDone, c.busFree)
+		busStart := max(bankDone, c.busFree)
 		busDone = busStart + c.cfg.BusCycles
 		c.busFree = busDone
 	}
@@ -247,17 +247,14 @@ func (c *Controller) Writeback(addr uint32, t int64) {
 // suppresses the transfer counter (see access).
 func (c *Controller) writeback(addr uint32, t int64, real bool) {
 	start := t + c.cfg.CtrlCycles
-	busStart := max64(start, c.busFree)
+	busStart := max(start, c.busFree)
 	c.busFree = busStart + c.cfg.BusCycles
 	b := c.bank(addr)
-	c.bankFree[b] = max64(c.bankFree[b], busStart+c.cfg.BusCycles) + c.cfg.BankCycles
+	c.bankFree[b] = max(c.bankFree[b], busStart+c.cfg.BusCycles) + c.cfg.BankCycles
 	if real {
 		c.Transfers++
 	}
 }
-
-// Outstanding returns the number of in-flight requests as of the last call.
-func (c *Controller) Outstanding() int { return len(c.pending) }
 
 // OutstandingAt returns the number of requests still in flight at cycle t.
 // Unlike Congested it never mutates the pending heap, so telemetry can
@@ -289,11 +286,4 @@ func (c *Controller) PrefetchBacklog(t int64) int64 {
 		return 0
 	}
 	return c.busFree - ref
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

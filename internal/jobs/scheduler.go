@@ -103,9 +103,6 @@ func New(cfg Config) *Scheduler {
 // sink configured via Config.Metrics).
 func (s *Scheduler) Metrics() *Metrics { return s.metrics }
 
-// Capacity returns the size of the worker pool this scheduler draws from.
-func (s *Scheduler) Capacity() int { return cap(s.slots) }
-
 // Records returns the completion records so far, in completion order.
 func (s *Scheduler) Records() []Record {
 	s.mu.Lock()

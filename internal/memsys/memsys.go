@@ -46,6 +46,12 @@
 // informing-load profiler). Block contents are read from the memory image
 // only when at least one FillObserver is attached, so a configuration with
 // no content scanner pays for no block copies.
+//
+// ObserveOutcomes subscribes a function to prefetch outcomes (OutcomeEvent):
+// a prefetched block used or left unused, a block displaced by a prefetch
+// fill, and an L2 demand miss. The pointer-group profiler, the hardware
+// prefetch filter and FDP read them; FDP, not the memory system, decides
+// which demand misses count as pollution.
 package memsys
 
 import (
@@ -219,6 +225,38 @@ type FillEvent struct {
 	TriggerIsLoad bool
 }
 
+// OutcomeKind names a prefetch-outcome event.
+type OutcomeKind uint8
+
+const (
+	// PrefetchUsed: a demand access consumed a prefetched block for the
+	// first time (an L2 hit, an in-flight merge or a side-buffer hit).
+	PrefetchUsed OutcomeKind = iota
+	// PrefetchUseless: a prefetched block was evicted unused, or was left
+	// unused at the end of the run (FlushAccounting).
+	PrefetchUseless
+	// DisplacedByPrefetch: a prefetch fill displaced the block from the L2.
+	DisplacedByPrefetch
+	// DemandMiss: a demand access missed the L2 and the side buffer. It is
+	// delivered before the miss's own fill displaces a victim.
+	DemandMiss
+)
+
+// OutcomeEvent is one prefetch outcome, delivered to every function
+// subscribed with ObserveOutcomes.
+type OutcomeEvent struct {
+	Kind OutcomeKind
+	// BlockAddr is the block-aligned address of the block concerned.
+	BlockAddr uint32
+	// Src is the prefetcher that fetched the block (PrefetchUsed,
+	// PrefetchUseless) or whose fill displaced it (DisplacedByPrefetch);
+	// SrcDemand for DemandMiss.
+	Src prefetch.Source
+	// PG is the root pointer group of a used or useless CDP block, 0
+	// otherwise.
+	PG prefetch.PGKey
+}
+
 // Prefetcher is what every attached prefetcher or observer implements.
 // Prefetchers issue requests through the Issuer they were constructed with
 // (the MemSys itself). The event hooks are optional: Attach subscribes a
@@ -284,9 +322,10 @@ type MemSys struct {
 	ctrl *dram.Controller
 	fb   *prefetch.Feedback
 
-	// Attached hooks, each in attach order (see Attach).
-	accessObs []AccessObserver
-	fillObs   []FillObserver
+	// Attached hooks, each in attach order (see Attach, ObserveOutcomes).
+	accessObs  []AccessObserver
+	fillObs    []FillObserver
+	outcomeObs []func(OutcomeEvent)
 
 	mshr    heap64.Heap // demand-miss fill completions
 	pfQueue heap64.Heap // prefetch fill completions
@@ -313,14 +352,7 @@ type MemSys struct {
 	// been overwritten long before such a request could issue).
 	lastDemand int64
 
-	// evictedBy tracks blocks recently displaced by prefetch fills, for
-	// pollution attribution (FDP baseline). Bounded ring over a fixed
-	// open-addressed table (srcMap): exact map semantics, zero steady-state
-	// allocation.
-	evictedBy *srcMap
-	evictRing []uint32
-	evictPos  int
-	sideBuf   map[uint32]sideLine // NoPollution oracle
+	sideBuf map[uint32]sideLine // NoPollution oracle
 
 	blockBuf []byte // content-scan buffer, shared by every FillEvent
 	stats    Stats
@@ -328,15 +360,6 @@ type MemSys struct {
 	// FilterPrefetch, if set, gates every prefetch request before issue
 	// (hardware prefetch filter / PAB baselines). Return false to drop.
 	FilterPrefetch func(r prefetch.Request) bool
-	// OnPGUseful / OnPGUseless observe pointer-group outcomes: a
-	// CDP-prefetched block consumed by demand, or evicted (or left at end
-	// of run) unused. The profiling pass hooks these.
-	OnPGUseful  func(pg prefetch.PGKey)
-	OnPGUseless func(pg prefetch.PGKey)
-	// OnPrefetchOutcome observes per-block prefetch outcomes for the
-	// hardware-filter baseline: used=true when a demand consumed the block,
-	// used=false when it was evicted unused.
-	OnPrefetchOutcome func(blockAddr uint32, src prefetch.Source, used bool)
 }
 
 // ResolvePrefetchCongestionLimit is the single place the congestion limit's
@@ -367,15 +390,13 @@ func New(cfg Config, mm *mem.Memory, ctrl *dram.Controller) *MemSys {
 		cfg.Cores = 1
 	}
 	ms := &MemSys{
-		cfg:       cfg,
-		mm:        mm,
-		ctrl:      ctrl,
-		l1:        cache.New("L1D", cfg.L1Size, cfg.L1Ways, cfg.BlockSize),
-		l2:        cache.New("L2", cfg.L2Size, cfg.L2Ways, cfg.BlockSize),
-		fb:        prefetch.NewFeedback(cfg.IntervalLen),
-		evictedBy: newSrcMap(13), // 8192 slots: 2x the 4096-entry ring
-		evictRing: make([]uint32, 4096),
-		blockBuf:  make([]byte, cfg.BlockSize),
+		cfg:      cfg,
+		mm:       mm,
+		ctrl:     ctrl,
+		l1:       cache.New("L1D", cfg.L1Size, cfg.L1Ways, cfg.BlockSize),
+		l2:       cache.New("L2", cfg.L2Size, cfg.L2Ways, cfg.BlockSize),
+		fb:       prefetch.NewFeedback(cfg.IntervalLen),
+		blockBuf: make([]byte, cfg.BlockSize),
 	}
 	ms.pfTokens = 32 // fair-share burst allowance (see Issue)
 	if cfg.NoPollution {
@@ -394,6 +415,12 @@ func (ms *MemSys) Attach(p Prefetcher) {
 	if o, ok := p.(FillObserver); ok {
 		ms.fillObs = append(ms.fillObs, o)
 	}
+}
+
+// ObserveOutcomes subscribes fn to every prefetch outcome (see
+// OutcomeEvent). Subscribers receive each event in subscription order.
+func (ms *MemSys) ObserveOutcomes(fn func(OutcomeEvent)) {
+	ms.outcomeObs = append(ms.outcomeObs, fn)
 }
 
 // Feedback returns the run-time feedback counters.
@@ -428,26 +455,15 @@ func (ms *MemSys) notifyFill(blk uint32, ev FillEvent) {
 	}
 }
 
-// recordEvictedBy remembers that blk was displaced by a fill from src. The
-// ring and the table are kept in sync by reference counting: a block evicted
-// twice within the ring window occupies two ring slots and one table entry
-// with count 2, so recycling the older slot (release) cannot drop the
-// attribution the newer slot still covers. Plain put/del here would desync
-// the two — put collapses duplicates to one entry, and the older slot's del
-// then removes the entry the newer slot still points at.
-func (ms *MemSys) recordEvictedBy(blk uint32, src prefetch.Source) {
-	old := ms.evictRing[ms.evictPos]
-	if old != 0 {
-		ms.evictedBy.release(old)
+func (ms *MemSys) notifyOutcome(ev OutcomeEvent) {
+	for _, fn := range ms.outcomeObs {
+		fn(ev)
 	}
-	ms.evictRing[ms.evictPos] = blk
-	ms.evictPos = (ms.evictPos + 1) % len(ms.evictRing)
-	ms.evictedBy.ref(blk, src)
 }
 
 // handleVictim performs eviction bookkeeping for a displaced L2 line:
-// writeback of dirty data, useless-prefetch accounting, pollution tracking,
-// and the feedback interval tick.
+// writeback of dirty data, useless-prefetch accounting, the victim's
+// outcome events, and the feedback interval tick.
 func (ms *MemSys) handleVictim(victim cache.Line, insertedBy prefetch.Source, now int64) {
 	vaddr := victim.Tag << ms.l2.BlockShift()
 	if victim.Dirty {
@@ -456,15 +472,10 @@ func (ms *MemSys) handleVictim(victim cache.Line, insertedBy prefetch.Source, no
 	}
 	if victim.PrefSrc.IsPrefetch() && !victim.Used {
 		ms.stats.UselessEvicted[victim.PrefSrc]++
-		if victim.PrefSrc == prefetch.SrcCDP && victim.PG != 0 && ms.OnPGUseless != nil {
-			ms.OnPGUseless(victim.PG)
-		}
-		if ms.OnPrefetchOutcome != nil {
-			ms.OnPrefetchOutcome(vaddr, victim.PrefSrc, false)
-		}
+		ms.notifyOutcome(OutcomeEvent{Kind: PrefetchUseless, BlockAddr: vaddr, Src: victim.PrefSrc, PG: victim.PG})
 	}
 	if insertedBy.IsPrefetch() {
-		ms.recordEvictedBy(vaddr, insertedBy)
+		ms.notifyOutcome(OutcomeEvent{Kind: DisplacedByPrefetch, BlockAddr: vaddr, Src: insertedBy})
 	}
 	ms.fb.EvictionAt(now)
 }
@@ -479,12 +490,7 @@ func (ms *MemSys) creditPrefetch(l *cache.Line, now int64) {
 	if l.ReadyAt > now {
 		st.Late.Inc()
 	}
-	if l.PrefSrc == prefetch.SrcCDP && l.PG != 0 && ms.OnPGUseful != nil {
-		ms.OnPGUseful(l.PG)
-	}
-	if ms.OnPrefetchOutcome != nil {
-		ms.OnPrefetchOutcome(l.Tag<<ms.l2.BlockShift(), l.PrefSrc, true)
-	}
+	ms.notifyOutcome(OutcomeEvent{Kind: PrefetchUsed, BlockAddr: l.Tag << ms.l2.BlockShift(), Src: l.PrefSrc, PG: l.PG})
 	l.Used = true
 }
 
@@ -503,7 +509,7 @@ func (ms *MemSys) Access(addr, pc uint32, isLoad, lds bool, now int64) int64 {
 	if l := ms.l1.Lookup(addr, true); l != nil {
 		ms.stats.L1Hits++
 		ev.L1Hit = true
-		complete := max64(now, l.ReadyAt) + ms.cfg.L1Lat
+		complete := max(now, l.ReadyAt) + ms.cfg.L1Lat
 		ev.CompleteAt = complete
 		ms.notifyAccess(ev)
 		if !isLoad {
@@ -544,7 +550,7 @@ func (ms *MemSys) Access(addr, pc uint32, isLoad, lds bool, now int64) int64 {
 			ev.L2Hit = true
 		}
 		ms.creditPrefetch(l, t2)
-		complete := max64(t2, l.ReadyAt) + ms.cfg.L2Lat
+		complete := max(t2, l.ReadyAt) + ms.cfg.L2Lat
 		ms.fillL1(addr, complete, !isLoad)
 		if !isLoad {
 			l.Dirty = true
@@ -563,9 +569,7 @@ func (ms *MemSys) Access(addr, pc uint32, isLoad, lds bool, now int64) int64 {
 			if sl.readyAt > t2 {
 				st.Late.Inc()
 			}
-			if sl.src == prefetch.SrcCDP && sl.pg != 0 && ms.OnPGUseful != nil {
-				ms.OnPGUseful(sl.pg)
-			}
+			ms.notifyOutcome(OutcomeEvent{Kind: PrefetchUsed, BlockAddr: blk, Src: sl.src, PG: sl.pg})
 			// Promote into L2 as a used prefetched block.
 			nl, victim, had := ms.l2.Insert(blk)
 			if had {
@@ -574,7 +578,7 @@ func (ms *MemSys) Access(addr, pc uint32, isLoad, lds bool, now int64) int64 {
 			nl.PrefSrc = sl.src
 			nl.Used = true
 			nl.ReadyAt = sl.readyAt
-			complete := max64(t2, sl.readyAt) + ms.cfg.L2Lat
+			complete := max(t2, sl.readyAt) + ms.cfg.L2Lat
 			ms.fillL1(addr, complete, !isLoad)
 			if !isLoad {
 				nl.Dirty = true
@@ -589,14 +593,7 @@ func (ms *MemSys) Access(addr, pc uint32, isLoad, lds bool, now int64) int64 {
 	// True L2 demand miss.
 	ms.stats.L2DemandMisses++
 	ms.fb.DemandMisses.Inc()
-	if src, ok := ms.evictedBy.get(blk); ok && src.IsPrefetch() {
-		ms.fb.Sources[src].Pollution.Inc()
-		// Mark consumed in place rather than deleting: the ring slots still
-		// reference the entry, and each will release its reference as it is
-		// recycled. A SrcDemand value means "already attributed" — further
-		// misses to the block must not re-count until it is displaced again.
-		ms.evictedBy.consume(blk, prefetch.SrcDemand)
-	}
+	ms.notifyOutcome(OutcomeEvent{Kind: DemandMiss, BlockAddr: blk})
 
 	if ms.cfg.IdealLDS && lds && isLoad {
 		// Oracle: the LDS miss is converted into an L2 hit.
@@ -623,7 +620,7 @@ func (ms *MemSys) Access(addr, pc uint32, isLoad, lds bool, now int64) int64 {
 	ms.mshr.PopLE(reqT)
 	if ms.cfg.MSHRs > 0 && len(ms.mshr) >= ms.cfg.MSHRs {
 		earliest := ms.mshr.Pop()
-		reqT = max64(reqT, earliest)
+		reqT = max(reqT, earliest)
 	}
 
 	ready := ms.ctrl.Access(blk, reqT, true)
@@ -669,7 +666,7 @@ func (ms *MemSys) Access(addr, pc uint32, isLoad, lds bool, now int64) int64 {
 // access-side demand statistics and feedback counters are not touched (only
 // the WrongPath* counters are), and prefetchers are not trained on it.
 // Eviction-side effects of its fills — writebacks, useless-prefetch
-// eviction, pollution attribution, feedback interval ticks — are real:
+// eviction and its outcome event, feedback interval ticks — are real:
 // they are the mechanism by which wrong-path traffic pollutes. See
 // DESIGN.md for what is and isn't modeled.
 func (ms *MemSys) AccessWrongPath(addr uint32, now int64) int64 {
@@ -678,7 +675,7 @@ func (ms *MemSys) AccessWrongPath(addr uint32, now int64) int64 {
 
 	// L1 hit: no resource consumed beyond the port.
 	if l := ms.l1.Lookup(addr, true); l != nil {
-		return max64(now, l.ReadyAt) + ms.cfg.L1Lat
+		return max(now, l.ReadyAt) + ms.cfg.L1Lat
 	}
 	t2 := now + ms.cfg.L1Lat
 
@@ -687,7 +684,7 @@ func (ms *MemSys) AccessWrongPath(addr uint32, now int64) int64 {
 	// prefetched lines as used — the attribution metrics count only
 	// committed consumers — but it does refresh recency (LRU pollution).
 	if l := ms.l2.Lookup(addr, true); l != nil {
-		complete := max64(t2, l.ReadyAt) + ms.cfg.L2Lat
+		complete := max(t2, l.ReadyAt) + ms.cfg.L2Lat
 		ms.fillL1(addr, complete, false)
 		return complete
 	}
@@ -697,7 +694,7 @@ func (ms *MemSys) AccessWrongPath(addr uint32, now int64) int64 {
 	ms.mshr.PopLE(reqT)
 	if ms.cfg.MSHRs > 0 && len(ms.mshr) >= ms.cfg.MSHRs {
 		earliest := ms.mshr.Pop()
-		reqT = max64(reqT, earliest)
+		reqT = max(reqT, earliest)
 	}
 	ms.stats.WrongPathToDRAM++
 	ready := ms.ctrl.Access(blk, reqT, true)
@@ -825,12 +822,7 @@ func (ms *MemSys) FlushAccounting() {
 	ms.l2.ForEach(func(l *cache.Line) {
 		if l.PrefSrc.IsPrefetch() && !l.Used {
 			ms.stats.UselessEvicted[l.PrefSrc]++
-			if l.PrefSrc == prefetch.SrcCDP && l.PG != 0 && ms.OnPGUseless != nil {
-				ms.OnPGUseless(l.PG)
-			}
-			if ms.OnPrefetchOutcome != nil {
-				ms.OnPrefetchOutcome(l.Tag<<ms.l2.BlockShift(), l.PrefSrc, false)
-			}
+			ms.notifyOutcome(OutcomeEvent{Kind: PrefetchUseless, BlockAddr: l.Tag << ms.l2.BlockShift(), Src: l.PrefSrc, PG: l.PG})
 		}
 	})
 	if ms.sideBuf != nil {
@@ -841,9 +833,7 @@ func (ms *MemSys) FlushAccounting() {
 		sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
 		for _, blk := range blks {
 			sl := ms.sideBuf[blk]
-			if sl.src == prefetch.SrcCDP && sl.pg != 0 && ms.OnPGUseless != nil {
-				ms.OnPGUseless(sl.pg)
-			}
+			ms.notifyOutcome(OutcomeEvent{Kind: PrefetchUseless, BlockAddr: blk, Src: sl.src, PG: sl.pg})
 		}
 	}
 }
@@ -885,11 +875,4 @@ func (ms *MemSys) PFQueueOccupancyAt(t int64) int {
 		return ms.pfGauge.Len()
 	}
 	return ms.pfQueue.CountGreater(t)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

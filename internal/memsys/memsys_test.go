@@ -118,8 +118,14 @@ func TestPrefetchDropOnCacheHit(t *testing.T) {
 func TestPGUsefulnessHooks(t *testing.T) {
 	ms := newMS(t, nil)
 	var useful, useless []prefetch.PGKey
-	ms.OnPGUseful = func(pg prefetch.PGKey) { useful = append(useful, pg) }
-	ms.OnPGUseless = func(pg prefetch.PGKey) { useless = append(useless, pg) }
+	ms.ObserveOutcomes(func(ev OutcomeEvent) {
+		switch ev.Kind {
+		case PrefetchUsed:
+			useful = append(useful, ev.PG)
+		case PrefetchUseless:
+			useless = append(useless, ev.PG)
+		}
+	})
 
 	pg1 := prefetch.MakePGKey(11, 2)
 	pg2 := prefetch.MakePGKey(11, 3)
@@ -193,6 +199,8 @@ func TestStoreMarksDirtyAndWritesBack(t *testing.T) {
 
 func TestPollutionAttribution(t *testing.T) {
 	ms := newMS(t, nil)
+	var evs []OutcomeEvent
+	ms.ObserveOutcomes(func(ev OutcomeEvent) { evs = append(evs, ev) })
 	base := uint32(0x1000_0000)
 	// Demand-fill a block, evict it from the L1 (so the later re-access
 	// reaches the L2), then evict it from the L2 with prefetch fills.
@@ -206,10 +214,23 @@ func TestPollutionAttribution(t *testing.T) {
 		ms.Access(base+i*8192+4096, 1, true, false, 10000+int64(i)*1000)
 		ms.Issue(prefetch.Request{When: 10000 + int64(i)*1000, Addr: base + i*2048*64, Src: prefetch.SrcCDP})
 	}
-	// Re-access the displaced block: pollution by CDP.
+	// Re-access the displaced block: the events FDP attributes pollution
+	// from, a CDP displacement of base and a later demand miss to it.
 	ms.Access(base, 1, true, false, 50000)
-	if got := ms.Feedback().Sources[prefetch.SrcCDP].Pollution.Raw(); got != 1 {
-		t.Fatalf("pollution = %v, want 1", got)
+	displaced, missed := -1, -1
+	for i, ev := range evs {
+		if ev.BlockAddr != base {
+			continue
+		}
+		switch ev {
+		case OutcomeEvent{Kind: DisplacedByPrefetch, BlockAddr: base, Src: prefetch.SrcCDP}:
+			displaced = i
+		case OutcomeEvent{Kind: DemandMiss, BlockAddr: base}:
+			missed = i
+		}
+	}
+	if displaced < 0 || missed < displaced {
+		t.Fatalf("events for base: displaced at %d, missed at %d; want a CDP displacement, then a demand miss", displaced, missed)
 	}
 }
 
@@ -520,41 +541,6 @@ func TestResolvePrefetchCongestionLimit(t *testing.T) {
 	}
 }
 
-// TestPollutionSurvivesDoubleEviction is the regression test for the
-// eviction-ring/srcMap desync: a block prefetch-evicted twice within the
-// 4096-entry window holds two ring slots but (pre-fix) only one table entry,
-// so recycling the OLDER slot deleted the entry the newer slot still covered
-// and the later demand miss lost its pollution attribution.
-func TestPollutionSurvivesDoubleEviction(t *testing.T) {
-	ms := newMS(t, nil)
-	const blk = uint32(0x3000_0000)
-	// The same block is prefetch-evicted twice: two ring slots, one entry.
-	ms.recordEvictedBy(blk, prefetch.SrcCDP)
-	ms.recordEvictedBy(blk, prefetch.SrcCDP)
-	// 4095 distinct later evictions recycle exactly the first of those slots
-	// (ring size 4096: positions 2..4095, then position 0 again).
-	for i := uint32(0); i < 4095; i++ {
-		ms.recordEvictedBy(0x4000_0040+i*64, prefetch.SrcStream)
-	}
-	// The newer ring slot is still live, so the demand miss must still
-	// attribute pollution to the displacing prefetcher.
-	ms.Access(blk, 1, true, false, 0)
-	if got := ms.Feedback().Sources[prefetch.SrcCDP].Pollution.Raw(); got != 1 {
-		t.Fatalf("pollution = %v, want 1 (attribution dropped by ring/srcMap desync)", got)
-	}
-	// The attribution is consumed in place (not deleted): the ring slot still
-	// references the entry, and re-counting is blocked until re-displacement.
-	if src, ok := ms.evictedBy.get(blk); !ok || src != prefetch.SrcDemand {
-		t.Fatalf("post-attribution entry = %v,%v, want consumed (SrcDemand) entry", src, ok)
-	}
-	// Recycling the last ring slot that references the block removes the
-	// entry — the ring and the table stay in sync.
-	ms.recordEvictedBy(0x5000_0040, prefetch.SrcStream)
-	if _, ok := ms.evictedBy.get(blk); ok {
-		t.Fatal("entry must be deleted when its last ring reference is recycled")
-	}
-}
-
 // TestFairShareUsesConfiguredCores is the regression test for the fair-share
 // token bucket inferring the core count from the request-buffer size
 // (RequestBuffer/32): for a custom buffer the inferred width is wrong, and a
@@ -636,5 +622,86 @@ func TestCongestionLimitZeroEqualsUnset(t *testing.T) {
 	pinned := newMS(t, func(c *Config) { c.PrefetchCongestionLimit = 5 })
 	if got := pinned.Config().PrefetchCongestionLimit; got != 5 {
 		t.Fatalf("explicit limit rewritten to %d, want 5", got)
+	}
+}
+
+// TestOutcomeEventSites pins every emission site of the outcome events, their
+// order, and delivery to each observer in subscription order.
+func TestOutcomeEventSites(t *testing.T) {
+	ms := newMS(t, nil)
+	var a, b []OutcomeEvent
+	var order []string
+	ms.ObserveOutcomes(func(ev OutcomeEvent) { a = append(a, ev); order = append(order, "a") })
+	ms.ObserveOutcomes(func(ev OutcomeEvent) { b = append(b, ev); order = append(order, "b") })
+	const (
+		blkA = uint32(0x1000_0040)
+		blkB = uint32(0x1000_0080)
+		blkC = uint32(0x1000_00c0)
+		setX = uint32(0x2000_0000) // L2 set 0; consecutive ways are 2048*64 apart
+		way  = uint32(2048 * 64)
+	)
+	pgB, pgD := prefetch.MakePGKey(11, 2), prefetch.MakePGKey(12, 3)
+	// L2 hit on a timely prefetch.
+	ms.Issue(prefetch.Request{When: 0, Addr: blkA, Src: prefetch.SrcStream})
+	ms.Access(blkA, 1, true, false, 10000)
+	// In-flight merge with a CDP prefetch.
+	ms.Issue(prefetch.Request{When: 10000, Addr: blkB, Src: prefetch.SrcCDP, Depth: 1, PG: pgB})
+	ms.Access(blkB, 1, true, false, 10010)
+	// Plain demand miss.
+	ms.Access(blkC, 1, true, false, 11000)
+	// Fill set X with an unused CDP prefetch and seven demand blocks; an
+	// eighth demand miss evicts the prefetch: the miss's event comes first.
+	ms.Issue(prefetch.Request{When: 12000, Addr: setX, Src: prefetch.SrcCDP, Depth: 1, PG: pgD})
+	for i := uint32(1); i <= 8; i++ {
+		ms.Access(setX+i*way, 1, true, false, 12000+int64(i)*1000)
+	}
+	// A stream prefetch into set X displaces its LRU demand block.
+	ms.Issue(prefetch.Request{When: 20000, Addr: setX + 9*way, Src: prefetch.SrcStream})
+	// End of run: the stream block is resident and unused.
+	ms.FlushAccounting()
+
+	want := []OutcomeEvent{
+		{Kind: PrefetchUsed, BlockAddr: blkA, Src: prefetch.SrcStream},
+		{Kind: PrefetchUsed, BlockAddr: blkB, Src: prefetch.SrcCDP, PG: pgB},
+		{Kind: DemandMiss, BlockAddr: blkC},
+	}
+	for i := uint32(1); i <= 7; i++ {
+		want = append(want, OutcomeEvent{Kind: DemandMiss, BlockAddr: setX + i*way})
+	}
+	want = append(want,
+		OutcomeEvent{Kind: DemandMiss, BlockAddr: setX + 8*way},
+		OutcomeEvent{Kind: PrefetchUseless, BlockAddr: setX, Src: prefetch.SrcCDP, PG: pgD},
+		OutcomeEvent{Kind: DisplacedByPrefetch, BlockAddr: setX + 1*way, Src: prefetch.SrcStream},
+		OutcomeEvent{Kind: PrefetchUseless, BlockAddr: setX + 9*way, Src: prefetch.SrcStream},
+	)
+	if fmt.Sprint(a) != fmt.Sprint(want) {
+		t.Fatalf("events\n got %v\nwant %v", a, want)
+	}
+	if fmt.Sprint(b) != fmt.Sprint(a) {
+		t.Fatalf("second observer saw %v, first %v", b, a)
+	}
+	for i := range order {
+		if want := []string{"a", "b"}[i%2]; order[i] != want {
+			t.Fatalf("delivery %d went to %s, want %s (subscription order)", i, order[i], want)
+		}
+	}
+
+	// NoPollution: a side-buffer hit is a use, and leftover side-buffer
+	// blocks are useless at the end of the run, in address order.
+	ms = newMS(t, func(c *Config) { c.NoPollution = true })
+	a = nil
+	ms.ObserveOutcomes(func(ev OutcomeEvent) { a = append(a, ev) })
+	ms.Issue(prefetch.Request{When: 0, Addr: blkB, Src: prefetch.SrcCDP, Depth: 1, PG: pgB})
+	ms.Access(blkB, 1, true, false, 5000)
+	ms.Issue(prefetch.Request{When: 5000, Addr: blkC, Src: prefetch.SrcCDP, Depth: 1, PG: pgD})
+	ms.Issue(prefetch.Request{When: 5000, Addr: blkA, Src: prefetch.SrcStream})
+	ms.FlushAccounting()
+	want = []OutcomeEvent{
+		{Kind: PrefetchUsed, BlockAddr: blkB, Src: prefetch.SrcCDP, PG: pgB},
+		{Kind: PrefetchUseless, BlockAddr: blkA, Src: prefetch.SrcStream},
+		{Kind: PrefetchUseless, BlockAddr: blkC, Src: prefetch.SrcCDP, PG: pgD},
+	}
+	if fmt.Sprint(a) != fmt.Sprint(want) {
+		t.Fatalf("no-pollution events\n got %v\nwant %v", a, want)
 	}
 }

@@ -37,8 +37,9 @@ func (c *Counter) Value() float64 { return c.smoothed }
 func (c *Counter) Raw() float64 { return c.total }
 
 // SourceStats holds the feedback counters for one prefetcher, as described
-// in paper Section 4.1, plus the lateness and pollution counters needed by
-// the FDP baseline (Srinath et al., HPCA 2007).
+// in paper Section 4.1, plus the lateness counter needed by the FDP baseline
+// (Srinath et al., HPCA 2007). FDP counts pollution itself
+// (internal/baselines/fdp).
 type SourceStats struct {
 	// Issued counts prefetch requests sent to memory ("total-prefetched").
 	Issued Counter
@@ -48,9 +49,6 @@ type SourceStats struct {
 	// Late counts demand requests that found their block still in flight
 	// from this prefetcher (prefetch too late to fully hide latency).
 	Late Counter
-	// Pollution counts demand misses to blocks this prefetcher recently
-	// evicted from the cache.
-	Pollution Counter
 }
 
 // Feedback aggregates the per-prefetcher counters and the shared demand-miss
@@ -101,7 +99,6 @@ func (f *Feedback) EvictionAt(now int64) {
 			s.Issued.EndInterval()
 			s.Used.EndInterval()
 			s.Late.EndInterval()
-			s.Pollution.EndInterval()
 		}
 		f.DemandMisses.EndInterval()
 		if f.OnInterval != nil {

@@ -1,7 +1,7 @@
 // Package prefetch defines the types shared by all prefetchers and the
 // memory system: prefetch request descriptors, prefetcher identities,
 // aggressiveness levels (paper Table 2), and the run-time feedback counters
-// (accuracy, coverage, lateness, pollution) with the interval-based
+// (accuracy, coverage, lateness) with the interval-based
 // exponential smoothing of the paper's Equation 3.
 package prefetch
 

@@ -73,20 +73,25 @@ func newStack(tr *trace.Trace, mcfg memsys.Config) *memsys.MemSys {
 	return ms
 }
 
-// Attach installs pointer-group outcome hooks on ms and returns the profile
-// they fill as the run resolves each prefetch.
+// Attach subscribes to ms's prefetch outcomes and returns the profile it
+// fills as the run resolves each CDP prefetch that carries a pointer group.
 func Attach(ms *memsys.MemSys) *Profile {
 	p := &Profile{PGs: make(map[prefetch.PGKey]PGStats)}
-	ms.OnPGUseful = func(pg prefetch.PGKey) {
-		s := p.PGs[pg]
-		s.Useful++
-		p.PGs[pg] = s
-	}
-	ms.OnPGUseless = func(pg prefetch.PGKey) {
-		s := p.PGs[pg]
-		s.Useless++
-		p.PGs[pg] = s
-	}
+	ms.ObserveOutcomes(func(ev memsys.OutcomeEvent) {
+		if ev.Src != prefetch.SrcCDP || ev.PG == 0 {
+			return
+		}
+		s := p.PGs[ev.PG]
+		switch ev.Kind {
+		case memsys.PrefetchUsed:
+			s.Useful++
+		case memsys.PrefetchUseless:
+			s.Useless++
+		default:
+			return
+		}
+		p.PGs[ev.PG] = s
+	})
 	return p
 }
 

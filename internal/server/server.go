@@ -112,8 +112,6 @@ type sweep struct {
 	//ldslint:guardedby mu
 	state string // "queued", "running", "done"
 	//ldslint:guardedby mu
-	errMsg string
-	//ldslint:guardedby mu
 	failedJobs []string
 	//ldslint:guardedby mu
 	reports []exp.Report
@@ -250,7 +248,7 @@ func (s *Server) runSweep(sw *sweep) {
 	sw.setState("running")
 	ctx := exp.NewContext()
 	ctx.Params = workload.Params{Scale: sw.req.Scale, Seed: sw.req.Seed}
-	ctx.TrainParams = workload.Params{Scale: sw.req.Scale * workload.Train().Scale, Seed: workload.Train().Seed}
+	ctx.TrainParams = workload.TrainFor(ctx.Params)
 	ctx.Sched = sw.sched
 
 	var reports []exp.Report
@@ -276,7 +274,6 @@ type sweepStatus struct {
 	Experiment string    `json:"experiment,omitempty"`
 	Benchmarks []string  `json:"benchmarks,omitempty"`
 	State      string    `json:"state"`
-	Error      string    `json:"error,omitempty"`
 	Jobs       jobCounts `json:"jobs"`
 	FailedJobs []string  `json:"failed_jobs,omitempty"`
 	Reports    int       `json:"reports"`
@@ -306,7 +303,6 @@ func (sw *sweep) status() sweepStatus {
 		Experiment: sw.req.Experiment,
 		Benchmarks: sw.req.Benchmarks,
 		State:      sw.state,
-		Error:      sw.errMsg,
 		Jobs: jobCounts{
 			Submitted:   snap.Submitted,
 			Completed:   snap.Completed,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ldsprefetch/internal/cpu"
+	"ldsprefetch/internal/dram"
 	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/prefetch"
 	"ldsprefetch/internal/profiling"
@@ -31,7 +32,7 @@ func busTransfers(r Result) int64 {
 // TestAccountingIdentities checks the counter identities that hold on every
 // named configuration under both core models: each access has one outcome,
 // every bus transfer is a demand miss, an issued prefetch, a wrong-path
-// fetch or a writeback, no prefetcher is credited with more useful
+// fetch or a writeback, the transfers fit on the bus, no prefetcher is credited with more useful
 // prefetches than it issued, the interval core sees no branches and no
 // wrong path, and the ooo core's mispredictions and wrong-path DRAM
 // fetches are subsets of its branches and wrong-path loads.
@@ -59,6 +60,7 @@ func TestAccountingIdentities(t *testing.T) {
 				t.Errorf("%s/%s: counters account for %d bus transfers, controller counted %d",
 					config, coreKind, n, r.BusTransfers)
 			}
+			checkBusBound(t, config+"/"+coreKind, r.BusTransfers, r.Cycles, dram.DefaultConfig(1))
 			for src := prefetch.Source(0); src < prefetch.NumSources; src++ {
 				if r.Used[src] > r.Issued[src] {
 					t.Errorf("%s/%s: %s used %d > issued %d", config, coreKind, src, r.Used[src], r.Issued[src])
@@ -98,6 +100,7 @@ func TestAccountingIdentities(t *testing.T) {
 	if n := busTransfers(r); n != r.BusTransfers {
 		t.Errorf("no-pollution: counters account for %d bus transfers, controller counted %d", n, r.BusTransfers)
 	}
+	checkBusBound(t, "no-pollution", r.BusTransfers, r.Cycles, dram.DefaultConfig(1))
 	sum := accountedOutcomes(r.Mem)
 	if sum >= r.Mem.Accesses {
 		t.Fatalf("no-pollution: outcomes sum %d, accesses %d: side-buffer hits are now counted; assert the identity here instead",
@@ -107,7 +110,8 @@ func TestAccountingIdentities(t *testing.T) {
 }
 
 // TestMixBusAccounting extends the bus identity to a shared-DRAM mix: the
-// per-core counters together account for every transfer on the shared bus.
+// per-core counters together account for every transfer on the shared bus,
+// and those transfers fit on it.
 func TestMixBusAccounting(t *testing.T) {
 	p := workload.Params{Scale: 0.05, Seed: 5}
 	for _, config := range []string{"stream", "cdp+throttle"} {
@@ -128,6 +132,7 @@ func TestMixBusAccounting(t *testing.T) {
 				t.Errorf("%s/%s: per-core counters account for %d bus transfers, the shared controller counted %d",
 					config, coreKind, n, mr.BusTransfers)
 			}
+			checkBusBound(t, config+"/"+coreKind+" mix", mr.BusTransfers, mixCycles(mr), dram.DefaultConfig(2))
 		}
 	}
 }

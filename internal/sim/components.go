@@ -120,6 +120,7 @@ var components = []component{
 			}
 			if n > 0 {
 				ctl.Install()
+				env.ms.ObserveOutcomes(ctl.OnOutcome)
 			}
 		},
 	},
@@ -145,15 +146,11 @@ var components = []component{
 				}
 				return f.Allow(r)
 			}
-			prevOutcome := ms.OnPrefetchOutcome
-			ms.OnPrefetchOutcome = func(blk uint32, src prefetch.Source, used bool) {
-				if prevOutcome != nil {
-					prevOutcome(blk, src, used)
+			ms.ObserveOutcomes(func(ev memsys.OutcomeEvent) {
+				if ev.Src == prefetch.SrcCDP && (ev.Kind == memsys.PrefetchUsed || ev.Kind == memsys.PrefetchUseless) {
+					f.Outcome(ev.BlockAddr, ev.Kind == memsys.PrefetchUsed)
 				}
-				if src == prefetch.SrcCDP {
-					f.Outcome(blk, src, used)
-				}
-			}
+			})
 		},
 	},
 	{

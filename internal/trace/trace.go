@@ -262,28 +262,33 @@ type Stats struct {
 	LDSLoads     int
 }
 
+// Add counts op into s.
+func (s *Stats) Add(op *Op) {
+	s.Ops++
+	s.Instructions += op.Instructions()
+	switch op.Kind {
+	case Load:
+		s.Loads++
+		if op.LDS {
+			s.LDSLoads++
+		}
+	case Store:
+		s.Stores++
+	case Branch:
+		s.Branches++
+		if op.Taken {
+			s.Taken++
+		}
+	default:
+		s.Computes++
+	}
+}
+
 // Summarize computes composition statistics for t.
 func Summarize(t *Trace) Stats {
 	var s Stats
-	s.Ops = len(t.Ops)
 	for i := range t.Ops {
-		s.Instructions += t.Ops[i].Instructions()
-		switch t.Ops[i].Kind {
-		case Load:
-			s.Loads++
-			if t.Ops[i].LDS {
-				s.LDSLoads++
-			}
-		case Store:
-			s.Stores++
-		case Branch:
-			s.Branches++
-			if t.Ops[i].Taken {
-				s.Taken++
-			}
-		default:
-			s.Computes++
-		}
+		s.Add(&t.Ops[i])
 	}
 	return s
 }

@@ -19,7 +19,7 @@
 // sim.Spec workloads: every randomized decision (layout shuffles, chain
 // assignment, the request stream itself) is a pure function of
 // {family, Scale, Seed}, and all address math goes through the checked
-// workload helpers (ElemAddr/AddU32/SizeU32) so the ldslint checkedmath
+// workload helpers (SizeU32/WordAddr) so the ldslint checkedmath
 // analyzer holds for this package exactly as for internal/workload.
 //
 // At Scale 1.0 each family holds on the order of a million live objects

@@ -46,6 +46,12 @@ func Ref() Params { return Params{Scale: 1.0, Seed: 1} }
 // which profiling needs to observe realistic eviction behaviour.
 func Train() Params { return Params{Scale: 0.5, Seed: 1009} }
 
+// TrainFor returns the profiling input that goes with measurement input p:
+// Train's seed at Train's fraction of p's scale.
+func TrainFor(p Params) Params {
+	return Params{Scale: p.Scale * Train().Scale, Seed: Train().Seed}
+}
+
 // Test returns a tiny input for unit tests.
 func Test() Params { return Params{Scale: 0.05, Seed: 7} }
 
@@ -376,12 +382,6 @@ func ScaledData(n int, p Params) int { return scaledData(n, p) }
 
 // SizeU32 converts count×elem into a checked uint32 allocation size.
 func SizeU32(n int, elem uint32) uint32 { return sizeU32(n, elem) }
-
-// AddU32 adds two 32-bit addresses/offsets with a wrap check.
-func AddU32(a, b uint32) uint32 { return addU32(a, b) }
-
-// ElemAddr returns the checked address of element i of an elem-byte array.
-func ElemAddr(base uint32, i int, elem uint32) uint32 { return elemAddr(base, i, elem) }
 
 // WordAddr returns the checked address of the i'th 4-byte word at base.
 func WordAddr(base uint32, i int) uint32 { return wordAddr(base, i) }

@@ -200,3 +200,14 @@ func TestPointerFieldsAreHeapAddresses(t *testing.T) {
 		t.Fatal("no LDS loads checked")
 	}
 }
+
+// TestTrainFor pins the profiling input that goes with a measurement input:
+// Train's seed at Train's fraction of the measurement scale.
+func TestTrainFor(t *testing.T) {
+	if got := TrainFor(Ref()); got != Train() {
+		t.Fatalf("TrainFor(Ref()) = %+v, want Train() %+v", got, Train())
+	}
+	if got, want := TrainFor(Params{Scale: 0.35, Seed: 3}), (Params{Scale: 0.175, Seed: 1009}); got != want {
+		t.Fatalf("TrainFor(0.35, 3) = %+v, want %+v", got, want)
+	}
+}

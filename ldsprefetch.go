@@ -121,7 +121,7 @@ func ProfileHints(bench string, in Input) *HintTable {
 func Experiment(id string, in Input) ([]string, error) {
 	ctx := exp.NewContext()
 	ctx.Params = in
-	ctx.TrainParams = Input{Scale: in.Scale * workload.Train().Scale, Seed: workload.Train().Seed}
+	ctx.TrainParams = workload.TrainFor(in)
 	reports, err := exp.Run(ctx, id)
 	if err != nil {
 		return nil, err
