@@ -47,6 +47,19 @@
 // only when at least one FillObserver is attached, so a configuration with
 // no content scanner pays for no block copies.
 //
+// # Prefetch lifecycle
+//
+// A prefetch that Issue accepts increments its source's Issued and is
+// installed in the L2. It then ends one of two ways, each at one site:
+// consume, its first demand use, increments Used (and Late when the fill
+// is still in flight) and emits PrefetchUsed; discard, its eviction unused
+// or its residence unused at FlushAccounting, increments
+// Stats.UselessEvicted and emits PrefetchUseless. Every issued L2 prefetch
+// thus ends as exactly one of Used and UselessEvicted. The NoPollution side
+// buffer has two gaps that ROADMAP item 6 closes: a side-buffer hit counts
+// in no Stats outcome counter, and leftover side-buffer blocks emit
+// PrefetchUseless without counting in UselessEvicted.
+//
 // ObserveOutcomes subscribes a function to prefetch outcomes (OutcomeEvent):
 // a prefetched block used or left unused, a block displaced by a prefetch
 // fill, and an L2 demand miss. The pointer-group profiler, the hardware
@@ -462,8 +475,8 @@ func (ms *MemSys) notifyOutcome(ev OutcomeEvent) {
 }
 
 // handleVictim performs eviction bookkeeping for a displaced L2 line:
-// writeback of dirty data, useless-prefetch accounting, the victim's
-// outcome events, and the feedback interval tick.
+// writeback of dirty data, the discard of an unused prefetched block, the
+// displacement's outcome event, and the feedback interval tick.
 func (ms *MemSys) handleVictim(victim cache.Line, insertedBy prefetch.Source, now int64) {
 	vaddr := victim.Tag << ms.l2.BlockShift()
 	if victim.Dirty {
@@ -471,8 +484,7 @@ func (ms *MemSys) handleVictim(victim cache.Line, insertedBy prefetch.Source, no
 		ms.stats.Writebacks++
 	}
 	if victim.PrefSrc.IsPrefetch() && !victim.Used {
-		ms.stats.UselessEvicted[victim.PrefSrc]++
-		ms.notifyOutcome(OutcomeEvent{Kind: PrefetchUseless, BlockAddr: vaddr, Src: victim.PrefSrc, PG: victim.PG})
+		ms.discard(victim.PrefSrc, victim.PG, vaddr)
 	}
 	if insertedBy.IsPrefetch() {
 		ms.notifyOutcome(OutcomeEvent{Kind: DisplacedByPrefetch, BlockAddr: vaddr, Src: insertedBy})
@@ -480,18 +492,55 @@ func (ms *MemSys) handleVictim(victim cache.Line, insertedBy prefetch.Source, no
 	ms.fb.EvictionAt(now)
 }
 
-// creditPrefetch performs first-demand-use accounting on a prefetched line.
-func (ms *MemSys) creditPrefetch(l *cache.Line, now int64) {
-	if !l.PrefSrc.IsPrefetch() || l.Used {
-		return
-	}
-	st := &ms.fb.Sources[l.PrefSrc]
+// consume is the first demand use of block blk, prefetched by src and ready
+// at readyAt, by a demand that reached the L2 at now. It is the only place
+// Used and Late change.
+func (ms *MemSys) consume(src prefetch.Source, pg prefetch.PGKey, blk uint32, readyAt, now int64) {
+	st := &ms.fb.Sources[src]
 	st.Used.Inc()
-	if l.ReadyAt > now {
+	if readyAt > now {
 		st.Late.Inc()
 	}
-	ms.notifyOutcome(OutcomeEvent{Kind: PrefetchUsed, BlockAddr: l.Tag << ms.l2.BlockShift(), Src: l.PrefSrc, PG: l.PG})
-	l.Used = true
+	ms.notifyOutcome(OutcomeEvent{Kind: PrefetchUsed, BlockAddr: blk, Src: src, PG: pg})
+}
+
+// discard is the end of block blk, prefetched by src and never used. It is
+// the only place UselessEvicted changes.
+func (ms *MemSys) discard(src prefetch.Source, pg prefetch.PGKey, blk uint32) {
+	ms.stats.UselessEvicted[src]++
+	ms.notifyOutcome(OutcomeEvent{Kind: PrefetchUseless, BlockAddr: blk, Src: src, PG: pg})
+}
+
+// install inserts blk, absent from the L2, on behalf of by at cycle at and
+// retires the line it displaces. The caller fills in the returned line.
+func (ms *MemSys) install(blk uint32, by prefetch.Source, at int64) *cache.Line {
+	nl, victim, had := ms.l2.Insert(blk)
+	if had {
+		ms.handleVictim(victim, by, at)
+	}
+	return nl
+}
+
+// fetch brings blk, absent from the L2, from DRAM at demand priority for a
+// request that reached the L2 at t: with all MSHRs busy it first waits for
+// the earliest outstanding fill. It returns the installed line, whose
+// ReadyAt is the fill's completion.
+func (ms *MemSys) fetch(blk uint32, t int64) *cache.Line {
+	reqT := t + ms.cfg.L2Lat
+	ms.mshr.PopLE(reqT)
+	if ms.cfg.MSHRs > 0 && len(ms.mshr) >= ms.cfg.MSHRs {
+		reqT = max(reqT, ms.mshr.Pop())
+	}
+	ready := ms.ctrl.Access(blk, reqT, true)
+	ms.mshr.Push(ready)
+	if ms.gauges {
+		ms.mshrGauge.Push(ready)
+	}
+	nl := ms.install(blk, prefetch.SrcDemand, reqT)
+	nl.Used = true
+	nl.ReadyAt = ready
+	nl.IssuedAt = reqT
+	return nl
 }
 
 // Access performs one demand access at cycle now and returns the cycle the
@@ -522,13 +571,16 @@ func (ms *MemSys) Access(addr, pc uint32, isLoad, lds bool, now int64) int64 {
 	}
 	t2 := now + ms.cfg.L1Lat
 
-	// L2.
-	if l := ms.l2.Lookup(addr, true); l != nil {
-		if l.PrefSrc.IsPrefetch() && !l.Used {
+	var l *cache.Line
+	var complete int64
+	fetched := false
+	if l = ms.l2.Lookup(addr, true); l != nil {
+		// L2 hit, or a merge with an in-flight fill.
+		firstUse := l.PrefSrc.IsPrefetch() && !l.Used
+		if firstUse {
 			ev.HitPrefetchSrc = l.PrefSrc
 		}
-		inflight := l.ReadyAt > t2
-		if inflight {
+		if l.ReadyAt > t2 {
 			ms.stats.InFlightMerges++
 			ev.InFlight = true
 			// Demand merge promotes an in-flight prefetch to demand
@@ -549,111 +601,59 @@ func (ms *MemSys) Access(addr, pc uint32, isLoad, lds bool, now int64) int64 {
 			ms.stats.L2DemandHits++
 			ev.L2Hit = true
 		}
-		ms.creditPrefetch(l, t2)
-		complete := max(t2, l.ReadyAt) + ms.cfg.L2Lat
-		ms.fillL1(addr, complete, !isLoad)
-		if !isLoad {
-			l.Dirty = true
+		if firstUse {
+			// After the promotion: a fill it moves up to t2 is not late.
+			ms.consume(l.PrefSrc, l.PG, blk, l.ReadyAt, t2)
+			l.Used = true
 		}
-		ev.CompleteAt = complete
-		ms.notifyAccess(ev)
-		return complete
-	}
-
-	// NoPollution oracle side buffer.
-	if ms.sideBuf != nil {
-		if sl, ok := ms.sideBuf[blk]; ok {
-			delete(ms.sideBuf, blk)
-			st := &ms.fb.Sources[sl.src]
-			st.Used.Inc()
-			if sl.readyAt > t2 {
-				st.Late.Inc()
-			}
-			ms.notifyOutcome(OutcomeEvent{Kind: PrefetchUsed, BlockAddr: blk, Src: sl.src, PG: sl.pg})
-			// Promote into L2 as a used prefetched block.
-			nl, victim, had := ms.l2.Insert(blk)
-			if had {
-				ms.handleVictim(victim, prefetch.SrcDemand, t2)
-			}
-			nl.PrefSrc = sl.src
-			nl.Used = true
-			nl.ReadyAt = sl.readyAt
-			complete := max(t2, sl.readyAt) + ms.cfg.L2Lat
-			ms.fillL1(addr, complete, !isLoad)
-			if !isLoad {
-				nl.Dirty = true
-			}
-			ev.L2Hit = true
-			ev.CompleteAt = complete
-			ms.notifyAccess(ev)
-			return complete
+		complete = max(t2, l.ReadyAt) + ms.cfg.L2Lat
+	} else if sl, ok := ms.sideBuf[blk]; ok {
+		// NoPollution oracle side buffer: the block moves into the L2 as a
+		// used prefetched block, without the in-flight promotion.
+		delete(ms.sideBuf, blk)
+		ms.consume(sl.src, sl.pg, blk, sl.readyAt, t2)
+		l = ms.install(blk, prefetch.SrcDemand, t2)
+		l.PrefSrc = sl.src
+		l.Used = true
+		l.ReadyAt = sl.readyAt
+		ev.L2Hit = true
+		complete = max(t2, sl.readyAt) + ms.cfg.L2Lat
+	} else {
+		// True L2 demand miss.
+		ms.stats.L2DemandMisses++
+		ms.fb.DemandMisses.Inc()
+		ms.notifyOutcome(OutcomeEvent{Kind: DemandMiss, BlockAddr: blk})
+		if ms.cfg.IdealLDS && lds && isLoad {
+			// Oracle: the LDS miss is converted into an L2 hit.
+			ms.stats.IdealLDSHits++
+			complete = t2 + ms.cfg.L2Lat
+			l = ms.install(blk, prefetch.SrcDemand, t2)
+			l.Used = true
+			l.ReadyAt = complete
+		} else {
+			l = ms.fetch(blk, t2)
+			complete = l.ReadyAt
+			fetched = true
 		}
 	}
 
-	// True L2 demand miss.
-	ms.stats.L2DemandMisses++
-	ms.fb.DemandMisses.Inc()
-	ms.notifyOutcome(OutcomeEvent{Kind: DemandMiss, BlockAddr: blk})
-
-	if ms.cfg.IdealLDS && lds && isLoad {
-		// Oracle: the LDS miss is converted into an L2 hit.
-		ms.stats.IdealLDSHits++
-		complete := t2 + ms.cfg.L2Lat
-		ms.fillL1(addr, complete, !isLoad)
-		nl, victim, had := ms.l2.Insert(blk)
-		if had {
-			ms.handleVictim(victim, prefetch.SrcDemand, t2)
-		}
-		nl.Used = true
-		nl.ReadyAt = complete
-		if !isLoad {
-			nl.Dirty = true
-		}
-		ev.CompleteAt = complete
-		ms.notifyAccess(ev)
-		return complete
-	}
-
-	// MSHR capacity: a demand miss with all MSHRs busy waits for the
-	// earliest outstanding fill.
-	reqT := t2 + ms.cfg.L2Lat
-	ms.mshr.PopLE(reqT)
-	if ms.cfg.MSHRs > 0 && len(ms.mshr) >= ms.cfg.MSHRs {
-		earliest := ms.mshr.Pop()
-		reqT = max(reqT, earliest)
-	}
-
-	ready := ms.ctrl.Access(blk, reqT, true)
-	ms.mshr.Push(ready)
-	if ms.gauges {
-		ms.mshrGauge.Push(ready)
-	}
-
-	nl, victim, had := ms.l2.Insert(blk)
-	if had {
-		ms.handleVictim(victim, prefetch.SrcDemand, reqT)
-	}
-	nl.Used = true
-	nl.ReadyAt = ready
-	nl.IssuedAt = reqT
 	if !isLoad {
-		nl.Dirty = true
+		l.Dirty = true
 	}
-	ms.fillL1(addr, ready, !isLoad)
-	ev.CompleteAt = ready
+	ms.fillL1(addr, complete, !isLoad)
+	ev.CompleteAt = complete
 	ms.notifyAccess(ev)
-
 	// Content scan of the demand-fetched block.
-	if len(ms.fillObs) > 0 {
+	if fetched && len(ms.fillObs) > 0 {
 		ms.notifyFill(blk, FillEvent{
-			Now:           ready,
+			Now:           complete,
 			Cause:         prefetch.SrcDemand,
 			TriggerPC:     pc,
 			TriggerOff:    int(addr - blk),
 			TriggerIsLoad: isLoad,
 		})
 	}
-	return ready
+	return complete
 }
 
 // AccessWrongPath performs one speculative wrong-path load at cycle now: a
@@ -671,7 +671,6 @@ func (ms *MemSys) Access(addr, pc uint32, isLoad, lds bool, now int64) int64 {
 // DESIGN.md for what is and isn't modeled.
 func (ms *MemSys) AccessWrongPath(addr uint32, now int64) int64 {
 	ms.stats.WrongPathAccesses++
-	blk := ms.l2.BlockAddr(addr)
 
 	// L1 hit: no resource consumed beyond the port.
 	if l := ms.l1.Lookup(addr, true); l != nil {
@@ -683,35 +682,16 @@ func (ms *MemSys) AccessWrongPath(addr uint32, now int64) int64 {
 	// a wrong-path hit does not promote in-flight prefetches or credit
 	// prefetched lines as used — the attribution metrics count only
 	// committed consumers — but it does refresh recency (LRU pollution).
+	// A miss fetches the block at demand priority under MSHR capacity.
+	var complete int64
 	if l := ms.l2.Lookup(addr, true); l != nil {
-		complete := max(t2, l.ReadyAt) + ms.cfg.L2Lat
-		ms.fillL1(addr, complete, false)
-		return complete
+		complete = max(t2, l.ReadyAt) + ms.cfg.L2Lat
+	} else {
+		ms.stats.WrongPathToDRAM++
+		complete = ms.fetch(ms.l2.BlockAddr(addr), t2).ReadyAt
 	}
-
-	// Miss: fetch the block at demand priority under MSHR capacity.
-	reqT := t2 + ms.cfg.L2Lat
-	ms.mshr.PopLE(reqT)
-	if ms.cfg.MSHRs > 0 && len(ms.mshr) >= ms.cfg.MSHRs {
-		earliest := ms.mshr.Pop()
-		reqT = max(reqT, earliest)
-	}
-	ms.stats.WrongPathToDRAM++
-	ready := ms.ctrl.Access(blk, reqT, true)
-	ms.mshr.Push(ready)
-	if ms.gauges {
-		ms.mshrGauge.Push(ready)
-	}
-
-	nl, victim, had := ms.l2.Insert(blk)
-	if had {
-		ms.handleVictim(victim, prefetch.SrcDemand, reqT)
-	}
-	nl.Used = true
-	nl.ReadyAt = ready
-	nl.IssuedAt = reqT
-	ms.fillL1(addr, ready, false)
-	return ready
+	ms.fillL1(addr, complete, false)
+	return complete
 }
 
 func (ms *MemSys) fillL1(addr uint32, readyAt int64, dirty bool) {
@@ -791,10 +771,7 @@ func (ms *MemSys) Issue(r prefetch.Request) {
 	if ms.sideBuf != nil {
 		ms.sideBuf[blk] = sideLine{readyAt: ready, pg: r.PG, src: r.Src}
 	} else {
-		nl, victim, had := ms.l2.Insert(blk)
-		if had {
-			ms.handleVictim(victim, r.Src, r.When)
-		}
+		nl := ms.install(blk, r.Src, r.When)
 		nl.PrefSrc = r.Src
 		nl.ReadyAt = ready
 		nl.IssuedAt = r.When
@@ -815,14 +792,14 @@ func (ms *MemSys) Issue(r prefetch.Request) {
 }
 
 // FlushAccounting finalizes end-of-run statistics: prefetched blocks still
-// resident but never used count as useless (the paper's accuracy metric
-// divides used by issued, so these simply never increment used; the PG
-// profiler however needs an explicit useless verdict).
+// in the L2 but never used are discarded like an unused eviction, so every
+// issued L2 prefetch ends as used or useless. Leftover side-buffer blocks
+// emit PrefetchUseless but do not count in UselessEvicted (see the package
+// comment).
 func (ms *MemSys) FlushAccounting() {
 	ms.l2.ForEach(func(l *cache.Line) {
 		if l.PrefSrc.IsPrefetch() && !l.Used {
-			ms.stats.UselessEvicted[l.PrefSrc]++
-			ms.notifyOutcome(OutcomeEvent{Kind: PrefetchUseless, BlockAddr: l.Tag << ms.l2.BlockShift(), Src: l.PrefSrc, PG: l.PG})
+			ms.discard(l.PrefSrc, l.PG, l.Tag<<ms.l2.BlockShift())
 		}
 	})
 	if ms.sideBuf != nil {
@@ -833,6 +810,7 @@ func (ms *MemSys) FlushAccounting() {
 		sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
 		for _, blk := range blks {
 			sl := ms.sideBuf[blk]
+			// Not discard: counting these is ROADMAP item 6's re-key.
 			ms.notifyOutcome(OutcomeEvent{Kind: PrefetchUseless, BlockAddr: blk, Src: sl.src, PG: sl.pg})
 		}
 	}

@@ -83,22 +83,59 @@ func TestPrefetchCredit(t *testing.T) {
 	}
 }
 
+// TestLatePrefetch: a demand that arrives while a prefetch's fill is in
+// flight consumes it once, as used and late, from the L2 and from the
+// NoPollution side buffer alike. The low-priority path is congested so the
+// prefetch's own fill lands well after a demand-priority one would: the L2
+// merge promotes the fill, while the side buffer completes at the
+// unpromoted fill time (ROADMAP item 6 adds the promotion there).
 func TestLatePrefetch(t *testing.T) {
-	ms := newMS(t, nil)
-	const blk = 0x1000_0040
-	ms.Issue(prefetch.Request{When: 0, Addr: blk, Src: prefetch.SrcCDP, Depth: 1})
-	// Demand arrives immediately: fill still in flight.
-	c := ms.Access(blk, 7, true, false, 10)
-	fb := ms.Feedback()
-	if fb.Sources[prefetch.SrcCDP].Used.Raw() != 1 || fb.Sources[prefetch.SrcCDP].Late.Raw() != 1 {
-		t.Fatalf("late prefetch not credited used+late: used=%v late=%v",
-			fb.Sources[prefetch.SrcCDP].Used.Raw(), fb.Sources[prefetch.SrcCDP].Late.Raw())
-	}
-	if c <= 10+2+15 {
-		t.Fatalf("late merge completes at %d, must include remaining fill latency", c)
-	}
-	if ms.Stats().InFlightMerges != 1 {
-		t.Fatal("in-flight merge not counted")
+	for _, noPollution := range []bool{false, true} {
+		ms := newMS(t, func(c *Config) { c.NoPollution = noPollution })
+		var used []OutcomeEvent
+		ms.ObserveOutcomes(func(ev OutcomeEvent) {
+			if ev.Kind == PrefetchUsed {
+				used = append(used, ev)
+			}
+		})
+		const blk = 0x1000_0040
+		for i := uint32(1); i <= 12; i++ {
+			ms.Issue(prefetch.Request{When: 0, Addr: 0x2000_0000 + i*64, Src: prefetch.SrcStream})
+		}
+		ms.Issue(prefetch.Request{When: 100, Addr: blk, Src: prefetch.SrcCDP, Depth: 1})
+		var readyAt int64
+		if noPollution {
+			readyAt = ms.sideBuf[blk].readyAt
+		} else {
+			readyAt = ms.l2.Lookup(blk, false).ReadyAt
+		}
+		// Demand arrives while the fill is still in flight.
+		c := ms.Access(blk, 7, true, false, 150)
+		fb := ms.Feedback()
+		if got := fb.Sources[prefetch.SrcCDP]; got.Used.Raw() != 1 || got.Late.Raw() != 1 || len(used) != 1 {
+			t.Fatalf("noPollution=%v: late prefetch credited used=%v late=%v with %d PrefetchUsed events, want 1/1/1",
+				noPollution, got.Used.Raw(), got.Late.Raw(), len(used))
+		}
+		unpromoted := readyAt + ms.cfg.L2Lat
+		// Promoted bound: issue(100) + MinLatency(450) + L2Lat(15) = 565.
+		if unpromoted <= 600 {
+			t.Fatalf("noPollution=%v: prefetch fill ready at %d; the congestion did not delay it past the promoted bound", noPollution, readyAt)
+		}
+		if noPollution {
+			if c != unpromoted {
+				t.Fatalf("side-buffer late use completes at %d, want the unpromoted fill time %d", c, unpromoted)
+			}
+			if ms.Stats().InFlightMerges != 0 {
+				t.Fatal("side-buffer hit counted as an in-flight merge")
+			}
+			continue
+		}
+		if c < 150+2+15 || c > 600 {
+			t.Fatalf("late merge completes at %d, want the promoted bound near 565 (unpromoted %d)", c, unpromoted)
+		}
+		if ms.Stats().InFlightMerges != 1 {
+			t.Fatal("in-flight merge not counted")
+		}
 	}
 }
 
@@ -703,5 +740,75 @@ func TestOutcomeEventSites(t *testing.T) {
 	}
 	if fmt.Sprint(a) != fmt.Sprint(want) {
 		t.Fatalf("no-pollution events\n got %v\nwant %v", a, want)
+	}
+}
+
+// TestAccessWrongPath pins what a wrong-path load shares with a demand miss
+// (the MSHR wait, demand-priority DRAM, the fill's eviction) and what it
+// does not touch (the use credit, the in-flight promotion, the demand
+// counters).
+func TestAccessWrongPath(t *testing.T) {
+	// A wrong-path hit on an unused in-flight prefetch is not a use.
+	ms := newMS(t, nil)
+	var evs []OutcomeEvent
+	ms.ObserveOutcomes(func(ev OutcomeEvent) { evs = append(evs, ev) })
+	const blk = 0x1000_0040
+	ms.Issue(prefetch.Request{When: 0, Addr: blk, Src: prefetch.SrcCDP, Depth: 1})
+	l := ms.l2.Lookup(blk, false)
+	readyAt := l.ReadyAt
+	if c := ms.AccessWrongPath(blk, 10); c != readyAt+ms.cfg.L2Lat {
+		t.Fatalf("wrong-path in-flight hit completes at %d, want the fill's %d + L2 latency", c, readyAt)
+	}
+	if l.Used || l.ReadyAt != readyAt || ms.Feedback().Sources[prefetch.SrcCDP].Used.Raw() != 0 || len(evs) != 0 {
+		t.Fatalf("wrong-path hit: line used=%v ready %d (was %d), Used %v, events %v; want no use and no promotion",
+			l.Used, l.ReadyAt, readyAt, ms.Feedback().Sources[prefetch.SrcCDP].Used.Raw(), evs)
+	}
+
+	// With every MSHR busy a wrong-path miss waits for the earliest fill,
+	// completing exactly when a demand miss in its place would.
+	var done [2]int64
+	var st Stats
+	var demandMisses float64
+	for i, wrongPath := range []bool{false, true} {
+		ms := newMS(t, func(c *Config) { c.MSHRs = 2 })
+		c1 := ms.Access(0x1000_0000, 1, true, false, 0)
+		c2 := ms.Access(0x1000_0040, 1, true, false, 0)
+		if wrongPath {
+			done[i] = ms.AccessWrongPath(0x1000_0080, 0)
+			st, demandMisses = ms.Stats(), ms.Feedback().DemandMisses.Raw()
+		} else {
+			done[i] = ms.Access(0x1000_0080, 1, true, false, 0)
+		}
+		if minLat := ms.Controller().Config().MinLatency(); done[i] < min(c1, c2)+minLat {
+			t.Fatalf("wrongPath=%v: third miss completes at %d; it must wait for the earliest fill (%d) plus a memory access (%d)",
+				wrongPath, done[i], min(c1, c2), minLat)
+		}
+	}
+	if done[0] != done[1] {
+		t.Fatalf("over-capacity wrong-path miss completes at %d, demand miss at %d", done[1], done[0])
+	}
+	// Only the wrong-path counters see the wrong-path miss.
+	if st.WrongPathAccesses != 1 || st.WrongPathToDRAM != 1 || st.Accesses != 2 || st.L2DemandMisses != 2 || demandMisses != 2 {
+		t.Fatalf("after 2 demand misses and 1 wrong-path miss: %+v, feedback demand misses %v", st, demandMisses)
+	}
+
+	// A wrong-path fill that evicts an unused prefetch discards it.
+	const (
+		setX = uint32(0x2000_0000) // L2 set 0; consecutive ways are 2048*64 apart
+		way  = uint32(2048 * 64)
+	)
+	ms = newMS(t, nil)
+	evs = nil
+	ms.ObserveOutcomes(func(ev OutcomeEvent) { evs = append(evs, ev) })
+	ms.Issue(prefetch.Request{When: 0, Addr: setX, Src: prefetch.SrcStream})
+	for i := uint32(1); i <= 7; i++ {
+		ms.Access(setX+i*way, 1, true, false, int64(i)*1000)
+	}
+	evs = nil
+	ms.AccessWrongPath(setX+8*way, 9000)
+	want := []OutcomeEvent{{Kind: PrefetchUseless, BlockAddr: setX, Src: prefetch.SrcStream}}
+	if fmt.Sprint(evs) != fmt.Sprint(want) || ms.Stats().UselessEvicted[prefetch.SrcStream] != 1 {
+		t.Fatalf("wrong-path eviction of an unused prefetch: events %v, UselessEvicted %d; want %v and 1",
+			evs, ms.Stats().UselessEvicted[prefetch.SrcStream], want)
 	}
 }

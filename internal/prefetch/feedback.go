@@ -158,13 +158,3 @@ func (f *Feedback) RawCoverage(src Source) float64 {
 	}
 	return s.Used.Raw() / d
 }
-
-// RawLateness returns the all-time fraction of used prefetches that were
-// late, used by the FDP baseline.
-func (f *Feedback) RawLateness(src Source) float64 {
-	s := &f.Sources[src]
-	if s.Used.Raw() == 0 {
-		return 0
-	}
-	return s.Late.Raw() / s.Used.Raw()
-}

@@ -132,16 +132,12 @@ func TestFeedbackRawMetrics(t *testing.T) {
 	s := &f.Sources[SrcCDP]
 	s.Issued.Add(10)
 	s.Used.Add(3)
-	s.Late.Add(1)
 	f.DemandMisses.Add(7)
 	if got := f.RawAccuracy(SrcCDP); got != 0.3 {
 		t.Fatalf("raw accuracy = %v, want 0.3", got)
 	}
 	if got := f.RawCoverage(SrcCDP); got != 0.3 {
 		t.Fatalf("raw coverage = %v, want 0.3", got)
-	}
-	if got := f.RawLateness(SrcCDP); got < 0.33 || got > 0.34 {
-		t.Fatalf("raw lateness = %v, want ~1/3", got)
 	}
 }
 

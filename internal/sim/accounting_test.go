@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -29,12 +30,24 @@ func busTransfers(r Result) int64 {
 	return n
 }
 
+// checkLifetimes requires every prefetch r issued to end exactly once: used
+// by a demand, or evicted or left unused at the end of the run.
+func checkLifetimes(t *testing.T, name string, r Result) {
+	t.Helper()
+	for src := prefetch.Source(0); src < prefetch.NumSources; src++ {
+		if used, useless := r.Used[src], r.Mem.UselessEvicted[src]; used+useless != r.Issued[src] {
+			t.Errorf("%s: %s used %d + useless %d = %d, want issued %d",
+				name, src, used, useless, used+useless, r.Issued[src])
+		}
+	}
+}
+
 // TestAccountingIdentities checks the counter identities that hold on every
 // named configuration under both core models: each access has one outcome,
 // every bus transfer is a demand miss, an issued prefetch, a wrong-path
-// fetch or a writeback, the transfers fit on the bus, no prefetcher is credited with more useful
-// prefetches than it issued, the interval core sees no branches and no
-// wrong path, and the ooo core's mispredictions and wrong-path DRAM
+// fetch or a writeback, the transfers fit on the bus, every issued prefetch
+// ends as exactly one of used or useless, the interval core sees no branches
+// and no wrong path, and the ooo core's mispredictions and wrong-path DRAM
 // fetches are subsets of its branches and wrong-path loads.
 func TestAccountingIdentities(t *testing.T) {
 	p := workload.Params{Scale: 0.05, Seed: 5}
@@ -61,11 +74,7 @@ func TestAccountingIdentities(t *testing.T) {
 					config, coreKind, n, r.BusTransfers)
 			}
 			checkBusBound(t, config+"/"+coreKind, r.BusTransfers, r.Cycles, dram.DefaultConfig(1))
-			for src := prefetch.Source(0); src < prefetch.NumSources; src++ {
-				if r.Used[src] > r.Issued[src] {
-					t.Errorf("%s/%s: %s used %d > issued %d", config, coreKind, src, r.Used[src], r.Issued[src])
-				}
-			}
+			checkLifetimes(t, config+"/"+coreKind, r)
 			switch coreKind {
 			case CoreInterval:
 				if r.Branches != 0 || m.WrongPathAccesses != 0 {
@@ -107,11 +116,31 @@ func TestAccountingIdentities(t *testing.T) {
 			sum, r.Mem.Accesses)
 	}
 	t.Logf("no-pollution: %d of %d accesses counted in no outcome", r.Mem.Accesses-sum, r.Mem.Accesses)
+
+	// The lifetime identity has the matching gap: side-buffer blocks left
+	// unused at the end of the run emit PrefetchUseless but do not count in
+	// UselessEvicted, so no source counts a useless prefetch while stream
+	// and CDP issue more than they use. Counting them changes stored
+	// results too; when it lands, call checkLifetimes here instead.
+	for src := prefetch.Source(0); src < prefetch.NumSources; src++ {
+		if n := r.Mem.UselessEvicted[src]; n != 0 {
+			t.Fatalf("no-pollution: %s UselessEvicted %d: leftover side-buffer blocks are now counted; assert the lifetime identity here instead",
+				src, n)
+		}
+	}
+	for _, src := range []prefetch.Source{prefetch.SrcStream, prefetch.SrcCDP} {
+		if r.Used[src] >= r.Issued[src] {
+			t.Errorf("no-pollution: %s used %d, issued %d: no unused side-buffer block left to pin the gap with",
+				src, r.Used[src], r.Issued[src])
+		}
+		t.Logf("no-pollution: %s issued %d, used %d, useless 0", src, r.Issued[src], r.Used[src])
+	}
 }
 
-// TestMixBusAccounting extends the bus identity to a shared-DRAM mix: the
-// per-core counters together account for every transfer on the shared bus,
-// and those transfers fit on it.
+// TestMixBusAccounting extends the bus and lifetime identities to a
+// shared-DRAM mix: the per-core counters together account for every
+// transfer on the shared bus, those transfers fit on it, and each core's
+// issued prefetches end as exactly one of used or useless.
 func TestMixBusAccounting(t *testing.T) {
 	p := workload.Params{Scale: 0.05, Seed: 5}
 	for _, config := range []string{"stream", "cdp+throttle"} {
@@ -125,8 +154,9 @@ func TestMixBusAccounting(t *testing.T) {
 				t.Fatal(err)
 			}
 			var n int64
-			for _, r := range mr.PerCore {
+			for i, r := range mr.PerCore {
 				n += busTransfers(r)
+				checkLifetimes(t, fmt.Sprintf("%s/%s mix core %d", config, coreKind, i), r)
 			}
 			if n != mr.BusTransfers {
 				t.Errorf("%s/%s: per-core counters account for %d bus transfers, the shared controller counted %d",
