@@ -110,8 +110,13 @@ func (p *Prefetcher) insertCorr(producer uint32, c corr) {
 	p.table[producer] = c
 }
 
-// The prefetcher trains on demand accesses and ignores block contents.
-var _ memsys.AccessObserver = (*Prefetcher)(nil)
+// The prefetcher trains on demand accesses, L1 hits included, and ignores
+// block contents.
+var _ memsys.L1HitObserver = (*Prefetcher)(nil)
+
+// ObservesL1Hits implements memsys.L1HitObserver: the PPW learns from every
+// load, wherever it hits.
+func (p *Prefetcher) ObservesL1Hits() {}
 
 // OnAccess observes every demand load: it learns producer→consumer
 // correlations through the PPW and issues a one-step-ahead prefetch when a

@@ -3,6 +3,7 @@ package dbp
 import (
 	"testing"
 
+	"ldsprefetch/internal/dram"
 	"ldsprefetch/internal/mem"
 	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/prefetch"
@@ -113,6 +114,30 @@ func TestChainedWalkPrefetchesOneAhead(t *testing.T) {
 	last := s.reqs[len(s.reqs)-1]
 	if last.Addr != nodes[3] {
 		t.Fatalf("last prefetch %#x, want next node %#x", last.Addr, nodes[3])
+	}
+}
+
+// TestL1HitProducerTrains attaches DBP to a memory system and makes the
+// producer load hit the L1 every time: the memory system must still deliver
+// it, so the producer→consumer correlation is learned and the producer's
+// next L1 hit prefetches its value plus the learned offset.
+func TestL1HitProducerTrains(t *testing.T) {
+	m := mem.New()
+	ms := memsys.New(memsys.DefaultConfig(), m, dram.NewController(dram.DefaultConfig(1)))
+	p := New(128, 256, m, ms)
+	ms.Attach(p)
+	const producer, node = 0x1000_0000, 0x1000_4000
+	m.Write32(producer, node)
+	ms.Access(producer+4, 5, true, false, 0) // brings the producer's block into the L1
+	ms.Access(producer, 10, true, false, 1000)
+	ms.Access(node+8, 20, true, false, 1010) // consumer: producer's value + 8
+	m.Write32(producer, 0x1000_8000)
+	ms.Access(producer, 10, true, false, 2000)
+	if st := ms.Stats(); st.L1Hits != 2 {
+		t.Fatalf("%d L1 hits, want the producer's 2", st.L1Hits)
+	}
+	if got := ms.Feedback().Sources[prefetch.SrcDBP].Issued.Raw(); got != 1 {
+		t.Fatalf("DBP issued %v prefetches, want 1 (the producer's value + 8)", got)
 	}
 }
 

@@ -95,41 +95,69 @@ func (c *Cache) set(addr uint32) []Line {
 // Lookup finds the line holding addr. If touch is true a hit refreshes LRU.
 // Returns nil on miss.
 func (c *Cache) Lookup(addr uint32, touch bool) *Line {
-	tag := addr >> c.blockShift
-	set := c.set(addr)
-	for i := range set {
-		if set[i].Valid && set[i].Tag == tag {
-			if touch {
-				c.tick++
-				set[i].lru = c.tick
-			}
-			return &set[i]
-		}
+	if l, hit := c.Probe(addr, touch); hit {
+		return l
 	}
 	return nil
 }
 
 // Insert places a block into the cache, evicting the LRU line of the set if
 // necessary. It returns the inserted line (for the caller to set metadata)
-// and, if a valid line was displaced, a copy of the victim.
+// and, if a valid line was displaced, a copy of the victim. A block already
+// present (e.g. racing fills) is refreshed in place.
 func (c *Cache) Insert(addr uint32) (*Line, Line, bool) {
+	l, hit := c.Probe(addr, true)
+	if hit {
+		return l, Line{}, false
+	}
+	evicted, had := c.Fill(l, addr)
+	return l, evicted, had
+}
+
+// Probe scans addr's set once. On a hit it returns the line holding addr and
+// true; if touch is set the hit refreshes LRU. On a miss it returns the line
+// a fill of addr replaces — the last invalid way, or else the least recently
+// used one — and false, so that a miss costs one scan however it continues.
+//
+// The victim stays the right one for Fill only while this cache's tag store
+// is unchanged: pass it to Fill before any other Probe-and-Fill, Insert or
+// Lookup with touch set on this cache. The memory system keeps that
+// invariant by construction: between an access's probe and its fill it runs
+// only outcome subscribers, the prefetch filter, DRAM and feedback hooks,
+// none of which touches a cache, and a recursive prefetch Issue starts only
+// after the fill.
+func (c *Cache) Probe(addr uint32, touch bool) (*Line, bool) {
 	tag := addr >> c.blockShift
 	set := c.set(addr)
-	victim := &set[0]
+	// The victim is the last way with the least key, where an invalid
+	// way's key is 0 and a valid way's is its lru: every fill and touch
+	// takes a fresh tick, so valid keys are distinct and at least 1. Kept
+	// as plain compare-and-assign so that it compiles without branches.
+	v, vkey := 0, ^uint64(0)
 	for i := range set {
-		if set[i].Valid && set[i].Tag == tag {
-			// Already present (e.g. racing fills); refresh in place.
-			victim = &set[i]
-			c.tick++
-			victim.lru = c.tick
-			return victim, Line{}, false
+		l := &set[i]
+		if l.Valid && l.Tag == tag {
+			if touch {
+				c.tick++
+				l.lru = c.tick
+			}
+			return l, true
 		}
-		if !set[i].Valid {
-			victim = &set[i]
-		} else if victim.Valid && set[i].lru < victim.lru {
-			victim = &set[i]
+		key := l.lru
+		if !l.Valid {
+			key = 0
+		}
+		if key <= vkey {
+			v, vkey = i, key
 		}
 	}
+	return &set[v], false
+}
+
+// Fill installs addr's block into victim, the line a missing Probe of addr
+// returned, and returns a copy of the valid line it displaced, if any. The
+// installed line carries no metadata; the caller sets it.
+func (c *Cache) Fill(victim *Line, addr uint32) (Line, bool) {
 	var evicted Line
 	had := victim.Valid
 	if had {
@@ -137,8 +165,8 @@ func (c *Cache) Insert(addr uint32) (*Line, Line, bool) {
 		c.Evictions++
 	}
 	c.tick++
-	*victim = Line{Tag: tag, Valid: true, lru: c.tick}
-	return victim, evicted, had
+	*victim = Line{Tag: addr >> c.blockShift, Valid: true, lru: c.tick}
+	return evicted, had
 }
 
 // Name returns the cache's configured name.

@@ -41,11 +41,14 @@
 // # Prefetcher hooks
 //
 // Attach takes any Prefetcher and subscribes it to the events its optional
-// hooks observe: AccessObserver for demand accesses (stream, GHB, Markov,
-// DBP), FillObserver for the contents of filled blocks (CDP, the
-// informing-load profiler). Block contents are read from the memory image
-// only when at least one FillObserver is attached, so a configuration with
-// no content scanner pays for no block copies.
+// hooks observe: AccessObserver for demand accesses that reach the L2
+// (stream, GHB, Markov, DBP, the informing-load profiler), L1HitObserver
+// for L1 hits as well (DBP, whose producer window learns from every load),
+// FillObserver for the contents of filled blocks (CDP, the informing-load
+// profiler). An L1 hit calls no observer unless an L1HitObserver is
+// attached, and block contents are read from the memory image only when at
+// least one FillObserver is attached, so a configuration pays only for the
+// events its prefetchers read.
 //
 // # Prefetch lifecycle
 //
@@ -283,9 +286,19 @@ type Prefetcher interface {
 }
 
 // AccessObserver is an optional Prefetcher hook that observes every demand
-// access (stream, GHB, Markov and DBP train on it).
+// access that reaches the L2 (stream, GHB, Markov and DBP train on it).
 type AccessObserver interface {
 	OnAccess(ev AccessEvent)
+}
+
+// L1HitObserver is an optional marker on an AccessObserver that also reads
+// demand accesses that hit the L1 (AccessEvent.L1Hit set). Only DBP needs
+// them; the other observers act on L2 hits and misses alone, so L1 hits,
+// the most frequent access, are delivered to no one else.
+type L1HitObserver interface {
+	AccessObserver
+	// ObservesL1Hits marks the observer; it is never called.
+	ObservesL1Hits()
 }
 
 // FillObserver is an optional Prefetcher hook that observes the contents of
@@ -337,6 +350,7 @@ type MemSys struct {
 
 	// Attached hooks, each in attach order (see Attach, ObserveOutcomes).
 	accessObs  []AccessObserver
+	l1HitObs   []AccessObserver // the L1HitObservers among accessObs
 	fillObs    []FillObserver
 	outcomeObs []func(OutcomeEvent)
 
@@ -419,11 +433,15 @@ func New(cfg Config, mm *mem.Memory, ctrl *dram.Controller) *MemSys {
 }
 
 // Attach registers a prefetcher for the events its optional hooks observe:
-// demand accesses if it is an AccessObserver, fills if it is a
-// FillObserver. Each kind of event reaches its observers in attach order.
+// demand accesses that reach the L2 if it is an AccessObserver, L1 hits too
+// if it is an L1HitObserver, fills if it is a FillObserver. Each kind of
+// event reaches its observers in attach order.
 func (ms *MemSys) Attach(p Prefetcher) {
 	if o, ok := p.(AccessObserver); ok {
 		ms.accessObs = append(ms.accessObs, o)
+	}
+	if o, ok := p.(L1HitObserver); ok {
+		ms.l1HitObs = append(ms.l1HitObs, o)
 	}
 	if o, ok := p.(FillObserver); ok {
 		ms.fillObs = append(ms.fillObs, o)
@@ -451,8 +469,8 @@ func (ms *MemSys) Stats() Stats { return ms.stats }
 // Config returns the configuration.
 func (ms *MemSys) Config() Config { return ms.cfg }
 
-func (ms *MemSys) notifyAccess(ev AccessEvent) {
-	for _, o := range ms.accessObs {
+func notifyAccess(obs []AccessObserver, ev AccessEvent) {
+	for _, o := range obs {
 		o.OnAccess(ev)
 	}
 }
@@ -511,21 +529,21 @@ func (ms *MemSys) discard(src prefetch.Source, pg prefetch.PGKey, blk uint32) {
 	ms.notifyOutcome(OutcomeEvent{Kind: PrefetchUseless, BlockAddr: blk, Src: src, PG: pg})
 }
 
-// install inserts blk, absent from the L2, on behalf of by at cycle at and
-// retires the line it displaces. The caller fills in the returned line.
-func (ms *MemSys) install(blk uint32, by prefetch.Source, at int64) *cache.Line {
-	nl, victim, had := ms.l2.Insert(blk)
-	if had {
+// install fills blk, absent from the L2, into nl, the victim line of its
+// missing L2 probe, on behalf of by at cycle at, and retires the line it
+// displaces. The caller fills in nl's metadata.
+func (ms *MemSys) install(nl *cache.Line, blk uint32, by prefetch.Source, at int64) {
+	if victim, had := ms.l2.Fill(nl, blk); had {
 		ms.handleVictim(victim, by, at)
 	}
-	return nl
 }
 
-// fetch brings blk, absent from the L2, from DRAM at demand priority for a
-// request that reached the L2 at t: with all MSHRs busy it first waits for
-// the earliest outstanding fill. It returns the installed line, whose
-// ReadyAt is the fill's completion.
-func (ms *MemSys) fetch(blk uint32, t int64) *cache.Line {
+// fetch brings blk, absent from the L2, from DRAM at demand priority into
+// nl, the victim line of its missing L2 probe, for a request that reached
+// the L2 at t: with all MSHRs busy it first waits for the earliest
+// outstanding fill. It returns the installed line, whose ReadyAt is the
+// fill's completion.
+func (ms *MemSys) fetch(nl *cache.Line, blk uint32, t int64) *cache.Line {
 	reqT := t + ms.cfg.L2Lat
 	ms.mshr.PopLE(reqT)
 	if ms.cfg.MSHRs > 0 && len(ms.mshr) >= ms.cfg.MSHRs {
@@ -536,7 +554,7 @@ func (ms *MemSys) fetch(blk uint32, t int64) *cache.Line {
 	if ms.gauges {
 		ms.mshrGauge.Push(ready)
 	}
-	nl := ms.install(blk, prefetch.SrcDemand, reqT)
+	ms.install(nl, blk, prefetch.SrcDemand, reqT)
 	nl.Used = true
 	nl.ReadyAt = ready
 	nl.IssuedAt = reqT
@@ -554,15 +572,18 @@ func (ms *MemSys) Access(addr, pc uint32, isLoad, lds bool, now int64) int64 {
 	ev := AccessEvent{Now: now, PC: pc, Addr: addr, IsLoad: isLoad, LDS: lds}
 	blk := ms.l2.BlockAddr(addr)
 
-	// L1.
-	if l := ms.l1.Lookup(addr, true); l != nil {
+	// L1. A miss keeps the probe's victim way for fillL1.
+	l1, hit := ms.l1.Probe(addr, true)
+	if hit {
 		ms.stats.L1Hits++
-		ev.L1Hit = true
-		complete := max(now, l.ReadyAt) + ms.cfg.L1Lat
-		ev.CompleteAt = complete
-		ms.notifyAccess(ev)
+		complete := max(now, l1.ReadyAt) + ms.cfg.L1Lat
+		if len(ms.l1HitObs) > 0 {
+			ev.L1Hit = true
+			ev.CompleteAt = complete
+			notifyAccess(ms.l1HitObs, ev)
+		}
 		if !isLoad {
-			l.Dirty = true
+			l1.Dirty = true
 			if l2l := ms.l2.Lookup(addr, false); l2l != nil {
 				l2l.Dirty = true
 			}
@@ -571,10 +592,11 @@ func (ms *MemSys) Access(addr, pc uint32, isLoad, lds bool, now int64) int64 {
 	}
 	t2 := now + ms.cfg.L1Lat
 
-	var l *cache.Line
+	// L2. A miss keeps the probe's victim way for the fill.
 	var complete int64
 	fetched := false
-	if l = ms.l2.Lookup(addr, true); l != nil {
+	l, hit := ms.l2.Probe(addr, true)
+	if hit {
 		// L2 hit, or a merge with an in-flight fill.
 		firstUse := l.PrefSrc.IsPrefetch() && !l.Used
 		if firstUse {
@@ -612,7 +634,7 @@ func (ms *MemSys) Access(addr, pc uint32, isLoad, lds bool, now int64) int64 {
 		// used prefetched block, without the in-flight promotion.
 		delete(ms.sideBuf, blk)
 		ms.consume(sl.src, sl.pg, blk, sl.readyAt, t2)
-		l = ms.install(blk, prefetch.SrcDemand, t2)
+		ms.install(l, blk, prefetch.SrcDemand, t2)
 		l.PrefSrc = sl.src
 		l.Used = true
 		l.ReadyAt = sl.readyAt
@@ -627,12 +649,11 @@ func (ms *MemSys) Access(addr, pc uint32, isLoad, lds bool, now int64) int64 {
 			// Oracle: the LDS miss is converted into an L2 hit.
 			ms.stats.IdealLDSHits++
 			complete = t2 + ms.cfg.L2Lat
-			l = ms.install(blk, prefetch.SrcDemand, t2)
+			ms.install(l, blk, prefetch.SrcDemand, t2)
 			l.Used = true
 			l.ReadyAt = complete
 		} else {
-			l = ms.fetch(blk, t2)
-			complete = l.ReadyAt
+			complete = ms.fetch(l, blk, t2).ReadyAt
 			fetched = true
 		}
 	}
@@ -640,9 +661,9 @@ func (ms *MemSys) Access(addr, pc uint32, isLoad, lds bool, now int64) int64 {
 	if !isLoad {
 		l.Dirty = true
 	}
-	ms.fillL1(addr, complete, !isLoad)
+	ms.fillL1(l1, addr, complete, !isLoad)
 	ev.CompleteAt = complete
-	ms.notifyAccess(ev)
+	notifyAccess(ms.accessObs, ev)
 	// Content scan of the demand-fetched block.
 	if fetched && len(ms.fillObs) > 0 {
 		ms.notifyFill(blk, FillEvent{
@@ -673,8 +694,9 @@ func (ms *MemSys) AccessWrongPath(addr uint32, now int64) int64 {
 	ms.stats.WrongPathAccesses++
 
 	// L1 hit: no resource consumed beyond the port.
-	if l := ms.l1.Lookup(addr, true); l != nil {
-		return max(now, l.ReadyAt) + ms.cfg.L1Lat
+	l1, hit := ms.l1.Probe(addr, true)
+	if hit {
+		return max(now, l1.ReadyAt) + ms.cfg.L1Lat
 	}
 	t2 := now + ms.cfg.L1Lat
 
@@ -684,18 +706,19 @@ func (ms *MemSys) AccessWrongPath(addr uint32, now int64) int64 {
 	// committed consumers — but it does refresh recency (LRU pollution).
 	// A miss fetches the block at demand priority under MSHR capacity.
 	var complete int64
-	if l := ms.l2.Lookup(addr, true); l != nil {
+	if l, hit := ms.l2.Probe(addr, true); hit {
 		complete = max(t2, l.ReadyAt) + ms.cfg.L2Lat
 	} else {
 		ms.stats.WrongPathToDRAM++
-		complete = ms.fetch(ms.l2.BlockAddr(addr), t2).ReadyAt
+		complete = ms.fetch(l, ms.l2.BlockAddr(addr), t2).ReadyAt
 	}
-	ms.fillL1(addr, complete, false)
+	ms.fillL1(l1, addr, complete, false)
 	return complete
 }
 
-func (ms *MemSys) fillL1(addr uint32, readyAt int64, dirty bool) {
-	l, _, _ := ms.l1.Insert(addr)
+// fillL1 fills addr into l, the victim line of its missing L1 probe.
+func (ms *MemSys) fillL1(l *cache.Line, addr uint32, readyAt int64, dirty bool) {
+	ms.l1.Fill(l, addr)
 	l.ReadyAt = readyAt
 	l.Used = true
 	l.Dirty = dirty
@@ -706,7 +729,8 @@ func (ms *MemSys) fillL1(addr uint32, readyAt int64, dirty bool) {
 // flight are dropped; the prefetch queue bound drops, never stalls.
 func (ms *MemSys) Issue(r prefetch.Request) {
 	blk := ms.l2.BlockAddr(r.Addr)
-	if l := ms.l2.Lookup(blk, false); l != nil {
+	nl, hit := ms.l2.Probe(blk, false)
+	if hit {
 		ms.stats.PrefDropCacheHit++
 		return
 	}
@@ -771,7 +795,7 @@ func (ms *MemSys) Issue(r prefetch.Request) {
 	if ms.sideBuf != nil {
 		ms.sideBuf[blk] = sideLine{readyAt: ready, pg: r.PG, src: r.Src}
 	} else {
-		nl := ms.install(blk, r.Src, r.When)
+		ms.install(nl, blk, r.Src, r.When)
 		nl.PrefSrc = r.Src
 		nl.ReadyAt = ready
 		nl.IssuedAt = r.When

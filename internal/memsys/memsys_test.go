@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"ldsprefetch/internal/dram"
@@ -450,11 +451,57 @@ func TestHitPrefetchSrcReported(t *testing.T) {
 	}
 }
 
+// accessRecorder records every access it is sent, L1 hits included.
 type accessRecorder struct{ evs []AccessEvent }
 
 func (a *accessRecorder) Name() string            { return "rec" }
 func (a *accessRecorder) Source() prefetch.Source { return prefetch.SrcDemand }
 func (a *accessRecorder) OnAccess(ev AccessEvent) { a.evs = append(a.evs, ev) }
+func (a *accessRecorder) ObservesL1Hits()         {}
+
+// loggedObs logs the name of each access it is sent, with "/l1" appended for
+// an L1 hit. It lacks the L1HitObserver marker; loggedHitObs has it.
+type loggedObs struct {
+	name string
+	log  *[]string
+}
+
+func (o *loggedObs) Name() string            { return o.name }
+func (o *loggedObs) Source() prefetch.Source { return prefetch.SrcDemand }
+func (o *loggedObs) OnAccess(ev AccessEvent) {
+	if ev.L1Hit {
+		*o.log = append(*o.log, o.name+"/l1")
+		return
+	}
+	*o.log = append(*o.log, o.name)
+}
+
+type loggedHitObs struct{ loggedObs }
+
+func (o *loggedHitObs) ObservesL1Hits() {}
+
+// TestL1HitsOnlyToMarkedObservers: an L1 hit reaches only the observers that
+// carry the L1HitObserver marker, and an access that reaches the L2 reaches
+// every observer; each in attach order.
+func TestL1HitsOnlyToMarkedObservers(t *testing.T) {
+	ms := newMS(t, nil)
+	var log []string
+	ms.Attach(&loggedObs{"a", &log})
+	ms.Attach(&loggedHitObs{loggedObs{"B", &log}})
+	ms.Attach(&loggedObs{"c", &log})
+	ms.Attach(&loggedHitObs{loggedObs{"D", &log}})
+	ms.Access(0x1000_0000, 7, true, false, 0)     // L2 miss
+	ms.Access(0x1000_0004, 7, true, false, 1000)  // L1 hit
+	ms.Access(0x1000_0008, 7, false, false, 1010) // L1 hit, store
+	ms.Access(0x1000_0040, 7, true, false, 1020)  // L2 miss
+	want := []string{"a", "B", "c", "D", "B/l1", "D/l1", "B/l1", "D/l1", "a", "B", "c", "D"}
+	if !slices.Equal(log, want) {
+		t.Fatalf("events %v, want %v", log, want)
+	}
+	if st := ms.Stats(); st.L1Hits != 2 || st.Accesses != 4 {
+		t.Fatalf("%d L1 hits of %d accesses, want 2 of 4", st.L1Hits, st.Accesses)
+	}
+}
 
 // TestMSHRFullDemandWaits pins the MSHR capacity semantics: a demand miss
 // that finds every MSHR busy waits for the earliest outstanding fill before

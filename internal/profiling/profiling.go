@@ -64,7 +64,7 @@ func Collect(tr *trace.Trace, mcfg memsys.Config, ccfg cpu.Config) *Profile {
 // prefetcher and an unfiltered CDP attached.
 func newStack(tr *trace.Trace, mcfg memsys.Config) *memsys.MemSys {
 	ms := memsys.New(mcfg, tr.Mem, dram.NewController(dram.DefaultConfig(1)))
-	sp := stream.New(32, ms.BlockShift(), ms)
+	sp := stream.New(ms.BlockShift(), ms)
 	cdpCfg := core.DefaultCDPConfig()
 	cdpCfg.BlockSize = mcfg.BlockSize
 	cd := core.NewCDP(cdpCfg, ms)

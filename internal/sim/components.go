@@ -180,7 +180,7 @@ var components = []component{
 		kind: "stream", version: 1,
 		throttleable: true, switchable: true,
 		prefetcher: func(env *buildEnv) instance {
-			sp := stream.New(32, env.ms.BlockShift(), env.ms)
+			sp := stream.New(env.ms.BlockShift(), env.ms)
 			return instance{pf: sp, src: prefetch.SrcStream, throttleable: sp, switchable: sp}
 		},
 	},

@@ -5,14 +5,25 @@
 // monitor-and-request, issuing Degree prefetches at a time up to Distance
 // blocks ahead of the demand stream. Distance and Degree scale with the
 // aggressiveness level (paper Table 2).
+//
+// The table is searched on every access that reaches the L2, so it is kept
+// as bitmasks: one mask per state, and one branch-free pass that builds the
+// mask of entries whose region covers the block. Each search is then a
+// trailing-zero count, which picks the lowest-index match — the entry a
+// first-match linear scan would find.
 package stream
 
 import (
+	"math/bits"
+
 	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/prefetch"
 )
 
-const trainWindow = 16 // blocks within which a miss trains an entry
+const (
+	numEntries  = 32 // stream-tracking entries (paper Section 2.1)
+	trainWindow = 16 // blocks within which a miss trains an entry
+)
 
 type state uint8
 
@@ -21,20 +32,26 @@ const (
 	allocated
 	training
 	monitoring
+	numStates
 )
 
 type entry struct {
-	state      state
-	dir        int32  // +1 or -1 (block granularity)
-	firstBlk   uint32 // block of the allocating miss
-	lastDemand uint32 // most recent demand block attributed to the stream
-	nextPf     uint32 // next block to prefetch
-	lru        uint64
+	state  state
+	dir    int32  // +1 or -1 (block granularity)
+	nextPf uint32 // next block to prefetch
 }
 
 // Prefetcher is a stream prefetcher instance for one core.
 type Prefetcher struct {
-	entries    []entry
+	entries [numEntries]entry
+	// ref is each entry's region anchor: the block of the allocating miss
+	// until the stream monitors, then the most recent demand block
+	// attributed to it.
+	ref [numEntries]uint32
+	lru [numEntries]uint64
+	// in[s] has bit i set when entries[i] is in state s (see setState).
+	in [numStates]uint32
+
 	level      prefetch.AggLevel
 	issuer     prefetch.Issuer
 	blockShift uint
@@ -43,19 +60,17 @@ type Prefetcher struct {
 	Enabled bool
 }
 
-// New builds a stream prefetcher with n tracking entries (32 in the paper)
+// New builds a stream prefetcher with the paper's 32 tracking entries,
 // issuing through iss. blockShift is log2 of the cache block size.
-func New(n int, blockShift uint, iss prefetch.Issuer) *Prefetcher {
-	if n <= 0 {
-		n = 32
-	}
-	return &Prefetcher{
-		entries:    make([]entry, n),
+func New(blockShift uint, iss prefetch.Issuer) *Prefetcher {
+	p := &Prefetcher{
 		level:      prefetch.Aggressive,
 		issuer:     iss,
 		blockShift: blockShift,
 		Enabled:    true,
 	}
+	p.in[invalid] = 1<<numEntries - 1
+	return p
 }
 
 // Name implements memsys.Prefetcher.
@@ -83,23 +98,27 @@ func (p *Prefetcher) OnAccess(ev memsys.AccessEvent) {
 		return
 	}
 	blk := ev.Addr >> p.blockShift
+	near := p.near(blk)
 
 	// 1. Advance a monitoring stream that covers this block.
-	if e := p.match(blk, monitoring); e != nil {
-		p.touch(e)
-		if delta(blk, e.lastDemand)*e.dir > 0 {
-			e.lastDemand = blk
+	if m := near & p.in[monitoring]; m != 0 {
+		i := bits.TrailingZeros32(m)
+		p.touch(i)
+		if delta(blk, p.ref[i])*p.entries[i].dir > 0 {
+			p.ref[i] = blk
 		}
-		p.request(e, ev.Now)
+		p.request(i, ev.Now)
 		return
 	}
 	// Training and allocation act on misses only.
 	if !ev.Miss() {
 		return
 	}
-	if e := p.match(blk, training); e != nil {
-		p.touch(e)
-		d := delta(blk, e.firstBlk)
+	if m := near & p.in[training]; m != 0 {
+		i := bits.TrailingZeros32(m)
+		e := &p.entries[i]
+		p.touch(i)
+		d := delta(blk, p.ref[i])
 		if d == 0 {
 			return
 		}
@@ -109,22 +128,24 @@ func (p *Prefetcher) OnAccess(ev memsys.AccessEvent) {
 		}
 		if dir == e.dir {
 			// Second confirming miss: start monitoring.
-			e.state = monitoring
-			e.lastDemand = blk
+			p.setState(i, monitoring)
+			p.ref[i] = blk
 			e.nextPf = addBlk(blk, e.dir)
-			p.request(e, ev.Now)
+			p.request(i, ev.Now)
 		} else {
 			e.dir = dir // re-learn direction
 		}
 		return
 	}
-	if e := p.match(blk, allocated); e != nil {
-		p.touch(e)
-		d := delta(blk, e.firstBlk)
+	if m := near & p.in[allocated]; m != 0 {
+		i := bits.TrailingZeros32(m)
+		e := &p.entries[i]
+		p.touch(i)
+		d := delta(blk, p.ref[i])
 		if d == 0 {
 			return
 		}
-		e.state = training
+		p.setState(i, training)
 		if d > 0 {
 			e.dir = 1
 		} else {
@@ -132,62 +153,65 @@ func (p *Prefetcher) OnAccess(ev memsys.AccessEvent) {
 		}
 		return
 	}
-	// Allocate a new stream on an unmatched miss, replacing the LRU entry.
-	victim := &p.entries[0]
-	for i := range p.entries {
-		e := &p.entries[i]
-		if e.state == invalid {
-			victim = e
-			break
-		}
-		if e.lru < victim.lru {
-			victim = e
-		}
-	}
-	*victim = entry{state: allocated, firstBlk: blk, lastDemand: blk}
-	p.touch(victim)
-}
-
-// match finds an entry in the given state whose tracked region covers blk.
-func (p *Prefetcher) match(blk uint32, st state) *entry {
-	for i := range p.entries {
-		e := &p.entries[i]
-		if e.state != st {
-			continue
-		}
-		var ref uint32
-		switch st {
-		case monitoring:
-			ref = e.lastDemand
-		default:
-			ref = e.firstBlk
-		}
-		d := delta(blk, ref)
-		if d < 0 {
-			d = -d
-		}
-		if d <= trainWindow {
-			return e
+	// Allocate a new stream on an unmatched miss: the first invalid entry,
+	// or else the least recently used one. Entries never return to
+	// invalid, and every valid entry's lru is distinct.
+	var i int
+	if free := p.in[invalid]; free != 0 {
+		i = bits.TrailingZeros32(free)
+	} else {
+		for j := 1; j < numEntries; j++ {
+			if p.lru[j] < p.lru[i] {
+				i = j
+			}
 		}
 	}
-	return nil
+	p.setState(i, allocated)
+	p.entries[i] = entry{state: allocated}
+	p.ref[i] = blk
+	p.touch(i)
 }
 
-func (p *Prefetcher) touch(e *entry) {
+// near returns the mask of entries whose ref lies within trainWindow blocks
+// of blk, in either direction, whatever their state. |blk-ref| ≤ trainWindow
+// is blk-ref+trainWindow ≤ 2·trainWindow in wrapping uint32 arithmetic, so
+// one subtraction's borrow decides each bit without a branch. A signed
+// distance with negation would also accept blk-ref = 2^31, whose negation
+// overflows to itself; near rejects it. Such a pair is 2^31 blocks apart,
+// which 32-bit addresses reach only with one-byte blocks (blockShift 0).
+func (p *Prefetcher) near(blk uint32) uint32 {
+	var m uint32
+	for i, r := range p.ref {
+		x := uint64(blk - r + trainWindow)
+		m |= uint32((x-(2*trainWindow+1))>>63) << i
+	}
+	return m
+}
+
+// setState moves entry i to state st, keeping the state masks in step.
+func (p *Prefetcher) setState(i int, st state) {
+	bit := uint32(1) << i
+	p.in[p.entries[i].state] &^= bit
+	p.in[st] |= bit
+	p.entries[i].state = st
+}
+
+func (p *Prefetcher) touch(i int) {
 	p.tick++
-	e.lru = p.tick
+	p.lru[i] = p.tick
 }
 
-// request issues up to Degree prefetches, keeping nextPf within Distance
-// blocks of the demand stream.
-func (p *Prefetcher) request(e *entry, now int64) {
+// request issues up to Degree prefetches for entry i, keeping nextPf within
+// Distance blocks of the demand stream.
+func (p *Prefetcher) request(i int, now int64) {
 	if !p.Enabled {
 		return
 	}
+	e := &p.entries[i]
 	distance, degree := prefetch.StreamParams(p.level)
 	issued := 0
 	for issued < degree {
-		ahead := delta(e.nextPf, e.lastDemand) * e.dir
+		ahead := delta(e.nextPf, p.ref[i]) * e.dir
 		if ahead > int32(distance) {
 			break
 		}

@@ -17,7 +17,7 @@ func miss(addr uint32, now int64) memsys.AccessEvent {
 
 func TestAscendingStreamPrefetches(t *testing.T) {
 	s := &sink{}
-	p := New(32, 6, s)
+	p := New(6, s)
 	// Three consecutive block misses: allocate, train, monitor+request.
 	p.OnAccess(miss(0x1000_0000, 0))
 	p.OnAccess(miss(0x1000_0040, 10))
@@ -44,7 +44,7 @@ func TestAscendingStreamPrefetches(t *testing.T) {
 
 func TestDescendingStream(t *testing.T) {
 	s := &sink{}
-	p := New(32, 6, s)
+	p := New(6, s)
 	p.OnAccess(miss(0x1000_0800, 0))
 	p.OnAccess(miss(0x1000_07c0, 10))
 	p.OnAccess(miss(0x1000_0780, 20))
@@ -60,7 +60,7 @@ func TestDescendingStream(t *testing.T) {
 
 func TestAdvanceOnFurtherAccesses(t *testing.T) {
 	s := &sink{}
-	p := New(32, 6, s)
+	p := New(6, s)
 	for i := uint32(0); i < 20; i++ {
 		p.OnAccess(miss(0x1000_0000+i*64, int64(i)*10))
 	}
@@ -85,7 +85,7 @@ func TestAdvanceOnFurtherAccesses(t *testing.T) {
 func TestConservativeIssuesFewer(t *testing.T) {
 	run := func(level prefetch.AggLevel) int {
 		s := &sink{}
-		p := New(32, 6, s)
+		p := New(6, s)
 		p.SetLevel(level)
 		for i := uint32(0); i < 50; i++ {
 			p.OnAccess(miss(0x1000_0000+i*64, int64(i)*10))
@@ -101,7 +101,7 @@ func TestConservativeIssuesFewer(t *testing.T) {
 
 func TestRandomMissesNoPrefetch(t *testing.T) {
 	s := &sink{}
-	p := New(32, 6, s)
+	p := New(6, s)
 	addrs := []uint32{0x1000_0000, 0x1080_0000, 0x1100_0000, 0x1180_0000, 0x1200_0000}
 	for i, a := range addrs {
 		p.OnAccess(miss(a, int64(i)*10))
@@ -113,7 +113,7 @@ func TestRandomMissesNoPrefetch(t *testing.T) {
 
 func TestL1HitsIgnored(t *testing.T) {
 	s := &sink{}
-	p := New(32, 6, s)
+	p := New(6, s)
 	ev := miss(0x1000_0000, 0)
 	ev.L1Hit = true
 	for i := 0; i < 10; i++ {
@@ -127,7 +127,7 @@ func TestL1HitsIgnored(t *testing.T) {
 
 func TestDisabledIssuesNothing(t *testing.T) {
 	s := &sink{}
-	p := New(32, 6, s)
+	p := New(6, s)
 	p.Enabled = false
 	for i := uint32(0); i < 10; i++ {
 		p.OnAccess(miss(0x1000_0000+i*64, int64(i)))
@@ -138,7 +138,7 @@ func TestDisabledIssuesNothing(t *testing.T) {
 }
 
 func TestThrottleInterface(t *testing.T) {
-	p := New(32, 6, &sink{})
+	p := New(6, &sink{})
 	var th prefetch.Throttleable = p
 	th.SetLevel(prefetch.AggLevel(9))
 	if th.Level() != prefetch.Aggressive {
