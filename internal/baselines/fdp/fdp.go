@@ -123,15 +123,7 @@ func (c *Controller) Add(src prefetch.Source, t prefetch.Throttleable) {
 }
 
 // Install hooks the controller onto the feedback interval boundary.
-func (c *Controller) Install() {
-	prev := c.fb.OnInterval
-	c.fb.OnInterval = func() {
-		if prev != nil {
-			prev()
-		}
-		c.Round()
-	}
-}
+func (c *Controller) Install() { c.fb.ObserveIntervals(c.Round) }
 
 // Round applies the FDP rule table to each prefetcher in isolation:
 //

@@ -30,7 +30,7 @@ func setupInterval(c *Controller, src prefetch.Source, issued, used, late float6
 		c.OnOutcome(memsys.OutcomeEvent{Kind: memsys.DemandMiss, BlockAddr: blk})
 	}
 	fb.DemandMisses.Add(misses)
-	fb.Eviction() // interval length 1 closes the interval
+	fb.EvictionAt(0) // interval length 1 closes the interval
 }
 
 func TestLowAccuracyThrottlesDown(t *testing.T) {
@@ -99,7 +99,7 @@ func TestIndividualIgnoresRival(t *testing.T) {
 	fb.Sources[prefetch.SrcCDP].Used.Add(90)
 	fb.Sources[prefetch.SrcCDP].Late.Add(60)
 	fb.DemandMisses.Add(100)
-	fb.Eviction()
+	fb.EvictionAt(0)
 	if sp.level != prefetch.Moderate {
 		t.Fatalf("stream level = %v, want down", sp.level)
 	}

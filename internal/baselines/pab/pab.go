@@ -36,15 +36,7 @@ func (s *Selector) Add(src prefetch.Source, sw Switchable) {
 }
 
 // Install hooks the selector onto the feedback interval boundary.
-func (s *Selector) Install() {
-	prev := s.fb.OnInterval
-	s.fb.OnInterval = func() {
-		if prev != nil {
-			prev()
-		}
-		s.Round()
-	}
-}
+func (s *Selector) Install() { s.fb.ObserveIntervals(s.Round) }
 
 // Round picks the winner by smoothed accuracy and disables the rest.
 func (s *Selector) Round() {

@@ -23,7 +23,7 @@ func TestMostAccurateWins(t *testing.T) {
 	fb.Sources[prefetch.SrcStream].Used.Add(30)
 	fb.Sources[prefetch.SrcCDP].Issued.Add(100)
 	fb.Sources[prefetch.SrcCDP].Used.Add(70)
-	fb.Eviction()
+	fb.EvictionAt(0)
 
 	if a.on || !b.on {
 		t.Fatalf("stream=%v cdp=%v, want only the more accurate CDP enabled", a.on, b.on)
@@ -40,7 +40,7 @@ func TestIdlePrefetcherCannotWin(t *testing.T) {
 	s.Install()
 	fb.Sources[prefetch.SrcStream].Issued.Add(100)
 	fb.Sources[prefetch.SrcStream].Used.Add(20)
-	fb.Eviction()
+	fb.EvictionAt(0)
 	if idle.on || !busy.on {
 		t.Fatalf("idle=%v busy=%v: an idle prefetcher must not win on default accuracy", idle.on, busy.on)
 	}
@@ -58,7 +58,7 @@ func TestSelectionFlipsWithPhase(t *testing.T) {
 	fb.Sources[prefetch.SrcStream].Used.Add(90)
 	fb.Sources[prefetch.SrcCDP].Issued.Add(100)
 	fb.Sources[prefetch.SrcCDP].Used.Add(10)
-	fb.Eviction()
+	fb.EvictionAt(0)
 	if !a.on || b.on {
 		t.Fatal("phase 1: stream should win")
 	}
@@ -68,7 +68,7 @@ func TestSelectionFlipsWithPhase(t *testing.T) {
 		fb.Sources[prefetch.SrcCDP].Used.Add(95)
 		fb.Sources[prefetch.SrcStream].Issued.Add(100)
 		fb.Sources[prefetch.SrcStream].Used.Add(5)
-		fb.Eviction()
+		fb.EvictionAt(0)
 	}
 	if a.on || !b.on {
 		t.Fatal("phase 2: cdp should win after the flip")
@@ -79,5 +79,5 @@ func TestEmptySelectorSafe(t *testing.T) {
 	fb := prefetch.NewFeedback(1)
 	s := NewSelector(fb)
 	s.Install()
-	fb.Eviction() // must not panic
+	fb.EvictionAt(0) // must not panic
 }

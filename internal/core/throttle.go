@@ -41,9 +41,10 @@ func (d Decision) String() string {
 	}
 }
 
-// Decide implements the heuristic table (paper Table 3) for one deciding
+// DecideCase implements the heuristic table (paper Table 3) for one deciding
 // prefetcher given its own coverage and accuracy and the rival prefetcher's
-// coverage. The table, reproduced:
+// coverage, and returns the decision with the row that fired (1-5), for
+// telemetry and analysis. The table, reproduced:
 //
 //	case  own-coverage  own-accuracy    rival-coverage  decision
 //	1     High          -               -               Throttle Up
@@ -51,13 +52,6 @@ func (d Decision) String() string {
 //	3     Low           Medium or High  Low             Throttle Up
 //	4     Low           Low or Medium   High            Throttle Down
 //	5     Low           High            High            Do Nothing
-func Decide(th Thresholds, ownCov, ownAcc, rivalCov float64) Decision {
-	d, _ := DecideCase(th, ownCov, ownAcc, rivalCov)
-	return d
-}
-
-// DecideCase is Decide exposing which row of Table 3 fired (1-5), for
-// telemetry and analysis.
 func DecideCase(th Thresholds, ownCov, ownAcc, rivalCov float64) (Decision, int) {
 	if ownCov >= th.TCoverage {
 		return ThrottleUp, 1
@@ -114,15 +108,7 @@ func (t *Throttler) Add(src prefetch.Source, p prefetch.Throttleable) {
 }
 
 // Install arranges for Round to run at every feedback interval boundary.
-func (t *Throttler) Install() {
-	prev := t.fb.OnInterval
-	t.fb.OnInterval = func() {
-		if prev != nil {
-			prev()
-		}
-		t.Round()
-	}
-}
+func (t *Throttler) Install() { t.fb.ObserveIntervals(t.Round) }
 
 // roundDecision is one prefetcher's outcome within a decision round.
 type roundDecision struct {

@@ -25,8 +25,8 @@ func TestDecideTable3(t *testing.T) {
 		{"case5 high acc rival high", 0.1, 0.9, 0.5, DoNothing},
 	}
 	for _, c := range cases {
-		if got := Decide(th, c.ownCov, c.ownAcc, c.rivalCov); got != c.want {
-			t.Errorf("%s: Decide(%v,%v,%v) = %v, want %v",
+		if got, _ := DecideCase(th, c.ownCov, c.ownAcc, c.rivalCov); got != c.want {
+			t.Errorf("%s: DecideCase(%v,%v,%v) = %v, want %v",
 				c.name, c.ownCov, c.ownAcc, c.rivalCov, got, c.want)
 		}
 	}
@@ -37,7 +37,7 @@ func TestDecideTotalProperty(t *testing.T) {
 	// of the three decisions — the heuristic table is total.
 	th := DefaultThresholds()
 	f := func(a, b, c uint8) bool {
-		d := Decide(th, float64(a)/255, float64(b)/255, float64(c)/255)
+		d, _ := DecideCase(th, float64(a)/255, float64(b)/255, float64(c)/255)
 		return d == DoNothing || d == ThrottleUp || d == ThrottleDown
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -67,7 +67,7 @@ func TestThrottlerRoundCoordinated(t *testing.T) {
 	tr.Add(prefetch.SrcCDP, cdp)
 	tr.Install()
 
-	fb.Eviction() // close interval → smoothed counters → round
+	fb.EvictionAt(0) // close interval → smoothed counters → round
 
 	// Smoothed: stream acc 0.1, cov 5/(5+50)≈0.09; cdp acc 0.8, cov 40/90≈0.44.
 	if stream.level != prefetch.Conservative {
@@ -96,7 +96,7 @@ func TestThrottlerCase5DoNothing(t *testing.T) {
 	tr.Add(prefetch.SrcCDP, cdp)
 	tr.Add(prefetch.SrcStream, stream)
 	tr.Install()
-	fb.Eviction()
+	fb.EvictionAt(0)
 
 	// CDP: cov = 4.5/(4.5+50) ≈ 0.08 low, acc 0.9 high, rival cov
 	// 75/(75+50) = 0.6 high → case 5: unchanged.
@@ -118,22 +118,24 @@ func TestThrottlerLevelsSaturate(t *testing.T) {
 	// Idle prefetcher: accuracy defaults to 1, coverage 0 → with no rival
 	// coverage, case 3 throttles up each interval until saturation.
 	for i := 0; i < 10; i++ {
-		fb.Eviction()
+		fb.EvictionAt(0)
 	}
 	if p.level != prefetch.Aggressive {
 		t.Fatalf("level = %v, want saturated at aggressive", p.level)
 	}
 }
 
+// TestInstallChainsExistingHook checks Install adds the throttler's round
+// to the interval subscribers without dropping one subscribed earlier.
 func TestInstallChainsExistingHook(t *testing.T) {
 	fb := prefetch.NewFeedback(1)
 	called := false
-	fb.OnInterval = func() { called = true }
+	fb.ObserveIntervals(func() { called = true })
 	tr := NewThrottler(DefaultThresholds(), fb)
 	tr.Install()
-	fb.Eviction()
+	fb.EvictionAt(0)
 	if !called {
-		t.Fatal("pre-existing OnInterval hook must still run")
+		t.Fatal("pre-existing interval subscriber must still run")
 	}
 }
 
@@ -158,9 +160,6 @@ func TestDecideCaseTable3(t *testing.T) {
 			t.Errorf("%s: DecideCase(%v,%v,%v) = (%v, case %d), want (%v, case %d)",
 				c.name, c.ownCov, c.ownAcc, c.rivalCov, d, tc, c.want, c.wantCase)
 		}
-		if d2 := Decide(th, c.ownCov, c.ownAcc, c.rivalCov); d2 != d {
-			t.Errorf("%s: Decide disagrees with DecideCase", c.name)
-		}
 	}
 }
 
@@ -180,7 +179,7 @@ func TestThrottlerEmitsEvents(t *testing.T) {
 	tr.Add(prefetch.SrcStream, stream)
 	tr.Add(prefetch.SrcCDP, cdp)
 	tr.Install()
-	fb.Eviction()
+	fb.EvictionAt(0)
 
 	if len(trc.Events) != 2 {
 		t.Fatalf("events = %d, want 2 (one per prefetcher per round)", len(trc.Events))

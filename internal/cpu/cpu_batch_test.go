@@ -106,7 +106,10 @@ func TestRandomTraceInvariants(t *testing.T) {
 		if err := trace.Validate(tr); err != nil {
 			t.Fatal(err)
 		}
-		want := trace.Summarize(tr).Instructions
+		var want int64
+		for i := range tr.Ops {
+			want += tr.Ops[i].Instructions()
+		}
 		r1 := Run(DefaultConfig(), newMS(), tr)
 		if r1.Retired != want {
 			t.Fatalf("retired %d, want %d", r1.Retired, want)

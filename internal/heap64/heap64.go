@@ -17,16 +17,12 @@
 // indistinguishable.
 package heap64
 
-// Heap is a binary min-heap of int64 values. The zero value is an empty heap
-// ready to use.
+// Heap is a binary min-heap of int64 values: h[0] is the minimum of a
+// non-empty heap. The zero value is an empty heap ready to use.
 type Heap []int64
 
 // Len returns the number of values in the heap.
 func (h Heap) Len() int { return len(h) }
-
-// Min returns the smallest value. It panics on an empty heap (as indexing an
-// empty slice would); callers guard with Len.
-func (h Heap) Min() int64 { return h[0] }
 
 // Push adds v to the heap.
 func (h *Heap) Push(v int64) {

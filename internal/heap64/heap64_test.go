@@ -17,8 +17,8 @@ func TestPushPopSorts(t *testing.T) {
 	}
 	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 	for i, want := range vals {
-		if h.Min() != want {
-			t.Fatalf("pop %d: min = %d, want %d", i, h.Min(), want)
+		if h[0] != want {
+			t.Fatalf("pop %d: min = %d, want %d", i, h[0], want)
 		}
 		if got := h.Pop(); got != want {
 			t.Fatalf("pop %d: got %d, want %d", i, got, want)
@@ -67,8 +67,8 @@ func TestMatchesContainerHeap(t *testing.T) {
 		if h.Len() != ref.Len() {
 			t.Fatalf("op %d: len %d, reference %d", op, h.Len(), ref.Len())
 		}
-		if h.Len() > 0 && h.Min() != ref[0] {
-			t.Fatalf("op %d: min %d, reference %d", op, h.Min(), ref[0])
+		if h.Len() > 0 && h[0] != ref[0] {
+			t.Fatalf("op %d: min %d, reference %d", op, h[0], ref[0])
 		}
 	}
 }
@@ -85,8 +85,8 @@ func TestCountGreaterAndPopLE(t *testing.T) {
 		t.Fatalf("CountGreater(0) = %d, want 6", got)
 	}
 	h.PopLE(3)
-	if h.Len() != 3 || h.Min() != 5 {
-		t.Fatalf("after PopLE(3): len=%d min=%d, want 3 entries starting at 5", h.Len(), h.Min())
+	if h.Len() != 3 || h[0] != 5 {
+		t.Fatalf("after PopLE(3): len=%d min=%d, want 3 entries starting at 5", h.Len(), h[0])
 	}
 	h.PopLE(100)
 	if h.Len() != 0 {

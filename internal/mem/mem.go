@@ -44,8 +44,7 @@ const (
 // (globals, heap, stack) rather than for the whole address space. The zero
 // value is not ready to use; call New.
 type Memory struct {
-	dir   [dirSlots]*leaf
-	pages int // allocated pages
+	dir [dirSlots]*leaf
 	// Last-page cache: accesses cluster heavily within a page (pointer
 	// chases walk nodes far smaller than the 64 KiB page), so remembering
 	// the last resolved page skips the directory walk on the hot path.
@@ -80,7 +79,7 @@ func New() *Memory {
 // build per workload (see workload.BuildShared); each simulated core replays
 // stores against its own clone.
 func (m *Memory) Clone() *Memory {
-	c := &Memory{pages: m.pages, lastPN: noPage}
+	c := &Memory{lastPN: noPage}
 	for i, l := range &m.dir {
 		if l == nil {
 			continue
@@ -121,7 +120,6 @@ func (m *Memory) page(addr uint32, create bool) []byte {
 			return nil // don't cache misses: the page may be created later
 		}
 		*s = make([]byte, pageSize)
-		m.pages++
 	}
 	m.lastPN, m.lastPage = pn, *s
 	return *s
@@ -199,7 +197,7 @@ const PageSize = pageSize
 
 // Pages returns the numbers of all allocated pages in ascending order.
 func (m *Memory) Pages() []uint32 {
-	pns := make([]uint32, 0, m.pages)
+	var pns []uint32
 	for i, l := range &m.dir {
 		if l == nil {
 			continue
@@ -236,31 +234,21 @@ func (m *Memory) SetPageBytes(pn uint32, data []byte) {
 	}
 	p := make([]byte, pageSize)
 	copy(p, data)
-	s := m.slot(pn, true)
-	if *s == nil {
-		m.pages++
-	}
-	*s = p
+	*m.slot(pn, true) = p
 	m.lastPN = noPage
-}
-
-// Footprint returns the number of bytes of allocated (touched) pages.
-func (m *Memory) Footprint() int {
-	return m.pages * pageSize
 }
 
 // Allocator is a bump allocator over the heap region of a Memory. It mimics
 // a simple malloc: successive allocations are laid out consecutively (the
 // property the paper's pointer-group analysis relies on: "if different nodes
 // are allocated consecutively in memory, each pointer field of any other node
-// in the same cache block is also at a constant offset"). An optional
-// alignment and inter-allocation gap model allocator metadata.
+// in the same cache block is also at a constant offset"). Each allocation
+// starts at the next multiple of the alignment.
 type Allocator struct {
 	mem   *Memory
 	next  uint32
 	limit uint32
 	align uint32
-	gap   uint32
 }
 
 // NewAllocator returns a heap allocator over m starting at HeapBase with the
@@ -282,10 +270,6 @@ func NewAllocator(m *Memory, capacity uint32, align uint32) *Allocator {
 	return &Allocator{mem: m, next: HeapBase, limit: uint32(limit), align: align}
 }
 
-// SetGap sets the number of pad bytes inserted after every allocation
-// (simulating allocator headers). The pad is rounded into alignment.
-func (a *Allocator) SetGap(gap uint32) { a.gap = gap }
-
 // Alloc reserves size bytes and returns the address of the allocation.
 // It panics if the heap region is exhausted (a programming error in a
 // workload generator, not a runtime condition). The bounds check is done in
@@ -296,13 +280,7 @@ func (a *Allocator) Alloc(size uint32) uint32 {
 	if addr+uint64(size) > uint64(a.limit) {
 		panic(fmt.Sprintf("mem: heap exhausted (next=%#x size=%d limit=%#x); reduce the workload scale", a.next, size, a.limit))
 	}
-	next := addr + uint64(size) + uint64(a.gap)
-	if next > uint64(a.limit) {
-		// The gap pushed past the limit: clamp so a.next itself cannot wrap.
-		// Any further non-trivial Alloc still panics above.
-		next = uint64(a.limit)
-	}
-	a.next = uint32(next)
+	a.next = uint32(addr + uint64(size))
 	return uint32(addr)
 }
 

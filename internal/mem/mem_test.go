@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -92,17 +93,16 @@ func TestAllocatorConsecutive(t *testing.T) {
 	}
 }
 
-func TestAllocatorAlignmentAndGap(t *testing.T) {
+func TestAllocatorAlignment(t *testing.T) {
 	m := New()
 	a := NewAllocator(m, 1<<20, 8)
-	a.SetGap(4)
 	p1 := a.Alloc(12)
 	p2 := a.Alloc(12)
 	if p1%8 != 0 || p2%8 != 0 {
 		t.Fatalf("allocations not 8-aligned: %#x %#x", p1, p2)
 	}
-	if p2 <= p1+12 {
-		t.Fatalf("gap not applied: %#x then %#x", p1, p2)
+	if p2 != p1+16 {
+		t.Fatalf("second allocation at %#x, want the next 8-aligned address %#x", p2, p1+16)
 	}
 }
 
@@ -183,8 +183,8 @@ func TestClone(t *testing.T) {
 	if got := c.Read32(StackBase - 64); got != 0x22222222 {
 		t.Fatalf("mutating master changed clone: %#x", got)
 	}
-	if c.Footprint() != m.Footprint() {
-		t.Fatalf("footprints differ: %d vs %d", c.Footprint(), m.Footprint())
+	if !slices.Equal(c.Pages(), m.Pages()) {
+		t.Fatalf("pages differ: %#x vs %#x", c.Pages(), m.Pages())
 	}
 }
 
@@ -210,18 +210,6 @@ func TestPageCacheSeesLateCreation(t *testing.T) {
 	}
 }
 
-func TestFootprint(t *testing.T) {
-	m := New()
-	if m.Footprint() != 0 {
-		t.Fatalf("empty footprint = %d, want 0", m.Footprint())
-	}
-	m.Write8(HeapBase, 1)
-	m.Write8(HeapBase+pageSize, 1)
-	if m.Footprint() != 2*pageSize {
-		t.Fatalf("footprint = %d, want %d", m.Footprint(), 2*pageSize)
-	}
-}
-
 // TestPagesAcrossDirectorySlots writes pages in the globals, heap and stack
 // regions, which sit under different top-level directory slots, out of
 // address order. Pages must come back ascending, and a clone must be deep
@@ -242,9 +230,6 @@ func TestPagesAcrossDirectorySlots(t *testing.T) {
 			t.Fatalf("Pages() = %#x, want %#x", got, want)
 		}
 	}
-	if m.Footprint() != len(want)*pageSize {
-		t.Fatalf("footprint = %d, want %d", m.Footprint(), len(want)*pageSize)
-	}
 
 	c := m.Clone()
 	for _, a := range addrs {
@@ -255,8 +240,8 @@ func TestPagesAcrossDirectorySlots(t *testing.T) {
 			t.Fatalf("writing the clone at %#x changed the original to %#x", a, v)
 		}
 	}
-	if cp := c.Pages(); len(cp) != len(want) || c.Footprint() != m.Footprint() {
-		t.Fatalf("clone pages %#x (footprint %d), original %#x (footprint %d)", cp, c.Footprint(), got, m.Footprint())
+	if cp := c.Pages(); !slices.Equal(cp, got) {
+		t.Fatalf("clone pages %#x, original %#x", cp, got)
 	}
 }
 
@@ -269,8 +254,8 @@ func TestSetPageBytes(t *testing.T) {
 	m.Write8(HeapBase+100, 7) // the page exists before it is set
 	m.SetPageBytes(pn, []byte{1, 2, 3})
 	m.SetPageBytes(pn, []byte{4, 5})
-	if m.Footprint() != pageSize {
-		t.Fatalf("footprint = %d after setting one page twice, want %d", m.Footprint(), pageSize)
+	if pages := m.Pages(); len(pages) != 1 {
+		t.Fatalf("pages = %#x after setting one page twice, want one", pages)
 	}
 	if got := m.Read32(HeapBase); got != 0x0504 {
 		t.Fatalf("Read32 = %#x, want 0x0504 (zero-extended second contents)", got)

@@ -65,10 +65,7 @@ type Feedback struct {
 	intervalLen         int
 	intervals           int
 	lastEvictionAt      int64
-	// OnInterval, if non-nil, is invoked at every interval boundary after
-	// counters are folded; throttling controllers and telemetry recorders
-	// hook in here (recorders first, so they observe the decision inputs).
-	OnInterval func()
+	intervalObs         []func() // in subscription order (ObserveIntervals)
 }
 
 // NewFeedback returns feedback state with the given interval length in L2
@@ -80,12 +77,17 @@ func NewFeedback(intervalLen int) *Feedback {
 	return &Feedback{intervalLen: intervalLen}
 }
 
-// Eviction notes one L2 eviction and closes the interval when the threshold
-// is reached. EvictionAt additionally timestamps the eviction so interval
-// telemetry can place the boundary in time.
-func (f *Feedback) Eviction() { f.EvictionAt(f.lastEvictionAt) }
+// ObserveIntervals subscribes fn to every interval boundary; it runs after
+// the counters are folded. Subscribers run in subscription order: the
+// telemetry recorder subscribes before the throttling policies, so each
+// record holds the inputs of the decisions that follow it.
+func (f *Feedback) ObserveIntervals(fn func()) {
+	f.intervalObs = append(f.intervalObs, fn)
+}
 
-// EvictionAt notes one L2 eviction at cycle now.
+// EvictionAt notes one L2 eviction at cycle now and closes the interval when
+// the threshold is reached. The timestamp lets interval telemetry place the
+// boundary in time.
 func (f *Feedback) EvictionAt(now int64) {
 	if now > f.lastEvictionAt {
 		f.lastEvictionAt = now
@@ -101,8 +103,8 @@ func (f *Feedback) EvictionAt(now int64) {
 			s.Late.EndInterval()
 		}
 		f.DemandMisses.EndInterval()
-		if f.OnInterval != nil {
-			f.OnInterval()
+		for _, fn := range f.intervalObs {
+			fn()
 		}
 	}
 }
@@ -111,7 +113,7 @@ func (f *Feedback) EvictionAt(now int64) {
 func (f *Feedback) Intervals() int { return f.intervals }
 
 // LastEvictionAt returns the cycle of the most recent timestamped eviction
-// (the closing eviction's cycle, when read from an OnInterval hook).
+// (the closing eviction's cycle, when read by an interval subscriber).
 func (f *Feedback) LastEvictionAt() int64 { return f.lastEvictionAt }
 
 // Accuracy returns the smoothed prefetch accuracy of src:

@@ -1,6 +1,8 @@
 package prefetch
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -93,17 +95,17 @@ func TestCounterEquation3(t *testing.T) {
 func TestFeedbackIntervalBoundary(t *testing.T) {
 	f := NewFeedback(4)
 	fired := 0
-	f.OnInterval = func() { fired++ }
+	f.ObserveIntervals(func() { fired++ })
 	f.Sources[SrcStream].Issued.Add(8)
 	f.Sources[SrcStream].Used.Add(4)
 	f.DemandMisses.Add(12)
 	for i := 0; i < 3; i++ {
-		f.Eviction()
+		f.EvictionAt(0)
 	}
 	if fired != 0 {
 		t.Fatal("interval fired early")
 	}
-	f.Eviction()
+	f.EvictionAt(0)
 	if fired != 1 || f.Intervals() != 1 {
 		t.Fatalf("fired=%d intervals=%d, want 1,1", fired, f.Intervals())
 	}
@@ -116,9 +118,31 @@ func TestFeedbackIntervalBoundary(t *testing.T) {
 	}
 }
 
+// TestFeedbackIntervalSubscribersInOrder: every interval subscriber runs at
+// each boundary, in subscription order, after the counters are folded. The
+// telemetry recorder relies on it to cut its record before the throttling
+// policies subscribed after it apply their decisions.
+func TestFeedbackIntervalSubscribersInOrder(t *testing.T) {
+	f := NewFeedback(2)
+	f.Sources[SrcCDP].Issued.Add(10)
+	var got []string
+	for _, name := range []string{"recorder", "throttle", "fdp"} {
+		f.ObserveIntervals(func() {
+			got = append(got, fmt.Sprintf("%s@%d/%v", name, f.Intervals(), f.Sources[SrcCDP].Issued.Value()))
+		})
+	}
+	for i := 0; i < 4; i++ {
+		f.EvictionAt(int64(i))
+	}
+	want := []string{"recorder@1/5", "throttle@1/5", "fdp@1/5", "recorder@2/2.5", "throttle@2/2.5", "fdp@2/2.5"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("subscribers ran as %v, want %v", got, want)
+	}
+}
+
 func TestFeedbackIdlePrefetcherAccuracy(t *testing.T) {
 	f := NewFeedback(1)
-	f.Eviction()
+	f.EvictionAt(0)
 	if got := f.Accuracy(SrcCDP); got != 1 {
 		t.Fatalf("idle accuracy = %v, want 1", got)
 	}
@@ -145,7 +169,7 @@ func TestAccuracyCappedAtOne(t *testing.T) {
 	f := NewFeedback(1)
 	f.Sources[SrcStream].Issued.Add(1)
 	f.Sources[SrcStream].Used.Add(5) // degenerate: more used than issued in window
-	f.Eviction()
+	f.EvictionAt(0)
 	if got := f.Accuracy(SrcStream); got != 1 {
 		t.Fatalf("accuracy = %v, want capped at 1", got)
 	}

@@ -137,7 +137,7 @@ func assemble(bench string, p workload.Params, sp Spec, ctrl *dram.Controller, c
 		level = sp.InitialLevel.Clamp()
 	}
 
-	// Telemetry. The recorder is installed on the feedback hook before any
+	// Telemetry. The recorder subscribes to feedback intervals before any
 	// throttling controller, so each interval record captures the smoothed
 	// counters exactly as the controllers are about to see them.
 	var trc *telemetry.Trace
@@ -311,6 +311,9 @@ const (
 // decomposition to cache and share alone runs across mixes.
 func RunSharedSpec(benches []string, p workload.Params, sp Spec) (MultiResult, error) {
 	n := len(benches)
+	if n == 0 {
+		return MultiResult{}, fmt.Errorf("sim: empty benchmark mix")
+	}
 	master, err := controllerFor(sp, n)
 	if err != nil {
 		return MultiResult{}, err

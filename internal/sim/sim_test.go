@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"ldsprefetch/internal/cpu"
@@ -172,6 +173,14 @@ func TestRunMulti(t *testing.T) {
 func TestRunMultiUnknownBenchmark(t *testing.T) {
 	if _, err := RunMultiSpec([]string{"mst", "nosuch"}, testParams(), baseline()); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestRunMultiEmptyMix: an empty mix is an error, as in jobs.MultiSpec, not
+// a zero result.
+func TestRunMultiEmptyMix(t *testing.T) {
+	if _, err := RunMultiSpec(nil, testParams(), baseline()); err == nil || !strings.Contains(err.Error(), "empty benchmark mix") {
+		t.Fatalf("RunMultiSpec(nil) err = %v, want an empty-mix error", err)
 	}
 }
 

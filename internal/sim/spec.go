@@ -274,6 +274,9 @@ func (sp Spec) validate() ([]part, *cpu.OoOOptions, error) {
 // allocations (cpu.Config.Validate, memsys.Config.Validate,
 // dram.Config.Validate). Without it one oversized value in a submitted spec
 // would make the run die out of memory, which no panic containment catches.
+// It also refuses the two oracle flags inside mem_cfg: the run takes them
+// from the spec-level ideal_lds and no_pollution only, so set there they
+// would change the cache key and nothing else.
 func (sp Spec) checkHardware() error {
 	var errs []error
 	if sp.CPUCfg != nil {
@@ -281,6 +284,9 @@ func (sp Spec) checkHardware() error {
 	}
 	if sp.MemCfg != nil {
 		errs = append(errs, sp.MemCfg.Validate())
+		if sp.MemCfg.IdealLDS || sp.MemCfg.NoPollution {
+			errs = append(errs, errors.New("mem_cfg IdealLDS and NoPollution are not read; set the spec-level ideal_lds and no_pollution instead"))
+		}
 	}
 	if sp.DRAMCfg != nil {
 		errs = append(errs, sp.DRAMCfg.Validate())

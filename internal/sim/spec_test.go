@@ -141,6 +141,8 @@ func TestValidateBoundsHardware(t *testing.T) {
 		{"l1 past max", Spec{MemCfg: mcfg(func(c *memsys.Config) { c.L1Size = 64 * (memsys.MaxCacheLines + 1) })}, "L1Size"},
 		{"block 2^30", Spec{MemCfg: mcfg(func(c *memsys.Config) { c.BlockSize = 1 << 30 })}, "BlockSize"},
 		{"banks 2^40", Spec{DRAMCfg: &dram.Config{Banks: 1 << 40}}, "Banks"},
+		{"mem_cfg ideal LDS", Spec{MemCfg: mcfg(func(c *memsys.Config) { c.IdealLDS = true })}, "ideal_lds"},
+		{"mem_cfg no pollution", Spec{MemCfg: mcfg(func(c *memsys.Config) { c.NoPollution = true })}, "no_pollution"},
 	}
 	for _, tc := range bad {
 		tc.sp.Name = tc.name

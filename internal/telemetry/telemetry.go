@@ -132,18 +132,10 @@ func NewRecorder(t *Trace, fb *prefetch.Feedback) *Recorder {
 	return &Recorder{Trace: t, fb: fb}
 }
 
-// Install chains the recorder onto fb's interval hook. Install the recorder
-// before any throttling controller so each record is cut from the same
-// snapshot the controllers decide on, before their decisions apply.
-func (r *Recorder) Install() {
-	prev := r.fb.OnInterval
-	r.fb.OnInterval = func() {
-		if prev != nil {
-			prev()
-		}
-		r.cut()
-	}
-}
+// Install subscribes the recorder to fb's interval boundaries. Install the
+// recorder before any throttling controller so each record is cut from the
+// same snapshot the controllers decide on, before their decisions apply.
+func (r *Recorder) Install() { r.fb.ObserveIntervals(r.cut) }
 
 // cut appends one IntervalRecord for the just-closed interval.
 func (r *Recorder) cut() {

@@ -95,17 +95,18 @@ func TestRecorderNilHooks(t *testing.T) {
 	}
 }
 
-// TestRecorderChainsExistingHook checks Install preserves a pre-existing
-// OnInterval hook and runs it before cutting the record.
+// TestRecorderChainsExistingHook checks Install preserves an interval
+// subscriber added before it and runs that subscriber before cutting the
+// record.
 func TestRecorderChainsExistingHook(t *testing.T) {
 	fb := prefetch.NewFeedback(1)
-	called := false
-	fb.OnInterval = func() { called = true }
 	trc := &Trace{}
+	recordsSeen := -1
+	fb.ObserveIntervals(func() { recordsSeen = len(trc.Intervals) })
 	NewRecorder(trc, fb).Install()
-	fb.Eviction()
-	if !called {
-		t.Fatal("pre-existing OnInterval hook must still run")
+	fb.EvictionAt(0)
+	if recordsSeen != 0 {
+		t.Fatalf("pre-existing subscriber saw %d records, want it to run before the cut", recordsSeen)
 	}
 	if len(trc.Intervals) != 1 {
 		t.Fatal("record not cut")

@@ -284,15 +284,6 @@ func (s *Stats) Add(op *Op) {
 	}
 }
 
-// Summarize computes composition statistics for t.
-func Summarize(t *Trace) Stats {
-	var s Stats
-	for i := range t.Ops {
-		s.Add(&t.Ops[i])
-	}
-	return s
-}
-
 // Validate checks structural invariants of a trace: dependence edges must
 // point backwards to load operations (so branches are never producers),
 // loads/stores/branches must carry PCs, and branches must carry targets.

@@ -37,7 +37,7 @@ func TestBuilderPadding(t *testing.T) {
 	b := NewBuilder("t", mem.New(), 3)
 	b.Load(1, mem.HeapBase, NoDep, false)
 	b.Store(2, mem.HeapBase, 7, NoDep)
-	s := Summarize(b.Trace())
+	s := summarize(b.Trace())
 	// Each pad is one batched compute op carrying 3 instructions.
 	if s.Loads != 1 || s.Stores != 1 || s.Computes != 2 || s.Instructions != 8 {
 		t.Fatalf("stats = %+v, want 1 load, 1 store, 2 compute batches, 8 instructions", s)
@@ -47,7 +47,7 @@ func TestBuilderPadding(t *testing.T) {
 func TestComputeBatching(t *testing.T) {
 	b := NewBuilder("t", mem.New(), 0)
 	b.Compute(100)
-	s := Summarize(b.Trace())
+	s := summarize(b.Trace())
 	wantOps := (100 + MaxBatch - 1) / MaxBatch
 	if s.Computes != wantOps || s.Instructions != 100 {
 		t.Fatalf("stats = %+v, want %d batch ops, 100 instructions", s, wantOps)
@@ -164,4 +164,13 @@ func TestBuilderAcrossChunks(t *testing.T) {
 	if again := b.Trace(); again != tr || len(again.Ops) != n+1 {
 		t.Fatal("second Trace call returned a different trace")
 	}
+}
+
+// summarize counts every op of t into one Stats.
+func summarize(t *Trace) Stats {
+	var s Stats
+	for i := range t.Ops {
+		s.Add(&t.Ops[i])
+	}
+	return s
 }

@@ -26,7 +26,10 @@ func TestMSTChainsTerminate(t *testing.T) {
 	tr := g.Build(Test())
 	// Every LDS load in the trace dereferences a heap address; chains from
 	// traced bucket loads must terminate within the node count.
-	s := trace.Summarize(tr)
+	var s trace.Stats
+	for i := range tr.Ops {
+		s.Add(&tr.Ops[i])
+	}
 	if s.LDSLoads == 0 {
 		t.Fatal("no LDS loads")
 	}

@@ -17,9 +17,18 @@
 //
 // # Quick start
 //
-//	hints := ldsprefetch.ProfileHints("mst", ldsprefetch.TrainInput())
-//	res, _ := ldsprefetch.Run("mst", ldsprefetch.RefInput(), ldsprefetch.Proposal(hints))
+//	hints, err := ldsprefetch.ProfileHints("mst", ldsprefetch.TrainInput())
+//	if err != nil {
+//		log.Fatal(err)
+//	}
+//	res, err := ldsprefetch.Run("mst", ldsprefetch.RefInput(), ldsprefetch.Proposal(hints))
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	fmt.Printf("IPC %.3f, BPKI %.1f\n", res.IPC, res.BPKI)
+//
+// The Example functions in example_test.go walk through the paper's flows
+// on small inputs, and go test checks what each one prints.
 package ldsprefetch
 
 import (
@@ -105,14 +114,15 @@ func RunMulti(benches []string, in Input, sp Spec) (MultiResult, error) {
 }
 
 // ProfileHints runs the paper's compiler profiling pass for bench on the
-// given input and returns the beneficial-PG hint table.
-func ProfileHints(bench string, in Input) *HintTable {
+// given input and returns the beneficial-PG hint table. An unknown benchmark
+// is a *workload.UnknownBenchmarkError.
+func ProfileHints(bench string, in Input) (*HintTable, error) {
 	tr, err := workload.BuildShared(bench, in)
 	if err != nil {
-		return core.NewHintTable()
+		return nil, err
 	}
 	prof := profiling.Collect(tr, memsys.DefaultConfig(), cpu.DefaultConfig())
-	return prof.Hints(0)
+	return prof.Hints(0), nil
 }
 
 // Experiment reproduces one of the paper's tables/figures by id (e.g.

@@ -1,6 +1,7 @@
 package ldsprefetch
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -16,6 +17,16 @@ import (
 
 func testInput() Input  { return Input{Scale: 0.25, Seed: 1} }
 func trainInput() Input { return Input{Scale: 0.18, Seed: 1009} }
+
+// hintsFor profiles bench on the train input and fails t on an error.
+func hintsFor(t *testing.T, bench string) *HintTable {
+	t.Helper()
+	h, err := ProfileHints(bench, trainInput())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
 
 func TestShapeOriginalCDPHurtsMST(t *testing.T) {
 	// Paper Figure 2: adding unfiltered CDP to the stream baseline
@@ -39,7 +50,7 @@ func TestShapeOriginalCDPHurtsMST(t *testing.T) {
 func TestShapeECDPRepairsCDP(t *testing.T) {
 	// Paper Figure 7: compiler hints recover most of CDP's losses and cut
 	// its useless traffic.
-	hints := ProfileHints("mst", trainInput())
+	hints := hintsFor(t, "mst")
 	cdp, _ := Run("mst", testInput(), OriginalCDP())
 	ecdp, _ := Run("mst", testInput(), NewSpec("ecdp", "stream", "cdp").WithHints(hints))
 	if ecdp.IPC <= cdp.IPC {
@@ -58,7 +69,7 @@ func TestShapeProposalHelpsLDSBenchmarks(t *testing.T) {
 	// The proposal must beat the stream baseline on CDP-friendly LDS
 	// benchmarks (paper: health, ammp, perimeter among the winners).
 	for _, bench := range []string{"health", "ammp", "perimeter"} {
-		hints := ProfileHints(bench, trainInput())
+		hints := hintsFor(t, bench)
 		base, _ := Run(bench, testInput(), Baseline())
 		ours, _ := Run(bench, testInput(), Proposal(hints))
 		if ours.IPC <= base.IPC {
@@ -70,7 +81,7 @@ func TestShapeProposalHelpsLDSBenchmarks(t *testing.T) {
 func TestShapeStreamingUnaffected(t *testing.T) {
 	// Paper Section 6.7: the proposal leaves non-pointer benchmarks alone.
 	for _, bench := range []string{"libquantum", "gemsfdtd"} {
-		hints := ProfileHints(bench, trainInput())
+		hints := hintsFor(t, bench)
 		base, _ := Run(bench, testInput(), Baseline())
 		ours, _ := Run(bench, testInput(), Proposal(hints))
 		if rel := ours.IPC / base.IPC; rel < 0.98 || rel > 1.02 {
@@ -108,8 +119,8 @@ func TestShapeMultiCoreGains(t *testing.T) {
 	// Paper Section 6.6: the proposal improves weighted speedup on a
 	// pointer-intensive dual-core mix.
 	mix := []string{"health", "ammp"}
-	hints := ProfileHints(mix[0], trainInput())
-	h2 := ProfileHints(mix[1], trainInput())
+	hints := hintsFor(t, mix[0])
+	h2 := hintsFor(t, mix[1])
 	for _, pc := range h2.PCs() {
 		v, _ := h2.Lookup(pc)
 		hints.Set(pc, v)
@@ -137,8 +148,9 @@ func TestPublicAPI(t *testing.T) {
 	if _, err := Run("nosuch", testInput(), Baseline()); err == nil {
 		t.Fatal("expected error")
 	}
-	if h := ProfileHints("nosuch", testInput()); h.Len() != 0 {
-		t.Fatal("unknown benchmark must yield empty hints")
+	var unknown *workload.UnknownBenchmarkError
+	if _, err := ProfileHints("nosuch", testInput()); !errors.As(err, &unknown) {
+		t.Fatalf("ProfileHints(nosuch) err = %v, want *workload.UnknownBenchmarkError", err)
 	}
 }
 
