@@ -172,20 +172,13 @@ func main() {
 		}
 	}
 
-	manifest := exp.NewManifest(label, o.scale, o.seed, o.par)
+	if err := ctx.WriteManifest(exp.NewManifest(label, o.scale, o.seed, o.par), o.outDir); err != nil {
+		fatal(err)
+	}
 	if o.cache != "" {
-		manifest.AttachJobs(o.cache, ctx.Jobs())
 		snap := ctx.Jobs().Metrics().Snapshot()
 		fmt.Fprintf(os.Stderr, "cache: hits=%d misses=%d computed=%d uncached=%d coalesced=%d\n",
 			snap.CacheHits, snap.CacheMisses, snap.Computed, snap.Uncached, snap.Coalesced)
-	}
-	for _, dir := range []string{o.traceDir, o.outDir} {
-		if dir == "" {
-			continue
-		}
-		if err := manifest.Write(dir); err != nil {
-			fatal(err)
-		}
 	}
 	if err := stopProfile(); err != nil {
 		fatal("experiments:", err)

@@ -251,7 +251,7 @@ func main() {
 				i, pc.Benchmark, pc.IPC, mr.AloneIPC[i])
 		}
 		finish(ctx, o.cache)
-		persist(o.traceDir, o.outDir, configLabel, benches, o.scale, o.seed, traceRef, sb.String())
+		persist(ctx, o.outDir, configLabel, benches, traceRef, sb.String())
 		return
 	}
 
@@ -281,7 +281,7 @@ func main() {
 			src, r.Issued[src], r.Used[src], r.Accuracy[src], r.Coverage[src])
 	}
 	finish(ctx, o.cache)
-	persist(o.traceDir, o.outDir, configLabel, benches, o.scale, o.seed, traceRef, sb.String())
+	persist(ctx, o.outDir, configLabel, benches, traceRef, sb.String())
 }
 
 // finish fails the run on any recorded job error (a failed profile or trace
@@ -298,19 +298,14 @@ func finish(ctx *exp.Context, cacheDir string) {
 		snap.CacheHits, snap.CacheMisses, snap.Computed, snap.Uncached)
 }
 
-// persist writes the reproducibility manifest into each requested directory
-// and the captured summary into <out>/run.txt.
-func persist(traceDir, outDir, config string, benches []string, scale float64, seed int64, traceRef *exp.TraceFileRef, summary string) {
-	m := exp.NewManifest("ldssim/"+config, scale, seed, 0)
+// persist writes the reproducibility manifest into the -trace and -out
+// directories and the captured summary into <out>/run.txt.
+func persist(ctx *exp.Context, outDir, config string, benches []string, traceRef *exp.TraceFileRef, summary string) {
+	m := exp.NewManifest("ldssim/"+config, ctx.Params.Scale, ctx.Params.Seed, 0)
 	m.Benchmarks = benches
 	m.TraceFile = traceRef
-	for _, dir := range []string{traceDir, outDir} {
-		if dir == "" {
-			continue
-		}
-		if err := m.Write(dir); err != nil {
-			fatal("ldssim: writing manifest:", err)
-		}
+	if err := ctx.WriteManifest(m, outDir); err != nil {
+		fatal("ldssim: writing manifest:", err)
 	}
 	if outDir != "" {
 		if err := os.WriteFile(filepath.Join(outDir, "run.txt"), []byte(summary), 0o644); err != nil {

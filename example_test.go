@@ -206,7 +206,7 @@ func Example_baselines() {
 		{"GHB G/DC (alone)", "12 KB", ldsprefetch.NewSpec("ghb", "ghb")},
 		{"+ CDP + HW filter", "8 KB", ldsprefetch.NewSpec("stream+cdp+hwf", "stream", "cdp", "hwfilter")},
 		{"+ ECDP + FDP", "-", ldsprefetch.NewSpec("stream+ecdp+fdp", "stream", "cdp", "fdp").WithHints(hints)},
-		{"proposal (ECDP+thr)", fmt.Sprintf("%.2f KB", core.Cost(core.PaperCostConfig()).TotalKB()), ldsprefetch.Proposal(hints)},
+		{"proposal (ECDP+thr)", fmt.Sprintf("%.2f KB", core.PaperCost().TotalKB()), ldsprefetch.Proposal(hints)},
 	}
 	fmt.Printf("%-20s %13s %7s %5s %9s\n", "technique", "storage", "IPC", "BPKI", "vs stream")
 	var base, best float64

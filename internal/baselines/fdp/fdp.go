@@ -1,7 +1,7 @@
 // Package fdp implements the feedback-directed prefetching baseline
 // (Srinath et al., HPCA 2007) compared against in paper Section 6.5: each
 // prefetcher is throttled *individually* from its own accuracy, lateness and
-// pollution — six thresholds in total — with no knowledge of the other
+// pollution — four thresholds in total — with no knowledge of the other
 // prefetchers. The paper's coordinated throttling outperforms FDP precisely
 // because FDP cannot tell whether a prefetcher performs poorly on its own or
 // because a rival interferes with it.
@@ -15,37 +15,22 @@ import (
 	"ldsprefetch/internal/prefetch"
 )
 
-// Thresholds are FDP's six tuning knobs.
-type Thresholds struct {
-	// AHigh / ALow split accuracy into high / medium / low.
-	AHigh, ALow float64
-	// TLateness is the late fraction (late / used) above which prefetches
+// FDP's four thresholds, adapted from Srinath et al. to this simulator's
+// interval definition.
+const (
+	// aHigh / aLow split accuracy into high / medium / low.
+	aHigh, aLow = 0.75, 0.40
+	// tLateness is the late fraction (late / used) above which prefetches
 	// are considered late.
-	TLateness float64
-	// TPollution is the pollution rate (polluting evictions per demand
+	tLateness = 0.40
+	// tPollution is the pollution rate (polluting evictions per demand
 	// miss) above which the prefetcher is considered polluting.
-	TPollution float64
-	// Up/Down hysteresis: consecutive intervals required before acting.
-	UpStreak, DownStreak int
-}
-
-// DefaultThresholds returns values adapted from Srinath et al. to this
-// simulator's interval definition.
-func DefaultThresholds() Thresholds {
-	return Thresholds{
-		AHigh:      0.75,
-		ALow:       0.40,
-		TLateness:  0.40,
-		TPollution: 0.01,
-		UpStreak:   1,
-		DownStreak: 1,
-	}
-}
+	tPollution = 0.01
+)
 
 type controlled struct {
-	src    prefetch.Source
-	t      prefetch.Throttleable
-	streak int
+	src prefetch.Source
+	t   prefetch.Throttleable
 }
 
 // pollutionWindow is how many prefetch displacements the controller
@@ -63,7 +48,6 @@ type displacement struct {
 
 // Controller throttles each registered prefetcher individually.
 type Controller struct {
-	th  Thresholds
 	fb  *prefetch.Feedback
 	pfs []controlled
 
@@ -80,9 +64,8 @@ type Controller struct {
 
 // NewController builds an FDP controller over fb. Subscribe OnOutcome to the
 // memory system whose feedback fb is, so the controller sees pollution.
-func NewController(th Thresholds, fb *prefetch.Feedback) *Controller {
+func NewController(fb *prefetch.Feedback) *Controller {
 	return &Controller{
-		th:          th,
 		fb:          fb,
 		displacedBy: make(map[uint32]displacement),
 		ring:        make([]uint32, pollutionWindow),
@@ -140,8 +123,7 @@ func (c *Controller) Round() {
 	for i := range c.pollution {
 		c.pollution[i].EndInterval()
 	}
-	for i := range c.pfs {
-		p := &c.pfs[i]
+	for _, p := range c.pfs {
 		st := &c.fb.Sources[p.src]
 		acc := c.fb.Accuracy(p.src)
 		late := 0.0
@@ -152,36 +134,23 @@ func (c *Controller) Round() {
 		if m := c.fb.DemandMisses.Value(); m > 0 {
 			pol = c.pollution[p.src].Value() / m
 		}
-		var dir int
+		var dir prefetch.AggLevel
 		switch {
-		case acc >= c.th.AHigh:
-			if late > c.th.TLateness {
+		case acc >= aHigh:
+			if late > tLateness {
 				dir = 1
 			}
-		case acc >= c.th.ALow:
-			if late > c.th.TLateness {
+		case acc >= aLow:
+			if late > tLateness {
 				dir = 1
-			} else if pol > c.th.TPollution {
+			} else if pol > tPollution {
 				dir = -1
 			}
 		default:
 			dir = -1
 		}
-		switch {
-		case dir > 0:
-			p.streak++
-			if p.streak >= c.th.UpStreak {
-				p.t.SetLevel(p.t.Level() + 1)
-				p.streak = 0
-			}
-		case dir < 0:
-			p.streak--
-			if -p.streak >= c.th.DownStreak {
-				p.t.SetLevel(p.t.Level() - 1)
-				p.streak = 0
-			}
-		default:
-			p.streak = 0
+		if dir != 0 {
+			p.t.SetLevel(p.t.Level() + dir)
 		}
 	}
 }

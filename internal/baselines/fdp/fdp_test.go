@@ -33,52 +33,34 @@ func setupInterval(c *Controller, src prefetch.Source, issued, used, late float6
 	fb.EvictionAt(0) // interval length 1 closes the interval
 }
 
-func TestLowAccuracyThrottlesDown(t *testing.T) {
-	fb := prefetch.NewFeedback(1)
-	p := &fakePF{level: prefetch.Aggressive}
-	c := NewController(DefaultThresholds(), fb)
-	c.Add(prefetch.SrcStream, p)
-	c.Install()
-	setupInterval(c, prefetch.SrcStream, 100, 10, 0, 0, 100)
-	if p.level != prefetch.Moderate {
-		t.Fatalf("level = %v, want throttled down", p.level)
-	}
-}
-
-func TestHighAccuracyLateThrottlesUp(t *testing.T) {
-	fb := prefetch.NewFeedback(1)
-	p := &fakePF{level: prefetch.Conservative}
-	c := NewController(DefaultThresholds(), fb)
-	c.Add(prefetch.SrcCDP, p)
-	c.Install()
-	setupInterval(c, prefetch.SrcCDP, 100, 90, 80, 0, 100)
-	if p.level != prefetch.Moderate {
-		t.Fatalf("level = %v, want throttled up (accurate but late)", p.level)
-	}
-}
-
-func TestHighAccuracyTimelyUnchanged(t *testing.T) {
-	fb := prefetch.NewFeedback(1)
-	p := &fakePF{level: prefetch.Moderate}
-	c := NewController(DefaultThresholds(), fb)
-	c.Add(prefetch.SrcCDP, p)
-	c.Install()
-	setupInterval(c, prefetch.SrcCDP, 100, 90, 5, 0, 100)
-	if p.level != prefetch.Moderate {
-		t.Fatalf("level = %v, want unchanged", p.level)
-	}
-}
-
-func TestMediumAccuracyPollutingThrottlesDown(t *testing.T) {
-	fb := prefetch.NewFeedback(1)
-	p := &fakePF{level: prefetch.Moderate}
-	c := NewController(DefaultThresholds(), fb)
-	c.Add(prefetch.SrcStream, p)
-	c.Install()
-	// Accuracy 0.5 (medium), not late, pollution 10 per 100 misses.
-	setupInterval(c, prefetch.SrcStream, 100, 50, 0, 10, 100)
-	if p.level != prefetch.Conservative {
-		t.Fatalf("level = %v, want throttled down (polluting)", p.level)
+// TestRoundRule drives one interval per row of Round's rule table. Each
+// threshold appears at its edge: accuracy exactly 0.40 and 0.75 are medium
+// and high, lateness exactly 0.40 is not late, pollution exactly 0.01 is not
+// polluting.
+func TestRoundRule(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		issued, used, late float64
+		pol                int
+		want               prefetch.AggLevel
+	}{
+		{"high-late", 100, 75, 31, 0, prefetch.Aggressive},
+		{"high-not-late", 100, 75, 30, 2, prefetch.Moderate},
+		{"medium-late", 100, 40, 17, 5, prefetch.Aggressive},
+		{"medium-polluting", 100, 50, 20, 2, prefetch.Conservative},
+		{"medium-otherwise", 100, 40, 16, 1, prefetch.Moderate},
+		{"low", 100, 39, 30, 0, prefetch.Conservative},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &fakePF{level: prefetch.Moderate}
+			c := NewController(prefetch.NewFeedback(1))
+			c.Add(prefetch.SrcStream, p)
+			c.Install()
+			setupInterval(c, prefetch.SrcStream, tc.issued, tc.used, tc.late, tc.pol, 100)
+			if p.level != tc.want {
+				t.Fatalf("level = %v, want %v", p.level, tc.want)
+			}
+		})
 	}
 }
 
@@ -89,7 +71,7 @@ func TestIndividualIgnoresRival(t *testing.T) {
 	fb := prefetch.NewFeedback(1)
 	sp := &fakePF{level: prefetch.Aggressive}
 	cd := &fakePF{level: prefetch.Conservative}
-	c := NewController(DefaultThresholds(), fb)
+	c := NewController(fb)
 	c.Add(prefetch.SrcStream, sp)
 	c.Add(prefetch.SrcCDP, cd)
 	c.Install()
@@ -108,30 +90,12 @@ func TestIndividualIgnoresRival(t *testing.T) {
 	}
 }
 
-func TestStreakHysteresis(t *testing.T) {
-	th := DefaultThresholds()
-	th.DownStreak = 2
-	fb := prefetch.NewFeedback(1)
-	p := &fakePF{level: prefetch.Aggressive}
-	c := NewController(th, fb)
-	c.Add(prefetch.SrcStream, p)
-	c.Install()
-	setupInterval(c, prefetch.SrcStream, 100, 10, 0, 0, 100)
-	if p.level != prefetch.Aggressive {
-		t.Fatalf("level moved after one interval despite streak=2")
-	}
-	setupInterval(c, prefetch.SrcStream, 100, 10, 0, 0, 100)
-	if p.level != prefetch.Moderate {
-		t.Fatalf("level = %v, want down after two intervals", p.level)
-	}
-}
-
 // TestPollutionAttribution drives a memory system: a demand-filled block is
 // displaced from the L2 by CDP prefetch fills and then re-accessed, and the
 // controller subscribed to its outcomes counts one CDP pollution event.
 func TestPollutionAttribution(t *testing.T) {
 	ms := memsys.New(memsys.DefaultConfig(), mem.New(), dram.NewController(dram.DefaultConfig(1)))
-	c := NewController(DefaultThresholds(), ms.Feedback())
+	c := NewController(ms.Feedback())
 	ms.ObserveOutcomes(c.OnOutcome)
 	base := uint32(0x1000_0000)
 	// Demand-fill a block, evict it from the L1 (so the later re-access
@@ -171,7 +135,7 @@ func TestPollutionAttribution(t *testing.T) {
 // holds two ring slots, and recycling the OLDER slot must not drop the
 // attribution the newer slot still covers.
 func TestPollutionSurvivesDoubleEviction(t *testing.T) {
-	c := NewController(DefaultThresholds(), prefetch.NewFeedback(0))
+	c := NewController(prefetch.NewFeedback(0))
 	displace := func(blk uint32, src prefetch.Source) {
 		c.OnOutcome(memsys.OutcomeEvent{Kind: memsys.DisplacedByPrefetch, BlockAddr: blk, Src: src})
 	}

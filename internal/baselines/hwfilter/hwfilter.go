@@ -9,35 +9,23 @@ package hwfilter
 
 import "ldsprefetch/internal/prefetch"
 
+// tableBits is the paper's 8 KB filter, one bit per entry.
+const tableBits = 8 << 10 * 8
+
 // Filter is a Zhuang-Lee style history-based prefetch filter.
 type Filter struct {
-	bits       []uint64
-	mask       uint32
+	bits       [tableBits / 64]uint64
 	blockShift uint
-
-	// Filtered counts suppressed prefetches; Passed counts admitted ones.
-	Filtered, Passed int64
 }
 
-// New builds a filter with the given table size in bits (power of two;
-// the paper's 8 KB filter is 65536 bits).
-func New(tableBits int, blockShift uint) *Filter {
-	if tableBits <= 0 {
-		tableBits = 8 << 10 * 8
-	}
-	if tableBits&(tableBits-1) != 0 {
-		panic("hwfilter: table size must be a power of two")
-	}
-	return &Filter{
-		bits:       make([]uint64, tableBits/64),
-		mask:       uint32(tableBits - 1),
-		blockShift: blockShift,
-	}
+// New builds a filter for blocks of 1<<blockShift bytes.
+func New(blockShift uint) *Filter {
+	return &Filter{blockShift: blockShift}
 }
 
 func (f *Filter) idx(blockAddr uint32) (int, uint64) {
 	h := (blockAddr >> f.blockShift) * 2654435761 // Knuth multiplicative hash
-	h &= f.mask
+	h &= tableBits - 1
 	return int(h / 64), 1 << (h % 64)
 }
 
@@ -45,12 +33,7 @@ func (f *Filter) idx(blockAddr uint32) (int, uint64) {
 // the memsys FilterPrefetch gate.
 func (f *Filter) Allow(r prefetch.Request) bool {
 	w, b := f.idx(r.Addr)
-	if f.bits[w]&b != 0 {
-		f.Filtered++
-		return false
-	}
-	f.Passed++
-	return true
+	return f.bits[w]&b == 0
 }
 
 // Outcome records a resolved prefetch of blockAddr (a memsys PrefetchUsed
@@ -64,6 +47,3 @@ func (f *Filter) Outcome(blockAddr uint32, used bool) {
 		f.bits[w] |= b
 	}
 }
-
-// SizeBits returns the filter's storage cost in bits.
-func (f *Filter) SizeBits() int { return len(f.bits) * 64 }

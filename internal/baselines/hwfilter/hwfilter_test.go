@@ -11,17 +11,14 @@ func req(addr uint32) prefetch.Request {
 }
 
 func TestAllowsByDefault(t *testing.T) {
-	f := New(1<<16, 6)
+	f := New(6)
 	if !f.Allow(req(0x1000_0000)) {
 		t.Fatal("fresh filter must allow")
-	}
-	if f.Passed != 1 || f.Filtered != 0 {
-		t.Fatalf("counters = %d/%d", f.Passed, f.Filtered)
 	}
 }
 
 func TestUselessOutcomeSuppresses(t *testing.T) {
-	f := New(1<<16, 6)
+	f := New(6)
 	f.Outcome(0x1000_0000, false)
 	if f.Allow(req(0x1000_0000)) {
 		t.Fatal("block with useless history must be filtered")
@@ -34,7 +31,7 @@ func TestUselessOutcomeSuppresses(t *testing.T) {
 }
 
 func TestUsefulOutcomeClears(t *testing.T) {
-	f := New(1<<16, 6)
+	f := New(6)
 	f.Outcome(0x1000_0000, false)
 	f.Outcome(0x1000_0000, true)
 	if !f.Allow(req(0x1000_0000)) {
@@ -42,25 +39,17 @@ func TestUsefulOutcomeClears(t *testing.T) {
 	}
 }
 
-func TestSizeBits(t *testing.T) {
-	f := New(1<<16, 6)
-	if f.SizeBits() != 1<<16 {
-		t.Fatalf("size = %d bits, want 65536 (the paper's 8KB)", f.SizeBits())
-	}
-}
-
+// TestDefaultSizeIs8KB checks that New builds the paper's 8 KB table, through
+// aliasing: the hash multiplier is odd, so two blocks share an entry exactly
+// when their block numbers are equal modulo the table's 65536 entries.
 func TestDefaultSizeIs8KB(t *testing.T) {
-	f := New(0, 6)
-	if f.SizeBits() != 8*1024*8 {
-		t.Fatalf("default size = %d bits, want 65536", f.SizeBits())
+	const blk = 0x1000_0000
+	f := New(6)
+	f.Outcome(blk, false)
+	if f.Allow(req(blk + 1<<16<<6)) {
+		t.Fatal("block 65536 blocks away must alias in an 8 KB table")
 	}
-}
-
-func TestNonPowerOfTwoPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(1000, 6)
+	if !f.Allow(req(blk + 1<<15<<6)) {
+		t.Fatal("block 32768 blocks away aliases: table smaller than 8 KB")
+	}
 }

@@ -5,12 +5,13 @@ import (
 	"ldsprefetch/internal/prefetch"
 )
 
+// compareBits is the number of high-order address bits that must match
+// between a scanned value and the block's address for the value to be
+// predicted a pointer (paper: 8).
+const compareBits = 8
+
 // CDPConfig parameterizes the content-directed prefetcher.
 type CDPConfig struct {
-	// CompareBits is the number of high-order address bits that must match
-	// between a scanned value and the block's address for the value to be
-	// predicted a pointer (paper: 8).
-	CompareBits int
 	// BlockSize is the cache block size in bytes.
 	BlockSize int
 	// Hints, when non-nil, turns original CDP into ECDP: on demand-miss
@@ -22,7 +23,7 @@ type CDPConfig struct {
 
 // DefaultCDPConfig returns the paper's CDP parameters (original mode).
 func DefaultCDPConfig() CDPConfig {
-	return CDPConfig{CompareBits: 8, BlockSize: 64}
+	return CDPConfig{BlockSize: 64}
 }
 
 // CDP is the content-directed prefetcher. It is stateless with respect to
@@ -33,7 +34,6 @@ type CDP struct {
 	cfg        CDPConfig
 	issuer     prefetch.Issuer
 	level      prefetch.AggLevel
-	shift      uint // 32 - CompareBits
 	blockWords int
 	// Enabled gates all prefetch generation (PAB baseline support).
 	Enabled bool
@@ -41,9 +41,6 @@ type CDP struct {
 
 // NewCDP builds a content-directed prefetcher issuing through iss.
 func NewCDP(cfg CDPConfig, iss prefetch.Issuer) *CDP {
-	if cfg.CompareBits <= 0 || cfg.CompareBits > 32 {
-		cfg.CompareBits = 8
-	}
 	if cfg.BlockSize <= 0 {
 		cfg.BlockSize = 64
 	}
@@ -51,7 +48,6 @@ func NewCDP(cfg CDPConfig, iss prefetch.Issuer) *CDP {
 		cfg:        cfg,
 		issuer:     iss,
 		level:      prefetch.Aggressive,
-		shift:      uint(32 - cfg.CompareBits),
 		blockWords: cfg.BlockSize / 4,
 		Enabled:    true,
 	}
@@ -82,10 +78,10 @@ func (c *CDP) MaxDepth() int { return prefetch.CDPDepth(c.level) }
 func (c *CDP) SetEnabled(on bool) { c.Enabled = on }
 
 // isPointer implements the virtual-address matching predictor: a value is
-// predicted to be a pointer if its high-order CompareBits equal those of the
+// predicted to be a pointer if its high-order compareBits equal those of the
 // block's own address (Section 2.2).
 func (c *CDP) isPointer(v, blockAddr uint32) bool {
-	return v>>c.shift == blockAddr>>c.shift
+	return v>>(32-compareBits) == blockAddr>>(32-compareBits)
 }
 
 // CDP trains on block contents, not on demand accesses.

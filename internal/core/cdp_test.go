@@ -58,7 +58,7 @@ func TestOriginalCDPPrefetchesAllPointers(t *testing.T) {
 	}
 }
 
-func TestCompareBits(t *testing.T) {
+func TestPointerPredictorMatchesTopByte(t *testing.T) {
 	s := &sink{}
 	c := NewCDP(DefaultCDPConfig(), s)
 	// 8 compare bits: top byte must match the block address's top byte.

@@ -16,36 +16,22 @@ type HardwareCost struct {
 	MSHRHintBits int
 }
 
-// CostConfig parameterizes the hardware cost accounting.
-type CostConfig struct {
-	L2Blocks    int // number of L2 cache blocks (paper: 8192 with 128B lines)
-	Prefetchers int // prefetchers with per-block bits (paper: 2)
-	Counters    int // feedback counters (paper: 11)
-	CounterBits int // bits per counter (paper: 16)
-	MSHRs       int // MSHR entries (paper: 32)
-	OffsetBits  int // block-offset bits per MSHR entry (paper: 7)
-	HintBits    int // hint-vector bits per MSHR entry (paper: 16)
-}
-
-// PaperCostConfig returns the exact configuration costed in paper Table 7.
-func PaperCostConfig() CostConfig {
-	return CostConfig{
-		L2Blocks:    8192,
-		Prefetchers: 2,
-		Counters:    11,
-		CounterBits: 16,
-		MSHRs:       32,
-		OffsetBits:  7,
-		HintBits:    16,
-	}
-}
-
-// Cost computes the storage breakdown for cfg.
-func Cost(cfg CostConfig) HardwareCost {
+// PaperCost returns the storage breakdown of the configuration costed in
+// paper Table 7.
+func PaperCost() HardwareCost {
+	const (
+		l2Blocks    = 8192 // L2 cache blocks (1 MB of 128 B lines)
+		prefetchers = 2    // prefetchers with a per-block prefetched bit
+		counters    = 11   // feedback counters
+		counterBits = 16   // bits per counter
+		mshrs       = 32   // MSHR entries
+		offsetBits  = 7    // block-offset bits per MSHR entry
+		hintBits    = 16   // hint-vector bits per MSHR entry
+	)
 	return HardwareCost{
-		PrefetchedBits: cfg.L2Blocks * cfg.Prefetchers,
-		CounterBits:    cfg.Counters * cfg.CounterBits,
-		MSHRHintBits:   cfg.MSHRs * (cfg.OffsetBits + cfg.HintBits),
+		PrefetchedBits: l2Blocks * prefetchers,
+		CounterBits:    counters * counterBits,
+		MSHRHintBits:   mshrs * (offsetBits + hintBits),
 	}
 }
 

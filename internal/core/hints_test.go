@@ -80,7 +80,7 @@ func TestHintTable(t *testing.T) {
 }
 
 func TestTable7Cost(t *testing.T) {
-	c := Cost(PaperCostConfig())
+	c := PaperCost()
 	if c.PrefetchedBits != 16384 {
 		t.Errorf("prefetched bits = %d, want 16384", c.PrefetchedBits)
 	}

@@ -89,9 +89,6 @@ type Throttler struct {
 	fb  *prefetch.Feedback
 	pfs []throttled
 
-	// Decisions counts outcomes for reporting: [DoNothing, Up, Down].
-	Decisions [3]int64
-
 	// Trace, if non-nil, receives one ThrottleEvent per decision — the
 	// heuristic case that fired, its inputs, and the level transition.
 	Trace *telemetry.Trace
@@ -137,7 +134,6 @@ func (t *Throttler) Round() {
 		decisions[i] = roundDecision{d, tc, ownCov, ownAcc, rivalCov}
 	}
 	for i, rd := range decisions {
-		t.Decisions[rd.d]++
 		p := t.pfs[i].t
 		old := p.Level()
 		switch rd.d {

@@ -76,9 +76,6 @@ func TestThrottlerRoundCoordinated(t *testing.T) {
 	if cdp.level != prefetch.Aggressive {
 		t.Fatalf("cdp level = %v, want throttled up to aggressive", cdp.level)
 	}
-	if tr.Decisions[ThrottleUp] != 1 || tr.Decisions[ThrottleDown] != 1 {
-		t.Fatalf("decisions = %v", tr.Decisions)
-	}
 }
 
 func TestThrottlerCase5DoNothing(t *testing.T) {

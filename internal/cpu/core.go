@@ -89,7 +89,6 @@ type Core struct {
 
 	branches    int64
 	mispredicts int64
-	wrongPath   int64
 }
 
 // NewInterval prepares an interval-model replay of tr on ms: no branch
@@ -338,7 +337,6 @@ func (c *Core) injectWrongPath(resolve int64) {
 		at := resolve + 1 + int64(k)*step
 		if k%2 == 0 && chase != 0 {
 			c.ms.AccessWrongPath(chase, at)
-			c.wrongPath++
 			chase = c.ms.Mem().Read32(chase &^ 3)
 			continue
 		}
@@ -347,7 +345,6 @@ func (c *Core) injectWrongPath(resolve int64) {
 		}
 		seq += blk
 		c.ms.AccessWrongPath(seq, at)
-		c.wrongPath++
 	}
 }
 
@@ -358,6 +355,5 @@ func (c *Core) Result() Result {
 		Retired:     c.cumInstr,
 		Branches:    c.branches,
 		Mispredicts: c.mispredicts,
-		WrongPath:   c.wrongPath,
 	}
 }

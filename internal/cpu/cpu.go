@@ -91,9 +91,6 @@ type Result struct {
 	// both stay zero there; only the speculative model populates them.
 	Branches    int64
 	Mispredicts int64
-	// WrongPath counts speculative wrong-path memory accesses issued past
-	// mispredicted branches and later squashed (zero for interval).
-	WrongPath int64
 }
 
 // IPC returns retired instructions per cycle.

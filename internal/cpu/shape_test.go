@@ -78,11 +78,13 @@ func TestCoreShapes(t *testing.T) {
 		{PredTAGE, 4, []int64{96336, 59590, 43795, 43580}},
 		{PredTAGE, 6, []int64{93989, 57529, 42665, 42512}},
 	}
-	// Branch outcomes do not depend on the timing parameters.
+	// Branch outcomes, and so the wrong-path loads they inject, do not
+	// depend on the timing parameters.
 	speculative := map[string]Result{
-		PredBimodal: {Retired: 25902, Branches: 269, Mispredicts: 116, WrongPath: 464},
-		PredTAGE:    {Retired: 25902, Branches: 269, Mispredicts: 125, WrongPath: 500},
+		PredBimodal: {Retired: 25902, Branches: 269, Mispredicts: 116},
+		PredTAGE:    {Retired: 25902, Branches: 269, Mispredicts: 125},
 	}
+	wrongPath := map[string]int64{PredBimodal: 464, PredTAGE: 500}
 	for _, sh := range shapes {
 		for i, window := range windows {
 			tr := shapeTrace()
@@ -102,6 +104,9 @@ func TestCoreShapes(t *testing.T) {
 			}
 			if got := c.Result(); got != want {
 				t.Errorf("pred=%q width=%d window=%d: got %+v, want %+v", sh.pred, sh.width, window, got, want)
+			}
+			if got := ms.Stats().WrongPathAccesses; got != wrongPath[sh.pred] {
+				t.Errorf("pred=%q width=%d window=%d: %d wrong-path loads, want %d", sh.pred, sh.width, window, got, wrongPath[sh.pred])
 			}
 		}
 	}

@@ -80,12 +80,3 @@ func Run(c *Context, id string) ([]Report, error) {
 	}
 	return out, nil
 }
-
-// IDs lists the available experiment ids.
-func IDs() []string {
-	out := make([]string, len(Registry))
-	for i, e := range Registry {
-		out[i] = e.ID
-	}
-	return out
-}

@@ -54,25 +54,6 @@ func TestRunUnknownID(t *testing.T) {
 	}
 }
 
-func TestIDsMatchRegistry(t *testing.T) {
-	ids := IDs()
-	if len(ids) != len(Registry) {
-		t.Fatalf("ids = %d, registry = %d", len(ids), len(Registry))
-	}
-	seen := map[string]bool{}
-	for _, id := range ids {
-		if seen[id] {
-			t.Fatalf("duplicate id %s", id)
-		}
-		seen[id] = true
-	}
-	for _, want := range []string{"fig1", "fig7", "fig11", "fig14", "table7", "ablate"} {
-		if !seen[want] {
-			t.Fatalf("missing experiment %s", want)
-		}
-	}
-}
-
 func TestTable7Static(t *testing.T) {
 	r := Table7(testCtx())
 	if len(r.Rows) != 5 {

@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -212,14 +215,24 @@ func TestGridResume(t *testing.T) {
 	}
 }
 
-// TestManifestAttachJobs: the PR-1 manifest carries cache provenance.
+// TestManifestAttachJobs: the run manifest carries cache provenance.
 func TestManifestAttachJobs(t *testing.T) {
 	dir := t.TempDir()
 	c := cachedCtx(dir)
 	c.Grid("mst", everyCell...)
 
-	m := NewManifest("test", c.Params.Scale, c.Params.Seed, c.Parallel)
-	m.AttachJobs(dir, c.Jobs())
+	out := t.TempDir()
+	if err := c.WriteManifest(NewManifest("test", c.Params.Scale, c.Params.Seed, c.Parallel), out); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(out, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Manifest
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
 	if m.Cache == nil || m.Cache.Dir != dir {
 		t.Fatalf("manifest cache summary missing: %+v", m.Cache)
 	}

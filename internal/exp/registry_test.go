@@ -15,8 +15,12 @@ var registryOrder = []string{
 }
 
 func TestRegistryIDsUniqueAndStable(t *testing.T) {
-	if !reflect.DeepEqual(IDs(), registryOrder) {
-		t.Fatalf("registry order changed:\n got %v\nwant %v", IDs(), registryOrder)
+	ids := make([]string, len(Registry))
+	for i, e := range Registry {
+		ids[i] = e.ID
+	}
+	if !reflect.DeepEqual(ids, registryOrder) {
+		t.Fatalf("registry order changed:\n got %v\nwant %v", ids, registryOrder)
 	}
 	seen := map[string]bool{}
 	for _, e := range Registry {

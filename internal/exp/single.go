@@ -173,7 +173,7 @@ func Fig10(c *Context) Report {
 
 // Table7 reproduces Table 7: the hardware storage cost of the proposal.
 func Table7(c *Context) Report {
-	cost := core.Cost(core.PaperCostConfig())
+	cost := core.PaperCost()
 	r := Report{
 		ID:     "table7",
 		Title:  "Hardware cost of ECDP with coordinated throttling",
@@ -355,7 +355,7 @@ func Sec72(c *Context) Report {
 	benches := pointerBenches()
 	g := c.Grids(benches, Base, ECDP, ECDPT, Prof)
 	coarse := perBench(benches, func(i int, b string) sim.Result {
-		return c.run(b, sim.NewSpec("grp-coarse", "stream", "cdp").WithHints(g[i].Prof.CoarseHints(0)))
+		return c.run(b, sim.NewSpec("grp-coarse", "stream", "cdp").WithHints(g[i].Prof.CoarseHints()))
 	})
 	r := Report{
 		ID:    "sec7.2",

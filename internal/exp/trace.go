@@ -248,9 +248,9 @@ type CacheSummary struct {
 	Failed   int64  `json:"failed"`
 }
 
-// AttachJobs records the scheduler's cache counters and per-job provenance
+// attachJobs records the scheduler's cache counters and per-job provenance
 // in the manifest.
-func (m *Manifest) AttachJobs(cacheDir string, s *jobs.Scheduler) {
+func (m *Manifest) attachJobs(cacheDir string, s *jobs.Scheduler) {
 	snap := s.Metrics().Snapshot()
 	m.Cache = &CacheSummary{
 		Dir:      cacheDir,
@@ -261,6 +261,24 @@ func (m *Manifest) AttachJobs(cacheDir string, s *jobs.Scheduler) {
 		Failed:   snap.Failed,
 	}
 	m.Jobs = s.Records()
+}
+
+// WriteManifest is how a command records its run: it writes m into c's
+// TraceDir and into outDir (each skipped when empty), with c's cache summary
+// and per-job provenance attached when a cache is in use.
+func (c *Context) WriteManifest(m Manifest, outDir string) error {
+	if c.CacheDir != "" {
+		m.attachJobs(c.CacheDir, c.Jobs())
+	}
+	for _, dir := range []string{c.TraceDir, outDir} {
+		if dir == "" {
+			continue
+		}
+		if err := m.write(dir); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // NewManifest fills a manifest with the environment-derived fields
@@ -280,9 +298,9 @@ func NewManifest(experiment string, scale float64, seed int64, parallel int) Man
 	}
 }
 
-// Write persists the manifest as <dir>/manifest.json, creating dir if
+// write persists the manifest as <dir>/manifest.json, creating dir if
 // needed.
-func (m Manifest) Write(dir string) error {
+func (m Manifest) write(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

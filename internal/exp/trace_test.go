@@ -243,7 +243,7 @@ func TestWriteTraceAndManifest(t *testing.T) {
 	if m.GoVersion == "" || m.SchemaVersion != TraceSchemaVersion {
 		t.Fatalf("manifest = %+v", m)
 	}
-	if err := m.Write(dir); err != nil {
+	if err := m.write(dir); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(filepath.Join(dir, "manifest.json"))

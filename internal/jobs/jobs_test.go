@@ -501,9 +501,8 @@ func TestUncacheableTracedRun(t *testing.T) {
 
 func TestSharedSlotsBoundConcurrency(t *testing.T) {
 	slots := make(chan struct{}, 1)
-	shared := &Metrics{}
-	s1 := New(Config{Slots: slots, Metrics: shared})
-	s2 := New(Config{Slots: slots, Metrics: shared})
+	s1 := New(Config{Slots: slots})
+	s2 := New(Config{Slots: slots})
 
 	var peak, cur atomic.Int64
 	job := func() (any, error) {
@@ -532,7 +531,10 @@ func TestSharedSlotsBoundConcurrency(t *testing.T) {
 	if peak.Load() > 1 {
 		t.Fatalf("shared 1-slot pool ran %d jobs concurrently", peak.Load())
 	}
-	if shared.Snapshot().Completed != 4 {
-		t.Fatalf("shared sink saw %d completions, want 4", shared.Snapshot().Completed)
+	// Sharing the pool does not share statistics.
+	for _, sch := range []*Scheduler{s1, s2} {
+		if got := sch.Metrics().Snapshot().Completed; got != 2 {
+			t.Fatalf("scheduler saw %d completions, want its own 2", got)
+		}
 	}
 }

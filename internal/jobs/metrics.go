@@ -9,10 +9,8 @@ import (
 // histogram, chosen for simulation jobs that run milliseconds to minutes.
 var LatencyBuckets = []float64{0.005, 0.025, 0.1, 0.5, 1, 5, 15, 60, 300}
 
-// Metrics is a set of scheduler counters safe for concurrent use. One
-// Metrics may be shared by several Schedulers (the job service aggregates
-// all sweeps into one sink for /metrics); a Scheduler without an explicit
-// sink owns a private one.
+// Metrics is one Scheduler's set of counters, safe for concurrent use. The
+// job service sums the snapshots of its sweeps' schedulers for /metrics.
 type Metrics struct {
 	// Gauges.
 	QueueDepth  atomic.Int64 // jobs waiting for a worker slot
@@ -86,4 +84,28 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.LatencyBucketCounts[i] = m.latency[i].Load()
 	}
 	return s
+}
+
+// Add accumulates o into s. s must have o's LatencyBucketCounts length, as
+// every Snapshot does.
+func (s *Snapshot) Add(o Snapshot) {
+	s.QueueDepth += o.QueueDepth
+	s.WorkersBusy += o.WorkersBusy
+	s.Submitted += o.Submitted
+	s.Completed += o.Completed
+	s.Failed += o.Failed
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.Computed += o.Computed
+	s.Uncached += o.Uncached
+	s.Coalesced += o.Coalesced
+	s.Panics += o.Panics
+	s.Timeouts += o.Timeouts
+	s.VerifyRuns += o.VerifyRuns
+	s.VerifyBad += o.VerifyBad
+	for i, n := range o.LatencyBucketCounts {
+		s.LatencyBucketCounts[i] += n
+	}
+	s.LatencyCount += o.LatencyCount
+	s.LatencySumSeconds += o.LatencySumSeconds
 }

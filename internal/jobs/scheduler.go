@@ -31,9 +31,6 @@ type Config struct {
 	// Store, when non-nil, enables the content-addressed result cache and
 	// the completion journal.
 	Store *Store
-	// Metrics, when non-nil, is an additional shared sink the scheduler
-	// mirrors its counters into (the per-scheduler Metrics always works).
-	Metrics *Metrics
 	// Timeout bounds one execution (0 = unbounded). A timed-out execution
 	// is abandoned: its goroutine finishes in the background and its
 	// result is discarded, so the concurrency bound can transiently be
@@ -66,7 +63,7 @@ type Record struct {
 type Scheduler struct {
 	cfg     Config
 	slots   chan struct{}
-	metrics *Metrics // always non-nil; per-scheduler
+	metrics Metrics
 
 	mu sync.Mutex
 	//ldslint:guardedby mu
@@ -94,14 +91,12 @@ func New(cfg Config) *Scheduler {
 	return &Scheduler{
 		cfg:      cfg,
 		slots:    slots,
-		metrics:  &Metrics{},
 		inflight: make(map[string]*call),
 	}
 }
 
-// Metrics returns the scheduler's own counters (independent of any shared
-// sink configured via Config.Metrics).
-func (s *Scheduler) Metrics() *Metrics { return s.metrics }
+// Metrics returns the scheduler's counters.
+func (s *Scheduler) Metrics() *Metrics { return &s.metrics }
 
 // Records returns the completion records so far, in completion order.
 func (s *Scheduler) Records() []Record {
@@ -110,14 +105,6 @@ func (s *Scheduler) Records() []Record {
 	out := make([]Record, len(s.records))
 	copy(out, s.records)
 	return out
-}
-
-// sinks applies f to the per-scheduler metrics and the shared sink, if any.
-func (s *Scheduler) sinks(f func(*Metrics)) {
-	f(s.metrics)
-	if s.cfg.Metrics != nil {
-		f(s.cfg.Metrics)
-	}
 }
 
 // jobDesc describes one job to the generic execution path.
@@ -149,11 +136,12 @@ func (e timeoutError) Error() string {
 // execute runs fn once under a worker slot, with panic containment and the
 // configured timeout.
 func (s *Scheduler) execute(fn func() (any, error)) (any, error) {
-	s.sinks(func(m *Metrics) { m.QueueDepth.Add(1) })
+	s.metrics.QueueDepth.Add(1)
 	s.slots <- struct{}{}
-	s.sinks(func(m *Metrics) { m.QueueDepth.Add(-1); m.WorkersBusy.Add(1) })
+	s.metrics.QueueDepth.Add(-1)
+	s.metrics.WorkersBusy.Add(1)
 	defer func() {
-		s.sinks(func(m *Metrics) { m.WorkersBusy.Add(-1) })
+		s.metrics.WorkersBusy.Add(-1)
 		<-s.slots
 	}()
 	type outcome struct {
@@ -164,7 +152,7 @@ func (s *Scheduler) execute(fn func() (any, error)) (any, error) {
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				s.sinks(func(m *Metrics) { m.Panics.Add(1) })
+				s.metrics.Panics.Add(1)
 				ch <- outcome{err: fmt.Errorf("job panicked: %v\n%s", r, debug.Stack())}
 			}
 		}()
@@ -181,7 +169,7 @@ func (s *Scheduler) execute(fn func() (any, error)) (any, error) {
 	case o := <-ch:
 		return o.res, o.err
 	case <-timer.C:
-		s.sinks(func(m *Metrics) { m.Timeouts.Add(1) })
+		s.metrics.Timeouts.Add(1)
 		return nil, timeoutError{s.cfg.Timeout}
 	}
 }
@@ -195,7 +183,7 @@ func canonicalResult(v any) ([]byte, error) { return json.Marshal(v) }
 // journaling. newOut allocates the typed destination a cached result is
 // decoded into; it is only consulted for cacheable jobs with a store.
 func (s *Scheduler) do(d jobDesc, run func() (any, error), newOut func() any) (any, error) {
-	s.sinks(func(m *Metrics) { m.Submitted.Add(1) })
+	s.metrics.Submitted.Add(1)
 	rec := Record{Kind: d.kind, Benchmarks: d.benches, Setup: d.setupName}
 	if !d.cacheable {
 		return s.doLeader(d, &rec, run, newOut)
@@ -207,12 +195,12 @@ func (s *Scheduler) do(d jobDesc, run func() (any, error), newOut func() any) (a
 	if c, ok := s.inflight[d.key.Hash]; ok {
 		s.mu.Unlock()
 		<-c.done
-		s.sinks(func(m *Metrics) { m.Coalesced.Add(1) })
+		s.metrics.Coalesced.Add(1)
 		if c.err == nil {
-			s.sinks(func(m *Metrics) { m.Completed.Add(1) })
+			s.metrics.Completed.Add(1)
 			rec.Provenance = "coalesced"
 		} else {
-			s.sinks(func(m *Metrics) { m.Failed.Add(1) })
+			s.metrics.Failed.Add(1)
 			rec.Provenance = "failed"
 			rec.Error = c.err.Error()
 		}
@@ -242,17 +230,17 @@ func (s *Scheduler) doLeader(d jobDesc, rec *Record, run func() (any, error), ne
 		out := newOut()
 		hit, err := s.cfg.Store.Get(d.key, d.kind, out)
 		if err == nil && hit {
-			s.sinks(func(m *Metrics) { m.CacheHits.Add(1) })
+			s.metrics.CacheHits.Add(1)
 			if s.cfg.Verify {
 				if verr := s.verifyHit(d, out, run); verr != nil {
-					s.sinks(func(m *Metrics) { m.Failed.Add(1) })
+					s.metrics.Failed.Add(1)
 					rec.Provenance = "failed"
 					rec.Error = verr.Error()
 					s.record(*rec, 0)
 					return nil, verr
 				}
 			}
-			s.sinks(func(m *Metrics) { m.Completed.Add(1) })
+			s.metrics.Completed.Add(1)
 			rec.Provenance = "hit"
 			s.record(*rec, 0)
 			return out, nil
@@ -262,25 +250,27 @@ func (s *Scheduler) doLeader(d jobDesc, rec *Record, run func() (any, error), ne
 		if err != nil {
 			rec.Error = err.Error()
 		}
-		s.sinks(func(m *Metrics) { m.CacheMisses.Add(1) })
+		s.metrics.CacheMisses.Add(1)
 	}
 
 	start := time.Now()
 	res, err := s.execute(run)
 	dur := time.Since(start)
-	s.sinks(func(m *Metrics) { m.observeLatency(dur) })
+	s.metrics.observeLatency(dur)
 	if err != nil {
-		s.sinks(func(m *Metrics) { m.Failed.Add(1) })
+		s.metrics.Failed.Add(1)
 		rec.Provenance = "failed"
 		rec.Error = err.Error()
 		s.record(*rec, dur)
 		return nil, err
 	}
 	if !d.cacheable {
-		s.sinks(func(m *Metrics) { m.Completed.Add(1); m.Uncached.Add(1) })
+		s.metrics.Completed.Add(1)
+		s.metrics.Uncached.Add(1)
 		rec.Provenance = "uncached"
 	} else {
-		s.sinks(func(m *Metrics) { m.Completed.Add(1); m.Computed.Add(1) })
+		s.metrics.Completed.Add(1)
+		s.metrics.Computed.Add(1)
 		rec.Provenance = "computed"
 		if s.cfg.Store != nil {
 			if perr := s.cfg.Store.Put(d.key, d.kind, res); perr != nil {
@@ -297,7 +287,7 @@ func (s *Scheduler) doLeader(d jobDesc, rec *Record, run func() (any, error), ne
 // verifyHit recomputes a cache hit on the worker pool, with the same
 // timeout as any execution, and compares it against the stored result.
 func (s *Scheduler) verifyHit(d jobDesc, cached any, run func() (any, error)) error {
-	s.sinks(func(m *Metrics) { m.VerifyRuns.Add(1) })
+	s.metrics.VerifyRuns.Add(1)
 	fresh, err := s.execute(run)
 	if err != nil {
 		return fmt.Errorf("verifying cache hit %s: recompute failed: %w", d.key.Hash, err)
@@ -311,7 +301,7 @@ func (s *Scheduler) verifyHit(d jobDesc, cached any, run func() (any, error)) er
 		return fmt.Errorf("verifying cache hit %s: %w", d.key.Hash, err)
 	}
 	if !bytes.Equal(cb, fb) {
-		s.sinks(func(m *Metrics) { m.VerifyBad.Add(1) })
+		s.metrics.VerifyBad.Add(1)
 		return fmt.Errorf("cache hit %s (%s/%s) does not match a fresh run: determinism violation or stale schema",
 			d.key.Hash, d.kind, d.setupName)
 	}
@@ -322,7 +312,8 @@ func (s *Scheduler) verifyHit(d jobDesc, cached any, run func() (any, error)) er
 // an unknown benchmark) as a failed job, so invalid cells surface in sweep
 // records and metrics like any other failure.
 func (s *Scheduler) rejectSpec(kind string, benches []string, name string, err error) error {
-	s.sinks(func(m *Metrics) { m.Submitted.Add(1); m.Failed.Add(1) })
+	s.metrics.Submitted.Add(1)
+	s.metrics.Failed.Add(1)
 	s.record(Record{Kind: kind, Benchmarks: benches, Setup: name,
 		Provenance: "failed", Error: err.Error()}, 0)
 	return err

@@ -126,13 +126,11 @@ func (p *Profile) Hints(threshold float64) *core.HintTable {
 
 // CoarseHints builds a GRP-style per-load all-or-nothing table (paper
 // Section 7.1): a load either prefetches all pointers in blocks it fetches
-// or none, decided by the aggregate usefulness of all its PGs. The paper
-// found this coarse control nearly useless (0.4% gain), which Section 7.2's
-// trigger-load filtering shares.
-func (p *Profile) CoarseHints(threshold float64) *core.HintTable {
-	if threshold <= 0 {
-		threshold = BeneficialThreshold
-	}
+// or none, decided by whether the aggregate usefulness of all its PGs
+// strictly exceeds BeneficialThreshold. The paper found this coarse control
+// nearly useless (0.4% gain), which Section 7.2's trigger-load filtering
+// shares.
+func (p *Profile) CoarseHints() *core.HintTable {
 	type agg struct{ useful, useless int64 }
 	byPC := map[uint32]agg{}
 	var pcs []uint32
@@ -153,7 +151,7 @@ func (p *Profile) CoarseHints(threshold float64) *core.HintTable {
 		if a.useful+a.useless == 0 {
 			continue
 		}
-		if float64(a.useful)/float64(a.useful+a.useless) > threshold {
+		if float64(a.useful)/float64(a.useful+a.useless) > BeneficialThreshold {
 			t.Set(pc, full)
 		} else {
 			t.Set(pc, core.HintVec{})

@@ -87,8 +87,9 @@ func TestCoarseHints(t *testing.T) {
 		prefetch.MakePGKey(10, 2): {Useful: 9, Useless: 1},
 		prefetch.MakePGKey(10, 3): {Useful: 8, Useless: 2},
 		prefetch.MakePGKey(11, 1): {Useful: 1, Useless: 9},
+		prefetch.MakePGKey(12, 1): {Useful: 5, Useless: 5},
 	}}
-	h := p.CoarseHints(0)
+	h := p.CoarseHints()
 	v10, _ := h.Lookup(10)
 	// Coarse control: ALL offsets enabled for a majority-useful load.
 	for off := -16; off < 16; off++ {
@@ -99,6 +100,9 @@ func TestCoarseHints(t *testing.T) {
 	v11, ok := h.Lookup(11)
 	if !ok || !v11.Empty() {
 		t.Fatal("majority-useless load must be fully disabled")
+	}
+	if v12, ok := h.Lookup(12); !ok || !v12.Empty() {
+		t.Fatal("a load exactly at the threshold must be fully disabled")
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package server exposes the job orchestrator over HTTP: submit an
 // experiment or a raw spec sweep, poll job/sweep status, fetch reports in
 // the standard JSON encoding, and scrape Prometheus-style metrics. Every
-// sweep runs on its own jobs.Scheduler; all schedulers share one global
-// worker pool, one content-addressed result store, and one metrics sink, so
-// concurrent sweeps obey a single concurrency bound and reuse each other's
-// journaled results. The API is documented in ORCHESTRATION.md.
+// sweep runs on its own jobs.Scheduler, which counts its own jobs; all
+// schedulers share one global worker pool and one content-addressed result
+// store, so concurrent sweeps obey a single concurrency bound and reuse each
+// other's journaled results. The API is documented in ORCHESTRATION.md.
 package server
 
 import (
@@ -39,13 +39,12 @@ type Options struct {
 	JobTimeout time.Duration
 }
 
-// Server is the job-service state: the sweep table plus the shared pool,
-// store, and metrics.
+// Server is the job-service state: the sweep table plus the shared pool
+// and store.
 type Server struct {
-	opts    Options
-	store   *jobs.Store
-	metrics *jobs.Metrics
-	slots   chan struct{}
+	opts  Options
+	store *jobs.Store
+	slots chan struct{}
 
 	mu sync.Mutex
 	//ldslint:guardedby mu
@@ -62,9 +61,8 @@ type Server struct {
 // New builds a Server, opening the result store when configured.
 func New(opts Options) (*Server, error) {
 	s := &Server{
-		opts:    opts,
-		metrics: &jobs.Metrics{},
-		sweeps:  make(map[string]*sweep),
+		opts:   opts,
+		sweeps: make(map[string]*sweep),
 	}
 	// Size the shared pool once so every sweep draws from the same bound.
 	n := opts.Workers
@@ -210,7 +208,6 @@ func (s *Server) submit(req sweepRequest) *sweep {
 	sched := jobs.New(jobs.Config{
 		Slots:   s.slots,
 		Store:   s.store,
-		Metrics: s.metrics,
 		Verify:  s.opts.Verify,
 		Timeout: s.opts.JobTimeout,
 	})
@@ -438,11 +435,18 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte(out))
 }
 
-// handleMetrics renders the shared counters in the Prometheus text format:
-// queue depth, worker utilization, cache hit/miss counters, and the job
-// latency histogram, plus per-state sweep counts.
+// handleMetrics renders the counters of every sweep's scheduler, summed, in
+// the Prometheus text format: queue depth, worker utilization, cache
+// hit/miss counters, and the job latency histogram, plus per-state sweep
+// counts. Sweeps are never dropped, so the sum covers every job the service
+// has run.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	snap := s.metrics.Snapshot()
+	snap := new(jobs.Metrics).Snapshot()
+	s.mu.Lock()
+	for _, id := range s.order {
+		snap.Add(s.sweeps[id].sched.Metrics().Snapshot())
+	}
+	s.mu.Unlock()
 	var b []byte
 	add := func(format string, args ...any) {
 		b = append(b, fmt.Sprintf(format, args...)...)

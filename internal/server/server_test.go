@@ -172,6 +172,63 @@ func TestExperimentSweepE2E(t *testing.T) {
 	}
 }
 
+// TestMetricsSumSweeps checks that /metrics reports the sum of the jobs
+// counts of every sweep GET /api/v1/sweeps lists: each sweep's scheduler
+// counts its own jobs and the service adds them up. The second sweep is
+// served mostly from the store the first one filled.
+func TestMetricsSumSweeps(t *testing.T) {
+	ts := newTestServer(t, Options{CacheDir: t.TempDir()})
+	for _, configs := range [][]string{{"none", "stream"}, {"none", "stream", "cdp"}} {
+		st := postSweep(t, ts, sweepRequest{Benchmarks: []string{"mst"}, Configs: configs, Scale: 0.05, Seed: 5})
+		if st = waitDone(t, ts, st.ID); len(st.FailedJobs) > 0 {
+			t.Fatalf("sweep %s failed jobs: %v", st.ID, st.FailedJobs)
+		}
+	}
+	var all []sweepStatus
+	if err := json.Unmarshal([]byte(fetchText(t, ts, "/api/v1/sweeps", http.StatusOK)), &all); err != nil || len(all) != 2 {
+		t.Fatalf("list: %v, %d sweeps", err, len(all))
+	}
+	if all[1].Jobs.CacheHits == 0 {
+		t.Fatalf("second sweep had no cache hits: %+v", all[1].Jobs)
+	}
+	var sum jobCounts
+	for _, st := range all {
+		j := st.Jobs
+		sum.Submitted += j.Submitted
+		sum.Completed += j.Completed
+		sum.Failed += j.Failed
+		sum.Queued += j.Queued
+		sum.Running += j.Running
+		sum.CacheHits += j.CacheHits
+		sum.CacheMisses += j.CacheMisses
+		sum.Computed += j.Computed
+		sum.Uncached += j.Uncached
+		sum.Coalesced += j.Coalesced
+	}
+	metrics := fetchText(t, ts, "/metrics", http.StatusOK)
+	for _, m := range []struct {
+		name string
+		want int64
+	}{
+		{"ldsjobs_jobs_submitted_total", sum.Submitted},
+		{"ldsjobs_jobs_completed_total", sum.Completed},
+		{"ldsjobs_jobs_failed_total", sum.Failed},
+		{"ldsjobs_queue_depth", sum.Queued},
+		{"ldsjobs_workers_busy", sum.Running},
+		{"ldsjobs_cache_hits_total", sum.CacheHits},
+		{"ldsjobs_cache_misses_total", sum.CacheMisses},
+		{"ldsjobs_cache_computed_total", sum.Computed},
+		{"ldsjobs_cache_uncached_total", sum.Uncached},
+		{"ldsjobs_jobs_coalesced_total", sum.Coalesced},
+		// Every execution ends computed, uncached or failed, and none failed.
+		{"ldsjobs_job_duration_seconds_count", sum.Computed + sum.Uncached},
+	} {
+		if got := metricValue(t, metrics, m.name); got != float64(m.want) {
+			t.Errorf("%s = %v, want the sweeps' sum %d", m.name, got, m.want)
+		}
+	}
+}
+
 // TestRawSweepContainsPanic: a Spec that panics the simulator is reported
 // as a failed cell while the rest of the sweep completes and the process
 // survives.

@@ -110,7 +110,7 @@ var components = []component{
 		kind: "fdp", version: 1,
 		claimsThrottle: true,
 		install: func(env *buildEnv, _ any, pfs []instance) {
-			ctl := fdp.NewController(fdp.DefaultThresholds(), env.ms.Feedback())
+			ctl := fdp.NewController(env.ms.Feedback())
 			n := 0
 			for _, inst := range pfs {
 				if inst.throttleable != nil {
@@ -138,7 +138,7 @@ var components = []component{
 		// outcome.
 		kind: "hwfilter", version: 1,
 		install: func(env *buildEnv, _ any, _ []instance) {
-			f := hwfilter.New(8<<10*8, env.ms.BlockShift()) // the paper's 8 KB
+			f := hwfilter.New(env.ms.BlockShift())
 			ms := env.ms
 			ms.FilterPrefetch = func(r prefetch.Request) bool {
 				if r.Src != prefetch.SrcCDP {

@@ -44,13 +44,10 @@ import (
 	"ldsprefetch/internal/trace"
 )
 
-// FormatVersion is the current trace file format version. Version 2 added
-// branch op records (trace.Branch, kind bits 3, with the flagTaken direction
-// bit); version-1 captures contain no branches and remain readable.
+// FormatVersion is the trace file format version, the only one the reader
+// accepts. Version 2 added branch op records (trace.Branch, kind bits 3,
+// with the flagTaken direction bit).
 const FormatVersion = 2
-
-// minReadVersion is the oldest format version the reader still accepts.
-const minReadVersion = 1
 
 var magic = [8]byte{'L', 'D', 'S', 'T', 'R', 'C', '0', '1'}
 
@@ -101,7 +98,7 @@ const (
 	flagHasN     = 1 << 3
 	flagHasDep   = 1 << 4
 	flagHasVal   = 1 << 5
-	flagTaken    = 1 << 6 // branch direction (format version ≥ 2)
+	flagTaken    = 1 << 6 // branch direction
 )
 
 // zigzag encodes a signed 32-bit delta as an unsigned varint payload.
@@ -353,8 +350,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}
 	rd := &Reader{hr: &hashedByteReader{br: br, h: sha256.New()}}
 	rd.hdr.FormatVersion = binary.LittleEndian.Uint32(hdr[8:12])
-	if rd.hdr.FormatVersion < minReadVersion || rd.hdr.FormatVersion > FormatVersion {
-		return nil, fmt.Errorf("tracefile: format version %d not supported (reader speaks %d..%d)", rd.hdr.FormatVersion, minReadVersion, FormatVersion)
+	if rd.hdr.FormatVersion != FormatVersion {
+		return nil, fmt.Errorf("tracefile: format version %d not supported (reader speaks %d)", rd.hdr.FormatVersion, FormatVersion)
 	}
 	rd.hdr.OpCount = binary.LittleEndian.Uint64(hdr[opCountOff:])
 	rd.hdr.PageCount = binary.LittleEndian.Uint32(hdr[pageCountOff:])
@@ -387,9 +384,6 @@ func (r *Reader) Next() (trace.Op, error) {
 		return op, fmt.Errorf("tracefile: op %d: %w", r.read, err)
 	}
 	kind := trace.Kind(flags & flagKindMask)
-	if kind == trace.Branch && r.hdr.FormatVersion < 2 {
-		return op, fmt.Errorf("tracefile: op %d is a branch record in a version-%d capture", r.read, r.hdr.FormatVersion)
-	}
 	op.Kind = kind
 	op.LDS = flags&flagLDS != 0
 	op.Taken = kind == trace.Branch && flags&flagTaken != 0

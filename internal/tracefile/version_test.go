@@ -3,7 +3,6 @@ package tracefile_test
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"os"
 	"strings"
 	"testing"
@@ -25,35 +24,11 @@ func patchVersion(t *testing.T, version uint32) []byte {
 	return raw
 }
 
-// TestVersionGate pins the format's version negotiation: version-1 captures
-// are still readable, but a branch record (format version 2's addition)
-// inside one is corruption, and versions outside [1, current] are refused
-// outright.
+// TestVersionGate pins the format's version negotiation: the reader speaks
+// the current version only, so a version-1 capture, a future version and a
+// nonsense version are all refused at open.
 func TestVersionGate(t *testing.T) {
-	// mst emits branches, so a capture relabeled as version 1 must fail at
-	// the first branch record, not silently misdecode it.
-	r, err := tracefile.NewReader(bytes.NewReader(patchVersion(t, 1)))
-	if err != nil {
-		t.Fatalf("version-1 header rejected: %v", err)
-	}
-	if got := r.Header().FormatVersion; got != 1 {
-		t.Fatalf("header version = %d, want 1", got)
-	}
-	for {
-		_, err = r.Next()
-		if err != nil {
-			break
-		}
-	}
-	if err == io.EOF || err == nil {
-		t.Fatal("branch record in a version-1 capture decoded without error")
-	}
-	if !strings.Contains(err.Error(), "branch record in a version-1 capture") {
-		t.Fatalf("unhelpful error for v1 branch record: %v", err)
-	}
-
-	// Future and nonsense versions are refused at open.
-	for _, v := range []uint32{0, tracefile.FormatVersion + 1} {
+	for _, v := range []uint32{0, 1, tracefile.FormatVersion + 1} {
 		if _, err := tracefile.NewReader(bytes.NewReader(patchVersion(t, v))); err == nil ||
 			!strings.Contains(err.Error(), "not supported") {
 			t.Fatalf("version %d: err = %v, want version-negotiation refusal", v, err)
