@@ -175,11 +175,7 @@ func main() {
 	if err := ctx.WriteManifest(exp.NewManifest(label, o.scale, o.seed, o.par), o.outDir); err != nil {
 		fatal(err)
 	}
-	if o.cache != "" {
-		snap := ctx.Jobs().Metrics().Snapshot()
-		fmt.Fprintf(os.Stderr, "cache: hits=%d misses=%d computed=%d uncached=%d coalesced=%d\n",
-			snap.CacheHits, snap.CacheMisses, snap.Computed, snap.Uncached, snap.Coalesced)
-	}
+	ctx.WriteCacheSummary(os.Stderr)
 	if err := stopProfile(); err != nil {
 		fatal("experiments:", err)
 	}

@@ -250,7 +250,7 @@ func main() {
 			fmt.Fprintf(w, "core %d (%s): IPC %.4f shared, %.4f alone\n",
 				i, pc.Benchmark, pc.IPC, mr.AloneIPC[i])
 		}
-		finish(ctx, o.cache)
+		finish(ctx, os.Stderr)
 		persist(ctx, o.outDir, configLabel, benches, traceRef, sb.String())
 		return
 	}
@@ -280,22 +280,17 @@ func main() {
 		fmt.Fprintf(w, "%-8s issued %d, used %d (accuracy %.3f, coverage %.3f)\n",
 			src, r.Issued[src], r.Used[src], r.Accuracy[src], r.Coverage[src])
 	}
-	finish(ctx, o.cache)
+	finish(ctx, os.Stderr)
 	persist(ctx, o.outDir, configLabel, benches, traceRef, sb.String())
 }
 
 // finish fails the run on any recorded job error (a failed profile or trace
-// write) and reports cache provenance on stderr when a cache is in use.
-func finish(ctx *exp.Context, cacheDir string) {
+// write) and writes the cache summary to stderr when a cache is in use.
+func finish(ctx *exp.Context, stderr io.Writer) {
 	if errs := ctx.JobErrs(); len(errs) > 0 {
 		fatal("ldssim:", errs[0])
 	}
-	if cacheDir == "" {
-		return
-	}
-	snap := ctx.Jobs().Metrics().Snapshot()
-	fmt.Fprintf(os.Stderr, "cache: hits=%d misses=%d computed=%d uncached=%d\n",
-		snap.CacheHits, snap.CacheMisses, snap.Computed, snap.Uncached)
+	ctx.WriteCacheSummary(stderr)
 }
 
 // persist writes the reproducibility manifest into the -trace and -out

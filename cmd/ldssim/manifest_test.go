@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ldsprefetch/internal/exp"
@@ -49,5 +50,26 @@ func TestManifestRecordsJobs(t *testing.T) {
 		if len(m.Jobs) != 1 || m.Jobs[0].Provenance != "uncached" {
 			t.Errorf("%s: jobs = %+v, want one uncached record", dir, m.Jobs)
 		}
+	}
+}
+
+// TestCacheSummaryLine reads the stderr line a run with -cache ends on: the
+// same summary the experiments command writes, coalesced count included.
+func TestCacheSummaryLine(t *testing.T) {
+	ctx := exp.NewContext()
+	ctx.Params = workload.Params{Scale: 0.05, Seed: 1}
+	ctx.CacheDir = t.TempDir()
+	setup, err := sim.Named("stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.RunOne("mst", setup); err != nil {
+		t.Fatal(err)
+	}
+	var stderr strings.Builder
+	finish(ctx, &stderr)
+	const want = "cache: hits=0 misses=1 computed=1 uncached=0 coalesced=0\n"
+	if stderr.String() != want {
+		t.Fatalf("cache summary = %q, want %q", stderr.String(), want)
 	}
 }

@@ -43,8 +43,6 @@
 package cpu
 
 import (
-	"fmt"
-
 	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/trace"
 )
@@ -59,26 +57,6 @@ type Config struct {
 
 // DefaultConfig returns the paper's baseline core.
 func DefaultConfig() Config { return Config{Window: 256, Width: 4} }
-
-// Bounds on Config, so that a configuration from an untrusted source (a
-// spec's cpu_cfg) cannot make a core allocate without limit: the window
-// sizes two rings of the next power of two ≥ Window+2 entries.
-const (
-	MaxWindow = 1 << 16
-	MaxWidth  = 1 << 10
-)
-
-// Validate checks that Window is in [0, MaxWindow] and Width in [0,
-// MaxWidth]. Zero selects the default (256 and 4).
-func (c Config) Validate() error {
-	if c.Window < 0 || c.Window > MaxWindow {
-		return fmt.Errorf("cpu_cfg: Window must be in [0, %d] (0 selects 256), got %d", MaxWindow, c.Window)
-	}
-	if c.Width < 0 || c.Width > MaxWidth {
-		return fmt.Errorf("cpu_cfg: Width must be in [0, %d] (0 selects 4), got %d", MaxWidth, c.Width)
-	}
-	return nil
-}
 
 // Result summarizes a run.
 type Result struct {

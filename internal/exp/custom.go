@@ -5,7 +5,7 @@ import "ldsprefetch/internal/sim"
 // CustomSpec runs a user-provided spec over the pointer-intensive suite next
 // to the stream baseline and reports relative performance and bandwidth —
 // the -spec entry point of the experiments CLI. The spec runs exactly as
-// given (hints, options, hardware overrides); only Name defaults when empty.
+// given (hints, options, block size); only Name defaults when empty.
 func CustomSpec(c *Context, sp sim.Spec) Report {
 	if sp.Name == "" {
 		sp.Name = "spec"

@@ -5,8 +5,6 @@ import (
 	"sort"
 
 	"ldsprefetch/internal/core"
-	"ldsprefetch/internal/dram"
-	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/profiling"
 	"ldsprefetch/internal/sim"
 )
@@ -84,18 +82,11 @@ func AblateBlockSize(c *Context) Report {
 	benches := ablationBenches
 	g := c.Grids(benches, Base, ECDPT, Prof)
 
-	mem128 := memsys.DefaultConfig()
-	mem128.BlockSize = 128
-	dram128 := dram.DefaultConfig(1)
-	dram128.BusCycles = 80   // 128 B over the same 8 B bus at 5:1
-	dram128.FillCycles = 210 // keep the 450-cycle uncontended latency
-	dram128.BlockShift = 7
-
 	res := c.sweep(benches, func(i int) []sim.Spec {
 		base := sim.NewSpec("stream-128B", "stream")
-		base.MemCfg, base.DRAMCfg = &mem128, &dram128
+		base.BlockSize = 128
 		ours := sim.NewSpec("ecdp+thr-128B", "stream", "cdp", "throttle").WithHints(g[i].Hints)
-		ours.MemCfg, ours.DRAMCfg = &mem128, &dram128
+		ours.BlockSize = 128
 		return []sim.Spec{base, ours}
 	})
 	r := Report{

@@ -281,6 +281,17 @@ func (c *Context) WriteManifest(m Manifest, outDir string) error {
 	return nil
 }
 
+// WriteCacheSummary writes the one-line summary of c's cache use to w (a
+// command's stderr), or nothing when no cache is in use.
+func (c *Context) WriteCacheSummary(w io.Writer) {
+	if c.CacheDir == "" {
+		return
+	}
+	snap := c.Jobs().Metrics().Snapshot()
+	fmt.Fprintf(w, "cache: hits=%d misses=%d computed=%d uncached=%d coalesced=%d\n",
+		snap.CacheHits, snap.CacheMisses, snap.Computed, snap.Uncached, snap.Coalesced)
+}
+
 // NewManifest fills a manifest with the environment-derived fields
 // (toolchain version, git revision, command line, timestamp).
 func NewManifest(experiment string, scale float64, seed int64, parallel int) Manifest {

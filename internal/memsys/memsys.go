@@ -71,7 +71,6 @@
 package memsys
 
 import (
-	"fmt"
 	"sort"
 
 	"ldsprefetch/internal/cache"
@@ -139,38 +138,6 @@ func DefaultConfig() Config {
 		PrefetchQueue: 128,
 		IntervalLen:   8192,
 	}
-}
-
-// Bounds on Config, so that a configuration from an untrusted source (a
-// spec's mem_cfg) cannot make New allocate without limit: each cache's tag
-// store holds one line per block of its size, and the content-scan buffer
-// one block.
-const (
-	MaxBlockSize  = 4096
-	MaxCacheLines = 1 << 20
-)
-
-// Validate checks the allocation bounds: BlockSize at most MaxBlockSize, and
-// L1Size and L2Size at most MaxCacheLines blocks each (64 MiB at 64-byte
-// blocks). It checks nothing else; New panics on sizes that give no
-// power-of-two set count.
-func (c Config) Validate() error {
-	if c.BlockSize > MaxBlockSize {
-		return fmt.Errorf("mem_cfg: BlockSize must be at most %d, got %d", MaxBlockSize, c.BlockSize)
-	}
-	if c.BlockSize <= 0 {
-		return nil // no cache can be built; New's callers reject it
-	}
-	for _, cs := range []struct {
-		name string
-		size int
-	}{{"L1Size", c.L1Size}, {"L2Size", c.L2Size}} {
-		if cs.size/c.BlockSize > MaxCacheLines {
-			return fmt.Errorf("mem_cfg: %s must be at most %d blocks (%d bytes), got %d",
-				cs.name, MaxCacheLines, MaxCacheLines*c.BlockSize, cs.size)
-		}
-	}
-	return nil
 }
 
 // AccessEvent describes one demand access, delivered to every attached

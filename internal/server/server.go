@@ -89,9 +89,9 @@ type sweepRequest struct {
 	// under every configuration. Configs are the named CLI configurations.
 	// Specs are declarative sim.Spec values; they are validated against the
 	// component table at submit and rejected with the known-component
-	// catalog on error. Hardware overrides are not statically validated —
-	// a config that panics the simulator is contained and reported as a
-	// failed job.
+	// catalog on error, and their spec-level values (block_size,
+	// interval_len, initial_level) are range-checked there. A job that
+	// panics anyway is contained and reported as a failed job.
 	Benchmarks []string   `json:"benchmarks,omitempty"`
 	Configs    []string   `json:"configs,omitempty"`
 	Specs      []sim.Spec `json:"specs,omitempty"`

@@ -12,11 +12,13 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/sim"
+	"ldsprefetch/internal/trace"
+	"ldsprefetch/internal/workload"
 )
 
 func newTestServer(t *testing.T, opts Options) *httptest.Server {
@@ -229,22 +231,31 @@ func TestMetricsSumSweeps(t *testing.T) {
 	}
 }
 
-// TestRawSweepContainsPanic: a Spec that panics the simulator is reported
-// as a failed cell while the rest of the sweep completes and the process
+// registerPanicBench registers panicBench, a workload whose build panics,
+// once per test binary.
+var registerPanicBench sync.Once
+
+const panicBench = "panic-bench"
+
+// TestRawSweepContainsPanic: a cell that panics inside a job is reported as
+// a failed cell while the rest of the sweep completes and the process
 // survives.
 func TestRawSweepContainsPanic(t *testing.T) {
+	registerPanicBench.Do(func() {
+		err := workload.Register(workload.Generator{Name: panicBench, Server: true,
+			Description: "test workload whose build panics",
+			Build:       func(workload.Params) *trace.Trace { panic("panic-bench: build") }})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
 	ts := newTestServer(t, Options{})
 
-	bad := memsys.DefaultConfig()
-	bad.L1Size = -bad.L1Size // negative cache size panics deep in assembly
 	st := postSweep(t, ts, sweepRequest{
-		Benchmarks: []string{"mst"},
-		Specs: []sim.Spec{
-			{Name: "boom", MemCfg: &bad},
-			sim.NewSpec("ok", "stream"),
-		},
-		Scale: 0.05,
-		Seed:  5,
+		Benchmarks: []string{panicBench, "mst"},
+		Specs:      []sim.Spec{sim.NewSpec("ok", "stream")},
+		Scale:      0.05,
+		Seed:       5,
 	})
 	if st.Kind != "raw" {
 		t.Fatalf("submit returned %+v", st)
@@ -258,10 +269,16 @@ func TestRawSweepContainsPanic(t *testing.T) {
 	}
 
 	text := fetchText(t, ts, "/api/v1/sweeps/"+st.ID+"/report?format=text", http.StatusOK)
-	if !strings.Contains(text, "FAILED") {
+	rows := map[string]string{} // bench -> status column
+	for _, line := range strings.Split(text, "\n") {
+		if f := strings.Fields(line); len(f) > 2 {
+			rows[f[0]] = f[len(f)-1]
+		}
+	}
+	if rows[panicBench] != "FAILED" {
 		t.Fatalf("report does not flag the failed cell:\n%s", text)
 	}
-	if !strings.Contains(text, "ok") {
+	if rows["mst"] != "ok" {
 		t.Fatalf("healthy cell missing from report:\n%s", text)
 	}
 
@@ -307,6 +324,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"empty", `{}`},
 		{"oversized cpu_cfg", `{"benchmarks":["mst"],"specs":[{"name":"big","components":[{"kind":"stream"}],"cpu_cfg":{"Window":17592186044416,"Width":4}}]}`},
 		{"oversized mem_cfg", `{"benchmarks":["mst"],"specs":[{"name":"big","mem_cfg":{"BlockSize":64,"L1Size":32768,"L1Ways":4,"L2Size":1099511627776,"L2Ways":8}}]}`},
+		{"unsupported block_size", `{"benchmarks":["mst"],"specs":[{"name":"big","components":[{"kind":"stream"}],"block_size":4096}]}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/api/v1/sweeps", "application/json", strings.NewReader(tc.body))

@@ -11,7 +11,8 @@ import (
 // only in whether a branch predictor is attached.
 const (
 	// CoreInterval is the default dependence-graph model (cpu.NewInterval).
-	// It takes no options: the window and width come from Spec.CPUCfg.
+	// It takes no options: the window and width are the paper's
+	// (cpu.DefaultConfig).
 	CoreInterval = "interval"
 	// CoreOoO is the speculative out-of-order model (cpu.NewOoO) with
 	// cpu.OoOOptions.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"ldsprefetch/internal/dram"
 	"ldsprefetch/internal/workload"
 	_ "ldsprefetch/internal/workload/serverload" // register server families
 )
@@ -106,23 +105,16 @@ func TestEngineExcludedFromCanonical(t *testing.T) {
 }
 
 // TestAssemblePlumbsCores pins the fair-share core-count plumbing: a shared
-// run's memory systems must know the real machine width even when the DRAM
-// request buffer is custom-sized (memsys once inferred the width from it —
-// the bug fixed alongside the engine work — and now takes an unset width
-// as one core).
+// run's memory systems must know the real machine width (memsys once
+// inferred it from the DRAM request buffer, and now takes an unset width as
+// one core).
 func TestAssemblePlumbsCores(t *testing.T) {
 	sp := NewSpec("stream", "stream")
-	sp.DRAMCfg = &dram.Config{Banks: 8, CtrlCycles: 50, BankCycles: 110,
-		BusCycles: 40, FillCycles: 250, RequestBuffer: 96, BlockShift: 6}
-	ctrl, err := controllerFor(sp, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := assemble("mst", workload.Params{Scale: 0.05, Seed: 1}, sp, ctrl, 2)
+	sys, err := assemble("mst", workload.Params{Scale: 0.05, Seed: 1}, sp, controllerFor(sp, 2), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := sys.ms.Config().Cores; got != 2 {
-		t.Fatalf("assembled Cores = %d, want 2 (the machine width, not 1 or RequestBuffer/32 = 3)", got)
+		t.Fatalf("assembled Cores = %d, want 2, the machine width", got)
 	}
 }

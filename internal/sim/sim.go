@@ -98,19 +98,10 @@ func assemble(bench string, p workload.Params, sp Spec, ctrl *dram.Controller, c
 	if err != nil {
 		return nil, err
 	}
-	mcfg := memsys.DefaultConfig()
-	if sp.MemCfg != nil {
-		mcfg = *sp.MemCfg
-	}
-	if mcfg.Cores < 1 {
-		// The real machine width, for the fair-share prefetch pacing
-		// (memsys takes an unset width as one core). An explicit
-		// MemCfg.Cores wins.
-		mcfg.Cores = cores
-	}
-	if mcfg.BlockSize <= 0 || mcfg.BlockSize&(mcfg.BlockSize-1) != 0 {
-		return nil, fmt.Errorf("sim: block size %d is not a positive power of two", mcfg.BlockSize)
-	}
+	mcfg, _ := hardware(sp.BlockSize, cores)
+	// The real machine width, for the fair-share prefetch pacing (memsys
+	// takes an unset width as one core).
+	mcfg.Cores = cores
 	tr, err := workload.BuildShared(bench, p)
 	if err != nil {
 		return nil, err
@@ -127,14 +118,11 @@ func assemble(bench string, p workload.Params, sp Spec, ctrl *dram.Controller, c
 	mcfg.IdealLDS = sp.IdealLDS
 	mcfg.NoPollution = sp.NoPollution
 	ccfg := cpu.DefaultConfig()
-	if sp.CPUCfg != nil {
-		ccfg = *sp.CPUCfg
-	}
 
 	ms := memsys.New(mcfg, tr.Mem, ctrl)
 	level := prefetch.Aggressive
 	if sp.InitialLevel != nil {
-		level = sp.InitialLevel.Clamp()
+		level = *sp.InitialLevel
 	}
 
 	// Telemetry. The recorder subscribes to feedback intervals before any
@@ -242,21 +230,29 @@ func (sys *system) result(setupName string, busTransfers int64) Result {
 	return r
 }
 
-// controllerFor builds the shared DRAM controller sp configures for a
-// cores-wide machine. It bounds the hardware overrides first, because the
-// controller is built before assemble validates the rest of the spec.
-func controllerFor(sp Spec, cores int) (*dram.Controller, error) {
-	if err := sp.checkHardware(); err != nil {
-		return nil, err
+// hardware derives a run's memory-system and DRAM configurations from its
+// block size on a cores-wide machine. 64-byte blocks take the paper's
+// defaults. 128-byte blocks, the line size of the paper's Table 5, occupy
+// the same 8-byte bus at 5:1 for twice as long, and their fill latency
+// shrinks to keep the 450-cycle uncontended latency; their request buffer
+// is the single-core 32 entries at any width.
+func hardware(blockSize, cores int) (memsys.Config, dram.Config) {
+	if blockSize != 128 {
+		return memsys.DefaultConfig(), dram.DefaultConfig(cores)
 	}
-	cfg := dram.DefaultConfig(cores)
-	if sp.DRAMCfg != nil {
-		cfg = *sp.DRAMCfg
-		if cfg.RequestBuffer == 0 {
-			cfg.RequestBuffer = 32 * cores
-		}
-	}
-	return dram.NewController(cfg), nil
+	mcfg, dcfg := memsys.DefaultConfig(), dram.DefaultConfig(1)
+	mcfg.BlockSize = 128
+	dcfg.BusCycles = 80
+	dcfg.FillCycles = 210
+	dcfg.BlockShift = 7
+	return mcfg, dcfg
+}
+
+// controllerFor builds the shared DRAM controller of sp's hardware on a
+// cores-wide machine.
+func controllerFor(sp Spec, cores int) *dram.Controller {
+	_, cfg := hardware(sp.BlockSize, cores)
+	return dram.NewController(cfg)
 }
 
 // RunSingleSpec builds and runs benchmark bench on a single-core system: it
@@ -314,10 +310,7 @@ func RunSharedSpec(benches []string, p workload.Params, sp Spec) (MultiResult, e
 	if n == 0 {
 		return MultiResult{}, fmt.Errorf("sim: empty benchmark mix")
 	}
-	master, err := controllerFor(sp, n)
-	if err != nil {
-		return MultiResult{}, err
-	}
+	master := controllerFor(sp, n)
 	systems := make([]*system, n)
 	shadows := make([]*dram.Controller, n)
 	cores := make([]engine.Core, n)
@@ -363,10 +356,7 @@ func RunSharedSpec(benches []string, p workload.Params, sp Spec) (MultiResult, e
 // cores), so an alone run is shareable across every mix of the same width
 // that includes the benchmark under the same configuration.
 func RunAloneSpec(bench string, p workload.Params, sp Spec, cores int) (Result, error) {
-	ctrl, err := controllerFor(sp, cores)
-	if err != nil {
-		return Result{}, err
-	}
+	ctrl := controllerFor(sp, cores)
 	sys, err := assemble(bench, p, sp, ctrl, cores)
 	if err != nil {
 		return Result{}, err

@@ -9,8 +9,6 @@ import (
 
 	"ldsprefetch/internal/core"
 	"ldsprefetch/internal/cpu"
-	"ldsprefetch/internal/dram"
-	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/prefetch"
 )
 
@@ -41,7 +39,7 @@ func NewComponent(kind string, opts any) Component {
 
 // Spec is the declarative, serializable description of one run
 // configuration: which components to assemble, in order, plus the
-// spec-level inputs (hint table, oracles, hardware overrides). Components
+// spec-level inputs (hint table, oracles, block size). Components
 // are attached and installed in slice order; the conventional order —
 // prefetchers (stream, cdp, markov, ghb, dbp) then policies (throttle, fdp,
 // pab, hwfilter) — matches the fixed order of the original flag-based
@@ -90,16 +88,15 @@ type Spec struct {
 	// the job service keeps its choice.
 	Engine string `json:"engine,omitempty"`
 
-	// IntervalLen overrides the feedback interval (L2 evictions).
+	// IntervalLen overrides the feedback interval in L2 evictions; 0
+	// selects the paper's 8192.
 	IntervalLen int `json:"interval_len,omitempty"`
-	// MemCfg / CPUCfg / DRAMCfg override the paper-default hardware
-	// configuration (DRAMCfg applies to the shared controller; its
-	// RequestBuffer is still scaled by core count when zero).
-	MemCfg  *memsys.Config `json:"mem_cfg,omitempty"`
-	CPUCfg  *cpu.Config    `json:"cpu_cfg,omitempty"`
-	DRAMCfg *dram.Config   `json:"dram_cfg,omitempty"`
-	// InitialLevel overrides the starting aggressiveness (default
-	// Aggressive, the paper's baseline configuration).
+	// BlockSize is the cache block size in bytes: 64 (the default, also
+	// selected by 0) or 128, the line size of the paper's Table 5. It is the
+	// one hardware value a spec sets; hardware derives the rest.
+	BlockSize int `json:"block_size,omitempty"`
+	// InitialLevel overrides the starting aggressiveness, 0 (very
+	// conservative) to 3 (aggressive, the default and the paper's baseline).
 	InitialLevel *prefetch.AggLevel `json:"initial_level,omitempty"`
 }
 
@@ -153,8 +150,8 @@ var (
 	// kind, or two policies claiming throttle control, e.g. throttle+fdp).
 	ErrComponentConflict = errors.New("conflicting components")
 	// ErrBadOptions: a component's options failed to decode or validate
-	// (including a field the kind does not take), or a hardware override
-	// (cpu_cfg, mem_cfg, dram_cfg) is out of bounds.
+	// (including a field the kind does not take), or a spec-level value
+	// (block_size, interval_len, initial_level) is out of range.
 	ErrBadOptions = errors.New("invalid component options")
 	// ErrBadComposition: a structurally valid spec that cannot work (hints
 	// with no consumer, pab with fewer than two switchable prefetchers).
@@ -218,7 +215,7 @@ func (sp Spec) validate() ([]part, *cpu.OoOOptions, error) {
 		return nil, nil, &SpecError{Spec: sp.Name, Err: ErrBadComposition,
 			Reason: fmt.Sprintf("unknown engine %q (use %q or %q)", sp.Engine, EngineSerial, EngineParallel)}
 	}
-	if err := sp.checkHardware(); err != nil {
+	if err := sp.checkScalars(); err != nil {
 		return nil, nil, err
 	}
 	ooo, err := sp.decodeCore()
@@ -270,31 +267,22 @@ func (sp Spec) validate() ([]part, *cpu.OoOOptions, error) {
 	return parts, ooo, nil
 }
 
-// checkHardware bounds the hardware overrides whose values size a run's
-// allocations (cpu.Config.Validate, memsys.Config.Validate,
-// dram.Config.Validate). Without it one oversized value in a submitted spec
-// would make the run die out of memory, which no panic containment catches.
-// It also refuses the two oracle flags inside mem_cfg: the run takes them
-// from the spec-level ideal_lds and no_pollution only, so set there they
-// would change the cache key and nothing else.
-func (sp Spec) checkHardware() error {
-	var errs []error
-	if sp.CPUCfg != nil {
-		errs = append(errs, sp.CPUCfg.Validate())
+// checkScalars rejects the spec-level values that no run takes. An
+// interval_len below zero or an initial_level outside 0–3 would run as the
+// default or the nearest level while splitting the cache key.
+func (sp Spec) checkScalars() error {
+	var reason string
+	switch {
+	case sp.BlockSize != 0 && sp.BlockSize != 64 && sp.BlockSize != 128:
+		reason = fmt.Sprintf("block_size must be 64 (the default, also 0) or 128, got %d", sp.BlockSize)
+	case sp.IntervalLen < 0:
+		reason = fmt.Sprintf("interval_len must be at least 0 (0 selects 8192), got %d", sp.IntervalLen)
+	case sp.InitialLevel != nil && (*sp.InitialLevel < prefetch.VeryConservative || *sp.InitialLevel > prefetch.Aggressive):
+		reason = fmt.Sprintf("initial_level must be in %d–%d, got %d", prefetch.VeryConservative, prefetch.Aggressive, *sp.InitialLevel)
+	default:
+		return nil
 	}
-	if sp.MemCfg != nil {
-		errs = append(errs, sp.MemCfg.Validate())
-		if sp.MemCfg.IdealLDS || sp.MemCfg.NoPollution {
-			errs = append(errs, errors.New("mem_cfg IdealLDS and NoPollution are not read; set the spec-level ideal_lds and no_pollution instead"))
-		}
-	}
-	if sp.DRAMCfg != nil {
-		errs = append(errs, sp.DRAMCfg.Validate())
-	}
-	if err := errors.Join(errs...); err != nil {
-		return &SpecError{Spec: sp.Name, Err: ErrBadOptions, Reason: err.Error()}
-	}
-	return nil
+	return &SpecError{Spec: sp.Name, Err: ErrBadOptions, Reason: reason}
 }
 
 // switchableKinds lists the prefetcher kinds that support on/off switching,
@@ -320,10 +308,13 @@ type canonComponent struct {
 
 // canonSpec is the canonical, versioned form of a Spec. Field order is
 // fixed by the struct; every pointer field is expanded to value-or-null;
-// the hint table serializes as sorted (pc, pos, neg) triples. Trace and
-// Engine are deliberately absent: tracing is observation-only, and the
-// serial and parallel engines produce byte-identical results, so neither
-// may split cache keys.
+// the hint table serializes as sorted (pc, pos, neg) triples. The block
+// size appears as the hardware it derives: MemCfg and DRAMCfg are null at
+// 64 bytes and the 128-byte configurations otherwise, and CPUCfg is always
+// null, which keeps the keys of the earlier per-field hardware overrides.
+// Trace and Engine are deliberately absent: tracing is observation-only,
+// and the serial and parallel engines produce byte-identical results, so
+// neither may split cache keys.
 type canonSpec struct {
 	Name         string           `json:"name"`
 	Components   []canonComponent `json:"components"`
@@ -394,9 +385,12 @@ func (sp Spec) Canonical() ([]byte, error) {
 	}
 	cs.Core = canonicalCore(ooo)
 	cs.Hints = rawOrNull(nilable(sp.Hints))
-	cs.MemCfg = rawOrNull(nilable(sp.MemCfg))
-	cs.CPUCfg = rawOrNull(nilable(sp.CPUCfg))
-	cs.DRAMCfg = rawOrNull(nilable(sp.DRAMCfg))
+	null := json.RawMessage("null")
+	cs.MemCfg, cs.CPUCfg, cs.DRAMCfg = null, null, null
+	if sp.BlockSize == 128 {
+		mcfg, dcfg := hardware(sp.BlockSize, 1)
+		cs.MemCfg, cs.DRAMCfg = rawOrNull(mcfg), rawOrNull(dcfg)
+	}
 	if sp.InitialLevel != nil {
 		lv := int(*sp.InitialLevel)
 		cs.InitialLevel = &lv

@@ -10,8 +10,6 @@ import (
 
 	"ldsprefetch/internal/core"
 	"ldsprefetch/internal/cpu"
-	"ldsprefetch/internal/dram"
-	"ldsprefetch/internal/memsys"
 	"ldsprefetch/internal/prefetch"
 	"ldsprefetch/internal/workload"
 )
@@ -116,59 +114,85 @@ func TestValidateRejectsBadOptionJSON(t *testing.T) {
 	}
 }
 
-// TestValidateBoundsHardware: a hardware override that would size a run's
-// allocations past the documented bounds is a typed ErrBadOptions error from
-// Validate, and RunSingleSpec returns it without building anything. Before
-// the bounds, a cpu_cfg window of 2^44 validated and the run died out of
-// memory, taking the process with it.
+// TestValidateBoundsHardware: the block size is the one hardware value a
+// spec sets, and the spec-level values are bounded to what a run takes.
+// The retired per-field overrides (mem_cfg, cpu_cfg, dram_cfg) fail to
+// decode; an out-of-range block_size, interval_len or initial_level is a
+// typed ErrBadOptions error from Validate, and the runners return it
+// without building anything. A negative interval_len or an initial_level
+// outside 0–3 would otherwise run as the default or the nearest level under
+// a cache key of its own.
 func TestValidateBoundsHardware(t *testing.T) {
-	mcfg := func(f func(*memsys.Config)) *memsys.Config {
-		c := memsys.DefaultConfig()
-		f(&c)
-		return &c
+	const stream = `{"name":"x","components":[{"kind":"stream"}],`
+	for _, field := range []string{
+		`"mem_cfg":{"BlockSize":64}`,
+		`"cpu_cfg":{"Window":17592186044416,"Width":4}`,
+		`"dram_cfg":{"Banks":8}`,
+	} {
+		if _, err := ParseSpec([]byte(stream + field + "}")); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s: ParseSpec err = %v, want an unknown field", field, err)
+		}
 	}
 	bad := []struct {
-		name string
-		sp   Spec
-		want string
+		field string
+		want  string
 	}{
-		{"window 2^44", Spec{CPUCfg: &cpu.Config{Window: 1 << 44, Width: 4}}, "Window"},
-		{"window past max", Spec{CPUCfg: &cpu.Config{Window: cpu.MaxWindow + 1}}, "Window"},
-		{"negative window", Spec{CPUCfg: &cpu.Config{Window: -1}}, "Window"},
-		{"width 2^40", Spec{CPUCfg: &cpu.Config{Window: 256, Width: 1 << 40}}, "Width"},
-		{"negative width", Spec{CPUCfg: &cpu.Config{Width: -4}}, "Width"},
-		{"l2 2^40 bytes", Spec{MemCfg: mcfg(func(c *memsys.Config) { c.L2Size = 1 << 40 })}, "L2Size"},
-		{"l1 past max", Spec{MemCfg: mcfg(func(c *memsys.Config) { c.L1Size = 64 * (memsys.MaxCacheLines + 1) })}, "L1Size"},
-		{"block 2^30", Spec{MemCfg: mcfg(func(c *memsys.Config) { c.BlockSize = 1 << 30 })}, "BlockSize"},
-		{"banks 2^40", Spec{DRAMCfg: &dram.Config{Banks: 1 << 40}}, "Banks"},
-		{"mem_cfg ideal LDS", Spec{MemCfg: mcfg(func(c *memsys.Config) { c.IdealLDS = true })}, "ideal_lds"},
-		{"mem_cfg no pollution", Spec{MemCfg: mcfg(func(c *memsys.Config) { c.NoPollution = true })}, "no_pollution"},
+		{`"block_size":96`, "block_size"},
+		{`"block_size":4096`, "block_size"},
+		{`"block_size":-64`, "block_size"},
+		{`"interval_len":-1`, "interval_len"},
+		{`"initial_level":9`, "initial_level"},
+		{`"initial_level":-1`, "initial_level"},
 	}
 	for _, tc := range bad {
-		tc.sp.Name = tc.name
-		tc.sp.Components = []Component{{Kind: "stream"}}
-		err := tc.sp.Validate()
+		sp, err := ParseSpec([]byte(stream + tc.field + "}"))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.field, err)
+		}
+		err = sp.Validate()
 		if !errors.Is(err, ErrBadOptions) || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: Validate err = %v, want ErrBadOptions naming %s", tc.name, err, tc.want)
+			t.Errorf("%s: Validate err = %v, want ErrBadOptions naming %s", tc.field, err, tc.want)
 		}
-		if _, err := RunSingleSpec("mst", workload.Params{Scale: 0.05, Seed: 5}, tc.sp); !errors.Is(err, ErrBadOptions) {
-			t.Errorf("%s: RunSingleSpec err = %v, want ErrBadOptions", tc.name, err)
+		if _, err := RunSingleSpec("mst", workload.Params{Scale: 0.05, Seed: 5}, sp); !errors.Is(err, ErrBadOptions) {
+			t.Errorf("%s: RunSingleSpec err = %v, want ErrBadOptions", tc.field, err)
 		}
-		if _, err := RunMultiSpec([]string{"mst", "health"}, workload.Params{Scale: 0.05, Seed: 5}, tc.sp); !errors.Is(err, ErrBadOptions) {
-			t.Errorf("%s: RunMultiSpec err = %v, want ErrBadOptions", tc.name, err)
+		if _, err := RunMultiSpec([]string{"mst", "health"}, workload.Params{Scale: 0.05, Seed: 5}, sp); !errors.Is(err, ErrBadOptions) {
+			t.Errorf("%s: RunMultiSpec err = %v, want ErrBadOptions", tc.field, err)
 		}
 	}
-	for _, sp := range []Spec{
-		{CPUCfg: &cpu.Config{}},
-		{CPUCfg: &cpu.Config{Window: cpu.MaxWindow, Width: cpu.MaxWidth}},
-		{MemCfg: mcfg(func(c *memsys.Config) { c.L2Size = 64 * memsys.MaxCacheLines })},
-		{MemCfg: mcfg(func(c *memsys.Config) { c.BlockSize = memsys.MaxBlockSize })},
-		{MemCfg: mcfg(func(c *memsys.Config) { c.BlockSize = 4 })}, // a 1 MiB L2 of 2^18 lines
-		{DRAMCfg: &dram.Config{Banks: dram.MaxBanks}},
-	} {
-		if err := sp.Validate(); err != nil {
-			t.Errorf("in-bounds spec rejected: %v", err)
+	for _, field := range []string{`"block_size":128`, `"interval_len":4096`, `"initial_level":0`} {
+		sp, err := ParseSpec([]byte(stream + field + "}"))
+		if err != nil {
+			t.Fatalf("%s: %v", field, err)
 		}
+		if err := sp.Validate(); err != nil {
+			t.Errorf("%s: in-range spec rejected: %v", field, err)
+		}
+	}
+}
+
+// TestCanonicalBlockSize: an explicit 64-byte block is the default and
+// shares its key; a 128-byte block encodes the derived hardware, the bytes
+// a spec carrying those configurations as overrides hashed.
+func TestCanonicalBlockSize(t *testing.T) {
+	canon := func(bs int) string {
+		sp := NewSpec("x", "stream")
+		sp.BlockSize = bs
+		b, err := sp.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if canon(0) != canon(64) {
+		t.Fatalf("an explicit 64-byte block splits the key:\n%s\n%s", canon(0), canon(64))
+	}
+	want := `"mem_cfg":{"BlockSize":128,"L1Size":32768,"L1Ways":4,"L1Lat":2,"L2Size":1048576,"L2Ways":8,"L2Lat":15,` +
+		`"MSHRs":32,"PrefetchQueue":128,"PrefetchCongestionLimit":0,"IntervalLen":8192,"Cores":0,"IdealLDS":false,"NoPollution":false},` +
+		`"cpu_cfg":null,` +
+		`"dram_cfg":{"Banks":8,"CtrlCycles":50,"BankCycles":110,"BusCycles":80,"FillCycles":210,"RequestBuffer":32,"BlockShift":7}`
+	if got := canon(128); !strings.Contains(got, want) {
+		t.Fatalf("128-byte canonical encoding\n%s\nlacks\n%s", got, want)
 	}
 }
 
@@ -348,6 +372,9 @@ func randomSpec(rng *rand.Rand, i int) Spec {
 	sp.ProfilePGs = rng.Intn(4) == 0
 	if rng.Intn(3) == 0 {
 		sp.IntervalLen = 1 << uint(8+rng.Intn(8))
+	}
+	if rng.Intn(4) == 0 {
+		sp.BlockSize = 64 << uint(rng.Intn(2))
 	}
 	if rng.Intn(4) == 0 {
 		lv := prefetch.AggLevel(rng.Intn(int(prefetch.Aggressive) + 1))

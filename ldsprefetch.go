@@ -52,7 +52,7 @@ func TrainInput() Input { return workload.Train() }
 
 // Spec is the declarative, serializable run configuration: an ordered list
 // of component kinds (prefetchers and control policies) with typed options,
-// plus spec-level inputs (hint table, oracles, hardware overrides). See
+// plus spec-level inputs (hint table, oracles, block size). See
 // sim.Spec and the component table in internal/sim/components.go.
 type Spec = sim.Spec
 
